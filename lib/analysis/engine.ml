@@ -707,8 +707,19 @@ module Delta = struct
       let seed = Array.make n false in
       let old_of = Array.make n (-1) in
       let matched = ref 0 in
+      (* name -> first index, as [Model.find_txn] would find it *)
+      let by_name (txns : Model.txn array) =
+        let tbl = Hashtbl.create (Array.length txns) in
+        Array.iteri
+          (fun a (tx : Model.txn) ->
+            if not (Hashtbl.mem tbl tx.Model.tname) then
+              Hashtbl.add tbl tx.Model.tname a)
+          txns;
+        tbl
+      in
+      let prev_index = by_name prev_model.Model.txns in
       for a = 0 to n - 1 do
-        match Model.find_txn prev_model m.Model.txns.(a).Model.tname with
+        match Hashtbl.find_opt prev_index m.Model.txns.(a).Model.tname with
         | Some oa ->
             incr matched;
             if txn_clean ~prev_model ~model:m ~prev_a:oa ~a then
@@ -730,30 +741,27 @@ module Delta = struct
            indexing is exact.  Transaction names are unique, so every
            previous transaction survived iff each one matched some new
            transaction above — the admission-heavy common case, which
-           skips this quadratic scan entirely. *)
-        if !matched < Array.length prev_model.Model.txns then
+           skips this scan entirely. *)
+        if !matched < Array.length prev_model.Model.txns then begin
+          let index = by_name m.Model.txns in
+          let vacated = Array.make (Array.length prev_model.Model.bounds) false in
           Array.iter
             (fun (ot : Model.txn) ->
-              if
-                not
-                  (Array.exists
-                     (fun (tx : Model.txn) -> tx.Model.tname = ot.Model.tname)
-                     m.Model.txns)
-              then
+              if not (Hashtbl.mem index ot.Model.tname) then
                 Array.iter
-                  (fun (otk : Model.task) ->
-                    Array.iteri
-                      (fun a (tx : Model.txn) ->
-                        if
-                          (not seed.(a))
-                          && Array.exists
-                               (fun (tk : Model.task) ->
-                                 tk.Model.res = otk.Model.res)
-                               tx.Model.tasks
-                        then seed.(a) <- true)
-                      m.Model.txns)
+                  (fun (otk : Model.task) -> vacated.(otk.Model.res) <- true)
                   ot.Model.tasks)
             prev_model.Model.txns;
+          Array.iteri
+            (fun a (tx : Model.txn) ->
+              if
+                Array.exists
+                  (fun (tk : Model.task) ->
+                    tk.Model.res < Array.length vacated && vacated.(tk.Model.res))
+                  tx.Model.tasks
+              then seed.(a) <- true)
+            m.Model.txns
+        end;
         let dirty = Ir.dirty_closure t.ir ~seed in
       if Array.for_all Fun.id dirty then Error "all-dirty"
       else begin

@@ -47,18 +47,33 @@ val make :
 (** Builds the assembly; no validation beyond basic construction.  Run
     {!validate} to obtain the full diagnosis. *)
 
-val class_of : t -> string -> Comp.t
+val concat : t list -> t
+(** The assembly of all the parts, each list in part order: the whole
+    of a system described in several independently elaborated pieces. *)
+
+type index
+(** Name-indexed lookups over one assembly.  Build it once per pass: a
+    lookup is O(1) where a scan of the lists is O(n).  The first
+    occurrence of a name wins, as a scan would find it. *)
+
+val index : t -> index
+
+val class_of : index -> string -> Comp.t
 (** Class of the named instance.  @raise Not_found if unknown. *)
 
-val resource_of : t -> string -> Platform.Resource.t
+val resource_of : index -> string -> Platform.Resource.t
 (** Platform the named instance is allocated to.
     @raise Not_found if unknown or unallocated. *)
 
-val resource_index : t -> string -> int
+val resource_index : index -> string -> int
 (** Index of the named resource in [resources].  @raise Not_found. *)
 
-val binding_for : t -> caller:string -> required:string -> binding option
+val binding_for : index -> caller:string -> required:string -> binding option
 (** The binding serving the given required method of the given caller. *)
+
+val callers : index -> callee:string -> provided:string -> binding list
+(** The bindings into the given provided method of the given instance,
+    in binding order. *)
 
 val validate : t -> (unit, string list) result
 (** Full static validation.  Checks, among others:
@@ -77,6 +92,9 @@ val validate : t -> (unit, string list) result
       deadlock and make transaction derivation diverge).
 
     Returns all diagnostics, not just the first. *)
+
+val validate_indexed : index -> (unit, string list) result
+(** {!validate} of the indexed assembly, reusing the index. *)
 
 val call_graph : t -> (string * string) list
 (** Instance-level call edges (caller instance, callee instance). *)

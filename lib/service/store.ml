@@ -1,7 +1,17 @@
-type unit_ = { uid : string; spec : string; items : Spec.Ast.item list }
+(* A piece of the assembly — the base or one admitted unit — elaborated
+   and printed once, when it enters the store. *)
+type part = { asm : Component.Assembly.t; text : Spec.Printer.sections }
+
+type unit_ = {
+  uid : string;
+  spec : string;
+  items : Spec.Ast.item list;
+  part : part;
+}
 
 type t = {
   base : Spec.Ast.item list;
+  base_part : part;
   units : unit_ list;
   asm : Component.Assembly.t;
   sys : Transaction.System.t;
@@ -9,25 +19,33 @@ type t = {
   hash : string;
 }
 
-let all_items base units =
-  base @ List.concat_map (fun u -> u.items) units
-
-(* Elaborate, validate and derive the concatenated items.  The hash is
-   the digest of the canonical printed assembly: admissions that differ
-   only in whitespace or fragmentation of their source text collapse to
-   the same snapshot identity, which is what the result cache keys on. *)
-let build base units =
-  let items = all_items base units in
+let part items =
   match Spec.Elaborate.assembly items with
   | Error e -> Error [ e ]
-  | Ok asm -> (
-      match Transaction.Derive.derive_with_origins asm with
-      | Error es -> Error es
-      | Ok (sys, origins) ->
-          let hash = Digest.to_hex (Digest.string (Spec.to_string asm)) in
-          Ok { base; units; asm; sys; origins; hash })
+  | Ok asm -> Ok { asm; text = Spec.Printer.sections asm }
 
-let boot base = build base []
+(* The candidate snapshot over the given pieces: their elaborations
+   concatenated, validated and derived.  The hash is the digest of the
+   canonical printed assembly, assembled from the pieces' texts:
+   admissions that differ only in whitespace or fragmentation of their
+   source text collapse to the same snapshot identity, which is what the
+   result cache keys on. *)
+let candidate base base_part units =
+  let parts = base_part :: List.map (fun u -> u.part) units in
+  let asm =
+    Component.Assembly.concat (List.map (fun (p : part) -> p.asm) parts)
+  in
+  match Transaction.Derive.derive_with_origins asm with
+  | Error es -> Error es
+  | Ok (sys, origins) ->
+      let text =
+        Spec.Printer.concat (List.map (fun (p : part) -> p.text) parts)
+      in
+      let hash = Digest.to_hex (Digest.string text) in
+      Ok { base; base_part; units; asm; sys; origins; hash }
+
+let boot base =
+  Result.bind (part base) (fun base_part -> candidate base base_part [])
 
 let mem t uid = List.exists (fun u -> String.equal u.uid uid) t.units
 
@@ -37,12 +55,16 @@ let admit t ~uid ~spec =
   else
     match Spec.Parser.parse spec with
     | Error e -> Error [ e ]
-    | Ok items -> build t.base (t.units @ [ { uid; spec; items } ])
+    | Ok items ->
+        Result.bind (part items) (fun part ->
+            candidate t.base t.base_part
+              (t.units @ [ { uid; spec; items; part } ]))
 
 let revoke t ~uid =
   if not (mem t uid) then Error [ Printf.sprintf "no admitted unit %S" uid ]
   else
-    build t.base (List.filter (fun u -> not (String.equal u.uid uid)) t.units)
+    candidate t.base t.base_part
+      (List.filter (fun u -> not (String.equal u.uid uid)) t.units)
 
 let unit_instances t uid =
   match List.find_opt (fun u -> String.equal u.uid uid) t.units with

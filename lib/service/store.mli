@@ -7,20 +7,33 @@
     validated {!Transaction.System.t}, the transaction→instance origin
     map and the content hash of the canonical printed assembly.
 
+    The base and every admitted unit are elaborated and printed once,
+    when they enter the store.  A candidate concatenates those pieces,
+    validates and derives the whole assembly with name-indexed lookups
+    (linear in its size), and digests the concatenated texts: no unit is
+    re-parsed, re-elaborated or re-printed.  The hash is the digest of
+    exactly [Spec.to_string asm].
+
     Snapshots are pure values: {!admit} and {!revoke} build {e
     candidate} snapshots without touching the original, so the server's
     transactional protocol is commit-by-assignment and rollback-by-
     doing-nothing — a rejected admission provably leaves the store
     bit-identical (asserted by the test suite). *)
 
-type unit_ = {
+type part
+(** One piece of the assembly, elaborated and printed once when it
+    enters the store. *)
+
+type unit_ = private {
   uid : string;  (** client-chosen admission id *)
   spec : string;  (** the fragment's source text, as received *)
   items : Spec.Ast.item list;  (** its parsed items *)
+  part : part;
 }
 
 type t = private {
   base : Spec.Ast.item list;
+  base_part : part;
   units : unit_ list;  (** admission order *)
   asm : Component.Assembly.t;
   sys : Transaction.System.t;

@@ -11,10 +11,11 @@
    disagree about the store, and serving from either would be a lie.
 
    Records are flushed per append, so a process killed at any commit
-   boundary replays to exactly the committed prefix.  The channel is
-   mutex-guarded: shards append concurrently, and replay only needs
-   per-tenant order, which each shard's in-order finalization already
-   guarantees. *)
+   boundary replays to exactly the committed prefix, and one killed
+   mid-append leaves a torn final line that the next open cuts off.  The
+   channel is mutex-guarded: shards append concurrently, and replay only
+   needs per-tenant order, which each shard's in-order finalization
+   already guarantees. *)
 
 type record =
   | Admit of { tenant : string; uid : string; spec : string; hash : string }
@@ -120,45 +121,46 @@ let record_of_json j =
 
 let is_mutation = function Admit _ | Revoke _ -> true | Snapshot _ -> false
 
+(* Parse the log.  A final line without its newline is an append the
+   process did not finish: the record was never acknowledged (responses
+   are written after the flush), so it is dropped, and its length is
+   reported so [open_] can cut it off before appending.  Every other
+   malformed line is a hard error. *)
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let records = ref [] and errors = ref [] and lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then
-             match Json.parse line with
-             | Error e ->
-                 errors :=
-                   Printf.sprintf "%s:%d: %s" path !lineno e :: !errors
-             | Ok j -> (
-                 match record_of_json j with
-                 | Error e ->
-                     errors :=
-                       Printf.sprintf "%s:%d: %s" path !lineno e :: !errors
-                 | Ok None -> ()
-                 | Ok (Some r) -> records := r :: !records)
-         done
-       with End_of_file -> ());
-      if !errors <> [] then Error (List.rev !errors)
-      else Ok (List.rev !records))
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let complete =
+    match String.rindex_opt data '\n' with None -> 0 | Some i -> i + 1
+  in
+  let records = ref [] and errors = ref [] in
+  List.iteri
+    (fun i line ->
+      let error e =
+        errors := Printf.sprintf "%s:%d: %s" path (i + 1) e :: !errors
+      in
+      if String.trim line <> "" then
+        match Json.parse line with
+        | Error e -> error e
+        | Ok j -> (
+            match record_of_json j with
+            | Error e -> error e
+            | Ok None -> ()
+            | Ok (Some r) -> records := r :: !records))
+    (String.split_on_char '\n' (String.sub data 0 complete));
+  if !errors <> [] then Error (List.rev !errors)
+  else Ok (List.rev !records, complete, String.length data - complete)
 
 let open_ ~path =
   let existing =
-    if Sys.file_exists path then load path else Ok []
+    if Sys.file_exists path then load path else Ok ([], 0, 0)
   in
   match existing with
   | Error es -> Error es
-  | Ok records ->
-      let fresh = not (Sys.file_exists path) in
+  | Ok (records, complete, torn) ->
+      if torn > 0 then Unix.truncate path complete;
       let oc =
         open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
       in
-      if fresh then (
+      if complete = 0 then (
         output_string oc header_line;
         output_char oc '\n';
         flush oc);

@@ -22,8 +22,11 @@ type t
 
 val open_ : path:string -> (t * record list, string list) result
 (** Open (creating if needed) the log at [path] for appending, after
-    reading back every record already on disk — the replay input.
-    Fails on an unparseable or unversioned line. *)
+    reading back every record already on disk — the replay input.  A
+    torn final line (no trailing newline: the process died mid-append,
+    before the record was acknowledged) is dropped and truncated away,
+    so the next append starts on a record boundary.  Fails on any other
+    unparseable or unversioned line. *)
 
 val path : t -> string
 

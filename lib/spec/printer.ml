@@ -6,109 +6,129 @@ module Th = Component.Thread
 module Comp = Component.Comp
 module A = Component.Assembly
 
-let rec pp_supply_expr ppf = function
-  | Platform.Supply.Full -> Format.fprintf ppf "full"
-  | Platform.Supply.Bounded_delay b ->
-      Format.fprintf ppf "bounded(alpha = %a, delta = %a, beta = %a)" Q.pp
-        b.LB.alpha Q.pp b.LB.delta Q.pp b.LB.beta
+(* Every item prints as whole lines, so an assembly's text is the
+   concatenation of its items' texts, grouped by section. *)
+
+let bprintf = Printf.bprintf
+
+let q b x = Buffer.add_string b (Q.to_string x)
+
+let rec supply_expr b = function
+  | Platform.Supply.Full -> bprintf b "full"
+  | Platform.Supply.Bounded_delay l ->
+      bprintf b "bounded(alpha = %a, delta = %a, beta = %a)" q l.LB.alpha q
+        l.LB.delta q l.LB.beta
   | Platform.Supply.Periodic_server { budget; period } ->
-      Format.fprintf ppf "server(budget = %a, period = %a)" Q.pp budget Q.pp
-        period
-  | Platform.Supply.Pfair { weight } ->
-      Format.fprintf ppf "pfair(weight = %a)" Q.pp weight
+      bprintf b "server(budget = %a, period = %a)" q budget q period
+  | Platform.Supply.Pfair { weight } -> bprintf b "pfair(weight = %a)" q weight
   | Platform.Supply.Static_slots { frame; slots } ->
-      Format.fprintf ppf "slots(frame = %a)" Q.pp frame;
-      List.iter (fun (s, l) -> Format.fprintf ppf " [%a, %a]" Q.pp s Q.pp l) slots
+      bprintf b "slots(frame = %a)" q frame;
+      List.iter (fun (s, l) -> bprintf b " [%a, %a]" q s q l) slots
   | Platform.Supply.Nested { inner; outer } ->
-      Format.fprintf ppf "%a within %a" pp_supply_expr inner pp_supply_expr outer
+      bprintf b "%a within %a" supply_expr inner supply_expr outer
 
-let pp_supply ppf = function
-  | Platform.Supply.Bounded_delay b ->
-      Format.fprintf ppf "  alpha = %a;@,  delta = %a;@,  beta = %a;@," Q.pp
-        b.LB.alpha Q.pp b.LB.delta Q.pp b.LB.beta
-  | supply -> Format.fprintf ppf "  %a;@," pp_supply_expr supply
+let supply b = function
+  | Platform.Supply.Bounded_delay l ->
+      bprintf b "  alpha = %a;\n  delta = %a;\n  beta = %a;\n" q l.LB.alpha q
+        l.LB.delta q l.LB.beta
+  | supply -> bprintf b "  %a;\n" supply_expr supply
 
-let pp_platform ppf (r : Resource.t) =
-  Format.fprintf ppf "@[<v>platform %s%s {@,%a  host = %S;@,}@]@," r.Resource.name
+let platform b (r : Resource.t) =
+  bprintf b "platform %s%s {\n%a  host = %S;\n}\n" r.Resource.name
     (match r.Resource.kind with Resource.Network -> " network" | Resource.Cpu -> "")
-    pp_supply r.Resource.supply r.Resource.host
+    supply r.Resource.supply r.Resource.host
 
-let pp_method ppf (m : M.t) =
-  Format.fprintf ppf "    %s() mit %a;@," m.M.name Q.pp m.M.mit
+let meth b (m : M.t) = bprintf b "    %s() mit %a;\n" m.M.name q m.M.mit
 
-let pp_action ppf = function
-  | Th.Call { method_name } -> Format.fprintf ppf "      call %s();@," method_name
+let action b = function
+  | Th.Call { method_name } -> bprintf b "      call %s();\n" method_name
   | Th.Task { name; wcet; bcet; blocking; priority } ->
-      Format.fprintf ppf "      task %s(wcet = %a, bcet = %a%s)%s;@," name Q.pp
-        wcet Q.pp bcet
-        (match blocking with
-        | None -> ""
-        | Some b -> Format.asprintf ", blocking = %a" Q.pp b)
-        (match priority with
-        | None -> ""
-        | Some p -> Printf.sprintf " priority %d" p)
+      bprintf b "      task %s(wcet = %a, bcet = %a" name q wcet q bcet;
+      Option.iter (bprintf b ", blocking = %a" q) blocking;
+      bprintf b ")";
+      Option.iter (bprintf b " priority %d") priority;
+      bprintf b ";\n"
 
-let pp_thread ppf (t : Th.t) =
-  let activation ppf = function
-    | Th.Periodic { period; deadline; jitter } ->
-        Format.fprintf ppf "periodic(period = %a, deadline = %a%s)" Q.pp period
-          Q.pp deadline
-          (if Q.equal jitter Q.zero then ""
-           else Format.asprintf ", jitter = %a" Q.pp jitter)
-    | Th.Realizes { method_name; deadline } ->
-        Format.fprintf ppf "realizes %s()%s" method_name
-          (match deadline with
-          | None -> ""
-          | Some d -> Format.asprintf " deadline %a" Q.pp d)
-  in
-  Format.fprintf ppf "    thread %s %a priority %d {@,%a    }@," t.Th.name
-    activation t.Th.activation t.Th.priority
-    (fun ppf body -> List.iter (pp_action ppf) body)
-    t.Th.body
+let thread b (t : Th.t) =
+  bprintf b "    thread %s " t.Th.name;
+  (match t.Th.activation with
+  | Th.Periodic { period; deadline; jitter } ->
+      bprintf b "periodic(period = %a, deadline = %a" q period q deadline;
+      if not (Q.equal jitter Q.zero) then bprintf b ", jitter = %a" q jitter;
+      bprintf b ")"
+  | Th.Realizes { method_name; deadline } ->
+      bprintf b "realizes %s()" method_name;
+      Option.iter (bprintf b " deadline %a" q) deadline);
+  bprintf b " priority %d {\n" t.Th.priority;
+  List.iter (action b) t.Th.body;
+  bprintf b "    }\n"
 
-let pp_component ppf (c : Comp.t) =
-  Format.fprintf ppf "@[<v>component %s {@," c.Comp.name;
+let component b (c : Comp.t) =
+  bprintf b "component %s {\n" c.Comp.name;
   if c.Comp.provided <> [] then begin
-    Format.fprintf ppf "  provided:@,";
-    List.iter (pp_method ppf) c.Comp.provided
+    bprintf b "  provided:\n";
+    List.iter (meth b) c.Comp.provided
   end;
   if c.Comp.required <> [] then begin
-    Format.fprintf ppf "  required:@,";
-    List.iter (pp_method ppf) c.Comp.required
+    bprintf b "  required:\n";
+    List.iter (meth b) c.Comp.required
   end;
-  Format.fprintf ppf "  implementation:@,    scheduler fixed_priority;@,";
-  List.iter (pp_thread ppf) c.Comp.threads;
-  Format.fprintf ppf "}@]@,"
+  bprintf b "  implementation:\n    scheduler fixed_priority;\n";
+  List.iter (thread b) c.Comp.threads;
+  bprintf b "}\n"
 
-let pp_binding ppf (b : A.binding) =
-  Format.fprintf ppf "bind %s.%s -> %s.%s" b.A.caller b.A.required b.A.callee
-    b.A.provided;
-  (match b.A.via with
-  | None -> ()
-  | Some l ->
+let binding b (x : A.binding) =
+  bprintf b "bind %s.%s -> %s.%s" x.A.caller x.A.required x.A.callee
+    x.A.provided;
+  Option.iter
+    (fun (l : A.link) ->
       let w, bc = l.A.request in
-      Format.fprintf ppf " via %s priority %d request(wcet = %a, bcet = %a)"
-        l.A.network l.A.priority Q.pp w Q.pp bc;
-      match l.A.reply with
-      | None -> ()
-      | Some (w, bc) ->
-          Format.fprintf ppf " reply(wcet = %a, bcet = %a)" Q.pp w Q.pp bc);
-  Format.fprintf ppf ";@,"
+      bprintf b " via %s priority %d request(wcet = %a, bcet = %a)" l.A.network
+        l.A.priority q w q bc;
+      Option.iter
+        (fun (w, bc) -> bprintf b " reply(wcet = %a, bcet = %a)" q w q bc)
+        l.A.reply)
+    x.A.via;
+  bprintf b ";\n"
 
-let pp ppf (a : A.t) =
-  Format.fprintf ppf "@[<v>";
-  List.iter (pp_platform ppf) a.A.resources;
-  List.iter (pp_component ppf) a.A.classes;
+type sections = {
+  platforms : string;
+  components : string;
+  instances : string;
+  bindings : string;
+}
+
+let sections (a : A.t) =
+  let text f items =
+    let b = Buffer.create 256 in
+    List.iter (f b) items;
+    Buffer.contents b
+  in
+  let allocation = Hashtbl.create (List.length a.A.allocation) in
   List.iter
-    (fun (i : A.instance) ->
-      let platform =
-        match List.assoc_opt i.A.iname a.A.allocation with
-        | Some p -> p
-        | None -> "UNALLOCATED"
-      in
-      Format.fprintf ppf "instance %s : %s on %s;@," i.A.iname i.A.cls platform)
-    a.A.instances;
-  List.iter (pp_binding ppf) a.A.bindings;
-  Format.fprintf ppf "@]"
+    (fun (i, p) ->
+      if not (Hashtbl.mem allocation i) then Hashtbl.add allocation i p)
+    a.A.allocation;
+  let instance b (i : A.instance) =
+    bprintf b "instance %s : %s on %s;\n" i.A.iname i.A.cls
+      (Option.value ~default:"UNALLOCATED"
+         (Hashtbl.find_opt allocation i.A.iname))
+  in
+  {
+    platforms = text platform a.A.resources;
+    components = text component a.A.classes;
+    instances = text instance a.A.instances;
+    bindings = text binding a.A.bindings;
+  }
 
-let to_string a = Format.asprintf "%a" pp a
+let concat parts =
+  let section f = List.map f parts in
+  String.concat ""
+    (section (fun s -> s.platforms)
+    @ section (fun s -> s.components)
+    @ section (fun s -> s.instances)
+    @ section (fun s -> s.bindings))
+
+let to_string a = concat [ sections a ]
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)

@@ -24,9 +24,11 @@ let fresh_name st base =
 let push st task = st.rev_tasks <- task :: st.rev_tasks
 
 (* Walk the body of [thread] of [instance]; [priority] and [resource] are
-   the thread's own, already resolved. *)
-let rec walk asm st ~instance ~(thread : Thread.t) =
-  let resource = A.resource_index asm (A.resource_of asm instance).Platform.Resource.name in
+   the thread's own, already resolved.  [idx] indexes the assembly. *)
+let rec walk idx st ~instance ~(thread : Thread.t) =
+  let resource =
+    A.resource_index idx (A.resource_of idx instance).Platform.Resource.name
+  in
   List.iter
     (fun action ->
       match action with
@@ -42,14 +44,14 @@ let rec walk asm st ~instance ~(thread : Thread.t) =
                ~priority:(Option.value priority ~default:thread.Thread.priority)
                ())
       | Thread.Call { method_name } -> (
-          match A.binding_for asm ~caller:instance ~required:method_name with
+          match A.binding_for idx ~caller:instance ~required:method_name with
           | None ->
               (* Excluded by validation; defensive. *)
               invalid_arg
                 ("Derive: unbound call " ^ instance ^ "." ^ method_name)
           | Some b ->
               let message direction (wcet, bcet) (l : A.link) =
-                let net = A.resource_index asm l.A.network in
+                let net = A.resource_index idx l.A.network in
                 let dir_name =
                   match direction with `Request -> "req" | `Reply -> "rep"
                 in
@@ -70,35 +72,30 @@ let rec walk asm st ~instance ~(thread : Thread.t) =
                      ~wcet ~bcet ~resource:net ~priority:l.A.priority ())
               in
               Option.iter (fun l -> message `Request l.A.request l) b.A.via;
-              let callee_cls = A.class_of asm b.A.callee in
+              let callee_cls = A.class_of idx b.A.callee in
               (match Comp.realizer callee_cls b.A.provided with
               | None ->
                   invalid_arg
                     ("Derive: no realizer for " ^ b.A.callee ^ "." ^ b.A.provided)
               | Some callee_thread ->
-                  walk asm st ~instance:b.A.callee ~thread:callee_thread);
+                  walk idx st ~instance:b.A.callee ~thread:callee_thread);
               Option.iter
                 (fun l -> Option.iter (fun r -> message `Reply r l) l.A.reply)
                 b.A.via))
     thread.Thread.body
 
-let transaction_of_thread asm ~instance ~(thread : Thread.t) ~period ~deadline
+let transaction_of_thread idx ~instance ~(thread : Thread.t) ~period ~deadline
     ~release_jitter =
   let st = { rev_tasks = []; used = Hashtbl.create 16 } in
-  walk asm st ~instance ~thread;
+  walk idx st ~instance ~thread;
   Txn.make ~release_jitter
     ~name:(instance ^ "." ^ thread.Thread.name)
     ~period ~deadline
     (List.rev st.rev_tasks)
 
-let internally_called asm ~callee ~provided =
-  List.exists
-    (fun (b : A.binding) ->
-      String.equal b.A.callee callee && String.equal b.A.provided provided)
-    asm.A.bindings
-
 let derive_with_origins asm =
-  match A.validate asm with
+  let idx = A.index asm in
+  match A.validate_indexed idx with
   | Error errs -> Error errs
   | Ok () ->
       (* Transactions are accumulated with the instance whose thread
@@ -107,14 +104,14 @@ let derive_with_origins asm =
       let txns = ref [] in
       List.iter
         (fun (i : A.instance) ->
-          let cls = A.class_of asm i.A.iname in
+          let cls = A.class_of idx i.A.iname in
           (* Periodic threads each originate a transaction. *)
           List.iter
             (fun (th : Thread.t) ->
               match th.Thread.activation with
               | Thread.Periodic { period; deadline; jitter } ->
                   txns :=
-                    ( transaction_of_thread asm ~instance:i.A.iname ~thread:th
+                    ( transaction_of_thread idx ~instance:i.A.iname ~thread:th
                         ~period ~deadline ~release_jitter:jitter,
                       i.A.iname )
                     :: !txns
@@ -124,7 +121,9 @@ let derive_with_origins asm =
              transactions at their MIT. *)
           List.iter
             (fun (p : Method_sig.t) ->
-              if not (internally_called asm ~callee:i.A.iname ~provided:p.Method_sig.name)
+              if
+                A.callers idx ~callee:i.A.iname ~provided:p.Method_sig.name
+                = []
               then
                 match Comp.realizer cls p.Method_sig.name with
                 | None -> () (* excluded by class construction *)
@@ -137,7 +136,7 @@ let derive_with_origins asm =
                           p.Method_sig.mit
                     in
                     txns :=
-                      ( transaction_of_thread asm ~instance:i.A.iname ~thread:th
+                      ( transaction_of_thread idx ~instance:i.A.iname ~thread:th
                           ~period:p.Method_sig.mit ~deadline
                           ~release_jitter:Q.zero,
                         i.A.iname )

@@ -329,13 +329,142 @@ let test_link_validation () =
        (Some { A.network = "N"; priority = 1; request = (Q.zero, Q.zero); reply = None }))
     "request wcet"
 
+(* One assembly exhibiting every diagnostic kind at once.  The expected
+   list pins the exact text and order [validate] reports them in, so the
+   name-indexed lookups inside it cannot reword or reorder anything. *)
+let every_error_assembly () =
+  let requiring ~name ~mit ~period =
+    Comp.make ~name ~provided:[]
+      ~required:[ M.make ~name:"go" ~mit:(q mit) ]
+      [
+        Th.make ~name:"Main"
+          ~activation:
+            (Th.Periodic { period = q period; deadline = q period; jitter = Q.zero })
+          ~priority:1
+          [ task "pre" "1"; Th.Call { method_name = "go" } ];
+      ]
+  in
+  let peer ~name ~provides ~requires =
+    Comp.make ~name
+      ~provided:[ M.make ~name:provides ~mit:(q "10") ]
+      ~required:[ M.make ~name:requires ~mit:(q "10") ]
+      [
+        Th.make ~name:"H"
+          ~activation:(Th.Realizes { method_name = provides; deadline = None })
+          ~priority:1
+          [ task "w" "1"; Th.Call { method_name = requires } ];
+      ]
+  in
+  let bind ?via caller required callee provided =
+    { A.caller; required; callee; provided; via }
+  in
+  let link ?reply ~priority network request =
+    { A.network; priority; request; reply }
+  in
+  A.make
+    ~classes:
+      [
+        client_component ();
+        server_component ();
+        client_component ~mit:"5" ~period:"5" ();
+        requiring ~name:"Fast" ~mit:"5" ~period:"5";
+        requiring ~name:"Lying" ~mit:"10" ~period:"5";
+        peer ~name:"Ping" ~provides:"p" ~requires:"q";
+        peer ~name:"Pong" ~provides:"q" ~requires:"p";
+      ]
+    ~resources:[ cpu "C1"; cpu ~host:"n2" "C2"; net "N"; net "C1" ]
+    ~instances:
+      [
+        { A.iname = "c"; cls = "Client" };
+        { A.iname = "s"; cls = "Server" };
+        { A.iname = "x"; cls = "Ghost" };
+        { A.iname = "u"; cls = "Client" };
+        { A.iname = "w"; cls = "Server" };
+        { A.iname = "n"; cls = "Server" };
+        { A.iname = "f"; cls = "Fast" };
+        { A.iname = "l"; cls = "Lying" };
+        { A.iname = "a"; cls = "Ping" };
+        { A.iname = "b"; cls = "Pong" };
+        { A.iname = "s"; cls = "Pong" };
+      ]
+    ~bindings:
+      [
+        bind "c" "go" "s" "serve";
+        bind "zz" "go" "s" "serve";
+        bind "c" "go" "qq" "serve";
+        bind "c" "nope" "s" "serve";
+        bind "f" "go" "w" "ghost";
+        bind "f" "go" "n" "serve";
+        bind "l" "go" "w" "serve"
+          ~via:
+            (link "Ghost" ~priority:0 (Q.zero, Q.zero)
+               ~reply:(Q.one, q "2"));
+        bind "l" "go" "s" "serve" ~via:(link "C1" ~priority:1 (Q.one, Q.one));
+        bind "a" "q" "b" "q";
+        bind "b" "p" "a" "p";
+      ]
+    ~allocation:
+      [
+        ("c", "C1");
+        ("s", "C2");
+        ("x", "C1");
+        ("w", "Nowhere");
+        ("n", "N");
+        ("f", "C1");
+        ("l", "C1");
+        ("a", "C1");
+        ("b", "C1");
+        ("ghost", "C1");
+        ("s", "N");
+      ]
+
+let test_every_diagnostic () =
+  Alcotest.(check (list string))
+    "exact diagnostics, in order"
+    [
+      "duplicate class Client";
+      "duplicate instance s";
+      "duplicate resource C1";
+      "x: unknown class Ghost";
+      "u: not allocated to any platform";
+      "w: allocated to unknown platform Nowhere";
+      "n: allocated to non-CPU platform N";
+      "allocation of unknown instance ghost";
+      "c.go: instances on different hosts need a network link";
+      "zz.go: unknown caller instance";
+      "c.go: unknown callee qq";
+      "c.nope: Client has no such required method";
+      "c.nope: instances on different hosts need a network link";
+      "f.go: Server does not provide ghost";
+      "f.go: caller MIT 5 is below the provided MIT 10";
+      "f.go: instances on different hosts need a network link";
+      "l.go: message priority must be > 0";
+      "l.go: request wcet must be > 0";
+      "l.go: reply needs 0 <= bcet <= wcet";
+      "l.go: unknown network Ghost";
+      "l.go: C1 is not a network platform";
+      "c.go: bound more than once";
+      "u.go: required method unbound";
+      "f.go: bound more than once";
+      "l.go: bound more than once";
+      "s.p: required method unbound";
+      "s.serve: aggregate caller rate exceeds the provided MIT";
+      "n.serve: aggregate caller rate exceeds the provided MIT";
+      "l.Main calls go every 5 but declared MIT 10";
+      "RPC cycle: a -> b -> a";
+    ]
+    (errors_of (every_error_assembly ()))
+
 let test_lookups () =
   let asm = good_assembly () in
-  Alcotest.(check string) "class_of" "Client" (A.class_of asm "c").Comp.name;
-  Alcotest.(check string) "resource_of" "C2" (A.resource_of asm "s").R.name;
-  Alcotest.(check int) "resource_index" 1 (A.resource_index asm "C2");
+  let idx = A.index asm in
+  Alcotest.(check string) "class_of" "Client" (A.class_of idx "c").Comp.name;
+  Alcotest.(check string) "resource_of" "C2" (A.resource_of idx "s").R.name;
+  Alcotest.(check int) "resource_index" 1 (A.resource_index idx "C2");
   Alcotest.(check bool) "binding_for" true
-    (A.binding_for asm ~caller:"c" ~required:"go" <> None);
+    (A.binding_for idx ~caller:"c" ~required:"go" <> None);
+  Alcotest.(check int) "callers" 1
+    (List.length (A.callers idx ~callee:"s" ~provided:"serve"));
   Alcotest.(check (list (pair string string))) "call graph" [ ("c", "s") ]
     (A.call_graph asm)
 
@@ -364,5 +493,7 @@ let () =
           Alcotest.test_case "RPC cycle" `Quick test_rpc_cycle;
           Alcotest.test_case "link validation" `Quick test_link_validation;
           Alcotest.test_case "lookups" `Quick test_lookups;
+          Alcotest.test_case "every diagnostic pinned" `Quick
+            test_every_diagnostic;
         ] );
     ]

@@ -331,6 +331,136 @@ let admit_exn store i =
   | Ok s -> s
   | Error es -> Alcotest.failf "admit u%d: %s" i (String.concat "; " es)
 
+(* --- qcheck: incremental snapshots equal a from-scratch rebuild --- *)
+
+(* Random units over a small name space, so later units bind into
+   earlier ones, collide on class or instance names, promise a faster
+   call rate than the server tolerates, or fail to parse or elaborate. *)
+type store_op = Admit_unit of string * string | Revoke_unit of string
+
+let server_spec k mit =
+  Printf.sprintf
+    "component S%d { provided: serve() mit %d; implementation: scheduler \
+     fixed_priority; thread H realizes serve() priority 1 { task w(wcet = 1, \
+     bcet = 1); } } instance I%d : S%d on P%d;"
+    k mit k k ((k mod 3) + 1)
+
+let client_spec k target (mit, period) =
+  Printf.sprintf
+    "component C%d { required: go() mit %d; implementation: scheduler \
+     fixed_priority; thread M periodic(period = %d, deadline = %d) priority 2 \
+     { task pre(wcet = 1, bcet = 1); call go(); } } instance J%d : C%d on P%d; \
+     bind J%d.go -> I%d.serve;"
+    k mit period period k k ((k mod 3) + 1) k target
+
+let store_op_gen =
+  let open QCheck.Gen in
+  let uid = map (Printf.sprintf "u%d") (int_bound 7) and k = int_bound 4 in
+  (* few servers, so most clients find theirs and revokes break them *)
+  let server = int_bound 2 in
+  let admit spec = map2 (fun uid spec -> Admit_unit (uid, spec)) uid spec in
+  frequency
+    [
+      (3, admit (map2 server_spec server (oneofl [ 10; 10; 20 ])));
+      (* (mit, period): the last two break the server's MIT or their own *)
+      ( 4,
+        admit
+          (map3 client_spec k server
+             (oneofl [ (10, 20); (20, 40); (40, 40); (10, 5); (5, 10) ])) );
+      (2, admit (map unit_spec k));
+      ( 1,
+        admit
+          (oneofl
+             [
+               "component { nonsense";
+               "component Z { implementation: scheduler fixed_priority; \
+                thread T periodic(period = 10, deadline = 10) priority 1 { \
+                task t(wcet = 0, bcet = 0); } } instance Z : Z on P1;";
+             ]) );
+      (3, map (fun uid -> Revoke_unit uid) uid);
+    ]
+
+let store_ops_arbitrary =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 20) store_op_gen)
+    ~print:(fun ops ->
+      String.concat "\n"
+        (List.map
+           (function
+             | Admit_unit (uid, spec) -> Printf.sprintf "admit %s %s" uid spec
+             | Revoke_unit uid -> "revoke " ^ uid)
+           ops))
+
+(* The snapshot of [committed] (uid, spec) pairs rebuilt from scratch:
+   every item elaborated and derived together. *)
+let rebuild committed =
+  let items =
+    base_items
+    @ List.concat_map
+        (fun (_, spec) ->
+          match Spec.Parser.parse spec with
+          | Ok items -> items
+          | Error e -> Alcotest.failf "committed unit does not parse: %s" e)
+        committed
+  in
+  match Spec.Elaborate.assembly items with
+  | Error e -> Error [ e ]
+  | Ok asm ->
+      Result.map
+        (fun (sys, origins) -> (asm, sys, origins))
+        (Transaction.Derive.derive_with_origins asm)
+
+let prop_store_identity ops =
+  let same (got : (Store.t, string list) result) committed expected =
+    match (got, expected) with
+    | Error es, Error es' -> es = es'
+    | Ok s, Ok (asm, sys, origins) ->
+        s.Store.asm = asm && s.Store.sys = sys && s.Store.origins = origins
+        && s.Store.hash = Digest.to_hex (Digest.string (Spec.to_string asm))
+        && List.map (fun (u : Store.unit_) -> u.Store.uid) s.Store.units
+           = List.map fst committed
+    | _ -> false
+  in
+  let step (store, committed, ok) op =
+    let got, next, expected =
+      match op with
+      | Revoke_unit uid ->
+          let next = List.filter (fun (id, _) -> id <> uid) committed in
+          let expected =
+            if List.mem_assoc uid committed then rebuild next
+            else Error [ Printf.sprintf "no admitted unit %S" uid ]
+          in
+          (Store.revoke store ~uid, next, expected)
+      | Admit_unit (uid, spec) ->
+          let next = committed @ [ (uid, spec) ] in
+          let expected =
+            if List.mem_assoc uid committed then
+              Error
+                [
+                  Printf.sprintf "unit %S is already admitted (revoke it first)"
+                    uid;
+                ]
+            else
+              match Spec.Parser.parse spec with
+              | Error e -> Error [ e ]
+              | Ok _ -> rebuild next
+          in
+          (Store.admit store ~uid ~spec, next, expected)
+    in
+    let ok = ok && same got next expected in
+    match got with
+    | Ok s -> (s, next, ok)
+    | Error _ -> (store, committed, ok)
+  in
+  let _, _, ok = List.fold_left step (boot_store (), [], true) ops in
+  ok
+
+let test_store_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"incremental snapshots equal a from-scratch rebuild" ~count:500
+       store_ops_arbitrary prop_store_identity)
+
 let test_diff_identity () =
   let s = admit_exn (admit_exn (boot_store ()) 1) 2 in
   let d = Store.diff s s in
@@ -757,6 +887,74 @@ let test_wal_compact_crash () =
       check_tenants "replay from snapshots" (replayed records);
       Wal.close wal3
 
+(* A process killed mid-append leaves the log's last record without its
+   newline.  Cut the log at every byte offset inside its last record:
+   each cut opens to the previously committed hash, with the torn bytes
+   truncated away so the next append starts on a record boundary. *)
+let test_wal_torn_tail () =
+  with_wal @@ fun log ->
+  let module Wal = Service.Wal in
+  let hashes =
+    with_server ~log @@ fun srv ->
+    List.map
+      (fun i ->
+        ignore
+          (Server.handle srv
+             (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i }));
+        (Server.store srv).Store.hash)
+      [ 1; 2 ]
+  in
+  let full = In_channel.with_open_bin log In_channel.input_all in
+  let len = String.length full in
+  let last_start = String.rindex_from full (len - 2) '\n' + 1 in
+  let write bytes = Out_channel.with_open_bin log (fun oc -> output_string oc bytes) in
+  let open_hash () =
+    match Wal.open_ ~path:log with
+    | Error es -> Alcotest.failf "open: %s" (String.concat "; " es)
+    | Ok (w, records) ->
+        Wal.close w;
+        (match Wal.replay ~boot:(boot_store ()) records with
+        | Ok [ (_, s) ] -> s.Store.hash
+        | Ok _ -> Alcotest.fail "expected one tenant"
+        | Error es -> Alcotest.failf "replay: %s" (String.concat "; " es))
+  in
+  for cut = last_start to len - 1 do
+    write (String.sub full 0 cut);
+    Alcotest.(check string)
+      (Printf.sprintf "cut at %d" cut)
+      (List.nth hashes 0) (open_hash ());
+    Alcotest.(check int) "torn bytes truncated" last_start
+      (In_channel.with_open_bin log In_channel.length |> Int64.to_int)
+  done;
+  write full;
+  Alcotest.(check string) "uncut log" (List.nth hashes 1) (open_hash ());
+  (* a torn header leaves no record: the log restarts empty *)
+  write (String.sub full 0 5);
+  Alcotest.(check string) "torn header" (boot_store ()).Store.hash
+    (with_server ~log @@ fun srv -> (Server.store srv).Store.hash);
+  (* a server appends after the truncation and replays what it wrote *)
+  write (String.sub full 0 (len - 7));
+  let after =
+    with_server ~log @@ fun srv ->
+    ignore (Server.handle srv (P.Admit { uid = "u3"; spec = unit_spec 3 }));
+    (Server.store srv).Store.hash
+  in
+  Alcotest.(check string) "appended after truncation" after
+    (with_server ~log @@ fun srv -> (Server.store srv).Store.hash);
+  (* a malformed line that is complete, last or not, is still refused *)
+  List.iter
+    (fun bytes ->
+      write bytes;
+      match Wal.open_ ~path:log with
+      | Ok (w, _) ->
+          Wal.close w;
+          Alcotest.fail "corrupt log accepted"
+      | Error _ -> ())
+    [
+      String.sub full 0 (len - 7) ^ "\n";
+      String.sub full 0 last_start ^ "garbage\n" ^ String.sub full last_start (len - last_start);
+    ]
+
 (* --- qcheck: kill at a commit boundary, restart, compare --- *)
 
 let boot_hash = lazy (boot_store ()).Store.hash
@@ -895,6 +1093,7 @@ let () =
             `Quick test_diff_dirties_only_intersection;
         ] );
       ("purity", [ test_what_if_pure ]);
+      ("incremental store", [ test_store_identity ]);
       ( "json",
         [
           Alcotest.test_case "escape round trip" `Quick test_json_escapes;
@@ -920,6 +1119,8 @@ let () =
             test_wal_compaction;
           Alcotest.test_case "crash before compaction rename is safe" `Quick
             test_wal_compact_crash;
+          Alcotest.test_case "torn final record is cut off" `Quick
+            test_wal_torn_tail;
           test_crash_replay;
         ] );
     ]
