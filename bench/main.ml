@@ -762,39 +762,7 @@ let parallel_scaling () =
     seq_ms par_ms;
   metric "x9/batch_jobs1_ms" seq_ms;
   metric "x9/batch_jobs4_ms" par_ms;
-  check "x9/admitted sets identical across job counts" (seq = par);
-  (* memoization ablation: same report with the cross-sweep interference
-     memo on (the default) and off; best of three runs each, so the
-     ratio check below compares codepaths, not scheduler noise *)
-  let best_of mk =
-    let best = ref Float.infinity and result = ref None in
-    for _ = 1 to if !quick then 1 else 3 do
-      let ms, r = wall (fun () -> Analysis.Engine.analyze (mk ())) in
-      if ms < !best then best := ms;
-      result := Some r
-    done;
-    (!best, Option.get !result)
-  in
-  let memo_ms, with_memo =
-    (* with_model again: cold memo, warm IR *)
-    best_of (fun () -> Analysis.Engine.with_model base m)
-  in
-  let plain_ms, without_memo =
-    best_of (fun () ->
-        Analysis.Engine.with_overrides base
-          ~params:
-            { Analysis.Params.exact with Analysis.Params.memoize = false })
-  in
-  Format.printf "interference memo (sequential): on %.1f ms, off %.1f ms@."
-    memo_ms plain_ms;
-  metric "x9/memo_on_ms" memo_ms;
-  metric "x9/memo_off_ms" plain_ms;
-  check "x9/memo ablation reports equal" (with_memo = without_memo);
-  (* the memo must never lose: demand curves with few interfering tasks
-     bypass it entirely (Memo.min_terms), so keeping it on costs at
-     most lookup noise even on workloads too small to benefit *)
-  if not !quick then
-    check "x9/memo_on within 1.05x of memo_off" (memo_ms <= 1.05 *. plain_ms)
+  check "x9/admitted sets identical across job counts" (seq = par)
 
 (* ------------------------------------------------------------------ *)
 (* X10: branch-and-bound pruning + incremental fixed point — ablation  *)

@@ -99,7 +99,7 @@ let () =
 
   let system = Transaction.Derive.derive_exn assembly in
   let model = Analysis.Model.of_system system in
-  let report = Analysis.Holistic.analyze model in
+  let report = Analysis.Engine.analyze (Analysis.Engine.create model) in
   let names a b = (Analysis.Model.task model a b).Analysis.Model.name in
   Format.printf "@.== analysis ==@.%a@." (Report.pp ~names) report;
 

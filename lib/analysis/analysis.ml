@@ -6,14 +6,15 @@
 module Params = Params
 module Model = Model
 module Report = Report
-module Busy = Busy
-module Interference = Interference
 module Ir = Ir
 module Timebase = Timebase
-module Memo = Memo
+module Timeline = Timeline
 module Rta = Rta
+module Fixpoint = Fixpoint
+module Interference = Interference
+module Busy = Busy
 module Best_case = Best_case
+module Memo = Memo
 module Engine = Engine
-module Holistic = Holistic
 module Classical = Classical
 module Edf = Edf

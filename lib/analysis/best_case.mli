@@ -1,9 +1,10 @@
-(** Best-case response times (Section 3.2).
+(** Best-case response times (Section 3.2), on exact rationals.
 
     [Rbest]{_i,j} is a lower bound on the completion of τ{_i,j}, measured
     from the activation of Γ{_i}.  It seeds the offsets (φ{_i,j} =
     Rbest{_i,j−1}) and keeps the jitters J{_i,j} = R{_i,j−1} −
-    Rbest{_i,j−1} finite. *)
+    Rbest{_i,j−1} finite.  Views of {!Fixpoint.Make.best_simple} and
+    {!Fixpoint.Make.best_refined}, which every analysis runs. *)
 
 val simple : Model.t -> Rational.t array array
 (** The paper's bound: the cumulative best-case computation times of the
@@ -20,15 +21,3 @@ val refined :
     period [T_k] and jitter at most [J_k], each demanding at least its
     best-case cycles.  Never smaller than {!simple}; used by the
     best-case ablation experiment. *)
-
-val simple_int : Timebase.t -> int array array
-(** {!simple} on the scaled integer timeline: returns the scaled
-    numerators of exactly the values {!simple} computes (the division by
-    α distributes over the chain sum, so every term is tabulated in the
-    timebase).  Raises [Rational.Overflow] instead of wrapping. *)
-
-val refined_int :
-  Model.t -> Timebase.t -> sjit:int array array -> int array array
-(** {!refined} on the scaled integer timeline, same guarantees as
-    {!simple_int}.  [m] supplies the interference participant sets
-    only. *)

@@ -1,26 +1,1 @@
-module Q = Rational
-
-let fixpoint ~horizon f w0 =
-  let rec go w =
-    if Q.(w > horizon) then None
-    else
-      let w' = f w in
-      if Q.(w' < w) then invalid_arg "Busy.fixpoint: non-monotone recurrence"
-      else if Q.equal w' w then Some w
-      else go w'
-  in
-  go w0
-
-(* Scaled-int twin for the integer timeline kernels: the same iteration
-   on the scaled numerators, so it visits exactly the scaled images of
-   the rational iterates and diverges at exactly the same point. *)
-let fixpoint_int ~horizon f w0 =
-  let rec go w =
-    if w > horizon then None
-    else
-      let w' = f w in
-      if w' < w then invalid_arg "Busy.fixpoint_int: non-monotone recurrence"
-      else if w' = w then Some w
-      else go w'
-  in
-  go w0
+let fixpoint = Fixpoint.Exact.fixpoint

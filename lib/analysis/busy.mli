@@ -3,8 +3,9 @@
     All recurrences of Section 3 have the form [w = f w] with [f]
     monotone non-decreasing and piecewise constant between job-release
     points, so iterating from below either reaches the least fixed point
-    exactly (rational arithmetic: equality is decidable) or grows past
-    any bound when the platform is overloaded. *)
+    exactly (exact arithmetic: equality is decidable) or grows past any
+    bound when the platform is overloaded.  A view of
+    {!Fixpoint.Make.fixpoint} on exact rationals. *)
 
 val fixpoint :
   horizon:Rational.t -> (Rational.t -> Rational.t) -> Rational.t ->
@@ -14,10 +15,3 @@ val fixpoint :
     ([None]).
     @raise Invalid_argument if an iterate decreases, which would mean the
     recurrence is not monotone (an internal error). *)
-
-val fixpoint_int : horizon:int -> (int -> int) -> int -> int option
-(** {!fixpoint} on a scaled integer timeline ({!Timebase}): iterates the
-    scaled recurrence until equality or past the scaled horizon.  On the
-    scaled images of a rational recurrence it visits exactly the scaled
-    rational iterates, so convergence, the fixed point and divergence
-    all coincide with {!fixpoint}. *)

@@ -56,54 +56,74 @@ let event_to_json = function
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
+module Exact = Fixpoint.Exact
+module Scaled = Fixpoint.Scaled
+
+(* One interference memo per numeric instance, partitioned over the
+   session pool's [slots]; each is created on the main domain the first
+   time its instance runs. *)
+type memos = {
+  slots : int;
+  scaled_memo : Scaled.memo Lazy.t;
+  exact_memo : Exact.memo Lazy.t;
+}
+
 type t = {
   ir : Ir.t;
   model : Model.t;
   params : Params.t;
   pool : Parallel.Pool.t;
   counters : Rta.counters;
-  memo : Memo.t option;
   sink : sink option;
-  timebase : Timebase.t option;
+  scaled : Scaled.tables option;
       (* the integer timeline, when [params.int_kernel] and the model
          admits one — the value-dependent half of compilation, rebuilt
          whenever the model or the horizon factor changes *)
-  kernels : Kernels.t option;
-      (* the structure-of-arrays skeleton tables of the int kernels;
-         always present exactly when [timebase] is, and rebuilt with
-         it — skeletons embed the timebase's scaled constants *)
+  exact : Exact.tables Lazy.t;
+      (* the same constants as rationals, built only when the exact
+         instance runs (fallbacks, [int_kernel = false]) *)
+  memos : memos;
   kernel_poisoned : bool ref;
       (* set after a mid-analysis overflow: this model will overflow
-         again, so later analyze calls skip straight to the rational
-         path instead of paying a doomed kernel attempt *)
+         again, so later analyze calls skip straight to the exact
+         instance instead of paying a doomed kernel attempt *)
 }
 
 let emit t e = match t.sink with None -> () | Some f -> f e
 
-let memo_for model params pool =
-  if params.Params.memoize then
-    Some (Memo.create model ~slots:(Parallel.Pool.jobs pool))
-  else None
+let memos_for model pool =
+  let slots = Parallel.Pool.jobs pool in
+  {
+    slots;
+    scaled_memo = lazy (Scaled.memo model ~slots);
+    exact_memo = lazy (Exact.memo model ~slots);
+  }
 
-let timebase_for model params =
-  if params.Params.int_kernel then
-    Ir.timebase model ~horizon_factor:params.Params.horizon_factor
-  else None
-
-let kernels_for model ir timebase =
-  Option.map (fun tb -> Kernels.compile model ir tb) timebase
+(* The C/α quotients are shared between the two tables. *)
+let tables_for model ir params =
+  let horizon_factor = params.Params.horizon_factor in
+  let quotients = Timebase.quotients model in
+  let scaled =
+    if params.Params.int_kernel then
+      Option.map (Scaled.tables ir)
+        (Timebase.of_model ~quotients model ~horizon_factor)
+    else None
+  in
+  ( scaled,
+    lazy (Exact.tables ir (Timebase.exact ~quotients model ~horizon_factor)) )
 
 let emit_kernel_verdict t =
   if t.params.Params.int_kernel then
-    match t.timebase with
-    | Some tb -> emit t (Kernel_compiled { scale = Timebase.scale tb })
+    match t.scaled with
+    | Some s ->
+        emit t (Kernel_compiled { scale = Timebase.scale (Scaled.timebase s) })
     | None -> emit t (Kernel_fallback { reason = "unrepresentable" })
 
 let create ?(params = Params.default) ?pool ?counters ?sink m =
   let pool = Option.value pool ~default:Parallel.Pool.sequential in
   let counters = match counters with Some c -> c | None -> Rta.counters () in
   let ir = Ir.compile m in
-  let timebase = timebase_for m params in
+  let scaled, exact = tables_for m ir params in
   let t =
     {
       ir;
@@ -111,10 +131,10 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
       params;
       pool;
       counters;
-      memo = memo_for m params pool;
       sink;
-      timebase;
-      kernels = kernels_for m ir timebase;
+      scaled;
+      exact;
+      memos = memos_for m pool;
       kernel_poisoned = ref false;
     }
   in
@@ -141,7 +161,22 @@ let pool t = t.pool
 
 let counters t = t.counters
 
-let memo_stats t = Option.map Memo.stats t.memo
+let memo_stats t =
+  let add (acc : Memo.stats) memo stats =
+    if not (Lazy.is_val memo) then acc
+    else
+      let (s : Memo.stats) = stats (Lazy.force memo) in
+      {
+        hits = acc.hits + s.hits;
+        misses = acc.misses + s.misses;
+        invalidations = acc.invalidations + s.invalidations;
+      }
+  in
+  let none = { Memo.hits = 0; misses = 0; invalidations = 0 } in
+  Some
+    (add
+       (add none t.memos.scaled_memo Scaled.memo_stats)
+       t.memos.exact_memo Exact.memo_stats)
 
 let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
   let params = Option.value params ~default:t.params in
@@ -153,501 +188,105 @@ let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
   let pool = Option.value pool ~default:t.pool in
   let counters = Option.value counters ~default:t.counters in
   let sink = match sink with Some _ as s -> s | None -> t.sink in
-  (* The memo partitions one cache per pool slot; reuse it only while
+  (* The memos partition one cache per pool slot; reuse them only while
      that partitioning is still the pool's.  Cached values depend on
      the model alone (identical here), never on params, so carrying
      them across an override is transparent. *)
-  let memo =
-    if not params.Params.memoize then None
-    else
-      match t.memo with
-      | Some memo when Memo.slots memo = Parallel.Pool.jobs pool -> Some memo
-      | Some _ | None -> memo_for t.model params pool
+  let memos =
+    if t.memos.slots = Parallel.Pool.jobs pool then t.memos
+    else memos_for t.model pool
   in
-  (* The timebase depends on the model and on the scaled horizon only;
-     keep it — and the poison verdict, which is a property of the same
-     pair — unless the kernel switch or the horizon factor changed. *)
-  let timebase, kernels, kernel_poisoned =
+  (* The tables depend on the model and on the horizon only; keep them
+     — and the poison verdict, which is a property of the same pair —
+     unless the kernel switch or the horizon factor changed. *)
+  let scaled, exact, kernel_poisoned =
     if
       params.Params.int_kernel = t.params.Params.int_kernel
       && params.Params.horizon_factor = t.params.Params.horizon_factor
-    then (t.timebase, t.kernels, t.kernel_poisoned)
+    then (t.scaled, t.exact, t.kernel_poisoned)
     else
-      let timebase = timebase_for t.model params in
-      (timebase, kernels_for t.model t.ir timebase, ref false)
+      let scaled, exact = tables_for t.model t.ir params in
+      (scaled, exact, ref false)
   in
-  { t with params; pool; counters; sink; memo; timebase; kernels; kernel_poisoned }
+  { t with params; pool; counters; sink; memos; scaled; exact; kernel_poisoned }
 
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
   (* Memoised interference values embed the model's demands and platform
-     rates; a rebound model always starts from a fresh memo.  Likewise
-     the timebase embeds every numeric constant, so it is recompiled and
+     rates; a rebound model always starts from fresh memos.  Likewise
+     the tables embed every numeric constant, so they are recompiled and
      the overflow verdict reset.  The rebind therefore only ever saves
-     the IR compilation: profiled on the X11 probe workload the timebase
-     scan is the dominant term and both a rebind and a fresh [create]
-     pay it, so on small stores the two cost about the same — X11 bounds
-     the gap instead of asserting a win. *)
-  let timebase = timebase_for m t.params in
+     the IR compilation. *)
+  let scaled, exact = tables_for m ir t.params in
   {
     t with
     ir;
     model = m;
-    memo = memo_for m t.params t.pool;
-    timebase;
-    kernels = kernels_for m ir timebase;
+    memos = memos_for m t.pool;
+    scaled;
+    exact;
     kernel_poisoned = ref false;
   }
 
 let kernel_scale t =
-  if !(t.kernel_poisoned) then None else Option.map Timebase.scale t.timebase
-
-(* ------------------------------------------------------------------ *)
-(* Sub-analyses over a session                                         *)
-(* ------------------------------------------------------------------ *)
-
-let best_case t ~jit =
-  match t.params.Params.best_case with
-  | Params.Simple -> Best_case.simple t.model
-  | Params.Refined -> Best_case.refined t.model ~jit
-
-let response_time t ~phi ~jit ~a ~b =
-  Rta.response_time_site ~pool:t.pool ?memo:t.memo ~counters:t.counters
-    (Ir.site t.ir ~a ~b) t.model t.params ~phi ~jit
+  if !(t.kernel_poisoned) then None
+  else Option.map (fun s -> Timebase.scale (Scaled.timebase s)) t.scaled
 
 (* ------------------------------------------------------------------ *)
 (* The holistic outer fixed point (Section 3.2)                        *)
 (* ------------------------------------------------------------------ *)
 
-let copy_matrix m = Array.map Array.copy m
-
-let offsets_of m rbest =
-  Array.mapi
-    (fun a (tx : Model.txn) ->
-      Array.mapi
-        (fun b (_ : Model.task) -> if b = 0 then Q.zero else rbest.(a).(b - 1))
-        tx.Model.tasks)
-    m.Model.txns
-
-let rows_equal a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if not (Q.equal x b.(i)) then ok := false) a;
-  !ok
-
-(* A warm start, planned by [Delta] from a previous converged report:
-   the sweep begins from the seeded jitter matrix instead of the bottom,
-   with the clean transactions' rows pinned at their converged values
-   and their responses carried from [w_resp].  [w_dirty] must be closed
-   under the IR's dependency rows (Ir.dirty_closure) — that is what
-   makes the pinning exact, see docs/INCREMENTAL.md. *)
-type warm = {
-  w_dirty : bool array;  (* per transaction, transitively closed *)
-  w_jit : Q.t array array;  (* seed jitters: previous values on clean
-                               rows, the cold bottom on dirty ones *)
-  w_resp : Report.bound array array;
-      (* previous responses; only clean rows are ever read *)
-}
-
-(* The scaled-integer image of a warm start, for [analyze_int]. *)
-type iwarm = {
-  iw_dirty : bool array;
-  iw_jit : int array array;
-  iw_resp : Rta.iresponse array array;
-}
-
-let analyze_rational t ~warm =
-  let m = t.model and params = t.params in
-  emit t (Analysis_started { variant = params.Params.variant });
-  let n = Model.n_txns m in
-  let zero_matrix () =
-    Array.init n (fun a -> Array.make (Model.n_tasks m a) Q.zero)
-  in
-  let jit =
-    match warm with
-    | Some w -> copy_matrix w.w_jit
-    | None ->
-        let jit = zero_matrix () in
-        for a = 0 to n - 1 do
-          jit.(a).(0) <- m.Model.release_jitter.(a)
-        done;
-        jit
-  in
-  let rbest = ref (best_case t ~jit) in
-  let phi = ref (offsets_of m !rbest) in
-  (* Rows whose values changed in the latest jitter/offset update; all
-     dirty before the first sweep so every task is computed once.  A
-     warm start instead seeds exactly its dirty frontier: clean rows
-     hold the converged values their carried responses were computed
-     under, so carrying them is the same bit-identical shortcut the
-     within-run incremental sweep takes.  (Warm starts imply the Simple
-     best case — see [Delta.plan] — so the offsets are constant and
-     [phi_dirty] stays false.) *)
-  let jit_dirty =
-    match warm with Some w -> Array.copy w.w_dirty | None -> Array.make n true
-  in
-  let phi_dirty = Array.make n (Option.is_none warm) in
-  let prev = ref (Option.map (fun w -> copy_matrix w.w_resp) warm) in
-  let history = ref [] in
-  let responses = ref (Array.map (Array.map (fun _ -> Report.Divergent)) jit) in
-  let diverged = ref false in
-  let converged = ref false in
-  let iterations = ref 0 in
-  while
-    (not !converged) && (not !diverged)
-    && !iterations < params.Params.max_outer_iterations
-  do
-    incr iterations;
-    (* Jacobi sweep.  With [incremental], a task none of whose
-       dependency rows — precompiled in the IR — changed since the
-       previous sweep carries its response forward: the response is a
-       pure function of those rows, so the carried value is
-       bit-identical to a recomputation (the qcheck identity properties
-       assert this). *)
-    let dirty (site : Ir.site) =
-      let d = site.Ir.deps in
-      let hit = ref false in
-      for i = 0 to n - 1 do
-        if d.(i) && (jit_dirty.(i) || phi_dirty.(i)) then hit := true
-      done;
-      !hit
-    in
-    let recomputed = ref 0 and carried = ref 0 in
-    let resp =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b ->
-              let site = Ir.site t.ir ~a ~b in
-              match !prev with
-              | Some pr when params.Params.incremental && not (dirty site) ->
-                  incr carried;
-                  pr.(a).(b)
-              | _ ->
-                  incr recomputed;
-                  Rta.response_time_site ~pool:t.pool ?memo:t.memo
-                    ~counters:t.counters site m params ~phi:!phi ~jit))
-    in
-    emit t
-      (Sweep
-         { iteration = !iterations; recomputed = !recomputed; carried = !carried });
-    prev := Some resp;
-    responses := resp;
-    if params.Params.keep_history then
-      history :=
-        { Report.jitters = copy_matrix jit; responses = resp } :: !history;
-    (* With the Simple best case the offsets are constant and the
-       responses are monotone across iterations, so a transaction already
-       past its deadline settles the verdict: stop early unless asked for
-       the full fixed point.  (Refined recomputes offsets, which breaks
-       the monotonicity argument, so it always iterates fully.) *)
-    if params.Params.early_exit && params.Params.best_case = Params.Simple
-    then begin
-      let hopeless = ref false in
-      for a = 0 to n - 1 do
-        let last = Model.n_tasks m a - 1 in
-        if not (Report.bound_le resp.(a).(last) m.Model.txns.(a).Model.deadline)
-        then hopeless := true
-      done;
-      if !hopeless then diverged := true
-    end;
-    (* Next jitters, Jacobi-style from this iteration's responses. *)
-    let next = zero_matrix () in
-    (try
-       for a = 0 to n - 1 do
-         next.(a).(0) <- m.Model.release_jitter.(a);
-         for b = 1 to Model.n_tasks m a - 1 do
-           match resp.(a).(b - 1) with
-           | Report.Divergent -> raise Exit
-           | Report.Finite r ->
-               let rb = !rbest.(a).(b - 1) in
-               next.(a).(b) <- Q.max Q.zero Q.(r - rb)
-         done
-       done
-     with Exit -> diverged := true);
-    if not !diverged then begin
-      Array.fill jit_dirty 0 n false;
-      Array.fill phi_dirty 0 n false;
-      let same = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to Model.n_tasks m a - 1 do
-          if not (Q.equal next.(a).(b) jit.(a).(b)) then begin
-            same := false;
-            jit_dirty.(a) <- true
-          end
-        done
-      done;
-      if !same then converged := true
-      else begin
-        Array.iteri
-          (fun a row -> Array.blit row 0 jit.(a) 0 (Array.length row))
-          next;
-        (* The refined best case depends on the jitters; refresh it and
-           the offsets it seeds. *)
-        if params.Params.best_case = Params.Refined then begin
-          let old_phi = !phi in
-          rbest := best_case t ~jit;
-          phi := offsets_of m !rbest;
-          for i = 0 to n - 1 do
-            if not (rows_equal old_phi.(i) !phi.(i)) then phi_dirty.(i) <- true
-          done
-        end
-      end
-    end
-  done;
-  let results =
-    Array.init n (fun a ->
-        Array.init (Model.n_tasks m a) (fun b ->
-            {
-              Report.offset = !phi.(a).(b);
-              jitter = jit.(a).(b);
-              rbest = !rbest.(a).(b);
-              response = !responses.(a).(b);
-            }))
-  in
-  let schedulable =
-    !converged
-    && Array.to_list m.Model.txns
-       |> List.mapi (fun a tx -> (a, tx))
-       |> List.for_all (fun (a, (tx : Model.txn)) ->
-              Report.bound_le
-                !responses.(a).(Array.length tx.Model.tasks - 1)
-                tx.Model.deadline)
+(* One run of an instance's outer fixed point, framed by its events. *)
+let run t analyze =
+  emit t (Analysis_started { variant = t.params.Params.variant });
+  let report =
+    analyze ~params:t.params ~pool:t.pool ~counters:t.counters
+      ~sweep:(fun ~iteration ~recomputed ~carried ->
+        emit t (Sweep { iteration; recomputed; carried }))
   in
   emit t
-    (Finished { iterations = !iterations; converged = !converged; schedulable });
-  {
-    Report.results;
-    history = List.rev !history;
-    outer_iterations = !iterations;
-    converged = !converged;
-    schedulable;
-  }
+    (Finished
+       {
+         iterations = report.Report.outer_iterations;
+         converged = report.Report.converged;
+         schedulable = report.Report.schedulable;
+       });
+  report
 
-(* The same outer fixed point on the scaled integer timeline.  Every
-   step is the exact image of the rational step under v ↦ v·scale (see
-   Timebase), so sweep counts, convergence, early exits and the final
-   report are bit-identical; rationals appear only at the report and
-   history boundaries.  Value arithmetic goes through [Q.Checked], so an
-   overflow anywhere — including inside a worker domain, which the pool
-   re-raises in the caller — surfaces as [Q.Overflow] for [analyze] to
-   catch. *)
-let analyze_int t tb ~warm =
-  let m = t.model and params = t.params in
-  emit t (Analysis_started { variant = params.Params.variant });
-  let n = Model.n_txns m in
-  let zero_matrix () =
-    Array.init n (fun a -> Array.make (Model.n_tasks m a) 0)
-  in
-  let best_case_int ~sjit =
-    match params.Params.best_case with
-    | Params.Simple -> Best_case.simple_int tb
-    | Params.Refined -> Best_case.refined_int m tb ~sjit
-  in
-  let offsets_of_int rbest =
-    Array.mapi
-      (fun a (tx : Model.txn) ->
-        Array.mapi
-          (fun b (_ : Model.task) -> if b = 0 then 0 else rbest.(a).(b - 1))
-          tx.Model.tasks)
-      m.Model.txns
-  in
-  let jit =
-    match warm with
-    | Some w -> copy_matrix w.iw_jit
-    | None ->
-        let jit = zero_matrix () in
-        for a = 0 to n - 1 do
-          jit.(a).(0) <- tb.Timebase.srelease_jitter.(a)
-        done;
-        jit
-  in
-  let rbest = ref (best_case_int ~sjit:jit) in
-  let phi = ref (offsets_of_int !rbest) in
-  let jit_dirty =
-    match warm with Some w -> Array.copy w.iw_dirty | None -> Array.make n true
-  in
-  let phi_dirty = Array.make n (Option.is_none warm) in
-  let prev = ref (Option.map (fun w -> copy_matrix w.iw_resp) warm) in
-  let history = ref [] in
-  let responses =
-    ref (Array.map (Array.map (fun _ -> Rta.IDivergent)) jit)
-  in
-  let diverged = ref false in
-  let converged = ref false in
-  let iterations = ref 0 in
-  while
-    (not !converged) && (not !diverged)
-    && !iterations < params.Params.max_outer_iterations
-  do
-    incr iterations;
-    let dirty (site : Ir.site) =
-      let d = site.Ir.deps in
-      let hit = ref false in
-      for i = 0 to n - 1 do
-        if d.(i) && (jit_dirty.(i) || phi_dirty.(i)) then hit := true
-      done;
-      !hit
-    in
-    let recomputed = ref 0 and carried = ref 0 in
-    let resp =
-      Array.init n (fun a ->
-          Array.init (Model.n_tasks m a) (fun b ->
-              let site = Ir.site t.ir ~a ~b in
-              match !prev with
-              | Some pr when params.Params.incremental && not (dirty site) ->
-                  incr carried;
-                  pr.(a).(b)
-              | _ ->
-                  incr recomputed;
-                  Rta.response_time_site_int tb ~pool:t.pool ?memo:t.memo
-                    ~counters:t.counters
-                    ?kernels:
-                      (Option.map (fun kt -> Kernels.site kt ~a ~b) t.kernels)
-                    site params ~sphi:!phi ~sjit:jit))
-    in
-    emit t
-      (Sweep
-         { iteration = !iterations; recomputed = !recomputed; carried = !carried });
-    prev := Some resp;
-    responses := resp;
-    if params.Params.keep_history then
-      history :=
-        {
-          Report.jitters = Array.map (Array.map (Timebase.to_q tb)) jit;
-          responses = Array.map (Array.map (Rta.iresponse_to_bound tb)) resp;
-        }
-        :: !history;
-    if params.Params.early_exit && params.Params.best_case = Params.Simple
-    then begin
-      let hopeless = ref false in
-      for a = 0 to n - 1 do
-        let last = Model.n_tasks m a - 1 in
-        (match resp.(a).(last) with
-        | Rta.IDivergent -> hopeless := true
-        | Rta.IFinite v -> if v > tb.Timebase.sdeadline.(a) then hopeless := true)
-      done;
-      if !hopeless then diverged := true
-    end;
-    let next = zero_matrix () in
-    (try
-       for a = 0 to n - 1 do
-         next.(a).(0) <- tb.Timebase.srelease_jitter.(a);
-         for b = 1 to Model.n_tasks m a - 1 do
-           match resp.(a).(b - 1) with
-           | Rta.IDivergent -> raise Exit
-           | Rta.IFinite r ->
-               let rb = !rbest.(a).(b - 1) in
-               next.(a).(b) <- Stdlib.max 0 (Q.Checked.( - ) r rb)
-         done
-       done
-     with Exit -> diverged := true);
-    if not !diverged then begin
-      Array.fill jit_dirty 0 n false;
-      Array.fill phi_dirty 0 n false;
-      let same = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to Model.n_tasks m a - 1 do
-          if next.(a).(b) <> jit.(a).(b) then begin
-            same := false;
-            jit_dirty.(a) <- true
-          end
-        done
-      done;
-      if !same then converged := true
-      else begin
-        Array.iteri
-          (fun a row -> Array.blit row 0 jit.(a) 0 (Array.length row))
-          next;
-        if params.Params.best_case = Params.Refined then begin
-          let old_phi = !phi in
-          rbest := best_case_int ~sjit:jit;
-          phi := offsets_of_int !rbest;
-          for i = 0 to n - 1 do
-            if old_phi.(i) <> !phi.(i) then phi_dirty.(i) <- true
-          done
-        end
-      end
-    end
-  done;
-  let results =
-    Array.init n (fun a ->
-        Array.init (Model.n_tasks m a) (fun b ->
-            {
-              Report.offset = Timebase.to_q tb !phi.(a).(b);
-              jitter = Timebase.to_q tb jit.(a).(b);
-              rbest = Timebase.to_q tb !rbest.(a).(b);
-              response = Rta.iresponse_to_bound tb !responses.(a).(b);
-            }))
-  in
-  let schedulable =
-    !converged
-    && Array.to_list m.Model.txns
-       |> List.mapi (fun a (_ : Model.txn) -> a)
-       |> List.for_all (fun a ->
-              match !responses.(a).(Model.n_tasks m a - 1) with
-              | Rta.IDivergent -> false
-              | Rta.IFinite v -> v <= tb.Timebase.sdeadline.(a))
-  in
-  emit t
-    (Finished { iterations = !iterations; converged = !converged; schedulable });
-  {
-    Report.results;
-    history = List.rev !history;
-    outer_iterations = !iterations;
-    converged = !converged;
-    schedulable;
-  }
+let run_exact t warm =
+  let tables = Lazy.force t.exact in
+  run t
+    (Exact.analyze tables
+       (Lazy.force t.memos.exact_memo)
+       ~warm:(Option.map (Exact.lift tables) warm))
 
-(* The warm matrices were produced by a previous analysis — possibly on
-   a different timebase, or on the rational path — so they need not lie
-   on this session's scaled-integer lattice.  Off-lattice values raise
-   [Q.Overflow] in [to_scaled]; the warm start then runs on the
-   rational path (the report is bit-identical either way) without
-   poisoning the kernel for later cold calls. *)
-let iwarm_of tb w =
-  let scale = Timebase.scale tb in
-  try
-    Some
-      {
-        iw_dirty = w.w_dirty;
-        iw_jit = Array.map (Array.map (Q.to_scaled ~scale)) w.w_jit;
-        iw_resp =
-          Array.map
-            (Array.map (function
-              | Report.Finite r -> Rta.IFinite (Q.to_scaled ~scale r)
-              | Report.Divergent -> Rta.IDivergent))
-            w.w_resp;
-      }
-  with Q.Overflow -> None
-
-let analyze_dispatch t warm =
-  match t.timebase with
-  | Some tb when not !(t.kernel_poisoned) -> (
-      let iwarm = match warm with None -> Some None | Some w -> (
-          match iwarm_of tb w with Some iw -> Some (Some iw) | None -> None)
-      in
-      match iwarm with
-      | None -> analyze_rational t ~warm
-      | Some iwarm -> (
+(* The integer timeline when the session has one, else exact rationals.
+   A warm start whose values are off the lattice runs exact for this
+   call only; an overflow mid-run reruns exact and poisons the kernel
+   for the session — it would overflow on every call.  Both instances
+   compute the same report bit for bit. *)
+let dispatch t warm =
+  match t.scaled with
+  | Some tables when not !(t.kernel_poisoned) -> (
+      match Option.map (Scaled.lift tables) warm with
+      | exception Q.Overflow -> run_exact t warm
+      | lifted -> (
           Rta.record_kernel_run t.counters;
-          try analyze_int t tb ~warm:iwarm
+          let memo = Lazy.force t.memos.scaled_memo in
+          try run t (Scaled.analyze tables memo ~warm:lifted)
           with Q.Overflow ->
-            (* Scaled arithmetic left the native range mid-analysis; the
-               rational path cannot (its local denominators stay small),
-               so rerun there from scratch and stop trying the kernel on
-               this session — it would overflow on every call. *)
             Rta.record_kernel_fallback t.counters;
             t.kernel_poisoned := true;
             emit t (Kernel_fallback { reason = "overflow" });
-            analyze_rational t ~warm))
-  | _ -> analyze_rational t ~warm
+            run_exact t warm))
+  | _ -> run_exact t warm
 
 (* Wrap every full analysis with the pool's scheduler accounting: the
    counter deltas over the run are emitted as one [Pool_stats] event
    when the work-stealing machinery engaged at all. *)
 let analyze_with t warm =
   let before = Parallel.Pool.stats t.pool in
-  let report = analyze_dispatch t warm in
+  let report = dispatch t warm in
   let after = Parallel.Pool.stats t.pool in
   let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
   and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
@@ -667,7 +306,7 @@ type delta_outcome =
   | Delta_cold of { reason : string }
 
 module Delta = struct
-  type plan = { warm : warm; dirty_tasks : int; total_tasks : int }
+  type plan = { warm : Fixpoint.warm; dirty_tasks : int; total_tasks : int }
 
   (* The transactions of two models are aligned by name — admission
      changes the transaction count, so positional indices never
@@ -765,7 +404,7 @@ module Delta = struct
         let dirty = Ir.dirty_closure t.ir ~seed in
       if Array.for_all Fun.id dirty then Error "all-dirty"
       else begin
-        let w_jit =
+        let jit =
           Array.init n (fun a ->
               let nt = Model.n_tasks m a in
               if dirty.(a) then begin
@@ -777,7 +416,7 @@ module Delta = struct
                 Array.init nt (fun b ->
                     prev_report.Report.results.(old_of.(a)).(b).Report.jitter))
         in
-        let w_resp =
+        let resp =
           Array.init n (fun a ->
               let nt = Model.n_tasks m a in
               if dirty.(a) then Array.make nt Report.Divergent
@@ -791,7 +430,7 @@ module Delta = struct
           dirty;
         Ok
           {
-            warm = { w_dirty = dirty; w_jit; w_resp };
+            warm = { Fixpoint.dirty; jit; resp; floor = false };
             dirty_tasks = !dirty_tasks;
             total_tasks = Ir.n_tasks t.ir;
           }
@@ -830,40 +469,6 @@ let analyze_delta t ~prev_model ~prev_report =
 (* ------------------------------------------------------------------ *)
 (* Seeded analysis: warm fixed points across parameter points          *)
 (* ------------------------------------------------------------------ *)
-
-(* A seed report comes from a *different* parameter point, so its
-   jitters rarely lie on this session's scaled-integer lattice.  Unlike
-   the delta warm start nothing is pinned — every transaction is dirty,
-   the seeded responses are never read — so rounding each jitter *down*
-   onto the lattice keeps the start below the least fixed point and the
-   run stays sound.  Row 0 (the release jitter) is a model constant and
-   already exact on the lattice. *)
-let iwarm_floor_of tb w =
-  let scale = Timebase.scale tb in
-  try
-    Some
-      {
-        iw_dirty = w.w_dirty;
-        iw_jit =
-          Array.map (Array.map (fun j -> Q.floor Q.(j * of_int scale))) w.w_jit;
-        iw_resp = Array.map (Array.map (fun _ -> Rta.IDivergent)) w.w_resp;
-      }
-  with Q.Overflow -> None
-
-let seeded_dispatch t warm =
-  match t.timebase with
-  | Some tb when not !(t.kernel_poisoned) -> (
-      match iwarm_floor_of tb warm with
-      | None -> analyze_rational t ~warm:(Some warm)
-      | Some iw -> (
-          Rta.record_kernel_run t.counters;
-          try analyze_int t tb ~warm:(Some iw)
-          with Q.Overflow ->
-            Rta.record_kernel_fallback t.counters;
-            t.kernel_poisoned := true;
-            emit t (Kernel_fallback { reason = "overflow" });
-            analyze_rational t ~warm:(Some warm)))
-  | _ -> analyze_rational t ~warm:(Some warm)
 
 module Seeded = struct
   (* Seeding across parameter points keeps the structure fixed — same
@@ -986,19 +591,25 @@ module Seeded = struct
       let n = Model.n_txns m in
       (* Everything is dirty — the parameter point changed under every
          transaction — so only the jitters seed the sweep; the seeded
-         responses are never read and stay at bottom. *)
-      let w_jit =
+         responses are never read and stay at bottom.  The seed jitters
+         rarely lie on this session's integer lattice; with nothing
+         pinned, rounding them *down* onto it ([floor]) keeps the start
+         below the least fixed point, so the run stays sound.  Row 0
+         (the release jitter) is a model constant, already exact. *)
+      let jit =
         Array.init n (fun a ->
             Array.init (Model.n_tasks m a) (fun b ->
                 seed_report.Report.results.(a).(b).Report.jitter))
       in
-      let w_resp =
+      let resp =
         Array.init n (fun a -> Array.make (Model.n_tasks m a) Report.Divergent)
       in
       let distance =
         Option.value ~default:Q.zero (distance ~seed:seed_model m)
       in
-      Ok ({ w_dirty = Array.make n true; w_jit; w_resp }, distance)
+      Ok
+        ( { Fixpoint.dirty = Array.make n true; jit; resp; floor = true },
+          distance )
     end
 end
 
@@ -1007,15 +618,7 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok (warm, distance) ->
       Rta.record_delta_run t.counters;
-      let before = Parallel.Pool.stats t.pool in
-      let report = seeded_dispatch t warm in
-      let after = Parallel.Pool.stats t.pool in
-      let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
-      and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
-      and idle = after.Parallel.Pool.idle_slots - before.Parallel.Pool.idle_slots
-      in
-      if steals > 0 || splits > 0 || idle > 0 then
-        emit t (Pool_stats { steals; splits; idle });
+      let report = analyze_with t (Some warm) in
       let iterations = report.Report.outer_iterations in
       emit t
         (Seeded
@@ -1041,10 +644,6 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
         Rta.record_delta_fallback t.counters;
         (analyze t, Delta_cold { reason = "warm-not-converged" })
       end
-
-let response_times t =
-  (analyze t).Report.results
-  |> Array.map (Array.map (fun r -> r.Report.response))
 
 (* ------------------------------------------------------------------ *)
 (* Classical baselines over a session                                  *)

@@ -5,19 +5,20 @@
     scenario layouts, dependency rows), the {!Params.t}, the worker
     {!Parallel.Pool.t}, the interference {!Memo.t} and the scenario
     {!Rta.counters} — as one immutable value.  Creating the session pays
-    the per-model compilation cost once; every subsequent {!analyze},
-    {!response_time} or design-space probe reuses the compiled state.
+    the per-model compilation cost once; every subsequent {!analyze} or
+    design-space probe reuses the compiled state.
 
     Sessions are cheap persistent values: {!with_overrides} and
     {!with_model} derive new sessions sharing whatever remains valid
     (the IR survives any model with the same placement and priorities;
     the memo survives parameter changes but never a model change).
 
-    Everything an engine computes is bit-identical to the legacy
-    sessionless entry points ({!Holistic.analyze},
-    {!Rta.response_time}): the IR only reorganises static structure, and
-    exact rational arithmetic plus the pool's deterministic slot order
-    do the rest.  The test suite asserts this over random workloads. *)
+    Reports do not depend on how a session was obtained: a one-shot
+    session, a reused one and a rebound one analyse the same model to
+    the same report, bit for bit — the IR only reorganises static
+    structure, and exact arithmetic plus the pool's deterministic slot
+    order do the rest.  The test suite asserts this over random
+    workloads. *)
 
 type t
 (** One analysis session.  Immutable apart from the memo and counters it
@@ -123,16 +124,16 @@ val with_overrides :
     original's values, [keep_history] patches just that field of the
     effective params (the common verdict-only probe:
     [with_overrides e ~keep_history:false]).  The compiled IR is always
-    shared.  The memo is shared when it is still valid — same model by
-    construction, and slot count matching the (possibly new) pool's job
-    count — and re-created otherwise. *)
+    shared.  The memos are shared when they are still valid — same model
+    by construction, and slot count matching the (possibly new) pool's
+    job count — and re-created otherwise. *)
 
 val with_model : t -> Model.t -> t
 (** Re-bind the session to another model.  The compiled IR is reused
     when [m] is {!Ir.compatible} — same task placement and priorities,
     the design-space case where only demands or platform bounds moved —
-    and recompiled otherwise.  The memo is always re-created: memoised
-    interference values embed the old model's demands and rates. *)
+    and recompiled otherwise.  The memos and constant tables are always
+    re-created: they embed the old model's demands and rates. *)
 
 (** {1 Accessors} *)
 
@@ -153,7 +154,8 @@ val counters : t -> Rta.counters
     (and sessions derived from it) ran. *)
 
 val memo_stats : t -> Memo.stats option
-(** [None] when the session runs without memoisation. *)
+(** Lookup statistics summed over the session's memos (one per numeric
+    instance, see {!Memo}).  Always [Some]: the memo is always on. *)
 
 val kernel_scale : t -> int option
 (** The denominator of the integer timeline this session's analyses run
@@ -168,19 +170,16 @@ val analyze : t -> Report.t
     fixed point on the jitters, inner busy-period recurrences per
     scenario, under the session's params, pool and memo.  Emits
     [Analysis_started], one [Sweep] per outer iteration and [Finished].
-    Bit-identical to [Holistic.analyze ~params ?pool m] for every job
-    count and parameter toggle.
+    The report is the same for every job count and parameter toggle.
 
-    When the session carries an integer timebase (see {!kernel_scale}),
-    the whole fixed point runs on scaled native ints and converts back
-    to rationals at the report boundary — same sweeps, same events, same
-    report, bit for bit.  A checked-arithmetic overflow mid-run aborts
-    the kernel, emits [Kernel_fallback], bumps
-    {!Rta.kernel_fallbacks} and transparently reruns on the rational
-    path; later analyses on this session skip the kernel. *)
-
-val response_times : t -> Report.bound array array
-(** [analyze] reduced to the response matrix. *)
+    The fixed point is {!Fixpoint.Make}, run on {!Fixpoint.Scaled} when
+    the session carries an integer timebase (see {!kernel_scale}) —
+    scaled native ints, converted back to rationals at the report
+    boundary — and on {!Fixpoint.Exact} otherwise: same sweeps, same
+    events, same report, bit for bit.  A checked-arithmetic overflow
+    mid-run aborts the scaled run, emits [Kernel_fallback], bumps
+    {!Rta.kernel_fallbacks} and transparently reruns on
+    {!Fixpoint.Exact}; later analyses on this session skip the kernel. *)
 
 (** {1 Delta re-analysis}
 
@@ -309,20 +308,6 @@ val analyze_seeded :
     [verdict_only]; report-returning probes (region corner samples)
     use the default.  Counted by {!Rta.delta_runs} /
     {!Rta.delta_fallbacks} alongside delta re-analysis. *)
-
-val response_time :
-  t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  a:int ->
-  b:int ->
-  Report.bound
-(** Single response time under explicit offsets and jitters
-    ({!Rta.response_time_site} on the compiled site). *)
-
-val best_case : t -> jit:Rational.t array array -> Rational.t array array
-(** The session's best-case bound ({!Params.best_case} dispatches
-    between {!Best_case.simple} and {!Best_case.refined}). *)
 
 (** {1 Classical baselines}
 

@@ -1,0 +1,795 @@
+module Q = Rational
+
+(* The holistic analysis (Section 3), written once over a numeric
+   timeline.  [Make (Timeline.Exact)] runs it on exact rationals and
+   [Make (Timeline.Scaled)] on overflow-checked scaled ints; every step
+   of the one is the exact image of the other's under v ↦ v·scale, so
+   sweep counts, pruning decisions, convergence and reports coincide
+   bit for bit (docs/THEORY.md). *)
+
+type warm = {
+  dirty : bool array;
+  jit : Q.t array array;
+  resp : Report.bound array array;
+  floor : bool;
+}
+
+type memo_stats = { hits : int; misses : int; invalidations : int }
+
+(* Below this many interfering tasks, a demand curve is cheaper to
+   evaluate directly than to look up: a hit still pays a hashtable
+   probe, which costs about as much as walking a handful of hoisted
+   terms. *)
+let memo_min_terms = 4
+
+module Make (N : Timeline.S) = struct
+  type num = N.t
+
+  let max x y = if N.compare x y >= 0 then x else y
+
+  let clamp v = max N.zero v
+
+  (* ---------------------------------------------------------------- *)
+  (* Demand kernels (Eqs. 7-11, 17)                                   *)
+  (* ---------------------------------------------------------------- *)
+
+  (* The value-independent half of a demand curve: what survives every
+     jitter/offset sweep, flattened to contiguous arrays. *)
+  type skeleton = {
+    txn : int;
+    js : int array;
+    period : N.t;
+    costs : N.t array;
+  }
+
+  let skeleton (tb : N.t Timebase.t) ~i ~hp_list =
+    let js = Array.of_list hp_list in
+    {
+      txn = i;
+      js;
+      period = tb.Timebase.period.(i);
+      costs = Array.map (fun j -> tb.Timebase.c.(i).(j)) js;
+    }
+
+  (* ϕ^k_{i,j} (Eq. 10) for [lead] = (φ_{i,k} mod T) + J_{i,k}: the
+     first activation of τ_{i,j} after a busy period initiated by τ_{i,k}
+     released at its maximum jitter, in (0, T]. *)
+  let lead period ~phi_row ~jit_row k =
+    N.add (N.modulo phi_row.(k) period) jit_row.(k)
+
+  let phase period ~lead phi_j =
+    N.sub period (N.modulo (N.sub lead (N.modulo phi_j period)) period)
+
+  (* Jobs of one term released at the start of the window (Eq. 8). *)
+  let delayed period ~jitter ~phase = N.floor_div (N.add jitter phase) period
+
+  let compile sk ~phi ~jit ~k : N.t Timeline.kernel =
+    let phi_row = phi.(sk.txn) and jit_row = jit.(sk.txn) in
+    let period = sk.period in
+    let lead = lead period ~phi_row ~jit_row k in
+    let n = Array.length sk.js in
+    let phases = Array.make n N.zero and delays = Array.make n 0 in
+    for idx = 0 to n - 1 do
+      let j = sk.js.(idx) in
+      let ph = phase period ~lead phi_row.(j) in
+      phases.(idx) <- ph;
+      delays.(idx) <- delayed period ~jitter:jit_row.(j) ~phase:ph
+    done;
+    { Timeline.period; phase = phases; delayed = delays; cost = sk.costs }
+
+  (* ---------------------------------------------------------------- *)
+  (* The interference memo                                            *)
+  (* ---------------------------------------------------------------- *)
+
+  (* One entry caches the demand curve of transaction [i] initiated by
+     τ_{i,k} against a fixed task under analysis: (t -> W^k_i) samples,
+     valid as long as the jitter and offset rows of [i] still hold the
+     values the samples were computed under. *)
+  module Tbl = Hashtbl.Make (N)
+
+  type entry = {
+    mutable jit_sig : N.t array;
+    mutable phi_sig : N.t array;
+    mutable kernel : N.t Timeline.kernel;
+    values : N.t Tbl.t;
+  }
+
+  type cache = {
+    entries : (int * int, entry) Hashtbl.t;  (* keyed by (i, k) *)
+    mutable hits : int;
+    mutable misses : int;
+    mutable invalidations : int;
+  }
+
+  (* Caches are partitioned per task under analysis and per pool slot,
+     and allocated on first touch: a delta-warm analysis recomputes only
+     the dirty frontier, so most cells of a large memo are never
+     consulted.  Each [None] cell is written by the one domain the pool
+     statically assigns its slot to, so no synchronisation is needed. *)
+  type memo = { caches : cache option array array array; slots : int }
+
+  let memo m ~slots =
+    if slots < 1 then invalid_arg "Memo.create: slots < 1";
+    {
+      caches =
+        Array.init (Model.n_txns m) (fun a ->
+            Array.init (Model.n_tasks m a) (fun _ -> Array.make slots None));
+      slots;
+    }
+
+  let cache t ~a ~b ~slot =
+    match t.caches.(a).(b).(slot) with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            entries = Hashtbl.create 16;
+            hits = 0;
+            misses = 0;
+            invalidations = 0;
+          }
+        in
+        t.caches.(a).(b).(slot) <- Some c;
+        c
+
+  let memo_stats t =
+    let acc = ref { hits = 0; misses = 0; invalidations = 0 } in
+    Array.iter
+      (Array.iter
+         (Array.iter (function
+           | None -> ()
+           | Some (c : cache) ->
+               acc :=
+                 {
+                   hits = !acc.hits + c.hits;
+                   misses = !acc.misses + c.misses;
+                   invalidations = !acc.invalidations + c.invalidations;
+                 })))
+      t.caches;
+    !acc
+
+  let rows_equal x y =
+    Array.length x = Array.length y
+    &&
+    let rec go i = i < 0 || (N.equal x.(i) y.(i) && go (i - 1)) in
+    go (Array.length x - 1)
+
+  (* The cache entry is resolved — and its kernel recompiled if a row
+     changed — once; the returned closure only does the per-t lookup. *)
+  let evaluator c sk ~phi ~jit ~k =
+    let i = sk.txn in
+    let jit_row = jit.(i) and phi_row = phi.(i) in
+    let e =
+      match Hashtbl.find_opt c.entries (i, k) with
+      | Some e ->
+          if not (rows_equal e.jit_sig jit_row && rows_equal e.phi_sig phi_row)
+          then begin
+            Tbl.reset e.values;
+            e.jit_sig <- Array.copy jit_row;
+            e.phi_sig <- Array.copy phi_row;
+            e.kernel <- compile sk ~phi ~jit ~k;
+            c.invalidations <- c.invalidations + 1
+          end;
+          e
+      | None ->
+          let e =
+            {
+              jit_sig = Array.copy jit_row;
+              phi_sig = Array.copy phi_row;
+              kernel = compile sk ~phi ~jit ~k;
+              values = Tbl.create 32;
+            }
+          in
+          Hashtbl.add c.entries (i, k) e;
+          e
+    in
+    fun t ->
+      match Tbl.find_opt e.values t with
+      | Some v ->
+          c.hits <- c.hits + 1;
+          v
+      | None ->
+          c.misses <- c.misses + 1;
+          let v = N.eval e.kernel t in
+          Tbl.add e.values t v;
+          v
+
+  (* ---------------------------------------------------------------- *)
+  (* Busy-period fixed point                                          *)
+  (* ---------------------------------------------------------------- *)
+
+  let rec fixpoint ~horizon f w =
+    if N.compare w horizon > 0 then None
+    else
+      let w' = f w in
+      let c = N.compare w' w in
+      if c < 0 then invalid_arg "Busy.fixpoint: non-monotone recurrence"
+      else if c = 0 then Some w
+      else fixpoint ~horizon f w'
+
+  (* ---------------------------------------------------------------- *)
+  (* Best cases (Section 3.2)                                         *)
+  (* ---------------------------------------------------------------- *)
+
+  (* A demand of Cb cycles on (α, Δ, β) completes in as little as
+     max 0 (Cb/α − β); the chain sums them. *)
+  let best_simple (tb : N.t Timebase.t) =
+    Array.mapi
+      (fun a row ->
+        let acc = ref N.zero in
+        Array.mapi
+          (fun b cb ->
+            acc := N.add !acc (clamp (N.sub cb tb.Timebase.beta.(a).(b)));
+            !acc)
+          row)
+      tb.Timebase.cb
+
+  (* Redell-style: any window of length r contains at least
+     ⌈(r − J)/T⌉ − 1 complete arrivals of each interferer, each of at
+     least its best-case demand; least fixed point from below.  Every
+     interferer runs on the platform of the task (Eq. 17), so the
+     division by α distributes over the demand sum. *)
+  let best_refined (tb : N.t Timebase.t) ir ~jit =
+    Array.mapi
+      (fun a row ->
+        let start = ref N.zero in
+        Array.mapi
+          (fun b cb ->
+            let site = Ir.site ir ~a ~b and beta = tb.Timebase.beta.(a).(b) in
+            let add_txn r i acc hp_list =
+              List.fold_left
+                (fun acc j ->
+                  let arrivals =
+                    N.ceil_div (N.sub r jit.(i).(j)) tb.Timebase.period.(i) - 1
+                  in
+                  N.add acc
+                    (N.mul_int (Stdlib.max 0 arrivals) tb.Timebase.cb.(i).(j)))
+                acc hp_list
+            in
+            let guaranteed r =
+              let own = add_txn r a cb site.Ir.own_hp in
+              let demand =
+                Array.fold_left
+                  (fun acc (rm : Ir.remote) ->
+                    add_txn r rm.Ir.txn acc rm.Ir.hp_list)
+                  own site.Ir.remotes
+              in
+              clamp (N.sub demand beta)
+            in
+            let alone = clamp (N.sub cb beta) in
+            let horizon = N.mul_int 1024 tb.Timebase.period.(a) in
+            (* An overloaded platform falls back to the simple term: the
+               refinement is only a tightening, never a requirement. *)
+            let own =
+              match fixpoint ~horizon guaranteed N.zero with
+              | Some r -> r
+              | None -> alone
+            in
+            start := N.add !start (max own alone);
+            !start)
+          row)
+      tb.Timebase.cb
+
+  (* ---------------------------------------------------------------- *)
+  (* Response time of one site (Sections 3.1.1, 3.1.2)                *)
+  (* ---------------------------------------------------------------- *)
+
+  type bound = Finite of N.t | Divergent
+
+  let bound_max x y =
+    match (x, y) with
+    | Divergent, _ | _, Divergent -> Divergent
+    | Finite u, Finite v -> Finite (max u v)
+
+  (* Per-session tables: the timebase plus, per site, the skeletons of
+     its own and remote interfering sets — flattened on first use (the
+     delta path only touches its dirty frontier), from the main domain
+     before a site's scenario space goes to the pool. *)
+  type site_skeletons = { own_sk : skeleton; remote_sks : skeleton array }
+
+  type tables = {
+    tb : N.t Timebase.t;
+    ir : Ir.t;
+    sites : site_skeletons option array array;
+  }
+
+  let tables ir (tb : N.t Timebase.t) =
+    {
+      tb;
+      ir;
+      sites =
+        Array.map (fun row -> Array.make (Array.length row) None) tb.Timebase.c;
+    }
+
+  let timebase t = t.tb
+
+  let skeletons t (s : Ir.site) =
+    match t.sites.(s.Ir.a).(s.Ir.b) with
+    | Some k -> k
+    | None ->
+        let k =
+          {
+            own_sk = skeleton t.tb ~i:s.Ir.a ~hp_list:s.Ir.own_hp;
+            remote_sks =
+              Array.map
+                (fun (r : Ir.remote) ->
+                  skeleton t.tb ~i:r.Ir.txn ~hp_list:r.Ir.hp_list)
+                s.Ir.remotes;
+          }
+        in
+        t.sites.(s.Ir.a).(s.Ir.b) <- Some k;
+        k
+
+  (* Response of task (a,b) within busy periods started by the scenario
+     where τ_{a,c} initiates the own transaction; [own_interference]
+     and [remote_interference] are the demands of the other tasks. *)
+  let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c
+      ~own_interference ~remote_interference =
+    let ta = tb.Timebase.period.(a) and cost = tb.Timebase.c.(a).(b) in
+    let horizon = tb.Timebase.horizon.(a) and base = tb.Timebase.base.(a).(b) in
+    let ph =
+      phase ta ~lead:(lead ta ~phi_row:phi.(a) ~jit_row:jit.(a) c) phi.(a).(b)
+    in
+    let p0 = 1 - N.floor_div (N.add jit.(a).(b) ph) ta in
+    (* Nominal self activations inside (0, l), clamped at 0 like the
+       kernels. *)
+    let inside l = Stdlib.max 0 (N.ceil_div (N.sub l ph) ta) in
+    let demand self_jobs w =
+      N.add
+        (N.add (N.add base (N.mul_int self_jobs cost)) (own_interference w))
+        (remote_interference w)
+    in
+    let busy_length l = demand (Stdlib.max 0 (inside l - p0 + 1)) l in
+    match fixpoint ~horizon busy_length N.zero with
+    | None -> Divergent
+    | Some l ->
+        let best = ref (Finite N.zero) in
+        for p = p0 to inside l do
+          match fixpoint ~horizon (demand (p - p0 + 1)) N.zero with
+          | None -> best := Divergent
+          | Some w ->
+              let activation =
+                N.sub (N.add ph (N.mul_int (p - 1) ta)) phi.(a).(b)
+              in
+              best := bound_max !best (Finite (N.sub w activation))
+        done;
+        !best
+
+  (* Folds over demand curves at one point t, written as loops: they run
+     once per busy-period iteration, and a closure per call would be the
+     iteration's main allocation. *)
+  let rec sum_from acc fs t =
+    match fs with [] -> acc | f :: fs -> sum_from (N.add acc (f t)) fs t
+
+  let maximum fs t =
+    let acc = ref N.zero in
+    for i = 0 to Array.length fs - 1 do
+      acc := max !acc (fs.(i) t)
+    done;
+    !acc
+
+  (* Σ over remotes [0..level-1] of their scenario maximum W{^*}. *)
+  let wstar_sum contrib level t =
+    let acc = ref N.zero in
+    for ri = 0 to level - 1 do
+      acc := N.add !acc (maximum contrib.(ri) t)
+    done;
+    !acc
+
+  let response_time ~pool ~memo ~counters tables (site : Ir.site) params ~phi
+      ~jit =
+    let tb = tables.tb in
+    let a = site.Ir.a and b = site.Ir.b in
+    let own = site.Ir.own and remotes = site.Ir.remotes in
+    let { own_sk; remote_sks } = skeletons tables site in
+    let cache_of slot = cache memo ~a ~b ~slot in
+    (* Hoisted demand curve of transaction [i] initiated by τ_{i,k}: the
+       kernel is compiled — or the memo entry resolved — once per
+       response-time computation.  Tiny kernels bypass the memo. *)
+    let eval_of cache sk ~k =
+      if Array.length sk.js >= memo_min_terms then
+        evaluator cache sk ~phi ~jit ~k
+      else
+        let kernel = compile sk ~phi ~jit ~k in
+        fun t -> N.eval kernel t
+    in
+    let own_evals cache =
+      List.map (fun c -> (c, eval_of cache own_sk ~k:c)) own
+    in
+    let best_over_own own_evals ~remote_interference acc =
+      List.fold_left
+        (fun acc (c, own_interference) ->
+          bound_max acc
+            (scenario_response tb ~phi ~jit ~a ~b ~c ~own_interference
+               ~remote_interference))
+        acc own_evals
+    in
+    (* The evaluators of every remote choice, per remote transaction. *)
+    let contributions cache =
+      Array.mapi
+        (fun ri (r : Ir.remote) ->
+          Array.map (fun k -> eval_of cache remote_sks.(ri) ~k) r.Ir.choices)
+        remotes
+    in
+    match params.Params.variant with
+    | Params.Reduced ->
+        let cache = cache_of 0 in
+        let contrib = contributions cache in
+        Rta.record counters Rta.Total 1;
+        Rta.record counters Rta.Visited 1;
+        best_over_own (own_evals cache)
+          ~remote_interference:(wstar_sum contrib (Array.length contrib))
+          (Finite N.zero)
+    | Params.Exact ->
+        (* The scenario vectors ν (Eq. 12) of the remote transactions
+           form a mixed-radix space of size Π |hp_i|; indexing it lets
+           the pool split it into contiguous ranges.  Ranges migrate
+           between slots under stealing, but every index runs exactly
+           once and range maxima join commutatively over exact values,
+           so neither the chunk count nor the steal schedule changes the
+           response.  [slots_for] keeps spaces too small to amortise a
+           domain wake-up inline on slot 0. *)
+        let stride = site.Ir.stride and total = site.Ir.total in
+        Rta.record counters Rta.Total total;
+        let jobs = Parallel.Pool.jobs pool in
+        let slots =
+          Parallel.Pool.slots_for ~weight:(List.length own) pool total
+        in
+        let split run =
+          if jobs = 1 || slots = 1 then run ~slot:0 ~lo:0 ~hi:total
+          else
+            Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
+              ~n:total run
+        in
+        if not params.Params.prune then begin
+          (* Exhaustive enumeration — the reference pruning is checked
+             against (bench X10, qcheck identity properties). *)
+          Rta.record counters Rta.Visited total;
+          let results = Array.make jobs (Finite N.zero) in
+          split (fun ~slot ~lo ~hi ->
+              let cache = cache_of slot in
+              let contrib = contributions cache in
+              let own_evals = own_evals cache in
+              for v = lo to hi - 1 do
+                let remote_interference t =
+                  let acc = ref N.zero and rem = ref v in
+                  for ri = 0 to Array.length contrib - 1 do
+                    let fs = contrib.(ri) in
+                    let s = Array.length fs in
+                    acc := N.add !acc (fs.(!rem mod s) t);
+                    rem := !rem / s
+                  done;
+                  !acc
+                in
+                results.(slot) <-
+                  best_over_own own_evals ~remote_interference results.(slot)
+              done);
+          Array.fold_left bound_max (Finite N.zero) results
+        end
+        else begin
+          (* Branch and bound over the mixed-radix digit tree.  The
+             incumbent — the best response of any fully evaluated
+             scenario — is shared across slots through a join cell; a
+             subtree is discarded when an optimistic bound (fixed digits
+             at their actual demand, free digits at the scenario maximum
+             W{^*}) cannot beat it.  Pruning only drops scenarios
+             provably ≤ the running maximum, so the returned bound is
+             the exhaustive path's whatever the job count or
+             interleaving (see docs/THEORY.md). *)
+          let incumbent = Parallel.Pool.Cell.create bound_max (Finite N.zero) in
+          let horizon = tb.Timebase.horizon.(a) in
+          (* Seed: per remote transaction, the initiator of maximal
+             demand over the horizon — the argmax realising the Reduced
+             variant's W* there.  An ordinary scenario, so a sound
+             incumbent, and usually a near-maximal one. *)
+          let seed_index =
+            let idx = ref 0 in
+            let cache = cache_of 0 in
+            Array.iteri
+              (fun ri (r : Ir.remote) ->
+                let w ci =
+                  eval_of cache remote_sks.(ri) ~k:r.Ir.choices.(ci) horizon
+                in
+                let best_ci = ref 0 and best_w = ref (w 0) in
+                for ci = 1 to Array.length r.Ir.choices - 1 do
+                  let w = w ci in
+                  if N.compare w !best_w > 0 then begin
+                    best_w := w;
+                    best_ci := ci
+                  end
+                done;
+                idx := !idx + (!best_ci * stride.(ri)))
+              remotes;
+            !idx
+          in
+          let evaluate own_evals fixed =
+            best_over_own own_evals
+              ~remote_interference:(sum_from N.zero fixed)
+              (Finite N.zero)
+          in
+          Rta.record counters Rta.Visited 1;
+          (let cache = cache_of 0 in
+           let fixed =
+             Array.to_list
+               (Array.mapi
+                  (fun ri (r : Ir.remote) ->
+                    let s = Array.length r.Ir.choices in
+                    let k = r.Ir.choices.(seed_index / stride.(ri) mod s) in
+                    eval_of cache remote_sks.(ri) ~k)
+                  remotes)
+           in
+           Parallel.Pool.Cell.join incumbent
+             (evaluate (own_evals cache) fixed));
+          let prune_le ub inc =
+            match (ub, inc) with
+            | _, Divergent -> true
+            | Divergent, Finite _ -> false
+            | Finite u, Finite i -> N.compare u i <= 0
+          in
+          split (fun ~slot ~lo ~hi ->
+              if lo < hi then begin
+                let cache = cache_of slot in
+                let contrib = contributions cache in
+                let own_evals = own_evals cache in
+                (* Optimistic bound of the block where remotes
+                   [0..level-1] are free (at W{^*}) and the rest fixed. *)
+                let block_bound level fixed =
+                  Rta.record counters Rta.Bounds 1;
+                  let remote_interference t =
+                    sum_from (wstar_sum contrib level t) fixed t
+                  in
+                  best_over_own own_evals ~remote_interference (Finite N.zero)
+                in
+                (* The block [v_base, v_base + stride.(level)) with the
+                   digits above [level] fixed; only its intersection with
+                   [lo, hi) is this slot's, but the bound holds for any
+                   subset. *)
+                let rec visit level v_base fixed =
+                  if level = 0 then begin
+                    if v_base <> seed_index then begin
+                      Rta.record counters Rta.Visited 1;
+                      Parallel.Pool.Cell.join incumbent
+                        (evaluate own_evals fixed)
+                    end
+                  end
+                  else
+                    let inside =
+                      Stdlib.min hi (v_base + stride.(level))
+                      - Stdlib.max lo v_base
+                    in
+                    if
+                      inside > 1
+                      && prune_le (block_bound level fixed)
+                           (Parallel.Pool.Cell.get incumbent)
+                    then Rta.record counters Rta.Pruned inside
+                    else begin
+                      let ri = level - 1 in
+                      let sub = stride.(ri) in
+                      for ci = 0 to Array.length remotes.(ri).Ir.choices - 1 do
+                        let v = v_base + (ci * sub) in
+                        if v + sub > lo && v < hi then
+                          visit ri v (contrib.(ri).(ci) :: fixed)
+                      done
+                    end
+                in
+                visit (Array.length remotes) 0 []
+              end);
+          Parallel.Pool.Cell.get incumbent
+        end
+
+  (* ---------------------------------------------------------------- *)
+  (* The outer Jacobi fixed point (Section 3.2)                        *)
+  (* ---------------------------------------------------------------- *)
+
+  type lifted = {
+    l_dirty : bool array;
+    l_jit : N.t array array;
+    l_resp : bound array array;
+  }
+
+  (* A warm start planned on rationals, moved onto this timeline: exact
+     conversions raise [Rational.Overflow] off the lattice; seeded
+     starts round jitters down instead (sound, nothing is pinned). *)
+  let lift t (w : warm) =
+    let scale = t.tb.Timebase.scale in
+    let jit = if w.floor then N.floor_of_q ~scale else N.of_q ~scale in
+    {
+      l_dirty = w.dirty;
+      l_jit = Array.map (Array.map jit) w.jit;
+      l_resp =
+        Array.map
+          (Array.map (function
+            | Report.Finite r -> Finite (N.of_q ~scale r)
+            | Report.Divergent -> Divergent))
+          w.resp;
+    }
+
+  let copy_matrix m = Array.map Array.copy m
+
+  let analyze ~params ~pool ~counters ~sweep t memo ~warm =
+    let tb = t.tb and ir = t.ir in
+    let scale = tb.Timebase.scale in
+    let n = Array.length tb.Timebase.period in
+    let to_q = N.to_q ~scale in
+    let to_bound = function
+      | Finite v -> Report.Finite (to_q v)
+      | Divergent -> Report.Divergent
+    in
+    let jit =
+      match warm with
+      | Some w -> copy_matrix w.l_jit
+      | None ->
+          Array.mapi
+            (fun a row ->
+              Array.mapi
+                (fun b _ ->
+                  if b = 0 then tb.Timebase.release_jitter.(a) else N.zero)
+                row)
+            tb.Timebase.c
+    in
+    let best_case () =
+      match params.Params.best_case with
+      | Params.Simple -> best_simple tb
+      | Params.Refined -> best_refined tb ir ~jit
+    in
+    let offsets rbest =
+      Array.map
+        (fun row ->
+          Array.mapi (fun b _ -> if b = 0 then N.zero else row.(b - 1)) row)
+        rbest
+    in
+    (* Some transaction's end-to-end response diverged or missed its
+       deadline. *)
+    let late resp =
+      let late = ref false in
+      Array.iteri
+        (fun a row ->
+          match row.(Array.length row - 1) with
+          | Divergent -> late := true
+          | Finite v ->
+              if N.compare v tb.Timebase.deadline.(a) > 0 then late := true)
+        resp;
+      !late
+    in
+    let rbest = ref (best_case ()) in
+    let phi = ref (offsets !rbest) in
+    (* Rows whose values changed in the latest jitter/offset update; all
+       dirty before the first sweep so every task is computed once.  A
+       warm start instead seeds exactly its dirty frontier: clean rows
+       hold the converged values their carried responses were computed
+       under, so carrying them is the same bit-identical shortcut the
+       within-run incremental sweep takes.  (Warm starts imply the
+       Simple best case, so the offsets are constant and [phi_dirty]
+       stays false.) *)
+    let jit_dirty =
+      match warm with Some w -> Array.copy w.l_dirty | None -> Array.make n true
+    in
+    let phi_dirty = Array.make n (Option.is_none warm) in
+    let prev = ref (Option.map (fun w -> copy_matrix w.l_resp) warm) in
+    let history = ref [] in
+    let responses = ref (Array.map (Array.map (fun _ -> Divergent)) jit) in
+    let diverged = ref false and converged = ref false in
+    let iterations = ref 0 in
+    while
+      (not !converged) && (not !diverged)
+      && !iterations < params.Params.max_outer_iterations
+    do
+      incr iterations;
+      (* Jacobi sweep.  With [incremental], a task none of whose
+         dependency rows — precompiled in the IR — changed since the
+         previous sweep carries its response forward: the response is a
+         pure function of those rows, so the carried value is
+         bit-identical to a recomputation. *)
+      let dirty (site : Ir.site) =
+        let hit = ref false in
+        Array.iteri
+          (fun i d -> if d && (jit_dirty.(i) || phi_dirty.(i)) then hit := true)
+          site.Ir.deps;
+        !hit
+      in
+      let recomputed = ref 0 and carried = ref 0 in
+      let resp =
+        Array.mapi
+          (fun a row ->
+            Array.mapi
+              (fun b _ ->
+                let site = Ir.site ir ~a ~b in
+                match !prev with
+                | Some pr when params.Params.incremental && not (dirty site) ->
+                    incr carried;
+                    pr.(a).(b)
+                | _ ->
+                    incr recomputed;
+                    response_time ~pool ~memo ~counters t site params
+                      ~phi:!phi ~jit)
+              row)
+          jit
+      in
+      sweep ~iteration:!iterations ~recomputed:!recomputed ~carried:!carried;
+      prev := Some resp;
+      responses := resp;
+      if params.Params.keep_history then
+        history :=
+          {
+            Report.jitters = Array.map (Array.map to_q) jit;
+            responses = Array.map (Array.map to_bound) resp;
+          }
+          :: !history;
+      (* With the Simple best case the offsets are constant and the
+         responses are monotone across iterations, so a transaction
+         already past its deadline settles the verdict: stop early
+         unless asked for the full fixed point.  (Refined recomputes
+         offsets, which breaks the monotonicity argument, so it always
+         iterates fully.) *)
+      if
+        params.Params.early_exit
+        && params.Params.best_case = Params.Simple
+        && late resp
+      then diverged := true;
+      (* Next jitters, Jacobi-style from this iteration's responses. *)
+      let next =
+        try
+          Some
+            (Array.mapi
+               (fun a row ->
+                 Array.mapi
+                   (fun b _ ->
+                     if b = 0 then tb.Timebase.release_jitter.(a)
+                     else
+                       match resp.(a).(b - 1) with
+                       | Divergent -> raise Exit
+                       | Finite r -> clamp (N.sub r !rbest.(a).(b - 1)))
+                   row)
+               jit)
+        with Exit -> None
+      in
+      match next with
+      | None -> diverged := true
+      | Some _ when !diverged -> ()
+      | Some next ->
+          Array.fill jit_dirty 0 n false;
+          Array.fill phi_dirty 0 n false;
+          Array.iteri
+            (fun a row ->
+              if not (rows_equal row jit.(a)) then begin
+                jit_dirty.(a) <- true;
+                Array.blit row 0 jit.(a) 0 (Array.length row)
+              end)
+            next;
+          if not (Array.exists Fun.id jit_dirty) then converged := true
+          else if params.Params.best_case = Params.Refined then begin
+            (* The refined best case depends on the jitters; refresh it
+               and the offsets it seeds. *)
+            let old_phi = !phi in
+            rbest := best_case ();
+            phi := offsets !rbest;
+            Array.iteri
+              (fun i row -> phi_dirty.(i) <- not (rows_equal old_phi.(i) row))
+              !phi
+          end
+    done;
+    let results =
+      Array.mapi
+        (fun a row ->
+          Array.mapi
+            (fun b r ->
+              {
+                Report.offset = to_q !phi.(a).(b);
+                jitter = to_q jit.(a).(b);
+                rbest = to_q !rbest.(a).(b);
+                response = to_bound r;
+              })
+            row)
+        !responses
+    in
+    {
+      Report.results;
+      history = List.rev !history;
+      outer_iterations = !iterations;
+      converged = !converged;
+      schedulable = !converged && not (late !responses);
+    }
+end
+
+module Exact = Make (Timeline.Exact)
+module Scaled = Make (Timeline.Scaled)

@@ -1,0 +1,125 @@
+(** The fixed-point core of the holistic analysis (Section 3), written
+    once over a numeric timeline ({!Timeline.S}).
+
+    {!Make} holds every recurrence: the compiled demand kernels of
+    Eqs. 7–11 and their memo entries, the busy-period fixed point of
+    Eqs. 13–16, the simple and refined best cases, the response time of
+    one site (reduced, exhaustive exact, and branch-and-bound exact,
+    split over a domain pool), and the outer Jacobi iteration on the
+    dynamic offsets with incremental sweeps and warm starts.  It is
+    instantiated twice: {!Exact} on rationals and {!Scaled} on
+    overflow-checked scaled ints.  Every step of one is the image of the
+    other's under v ↦ v·scale, so both return the same report bit for
+    bit; {!Engine} runs {!Scaled} and falls back to {!Exact} when the
+    model leaves native-int range. *)
+
+type warm = {
+  dirty : bool array;
+      (** per transaction; clean rows are pinned at [jit]/[resp] *)
+  jit : Rational.t array array;  (** seed jitters *)
+  resp : Report.bound array array;  (** carried responses (clean rows) *)
+  floor : bool;
+      (** round the seed jitters down onto a scaled lattice ([true] for
+          seeded starts, which pin nothing) instead of requiring them on
+          it ([false], delta starts) *)
+}
+(** A warm start for the outer fixed point, as {!Engine.Delta} and
+    {!Engine.Seeded} plan it (docs/INCREMENTAL.md, docs/THEORY.md). *)
+
+type memo_stats = { hits : int; misses : int; invalidations : int }
+
+val memo_min_terms : int
+(** {!Memo.min_terms}. *)
+
+module Make (N : Timeline.S) : sig
+  type num = N.t
+
+  (** {1 Demand kernels} *)
+
+  type skeleton
+  (** The value-independent half of the demand curves of one
+      interfering transaction: task indices, period and costs. *)
+
+  val skeleton : num Timebase.t -> i:int -> hp_list:int list -> skeleton
+
+  val lead :
+    num -> phi_row:num array -> jit_row:num array -> int -> num
+  (** [lead period ~phi_row ~jit_row k] is (φ{_i,k} mod T) + J{_i,k}. *)
+
+  val phase : num -> lead:num -> num -> num
+  (** [phase period ~lead φ{_i,j}] is ϕ{^k}{_i,j} (Eq. 10). *)
+
+  val delayed : num -> jitter:num -> phase:num -> int
+  (** [delayed period ~jitter ~phase] is ⌊(J + ϕ)/T⌋ (Eq. 8). *)
+
+  val compile :
+    skeleton -> phi:num array array -> jit:num array array -> k:int ->
+    num Timeline.kernel
+  (** The curve of the scenario where τ{_i,k} initiates, against the
+      current offsets and jitters. *)
+
+  (** {1 Memo} *)
+
+  type cache
+
+  type memo
+
+  val memo : Model.t -> slots:int -> memo
+
+  val cache : memo -> a:int -> b:int -> slot:int -> cache
+
+  val memo_stats : memo -> memo_stats
+
+  val evaluator :
+    cache -> skeleton -> phi:num array array -> jit:num array array ->
+    k:int -> num -> num
+  (** Memoised [Timeline.eval (compile …)]: the entry is resolved (and
+      recompiled if a row changed) once, the closure only looks up. *)
+
+  (** {1 Fixed points} *)
+
+  val fixpoint : horizon:num -> (num -> num) -> num -> num option
+  (** Least fixed point from [w0], [None] past [horizon]. *)
+
+  val best_simple : num Timebase.t -> num array array
+
+  val best_refined :
+    num Timebase.t -> Ir.t -> jit:num array array -> num array array
+
+  type tables
+  (** A session's timebase plus its per-site skeletons, flattened on
+      first use from the main domain. *)
+
+  val tables : Ir.t -> num Timebase.t -> tables
+
+  val timebase : tables -> num Timebase.t
+
+  type lifted
+
+  val lift : tables -> warm -> lifted
+  (** The warm start on this timeline.
+      @raise Rational.Overflow when a value is off the lattice. *)
+
+  val analyze :
+    params:Params.t ->
+    pool:Parallel.Pool.t ->
+    counters:Rta.counters ->
+    sweep:(iteration:int -> recomputed:int -> carried:int -> unit) ->
+    tables ->
+    memo ->
+    warm:lifted option ->
+    Report.t
+  (** The holistic analysis: outer Jacobi sweeps on the jitters, each
+      recomputing the response of every task whose dependency rows
+      changed (all of them without [params.incremental]), until the
+      jitters repeat, a response diverges, some transaction misses its
+      deadline (with [params.early_exit] and the simple best case) or
+      [params.max_outer_iterations] is reached.  [sweep] is called after
+      each sweep.  [pool] splits the exact scenario enumeration;
+      [counters] is bumped with its scenario accounting.
+      @raise Rational.Overflow when an operation leaves the domain. *)
+end
+
+module Exact : module type of Make (Timeline.Exact)
+
+module Scaled : module type of Make (Timeline.Scaled)

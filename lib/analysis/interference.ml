@@ -1,166 +1,30 @@
+(* Views of the exact instance of the fixed-point core, for tests and
+   hand computations against the paper's equations. *)
+
 module Q = Rational
+module E = Fixpoint.Exact
 
-let hp m ~i ~a ~b =
-  let target = Model.task m a b in
-  let out = ref [] in
-  Array.iteri
-    (fun j (tk : Model.task) ->
-      let is_self = i = a && j = b in
-      if
-        (not is_self)
-        && tk.Model.res = target.Model.res
-        && tk.Model.prio >= target.Model.prio
-      then out := j :: !out)
-    m.Model.txns.(i).Model.tasks;
-  List.rev !out
-
-let reduced_offset m ~phi ~i ~j =
-  Q.fmod phi.(i).(j) m.Model.txns.(i).Model.period
+let hp = Ir.hp
 
 let phase m ~phi ~jit ~i ~k ~j =
-  let ti = m.Model.txns.(i).Model.period in
-  let pk = reduced_offset m ~phi ~i ~j:k and pj = reduced_offset m ~phi ~i ~j in
-  Q.(ti - fmod (pk + jit.(i).(k) - pj) ti)
+  let period = m.Model.txns.(i).Model.period in
+  E.phase period
+    ~lead:(E.lead period ~phi_row:phi.(i) ~jit_row:jit.(i) k)
+    phi.(i).(j)
 
 let jobs ~jitter ~phase ~period ~t =
-  let delayed = Q.floor Q.((jitter + phase) / period) in
-  (* For t > 0 the ceiling is >= 0 since phase <= period; clamping makes
-     the evaluation at t = 0 equal to the t -> 0+ limit, so fixed-point
-     iterations seeded at 0 count the jobs released at the critical
-     instant instead of stalling. *)
-  let inside = Stdlib.max 0 (Q.ceil Q.((t - phase) / period)) in
-  Stdlib.max 0 (delayed + inside)
-
-(* A compiled demand curve: the phase, period and platform-scaled cost
-   of every interfering task are constants of one (phi, jit) assignment,
-   so they are hoisted out of the busy-period fixed points, which
-   evaluate the curve at many points t.  Values are canonical rationals,
-   so [eval] returns exactly what the uncompiled fold would: (n·C)/α and
-   n·(C/α) normalise to the same representation. *)
-type term = { jitter : Q.t; ph : Q.t; period : Q.t; scaled_c : Q.t }
-
-type kernel = term array
-
-let compile ?hp_list m ~phi ~jit ~i ~k ~a ~b =
-  let target = Model.task m a b in
-  let alpha = Model.alpha m target in
-  let ti = m.Model.txns.(i).Model.period in
-  let hp_list = match hp_list with Some l -> l | None -> hp m ~i ~a ~b in
-  Array.of_list
-    (List.map
-       (fun j ->
-         let tk = Model.task m i j in
-         {
-           jitter = jit.(i).(j);
-           ph = phase m ~phi ~jit ~i ~k ~j;
-           period = ti;
-           scaled_c = Q.(tk.Model.c / alpha);
-         })
-       hp_list)
-
-let eval kernel ~t =
-  Array.fold_left
-    (fun acc { jitter; ph; period; scaled_c } ->
-      let n = jobs ~jitter ~phase:ph ~period ~t in
-      Q.(acc + (of_int n * scaled_c)))
-    Q.zero kernel
+  let delayed = [| E.delayed period ~jitter ~phase |] in
+  Q.floor
+    (Timeline.Exact.eval
+       { Timeline.period; phase = [| phase |]; delayed; cost = [| Q.one |] }
+       t)
 
 let contribution ?hp_list m ~phi ~jit ~i ~k ~a ~b ~t =
-  eval (compile ?hp_list m ~phi ~jit ~i ~k ~a ~b) ~t
-
-(* ------------------------------------------------------------------ *)
-(* Integer timeline twins (see Timebase)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The same equations on scaled numerators.  Quotients appear only under
-   floor/ceil, whose results are plain job counts; everything else is
-   overflow-checked int arithmetic, so either a value is bit-exact or
-   Rational.Overflow aborts the kernel and the engine falls back. *)
-
-let imod x y =
-  let r = x mod y in
-  if r < 0 then r + y else r
-
-let iceil_div x y = if x > 0 then 1 + ((x - 1) / y) else -(-x / y)
-
-let phase_int (tb : Timebase.t) ~sphi ~sjit ~i ~k ~j =
-  let ti = tb.Timebase.speriod.(i) in
-  let pk = imod sphi.(i).(k) ti and pj = imod sphi.(i).(j) ti in
-  Q.Checked.(ti - imod (pk + sjit.(i).(k) - pj) ti)
-
-let jobs_int ~jitter ~phase ~period ~t =
-  let delayed = (jitter + phase) / period in
-  let inside = Stdlib.max 0 (iceil_div (t - phase) period) in
-  Stdlib.max 0 (delayed + inside)
-
-(* The value-independent skeleton of an int demand curve: everything
-   about transaction [i]'s interfering set that survives jitter/offset
-   sweeps — the task indices, the shared period and the scaled costs —
-   flattened into plain int arrays once per engine compile
-   (see Kernels), so per-sweep kernel compilation only computes phases
-   and never chases a per-task record again. *)
-type iskeleton = {
-  sk_txn : int;
-  sk_js : int array;
-  sk_period : int;
-  sk_costs : int array;
-}
-
-let iskeleton (tb : Timebase.t) ~i ~hp_list =
-  let js = Array.of_list hp_list in
-  {
-    sk_txn = i;
-    sk_js = js;
-    sk_period = tb.Timebase.speriod.(i);
-    sk_costs = Array.map (fun j -> tb.Timebase.sc.(i).(j)) js;
-  }
-
-(* A compiled int demand curve in structure-of-arrays layout: the inner
-   busy-period loop walks three flat int arrays (phase, delayed jobs,
-   cost) plus one shared period — contiguous memory, no boxing, and
-   the t-independent ⌊(J + ϕ)/T⌋ term of Eq. 8 hoisted to compile
-   time, so each term costs one division instead of two. *)
-type ikernel = {
-  ik_period : int;
-  ik_phase : int array;
-  ik_delayed : int array;
-  ik_cost : int array;
-}
-
-let compile_skeleton sk ~sphi ~sjit ~k =
-  let i = sk.sk_txn in
-  let ti = sk.sk_period in
-  let n = Array.length sk.sk_js in
-  let phase = Array.make n 0 and delayed = Array.make n 0 in
-  let jrow = sjit.(i) and prow = sphi.(i) in
-  let pk = imod prow.(k) ti in
-  let jk = jrow.(k) in
-  for idx = 0 to n - 1 do
-    let j = sk.sk_js.(idx) in
-    let pj = imod prow.(j) ti in
-    let ph = Q.Checked.(ti - imod (pk + jk - pj) ti) in
-    phase.(idx) <- ph;
-    (* (jitter + phase) / period, exactly [jobs_int]'s unchecked
-       delayed-jobs term — both operands fit the timebase headroom *)
-    delayed.(idx) <- (jrow.(j) + ph) / ti
-  done;
-  { ik_period = ti; ik_phase = phase; ik_delayed = delayed; ik_cost = sk.sk_costs }
-
-let compile_int (tb : Timebase.t) ~hp_list ~sphi ~sjit ~i ~k =
-  compile_skeleton (iskeleton tb ~i ~hp_list) ~sphi ~sjit ~k
-
-let eval_int (kernel : ikernel) ~t =
-  let acc = ref 0 in
-  let ti = kernel.ik_period in
-  let phase = kernel.ik_phase
-  and delayed = kernel.ik_delayed
-  and cost = kernel.ik_cost in
-  for idx = 0 to Array.length phase - 1 do
-    let inside = Stdlib.max 0 (iceil_div (t - phase.(idx)) ti) in
-    let jobs = Stdlib.max 0 (delayed.(idx) + inside) in
-    acc := Q.Checked.(!acc + (jobs * cost.(idx)))
-  done;
-  !acc
+  let hp_list = match hp_list with Some l -> l | None -> hp m ~i ~a ~b in
+  let tb =
+    Timebase.exact m ~horizon_factor:Params.default.Params.horizon_factor
+  in
+  Timeline.Exact.eval (E.compile (E.skeleton tb ~i ~hp_list) ~phi ~jit ~k) t
 
 let w_star ?hp_list m ~phi ~jit ~i ~a ~b ~t =
   let hp_list = match hp_list with Some l -> l | None -> hp m ~i ~a ~b in

@@ -1,5 +1,9 @@
 (** Interference terms of the holistic analysis on abstract platforms
-    (Equations 7–11, 15 and 17 of the paper).
+    (Equations 7–11, 15 and 17 of the paper), on exact rationals.
+
+    These are views of {!Fixpoint.Exact} — the demand kernels every
+    analysis runs — for tests and hand computations against the paper;
+    they rebuild the model's constant tables on every call.
 
     All offsets passed in are raw (possibly exceeding the period); they
     are reduced modulo the period internally, as the paper does.
@@ -7,10 +11,8 @@
     under analysis — only tasks on that platform interfere (Eq. 17). *)
 
 val hp : Model.t -> i:int -> a:int -> b:int -> int list
-(** Indices of the tasks of transaction [i] that can interfere with task
-    [(a, b)]: same platform and priority at least [prio (a, b)] (Eq. 17).
-    The task under analysis itself is excluded — its own jobs enter the
-    recurrences through the dedicated [(p - p0 + 1)] term. *)
+(** {!Ir.hp}: the tasks of transaction [i] that can interfere with
+    [(a, b)] (Eq. 17). *)
 
 val phase :
   Model.t ->
@@ -34,33 +36,6 @@ val jobs :
     ⌊(J + ϕ)/T⌋ delayed jobs released at the start plus ⌈(t − ϕ)/T⌉
     jobs activated inside (Eq. 8), clamped at 0. *)
 
-type kernel
-(** A compiled demand curve W{^k}{_i}(τ{_a,b}, ·): per interfering task,
-    the phase ϕ{^k}{_i,j}, jitter, period and platform-scaled cost
-    C/α are computed once, instead of on every evaluation inside a
-    busy-period fixed point.  A kernel is valid exactly as long as the
-    jitter and offset rows of transaction [i] it was compiled from are
-    unchanged (the same condition under which {!Memo} entries are
-    valid). *)
-
-val compile :
-  ?hp_list:int list ->
-  Model.t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  i:int ->
-  k:int ->
-  a:int ->
-  b:int ->
-  kernel
-(** Hoist the per-task constants of {!contribution} for the busy-period
-    scenario where τ{_i,k} initiates. *)
-
-val eval : kernel -> t:Rational.t -> Rational.t
-(** [eval kernel ~t] is exactly [contribution ~t] of the assignment the
-    kernel was compiled from — canonical rationals make the hoisted and
-    direct computations bit-identical. *)
-
 val contribution :
   ?hp_list:int list ->
   Model.t ->
@@ -75,80 +50,7 @@ val contribution :
 (** W{^k}{_i}(τ{_a,b}, t) (Eq. 11): worst-case demand, in time on the
     platform of τ{_a,b} (i.e. scaled by 1/α), of the interfering tasks of
     transaction [i] when τ{_i,k} initiates the busy period.  [hp_list]
-    short-circuits the {!hp} computation when the caller already holds
-    it (the fixed-point loops evaluate W at many points). *)
-
-(** {1 Integer timeline twins}
-
-    The same terms on the scaled numerators of a {!Timebase.t}.  Each
-    twin computes exactly the scaled image of its rational counterpart
-    (quotients only ever appear under floors and ceilings, which are
-    scale-invariant job counts), or raises [Rational.Overflow] when an
-    intermediate leaves native-int range — the engine's cue to fall back
-    to the rational path. *)
-
-val iceil_div : int -> int -> int
-(** [iceil_div x y] for [y > 0] is ⌈x/y⌉ — the int-division form of
-    [Rational.ceil (x/y)] the twins use for job counts. *)
-
-val phase_int :
-  Timebase.t ->
-  sphi:int array array ->
-  sjit:int array array ->
-  i:int ->
-  k:int ->
-  j:int ->
-  int
-(** Scaled {!phase}. *)
-
-val jobs_int : jitter:int -> phase:int -> period:int -> t:int -> int
-(** {!jobs} on scaled arguments — identical result (job counts are
-    dimensionless). *)
-
-type iskeleton = {
-  sk_txn : int;  (** transaction index [i] *)
-  sk_js : int array;  (** interfering task indices, {!hp} order *)
-  sk_period : int;  (** scaled period of [i], shared by every term *)
-  sk_costs : int array;  (** scaled platform-time cost per term *)
-}
-(** The value-independent half of an int demand curve: what survives
-    every jitter/offset sweep, flattened to contiguous int arrays.
-    Compiled once per engine session ({!Kernels}); per-sweep kernel
-    compilation then only computes phases. *)
-
-val iskeleton : Timebase.t -> i:int -> hp_list:int list -> iskeleton
-(** Flatten transaction [i]'s interfering set against the timebase. *)
-
-type ikernel
-(** A compiled int demand curve in structure-of-arrays layout: flat
-    phase, delayed-jobs and cost arrays sharing one period — the
-    busy-period hot path walks contiguous memory, and the t-independent
-    ⌊(J + ϕ)/T⌋ term of Eq. 8 is precomputed per term. *)
-
-val compile_skeleton :
-  iskeleton -> sphi:int array array -> sjit:int array array -> k:int -> ikernel
-(** Compile the scenario where τ{_i,k} initiates against the current
-    scaled jitter/offset matrices: only the phases (and their hoisted
-    delayed-jobs terms) are computed; indices, period and costs come
-    from the skeleton. *)
-
-val compile_int :
-  Timebase.t ->
-  hp_list:int list ->
-  sphi:int array array ->
-  sjit:int array array ->
-  i:int ->
-  k:int ->
-  ikernel
-(** Scaled {!compile}: {!iskeleton} followed by {!compile_skeleton},
-    for callers without a precompiled skeleton.  [hp_list] is
-    mandatory: the callers always hold the compiled {!Ir} participant
-    sets, and the scaled costs of the timebase are already
-    platform-transformed, so no task under analysis is needed. *)
-
-val eval_int : ikernel -> t:int -> int
-(** Scaled {!eval}: [eval_int (compile_int …) ~t:(v·L)] is exactly
-    [(eval (compile …) ~t:v) · L]. *)
+    short-circuits the {!hp} computation. *)
 
 val w_star :
   ?hp_list:int list ->

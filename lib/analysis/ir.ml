@@ -27,19 +27,32 @@ type t = {
   n_tasks : int;
 }
 
+let hp m ~i ~a ~b =
+  let target = Model.task m a b in
+  let out = ref [] in
+  Array.iteri
+    (fun j (tk : Model.task) ->
+      let is_self = i = a && j = b in
+      if
+        (not is_self)
+        && tk.Model.res = target.Model.res
+        && tk.Model.prio >= target.Model.prio
+      then out := j :: !out)
+    m.Model.txns.(i).Model.tasks;
+  List.rev !out
+
 let compile_site m ~a ~b =
   let n = Model.n_txns m in
-  let own_hp = Interference.hp m ~i:a ~a ~b in
+  let own_hp = hp m ~i:a ~a ~b in
   let own = own_hp @ [ b ] in
   (* Remote transactions with interfering tasks, ascending index — the
-     same order [Rta]'s scenario enumeration always used, so the
-     mixed-radix indexing (and hence every chunk boundary and reduction
-     order) is unchanged. *)
+     digit order of the site analysis's mixed-radix scenario index, so
+     every chunk boundary and reduction order follows from it. *)
   let remotes =
     let out = ref [] in
     for i = n - 1 downto 0 do
       if i <> a then
-        match Interference.hp m ~i ~a ~b with
+        match hp m ~i ~a ~b with
         | [] -> ()
         | hp ->
             out := { txn = i; choices = Array.of_list hp; hp_list = hp } :: !out
@@ -129,4 +142,4 @@ let dirty_closure t ~seed =
    and priorities only, which is what lets [compatible] models share it,
    while the timebase embeds every numeric constant.  Engine sessions
    compile both and pair them. *)
-let timebase = Timebase.of_model
+let timebase m ~horizon_factor = Timebase.of_model m ~horizon_factor

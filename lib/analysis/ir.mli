@@ -3,21 +3,25 @@
     Interference participant sets (Eq. 17), the mixed-radix layout of
     the exact scenario space (Eq. 12) and the outer fixed point's
     dependency rows are pure functions of task placement and priorities.
-    They used to be recomputed inside every [Holistic.analyze] call and
-    every [Rta.response_time] call; {!compile} hoists them once per
-    {!Engine} session.
+    {!compile} hoists them once per {!Engine} session.
 
     The IR never reads demands, periods, platform bounds, offsets or
     jitters, so one IR serves every model that shares the placement
     structure — the property design-space probes exploit through
     {!Engine.with_model} (see {!compatible}). *)
 
+val hp : Model.t -> i:int -> a:int -> b:int -> int list
+(** Indices of the tasks of transaction [i] that can interfere with task
+    [(a, b)]: same platform and priority at least [prio (a, b)] (Eq. 17).
+    The task under analysis itself is excluded — its own jobs enter the
+    recurrences through the dedicated [(p - p0 + 1)] term. *)
+
 type remote = {
   txn : int;  (** remote transaction index [i] *)
   choices : int array;  (** its interfering tasks — the digit values of
                             the mixed-radix scenario index *)
-  hp_list : int list;  (** the same set as a list, in {!Interference.hp}
-                           order, for kernel compilation *)
+  hp_list : int list;  (** the same set as a list, in {!hp} order, for
+                           kernel compilation *)
 }
 
 type site = {
@@ -37,22 +41,20 @@ type site = {
           jitter row of transaction [i] — the incremental outer fixed
           point's dependency row *)
 }
-(** Everything {!Rta.response_time_site} needs about one task under
-    analysis. *)
+(** Everything the site response-time analysis ({!Fixpoint.Make}) needs
+    about one task under analysis. *)
 
 type t
 
 val compile : Model.t -> t
-(** Compile every site of the model.  Cost is one {!Interference.hp}
-    sweep per (task, transaction) pair — what a single legacy
-    [Holistic.analyze] call used to spend on it per outer iteration
-    state rebuild. *)
+(** Compile every site of the model.  Cost is one {!hp} sweep per
+    (task, transaction) pair. *)
 
 val site : t -> a:int -> b:int -> site
 
 val site_of : Model.t -> a:int -> b:int -> site
-(** One-off compilation of a single site, for the legacy
-    [Rta.response_time] entry point that has no session to draw on. *)
+(** One-off compilation of a single site, for {!Rta.scenario_count},
+    which has no session to draw on. *)
 
 val n_txns : t -> int
 
@@ -64,9 +66,10 @@ val exact_scenarios : t -> int
     the space the exact variant examines, as reported by session
     compilation events. *)
 
-val timebase : Model.t -> horizon_factor:int -> Timebase.t option
+val timebase : Model.t -> horizon_factor:int -> int Timebase.t option
 (** The value-dependent half of session compilation: the scaled-int
-    constant tables of the integer timeline kernels ({!Timebase.of_model}).
+    constant tables of the {!Timeline.Scaled} instance
+    ({!Timebase.of_model}).
     Kept outside {!t} on purpose — the IR is shared across every
     {!compatible} model precisely because it never reads the numeric
     constants the timebase is made of, so {!Engine} compiles and rebinds

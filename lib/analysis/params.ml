@@ -8,7 +8,6 @@ type t = {
   horizon_factor : int;
   max_outer_iterations : int;
   early_exit : bool;
-  memoize : bool;
   prune : bool;
   incremental : bool;
   keep_history : bool;
@@ -24,7 +23,6 @@ let default =
     horizon_factor = 64;
     max_outer_iterations = 256;
     early_exit = true;
-    memoize = true;
     prune = true;
     incremental = true;
     keep_history = true;

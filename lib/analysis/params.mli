@@ -36,25 +36,19 @@ type t = {
           already decided; the remaining iterations would only refine the
           numbers of a failing system (sometimes very slowly).  Reports
           produced by an early exit carry [converged = false]. *)
-  memoize : bool;
-      (** Cache interference evaluations across the outer Jacobi sweeps
-          ({!Memo}).  Purely an optimisation: memoised values are exact
-          rationals a recomputation would reproduce bit-for-bit, so
-          reports are identical either way (asserted by the test suite);
-          disable only to benchmark the memo itself. *)
   prune : bool;
       (** Branch-and-bound pruning of the exact scenario enumeration
-          ({!Rta}): sub-spaces of the mixed-radix scenario product whose
-          optimistic bound (fixed digits at their actual demand, free
-          digits at the scenario maximum W{^*}) cannot beat the best
-          response found so far are skipped.  Pruning only discards
+          ({!Fixpoint.Make}): sub-spaces of the mixed-radix scenario
+          product whose optimistic bound (fixed digits at their actual
+          demand, free digits at the scenario maximum W{^*}) cannot beat
+          the best response found so far are skipped.  Pruning only discards
           scenarios provably ≤ the running maximum, so the returned
           bound is the exact same rational — reports are bit-identical
           (asserted by the test suite and bench X10).  No effect on the
           [Reduced] variant.  Disable only to benchmark the pruning
           itself. *)
   incremental : bool;
-      (** Incremental outer fixed point ({!Holistic}): between Jacobi
+      (** Incremental outer fixed point ({!Engine.analyze}): between Jacobi
           sweeps, only tasks whose interference inputs (the jitter or
           offset row of some transaction in their dependency set) changed
           are recomputed; the rest carry their previous response forward.
@@ -69,14 +63,14 @@ type t = {
           per-sweep deep copies.  [Report.t.history] is [[]] when
           off. *)
   int_kernel : bool;
-      (** Run the analysis on the integer timeline kernel when the model
-          admits one ({!Timebase}): all inner fixed points on scaled
-          native ints, converted back to rationals only at report
+      (** Run the fixed-point core on the integer timeline
+          ({!Fixpoint.Scaled}) when the model admits one ({!Timebase}):
+          scaled native ints, converted back to rationals only at report
           boundaries.  Values on the integer timeline are exact, so
-          reports are bit-identical to the rational path (asserted by
+          reports are bit-identical to {!Fixpoint.Exact} (asserted by
           the test suite and bench X12); models whose timeline does not
-          fit native ints — or that overflow mid-analysis — silently use
-          the rational path instead ({!Rta.kernel_fallbacks} counts the
+          fit native ints — or that overflow mid-analysis — silently run
+          exact instead ({!Rta.kernel_fallbacks} counts the
           mid-analysis case).  Disable only to benchmark the kernel
           itself. *)
   steal : bool;
@@ -106,7 +100,7 @@ type t = {
 
 val default : t
 (** [Reduced], [Simple], horizon factor 64, at most 256 outer
-    iterations, early exit on, memoisation on, pruning on, incremental
+    iterations, early exit on, pruning on, incremental
     sweeps on, history kept, integer kernel on, work stealing on, warm
     probes on. *)
 

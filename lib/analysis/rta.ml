@@ -1,16 +1,8 @@
-module Q = Rational
-
 (* A scenario fixes, for each participating transaction, the interfering
    task whose maximally-delayed release starts the busy period (Theorem 1).
    The task's own transaction always participates; under [Reduced] it is
-   the only one, the rest being upper-bounded by W*.  The participant
-   sets and the mixed-radix layout of the exact scenario space are
-   static; they live in the compiled {!Ir} and are computed here only
-   for the legacy sessionless entry point. *)
-
-let horizon_of m params ~a =
-  let tx = m.Model.txns.(a) in
-  Q.(of_int params.Params.horizon_factor * max tx.Model.period tx.Model.deadline)
+   the only one, the rest being upper-bounded by W*.  The enumeration
+   itself is Fixpoint's site analysis; this module counts. *)
 
 let scenario_count m params ~a ~b =
   let site = Ir.site_of m ~a ~b in
@@ -56,6 +48,18 @@ let pruned_scenarios c = Atomic.get c.pruned
 
 let bound_evaluations c = Atomic.get c.bounds
 
+type scenario_counter = Total | Visited | Pruned | Bounds
+
+let record c counter n =
+  let field =
+    match counter with
+    | Total -> c.total
+    | Visited -> c.visited
+    | Pruned -> c.pruned
+    | Bounds -> c.bounds
+  in
+  ignore (Atomic.fetch_and_add field n)
+
 let kernel_runs c = Atomic.get c.kernel_runs
 
 let kernel_fallbacks c = Atomic.get c.kernel_fallbacks
@@ -72,614 +76,3 @@ let record_delta_run c = Atomic.incr c.delta_runs
 
 let record_delta_fallback c = Atomic.incr c.delta_fallbacks
 
-(* Response of task (a,b) within busy periods started by scenario where
-   τ_{a,c} initiates the own transaction, [own_interference t] is the
-   demand of the own transaction's other tasks, and [remote_interference
-   t] sums the other transactions' demand (already scaled to platform
-   time). *)
-let scenario_response m params ~phi ~jit ~a ~b ~c ~own_interference
-    ~remote_interference =
-  let tk = Model.task m a b in
-  let tx = m.Model.txns.(a) in
-  let ta = tx.Model.period in
-  let alpha = Model.alpha m tk and delta = Model.delta m tk in
-  let blocking = m.Model.blocking.(a).(b) in
-  let scaled_c = Q.(tk.Model.c / alpha) in
-  let horizon = horizon_of m params ~a in
-  let ph = Interference.phase m ~phi ~jit ~i:a ~k:c ~j:b in
-  let p0 = 1 - Q.floor Q.((jit.(a).(b) + ph) / ta) in
-  let base = Q.(delta + blocking) in
-  (* Nominal self activations inside (0, l); clamped at 0 so evaluating
-     at l = 0 matches the l -> 0+ limit (see Interference.jobs). *)
-  let inside l = Stdlib.max 0 (Q.ceil Q.((l - ph) / ta)) in
-  let busy_length l =
-    let self_jobs = Stdlib.max 0 (inside l - p0 + 1) in
-    Q.(
-      base
-      + (of_int self_jobs * scaled_c)
-      + own_interference l + remote_interference l)
-  in
-  match Busy.fixpoint ~horizon busy_length Q.zero with
-  | None -> Report.Divergent
-  | Some l ->
-      let p_last = inside l in
-      let best = ref (Report.Finite Q.zero) in
-      for p = p0 to p_last do
-        let self_jobs = p - p0 + 1 in
-        let completion w =
-          Q.(
-            base
-            + (of_int self_jobs * scaled_c)
-            + own_interference w + remote_interference w)
-        in
-        match Busy.fixpoint ~horizon completion Q.zero with
-        | None -> best := Report.Divergent
-        | Some w ->
-            let periods_before = p - 1 in
-            let activation =
-              Q.(ph + (of_int periods_before * ta) - phi.(a).(b))
-            in
-            best := Report.bound_max !best (Report.Finite Q.(w - activation))
-      done;
-      !best
-
-let response_time_site ?pool ?memo ?counters (site : Ir.site) m params ~phi ~jit
-    =
-  let a = site.Ir.a and b = site.Ir.b in
-  let pool = Option.value pool ~default:Parallel.Pool.sequential in
-  let own_hp = site.Ir.own_hp in
-  let own = site.Ir.own in
-  let cache_of slot = Option.map (fun t -> Memo.cache t ~a ~b ~slot) memo in
-  let bump field n =
-    match counters with
-    | Some c -> ignore (Atomic.fetch_and_add (field c) n)
-    | None -> ()
-  in
-  (* Hoisted demand curve of transaction [i] initiated by τ_{i,k}: the
-     kernel (phases, scaled costs) is compiled — or the memo entry
-     resolved — once per response-time computation instead of inside
-     every busy-period evaluation. *)
-  (* Tiny kernels are cheaper to evaluate than to look up (a hashtable
-     probe on a boxed rational costs about as much as folding a couple
-     of hoisted terms), so the memo is bypassed below [Memo.min_terms];
-     memoised values are bit-identical to recomputation, so mixing the
-     two paths cannot change the response. *)
-  let eval_of cache ~i ~k ~hp_list =
-    match cache with
-    | Some c when List.compare_length_with hp_list Memo.min_terms >= 0 ->
-        Memo.evaluator c m ~phi ~jit ~i ~k ~hp_list ~a ~b
-    | _ ->
-        let kernel = Interference.compile ~hp_list m ~phi ~jit ~i ~k ~a ~b in
-        fun t -> Interference.eval kernel ~t
-  in
-  let own_evals cache =
-    List.map (fun c -> (c, eval_of cache ~i:a ~k:c ~hp_list:own_hp)) own
-  in
-  let best_over_own own_evals ~remote_interference acc =
-    List.fold_left
-      (fun acc (c, own_interference) ->
-        Report.bound_max acc
-          (scenario_response m params ~phi ~jit ~a ~b ~c ~own_interference
-             ~remote_interference))
-      acc own_evals
-  in
-  let remotes = site.Ir.remotes in
-  match params.Params.variant with
-  | Params.Reduced ->
-      let cache = cache_of 0 in
-      let remote_ws =
-        Array.to_list
-          (Array.map
-             (fun (r : Ir.remote) ->
-               let evals =
-                 List.map
-                   (fun k -> eval_of cache ~i:r.Ir.txn ~k ~hp_list:r.Ir.hp_list)
-                   r.Ir.hp_list
-               in
-               fun t -> List.fold_left (fun acc f -> Q.max acc (f t)) Q.zero evals)
-             remotes)
-      in
-      let remote_interference t =
-        List.fold_left (fun acc w -> Q.(acc + w t)) Q.zero remote_ws
-      in
-      bump (fun c -> c.total) 1;
-      bump (fun c -> c.visited) 1;
-      best_over_own (own_evals cache) ~remote_interference (Report.Finite Q.zero)
-  | Params.Exact ->
-      (* The scenario vectors ν (Eq. 12) of the remote transactions form
-         a mixed-radix space of size Π |hp_i|; indexing it lets the
-         domain pool split it into contiguous chunks.  Each slot folds
-         its chunk in index order and the maxima are joined — with exact
-         rationals the result is bit-identical to the sequential
-         enumeration for any job count. *)
-      let n_rem = Array.length remotes in
-      let stride = site.Ir.stride in
-      let total = site.Ir.total in
-      bump (fun c -> c.total) total;
-      let jobs = Parallel.Pool.jobs pool in
-      if not params.Params.prune then begin
-        (* Exhaustive enumeration — the reference path pruning is
-           checked against (bench X10, qcheck identity properties). *)
-        bump (fun c -> c.visited) total;
-        let best_in ~slot ~lo ~hi =
-          let cache = cache_of slot in
-          let contrib =
-            Array.map
-              (fun (r : Ir.remote) ->
-                Array.map
-                  (fun k -> eval_of cache ~i:r.Ir.txn ~k ~hp_list:r.Ir.hp_list)
-                  r.Ir.choices)
-              remotes
-          in
-          let own_evals = own_evals cache in
-          let best = ref (Report.Finite Q.zero) in
-          for v = lo to hi - 1 do
-            let remote_interference t =
-              let acc = ref Q.zero and rem = ref v in
-              Array.iter
-                (fun fs ->
-                  let s = Array.length fs in
-                  acc := Q.(!acc + fs.(!rem mod s) t);
-                  rem := !rem / s)
-                contrib;
-              !acc
-            in
-            best := best_over_own own_evals ~remote_interference !best
-          done;
-          !best
-        in
-        (* [slots_for] applies the sequential cutoff: scenario spaces
-           too small to amortise the domain wake-up run inline on slot
-           0; the own-choice count weights each index since every unit
-           evaluates all own initiators.  Ranges migrate between slots
-           under stealing, but every index runs exactly once and the
-           range maxima join commutatively, so neither the chunk count
-           nor the steal schedule changes the response. *)
-        let slots =
-          Parallel.Pool.slots_for ~weight:(List.length own) pool total
-        in
-        if jobs = 1 || slots = 1 then best_in ~slot:0 ~lo:0 ~hi:total
-        else begin
-          let results = Array.make jobs (Report.Finite Q.zero) in
-          Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
-            ~n:total (fun ~slot ~lo ~hi ->
-              results.(slot) <-
-                Report.bound_max results.(slot) (best_in ~slot ~lo ~hi));
-          Array.fold_left Report.bound_max (Report.Finite Q.zero) results
-        end
-      end
-      else begin
-        (* Branch and bound over the mixed-radix digit tree.  The
-           incumbent — the best response of any fully evaluated
-           scenario — is shared across slots through a join cell; a
-           subtree is discarded when an optimistic bound (its fixed
-           digits at their actual demand, its free digits at the
-           scenario maximum W{^*} ) cannot beat the incumbent.  Pruning
-           only drops scenarios provably ≤ the running maximum, and the
-           true argmax scenario can never be pruned, so the returned
-           bound is the exact rational of the exhaustive path whatever
-           the job count or interleaving (see docs/THEORY.md). *)
-        let incumbent =
-          Parallel.Pool.Cell.create Report.bound_max (Report.Finite Q.zero)
-        in
-        let horizon = horizon_of m params ~a in
-        let evaluate_index ~slot v =
-          let cache = cache_of slot in
-          let fs =
-            Array.to_list
-              (Array.mapi
-                 (fun ri (r : Ir.remote) ->
-                   let s = Array.length r.Ir.choices in
-                   let k = r.Ir.choices.(v / stride.(ri) mod s) in
-                   eval_of cache ~i:r.Ir.txn ~k ~hp_list:r.Ir.hp_list)
-                 remotes)
-          in
-          let remote_interference t =
-            List.fold_left (fun acc f -> Q.(acc + f t)) Q.zero fs
-          in
-          best_over_own (own_evals cache) ~remote_interference
-            (Report.Finite Q.zero)
-        in
-        (* Seed: the scenario picking, per remote transaction, the
-           initiator of maximal demand over the horizon — the argmax
-           realising the Reduced variant's W* at the horizon.  It is an
-           ordinary scenario (its response is achieved, so a sound
-           incumbent) and usually a near-maximal one, which is what
-           makes the root and top-level bounds fire. *)
-        let seed_index =
-          let idx = ref 0 in
-          let cache = cache_of 0 in
-          Array.iteri
-            (fun ri (r : Ir.remote) ->
-              let ks = r.Ir.choices and hp_list = r.Ir.hp_list in
-              let i = r.Ir.txn in
-              let best_ci = ref 0
-              and best_w = ref ((eval_of cache ~i ~k:ks.(0) ~hp_list) horizon) in
-              for ci = 1 to Array.length ks - 1 do
-                let w = (eval_of cache ~i ~k:ks.(ci) ~hp_list) horizon in
-                if Q.(w > !best_w) then begin
-                  best_w := w;
-                  best_ci := ci
-                end
-              done;
-              idx := !idx + (!best_ci * stride.(ri)))
-            remotes;
-          !idx
-        in
-        bump (fun c -> c.visited) 1;
-        Parallel.Pool.Cell.join incumbent (evaluate_index ~slot:0 seed_index);
-        let prune_le ub inc =
-          match (ub, inc) with
-          | _, Report.Divergent -> true
-          | Report.Divergent, Report.Finite _ -> false
-          | Report.Finite u, Report.Finite i -> Q.(u <= i)
-        in
-        let run_slot ~slot ~lo ~hi =
-          if lo < hi then begin
-            let cache = cache_of slot in
-            let contrib =
-              Array.map
-                (fun (r : Ir.remote) ->
-                  Array.map
-                    (fun k -> eval_of cache ~i:r.Ir.txn ~k ~hp_list:r.Ir.hp_list)
-                    r.Ir.choices)
-                remotes
-            in
-            let wstar =
-              Array.map
-                (fun fs t ->
-                  Array.fold_left (fun acc f -> Q.max acc (f t)) Q.zero fs)
-                contrib
-            in
-            let own_evals = own_evals cache in
-            (* Optimistic bound of the block where remotes [0..level-1]
-               are free (at W{^*} ) and the rest fixed (their evaluators in
-               [fixed]). *)
-            let block_bound level fixed =
-              bump (fun c -> c.bounds) 1;
-              let remote_interference t =
-                let acc = ref Q.zero in
-                for ri = 0 to level - 1 do
-                  acc := Q.(!acc + wstar.(ri) t)
-                done;
-                List.fold_left (fun acc f -> Q.(acc + f t)) !acc fixed
-              in
-              best_over_own own_evals ~remote_interference
-                (Report.Finite Q.zero)
-            in
-            (* visit level v_base fixed: the block
-               [v_base, v_base + stride.(level)) with digits above
-               [level] fixed; only its intersection with [lo, hi) is
-               this slot's responsibility, but the block bound is valid
-               for any subset. *)
-            let rec visit level v_base fixed =
-              if level = 0 then begin
-                if v_base <> seed_index then begin
-                  bump (fun c -> c.visited) 1;
-                  Parallel.Pool.Cell.join incumbent (evaluate_index' fixed)
-                end
-              end
-              else begin
-                let inside =
-                  Stdlib.min hi (v_base + stride.(level)) - Stdlib.max lo v_base
-                in
-                if
-                  inside > 1
-                  && prune_le (block_bound level fixed)
-                       (Parallel.Pool.Cell.get incumbent)
-                then bump (fun c -> c.pruned) inside
-                else begin
-                  let ri = level - 1 in
-                  let ks = remotes.(ri).Ir.choices in
-                  let sub = stride.(ri) in
-                  for ci = 0 to Array.length ks - 1 do
-                    let v = v_base + (ci * sub) in
-                    if v + sub > lo && v < hi then
-                      visit ri v (contrib.(ri).(ci) :: fixed)
-                  done
-                end
-              end
-            and evaluate_index' fixed =
-              let remote_interference t =
-                List.fold_left (fun acc f -> Q.(acc + f t)) Q.zero fixed
-              in
-              best_over_own own_evals ~remote_interference
-                (Report.Finite Q.zero)
-            in
-            visit n_rem 0 []
-          end
-        in
-        (let slots =
-           Parallel.Pool.slots_for ~weight:(List.length own) pool total
-         in
-         if jobs = 1 || slots = 1 then run_slot ~slot:0 ~lo:0 ~hi:total
-         else
-           Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
-             ~n:total (fun ~slot ~lo ~hi -> run_slot ~slot ~lo ~hi));
-        Parallel.Pool.Cell.get incumbent
-      end
-
-let response_time ?pool ?memo ?counters m params ~phi ~jit ~a ~b =
-  response_time_site ?pool ?memo ?counters (Ir.site_of m ~a ~b) m params ~phi
-    ~jit
-
-(* ------------------------------------------------------------------ *)
-(* Integer timeline twin (see Timebase)                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The same scenario machinery on scaled numerators: every arithmetic
-   step is the scaled image of the rational step (overflow-checked), so
-   the returned response is exactly the scaled rational response —
-   including the branch-and-bound pruning decisions, which compare
-   scaled values iff the rational path compares their originals. *)
-
-type iresponse = IFinite of int | IDivergent
-
-let iresponse_max x y =
-  match (x, y) with
-  | IDivergent, _ | _, IDivergent -> IDivergent
-  | IFinite u, IFinite v -> IFinite (Stdlib.max u v)
-
-let iresponse_to_bound tb = function
-  | IDivergent -> Report.Divergent
-  | IFinite v -> Report.Finite (Timebase.to_q tb v)
-
-let scenario_response_int (tb : Timebase.t) ~sphi ~sjit ~a ~b ~c
-    ~own_interference ~remote_interference =
-  let open Q.Checked in
-  let ta = tb.Timebase.speriod.(a) in
-  let scaled_c = tb.Timebase.sc.(a).(b) in
-  let horizon = tb.Timebase.shorizon.(a) in
-  let base = tb.Timebase.sbase.(a).(b) in
-  let ph = Interference.phase_int tb ~sphi ~sjit ~i:a ~k:c ~j:b in
-  let p0 = 1 - ((sjit.(a).(b) + ph) / ta) in
-  let inside l = Stdlib.max 0 (Interference.iceil_div (l - ph) ta) in
-  let busy_length l =
-    let self_jobs = Stdlib.max 0 (inside l - p0 + 1) in
-    base + (self_jobs * scaled_c) + own_interference l + remote_interference l
-  in
-  match Busy.fixpoint_int ~horizon busy_length 0 with
-  | None -> IDivergent
-  | Some l ->
-      let p_last = inside l in
-      let best = ref (IFinite 0) in
-      for p = p0 to p_last do
-        let self_jobs = p - p0 + 1 in
-        let completion w =
-          base
-          + (self_jobs * scaled_c)
-          + own_interference w + remote_interference w
-        in
-        match Busy.fixpoint_int ~horizon completion 0 with
-        | None -> best := IDivergent
-        | Some w ->
-            let activation = ph + ((p - 1) * ta) - sphi.(a).(b) in
-            best := iresponse_max !best (IFinite (w - activation))
-      done;
-      !best
-
-let response_time_site_int (tb : Timebase.t) ?pool ?memo ?counters ?kernels
-    (site : Ir.site) params ~sphi ~sjit =
-  let a = site.Ir.a and b = site.Ir.b in
-  let pool = Option.value pool ~default:Parallel.Pool.sequential in
-  let own = site.Ir.own in
-  let kern =
-    match kernels with Some k -> k | None -> Kernels.of_site tb site
-  in
-  let own_sk = kern.Kernels.own and remote_sks = kern.Kernels.remotes in
-  let cache_of slot = Option.map (fun t -> Memo.cache t ~a ~b ~slot) memo in
-  let bump field n =
-    match counters with
-    | Some c -> ignore (Atomic.fetch_and_add (field c) n)
-    | None -> ()
-  in
-  (* Same memo cutoff as the rational path: kernels with fewer than
-     [Memo.min_terms] hoisted terms are evaluated directly. *)
-  let eval_of cache (sk : Interference.iskeleton) ~k =
-    match cache with
-    | Some c when Array.length sk.Interference.sk_js >= Memo.min_terms ->
-        Memo.evaluator_int c sk ~sphi ~sjit ~k
-    | _ ->
-        let kernel = Interference.compile_skeleton sk ~sphi ~sjit ~k in
-        fun t -> Interference.eval_int kernel ~t
-  in
-  let own_evals cache =
-    List.map (fun c -> (c, eval_of cache own_sk ~k:c)) own
-  in
-  let best_over_own own_evals ~remote_interference acc =
-    List.fold_left
-      (fun acc (c, own_interference) ->
-        iresponse_max acc
-          (scenario_response_int tb ~sphi ~sjit ~a ~b ~c ~own_interference
-             ~remote_interference))
-      acc own_evals
-  in
-  let remotes = site.Ir.remotes in
-  match params.Params.variant with
-  | Params.Reduced ->
-      let cache = cache_of 0 in
-      let remote_ws =
-        Array.to_list
-          (Array.mapi
-             (fun ri (r : Ir.remote) ->
-               let sk = remote_sks.(ri) in
-               let evals =
-                 List.map (fun k -> eval_of cache sk ~k) r.Ir.hp_list
-               in
-               fun t ->
-                 List.fold_left (fun acc f -> Stdlib.max acc (f t)) 0 evals)
-             remotes)
-      in
-      let remote_interference t =
-        List.fold_left (fun acc w -> Q.Checked.(acc + w t)) 0 remote_ws
-      in
-      bump (fun c -> c.total) 1;
-      bump (fun c -> c.visited) 1;
-      best_over_own (own_evals cache) ~remote_interference (IFinite 0)
-  | Params.Exact ->
-      let n_rem = Array.length remotes in
-      let stride = site.Ir.stride in
-      let total = site.Ir.total in
-      bump (fun c -> c.total) total;
-      let jobs = Parallel.Pool.jobs pool in
-      if not params.Params.prune then begin
-        bump (fun c -> c.visited) total;
-        let best_in ~slot ~lo ~hi =
-          let cache = cache_of slot in
-          let contrib =
-            Array.mapi
-              (fun ri (r : Ir.remote) ->
-                let sk = remote_sks.(ri) in
-                Array.map (fun k -> eval_of cache sk ~k) r.Ir.choices)
-              remotes
-          in
-          let own_evals = own_evals cache in
-          let best = ref (IFinite 0) in
-          for v = lo to hi - 1 do
-            let remote_interference t =
-              let acc = ref 0 and rem = ref v in
-              Array.iter
-                (fun fs ->
-                  let s = Array.length fs in
-                  acc := Q.Checked.(!acc + fs.(!rem mod s) t);
-                  rem := !rem / s)
-                contrib;
-              !acc
-            in
-            best := best_over_own own_evals ~remote_interference !best
-          done;
-          !best
-        in
-        let slots =
-          Parallel.Pool.slots_for ~weight:(List.length own) pool total
-        in
-        if jobs = 1 || slots = 1 then best_in ~slot:0 ~lo:0 ~hi:total
-        else begin
-          let results = Array.make jobs (IFinite 0) in
-          Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
-            ~n:total (fun ~slot ~lo ~hi ->
-              results.(slot) <-
-                iresponse_max results.(slot) (best_in ~slot ~lo ~hi));
-          Array.fold_left iresponse_max (IFinite 0) results
-        end
-      end
-      else begin
-        let incumbent = Parallel.Pool.Cell.create iresponse_max (IFinite 0) in
-        let horizon = tb.Timebase.shorizon.(a) in
-        let evaluate_index ~slot v =
-          let cache = cache_of slot in
-          let fs =
-            Array.to_list
-              (Array.mapi
-                 (fun ri (r : Ir.remote) ->
-                   let s = Array.length r.Ir.choices in
-                   let k = r.Ir.choices.(v / stride.(ri) mod s) in
-                   eval_of cache remote_sks.(ri) ~k)
-                 remotes)
-          in
-          let remote_interference t =
-            List.fold_left (fun acc f -> Q.Checked.(acc + f t)) 0 fs
-          in
-          best_over_own (own_evals cache) ~remote_interference (IFinite 0)
-        in
-        let seed_index =
-          let idx = ref 0 in
-          let cache = cache_of 0 in
-          Array.iteri
-            (fun ri (r : Ir.remote) ->
-              let ks = r.Ir.choices in
-              let sk = remote_sks.(ri) in
-              let best_ci = ref 0
-              and best_w = ref ((eval_of cache sk ~k:ks.(0)) horizon) in
-              for ci = 1 to Array.length ks - 1 do
-                let w = (eval_of cache sk ~k:ks.(ci)) horizon in
-                if w > !best_w then begin
-                  best_w := w;
-                  best_ci := ci
-                end
-              done;
-              idx := !idx + (!best_ci * stride.(ri)))
-            remotes;
-          !idx
-        in
-        bump (fun c -> c.visited) 1;
-        Parallel.Pool.Cell.join incumbent (evaluate_index ~slot:0 seed_index);
-        let prune_le ub inc =
-          match (ub, inc) with
-          | _, IDivergent -> true
-          | IDivergent, IFinite _ -> false
-          | IFinite u, IFinite i -> u <= i
-        in
-        let run_slot ~slot ~lo ~hi =
-          if lo < hi then begin
-            let cache = cache_of slot in
-            let contrib =
-              Array.mapi
-                (fun ri (r : Ir.remote) ->
-                  let sk = remote_sks.(ri) in
-                  Array.map (fun k -> eval_of cache sk ~k) r.Ir.choices)
-                remotes
-            in
-            let wstar =
-              Array.map
-                (fun fs t ->
-                  Array.fold_left (fun acc f -> Stdlib.max acc (f t)) 0 fs)
-                contrib
-            in
-            let own_evals = own_evals cache in
-            let block_bound level fixed =
-              bump (fun c -> c.bounds) 1;
-              let remote_interference t =
-                let acc = ref 0 in
-                for ri = 0 to level - 1 do
-                  acc := Q.Checked.(!acc + wstar.(ri) t)
-                done;
-                List.fold_left (fun acc f -> Q.Checked.(acc + f t)) !acc fixed
-              in
-              best_over_own own_evals ~remote_interference (IFinite 0)
-            in
-            let rec visit level v_base fixed =
-              if level = 0 then begin
-                if v_base <> seed_index then begin
-                  bump (fun c -> c.visited) 1;
-                  Parallel.Pool.Cell.join incumbent (evaluate_index' fixed)
-                end
-              end
-              else begin
-                let inside =
-                  Stdlib.min hi (v_base + stride.(level)) - Stdlib.max lo v_base
-                in
-                if
-                  inside > 1
-                  && prune_le (block_bound level fixed)
-                       (Parallel.Pool.Cell.get incumbent)
-                then bump (fun c -> c.pruned) inside
-                else begin
-                  let ri = level - 1 in
-                  let ks = remotes.(ri).Ir.choices in
-                  let sub = stride.(ri) in
-                  for ci = 0 to Array.length ks - 1 do
-                    let v = v_base + (ci * sub) in
-                    if v + sub > lo && v < hi then
-                      visit ri v (contrib.(ri).(ci) :: fixed)
-                  done
-                end
-              end
-            and evaluate_index' fixed =
-              let remote_interference t =
-                List.fold_left (fun acc f -> Q.Checked.(acc + f t)) 0 fixed
-              in
-              best_over_own own_evals ~remote_interference (IFinite 0)
-            in
-            visit n_rem 0 []
-          end
-        in
-        (let slots =
-           Parallel.Pool.slots_for ~weight:(List.length own) pool total
-         in
-         if jobs = 1 || slots = 1 then run_slot ~slot:0 ~lo:0 ~hi:total
-         else
-           Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
-             ~n:total (fun ~slot ~lo ~hi -> run_slot ~slot ~lo ~hi));
-        Parallel.Pool.Cell.get incumbent
-      end

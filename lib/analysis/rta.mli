@@ -1,32 +1,19 @@
-(** Worst-case response time of one task under static offsets and jitters
-    (Sections 3.1.1 and 3.1.2, extended to abstract platforms by
-    Section 3.2).
+(** Scenario accounting for the worst-case response-time analysis of
+    one task under static offsets and jitters (Sections 3.1.1 and 3.1.2,
+    extended to abstract platforms by Section 3.2).
 
-    Given the current offset and jitter assignment, computes the response
-    time of task [(a, b)] — measured from the activation of its
-    transaction — by examining busy periods started by every scenario:
+    The analysis itself is {!Fixpoint.Make.analyze}: it examines the
+    busy periods started by every scenario —
 
     - {!Params.Exact}: one scenario per combination of initiating tasks
       across all transactions with interfering tasks (Eq. 12);
     - {!Params.Reduced}: scenarios range over the task's own transaction
       only, remote transactions contribute their scenario maximum W{^*}
-      (Eq. 15–16).
+      (Eq. 15–16)
 
-    Every busy-period recurrence pays the platform delay Δ once and
-    scales demands by 1/α.  [Divergent] is returned when a recurrence
-    exceeds [params.horizon_factor * max period deadline].
-
-    With [params.prune] (the default) the exact enumeration does not
-    visit every scenario: the mixed-radix scenario space is explored as
-    a digit tree and sub-trees whose optimistic bound — fixed digits at
-    their actual demand, free digits at the scenario maximum W{^*} —
-    cannot beat the best fully evaluated scenario are skipped.  The
-    enumeration is seeded with the W{^*}-argmax scenario, so the
-    incumbent is strong from the first comparison.  Pruning never drops
-    the maximising scenario (the bound is pointwise conservative and
-    ties are kept until evaluated), so the returned bound is the exact
-    same rational as the exhaustive enumeration, for every job count —
-    see docs/THEORY.md for the dominance argument. *)
+    — with the exact enumeration pruned by branch and bound (see
+    {!Params.prune} and docs/THEORY.md).  This module counts scenarios
+    for benchmarks, tests and the CLI. *)
 
 (** Scenario accounting, shared by benchmarks and the CLI.  One unit is
     one remote scenario vector ν of Eq. 12 ([Reduced] counts 1 per
@@ -53,13 +40,19 @@ val pruned_scenarios : counters -> int
 val bound_evaluations : counters -> int
 (** Optimistic block bounds computed (the overhead side of pruning). *)
 
+type scenario_counter = Total | Visited | Pruned | Bounds
+
+val record : counters -> scenario_counter -> int -> unit
+(** Add to one of the scenario counts above (bumped by the site
+    analysis; safe from any domain). *)
+
 val kernel_runs : counters -> int
-(** Analyses the engine started on the integer timeline kernel
-    ({!response_time_site_int}), whether or not they completed there. *)
+(** Analyses the engine started on the integer timeline
+    ({!Timeline.Scaled}), whether or not they completed there. *)
 
 val kernel_fallbacks : counters -> int
-(** Kernel analyses aborted by a mid-analysis overflow and rerun on the
-    rational path.  Always [<= kernel_runs]. *)
+(** Kernel analyses aborted by a mid-analysis overflow and rerun on
+    {!Timeline.Exact}.  Always [<= kernel_runs]. *)
 
 val record_kernel_run : counters -> unit
 (** Bumped by {!Engine.analyze} when it enters the kernel path. *)
@@ -81,90 +74,6 @@ val record_delta_run : counters -> unit
 
 val record_delta_fallback : counters -> unit
 (** Bumped by {!Engine.analyze_delta} when a warm run falls back. *)
-
-val response_time_site :
-  ?pool:Parallel.Pool.t ->
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  Ir.site ->
-  Model.t ->
-  Params.t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  Report.bound
-(** Response time of the task the {!Ir.site} was compiled for, reading
-    the participant sets and the mixed-radix scenario layout from the
-    site instead of recomputing them — the entry point every
-    {!Engine} session uses.  The site must come from an IR
-    {!Ir.compatible} with [m].
-
-    [pool] splits the exact scenario enumeration (Eq. 12) into
-    contiguous index ranges across the pool's domains
-    ({!Parallel.Pool.run_ranges}); with [params.steal] (the default)
-    idle domains steal ranges from loaded ones.  Ranges share the
-    branch-and-bound incumbent through a {!Parallel.Pool.Cell}, and the
-    final bound is read from the cell, so the result is bit-identical to
-    the sequential enumeration for every job count and steal schedule
-    (the reduced variant's handful of scenarios is never
-    parallelised).
-    [memo] caches interference evaluations across calls — see {!Memo};
-    when both are given, slot [s] of the pool only touches cache slot
-    [s], so no synchronisation is needed.  [counters], when given, is
-    bumped with this call's scenario accounting. *)
-
-(** {1 Integer timeline twin} *)
-
-type iresponse = IFinite of int | IDivergent
-    (** A response on the scaled integer timeline: the scaled numerator
-        of the rational bound, or divergence (detected at exactly the
-        scaled horizon, hence in exactly the cases the rational path
-        detects it). *)
-
-val iresponse_to_bound : Timebase.t -> iresponse -> Report.bound
-(** Back to the report domain: [IFinite v] is the normalised rational
-    [v / scale]. *)
-
-val response_time_site_int :
-  Timebase.t ->
-  ?pool:Parallel.Pool.t ->
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  ?kernels:Kernels.site ->
-  Ir.site ->
-  Params.t ->
-  sphi:int array array ->
-  sjit:int array array ->
-  iresponse
-(** {!response_time_site} on the integer timeline: same scenario
-    enumeration (including branch-and-bound pruning and the chunked
-    parallel split), all inner fixed points on scaled native ints.
-    [sphi]/[sjit] are the scaled offset and jitter matrices.  The result
-    is the exact scaled image of the rational bound; any intermediate
-    overflow raises [Rational.Overflow], which {!Engine.analyze} turns
-    into a rational-path fallback.  [counters] accounting (total /
-    visited / pruned / bounds) is bumped exactly as the rational path
-    would.  [kernels] supplies the site's precompiled
-    {!Kernels.site} skeleton table (an {!Engine} session compiles one
-    per timebase); without it the skeletons are flattened on the fly —
-    same result, more allocation. *)
-
-val response_time :
-  ?pool:Parallel.Pool.t ->
-  ?memo:Memo.t ->
-  ?counters:counters ->
-  Model.t ->
-  Params.t ->
-  phi:Rational.t array array ->
-  jit:Rational.t array array ->
-  a:int ->
-  b:int ->
-  Report.bound
-(** Sessionless convenience: {!Ir.site_of} followed by
-    {!response_time_site} — identical result, but the participant sets
-    are recompiled on every call.
-    @deprecated Use an {!Engine} session (or {!response_time_site} with
-    a compiled {!Ir.t}) so the static scenario layout is compiled
-    once. *)
 
 val scenario_count : Model.t -> Params.t -> a:int -> b:int -> int
 (** Number of scenarios the chosen variant examines for task [(a, b)]

@@ -1,5 +1,5 @@
-(** The integer timeline of a model — scaled-int constants for the
-    integer timeline kernels.
+(** The constant tables of a model on a numeric timeline — what the
+    fixed-point core ({!Fixpoint}) reads instead of the model.
 
     Let [scale] be the lcm of the denominators of every rational the
     analysis can reach in a model: periods, deadlines, release jitters,
@@ -9,39 +9,50 @@
     holistic analysis (sums, differences, integer multiples, and floors
     and ceilings of quotients — which are plain integers).  Representing
     each value by its scaled numerator [v·scale] therefore lets the
-    interference, busy-period, best-case and response-time fixed points
-    run on native ints, bit-exactly: {!Rational.of_scaled} at the report
-    boundary recovers the very rationals the unscaled computation would
-    have produced.  See docs/THEORY.md for the closure argument and
+    fixed points run on native ints ({!Timeline.Scaled}), bit-exactly:
+    {!Rational.of_scaled} at the report boundary recovers the very
+    rationals the exact computation ({!Timeline.Exact}) would have
+    produced.  See docs/THEORY.md for the closure argument and
     docs/PERFORMANCE.md for the headroom and fallback rules. *)
 
-type t = {
-  scale : int;  (** the common denominator lcm [L] *)
-  speriod : int array;  (** scaled period, per transaction *)
-  sdeadline : int array;
-  srelease_jitter : int array;
-  shorizon : int array;
-      (** scaled busy-period horizon
-          [horizon_factor · max(period, deadline)], per transaction *)
-  sbase : int array array;  (** per site (a, b): scaled [Δ + blocking] *)
-  sbeta : int array array;
-  sc : int array array;  (** scaled worst-case demand in platform time,
-                             [C/α] *)
-  scb : int array array;  (** scaled best-case demand in platform time,
-                             [Cb/α] *)
+type 'v t = {
+  scale : int;  (** the common denominator lcm [L]; [1] for exact tables *)
+  period : 'v array;  (** per transaction *)
+  deadline : 'v array;
+  release_jitter : 'v array;
+  horizon : 'v array;
+      (** busy-period horizon [horizon_factor · max(period, deadline)],
+          per transaction *)
+  base : 'v array array;  (** per site (a, b): [Δ + blocking] *)
+  beta : 'v array array;
+  c : 'v array array;  (** worst-case demand in platform time, [C/α] *)
+  cb : 'v array array;  (** best-case demand in platform time, [Cb/α] *)
 }
 
-val of_model : Model.t -> horizon_factor:int -> t option
-(** Compute the scale and the scaled constant tables, or [None] when the
-    model has no usable integer timeline: the denominator lcm overflows,
-    or some scaled constant (including the horizon) exceeds
-    [max_int / 2{^10}].  The 10-bit headroom absorbs the sums and
-    job-count products of ordinary busy-period evaluations; kernels are
+type quotients
+(** The rational C/α and Cb/α tables of a model, computed on first use.
+    Normalising these quotients is the costly part of a table build, so
+    an {!Engine} session computes them once and shares them between the
+    scaled and the exact tables. *)
+
+val quotients : Model.t -> quotients
+
+val of_model :
+  ?quotients:quotients -> Model.t -> horizon_factor:int -> int t option
+(** The scaled tables, or [None] when the model has no usable integer
+    timeline: the denominator lcm overflows, or some scaled constant
+    (including the horizon) exceeds [max_int / 2{^10}].  The 10-bit
+    headroom absorbs the sums and job-count products of ordinary
+    busy-period evaluations; the {!Timeline.Scaled} operations are
     overflow-checked regardless, so [Some] is a fast-path eligibility
-    verdict, not a guarantee ({!Engine} falls back to the rational path
+    verdict, not a guarantee ({!Engine} falls back to {!Timeline.Exact}
     on a mid-analysis overflow). *)
 
-val scale : t -> int
+val exact :
+  ?quotients:quotients -> Model.t -> horizon_factor:int -> Rational.t t
+(** The same tables as exact rationals ([scale = 1]). *)
 
-val to_q : t -> int -> Rational.t
+val scale : 'v t -> int
+
+val to_q : int t -> int -> Rational.t
 (** [to_q t v] is the rational the scaled value [v] denotes. *)

@@ -11,7 +11,6 @@ module Interference = Analysis.Interference
 module Busy = Analysis.Busy
 module Rta = Analysis.Rta
 module Best_case = Analysis.Best_case
-module Holistic = Analysis.Holistic
 module Classical = Analysis.Classical
 module Engine = Analysis.Engine
 
@@ -30,6 +29,10 @@ let task name c cb res prio = { Model.name; c = q c; cb = q cb; res; prio }
 
 let txn name period tasks =
   { Model.tname = name; period = q period; deadline = q period; tasks = Array.of_list tasks }
+
+(* One-shot session: compile, analyse once. *)
+let analyze ?params ?pool ?counters m =
+  Engine.analyze (Engine.create ?params ?pool ?counters m)
 
 (* --- busy fixpoint --- *)
 
@@ -115,7 +118,7 @@ let degenerate_model () =
        classical_tasks)
 
 let test_classical_equivalence () =
-  let holistic = Holistic.analyze (degenerate_model ()) in
+  let holistic = analyze (degenerate_model ()) in
   let classical = Classical.response_times classical_tasks in
   List.iteri
     (fun i (ct, cr) ->
@@ -179,7 +182,7 @@ let test_divergence () =
       ~bounds:[ LB.make ~alpha:(q "0.1") ~delta:Q.zero ~beta:Q.zero ]
       [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ]
   in
-  let r = Holistic.analyze m in
+  let r = analyze m in
   check_bound "divergent" Report.Divergent r.Report.results.(0).(0).Report.response;
   Alcotest.(check bool) "unschedulable" false r.Report.schedulable
 
@@ -192,7 +195,7 @@ let test_deadline_miss_detected () =
           tasks = [| task "t" "2" "1" 0 1 |] };
       ]
   in
-  let r = Holistic.analyze m in
+  let r = analyze m in
   check_bound "finite" (Report.Finite (q "2")) r.Report.results.(0).(0).Report.response;
   Alcotest.(check bool) "missed" false r.Report.schedulable
 
@@ -202,7 +205,7 @@ let test_blocking_term () =
   let base = [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ] in
   let m0 = Model.make ~bounds:[ LB.full ] base in
   let m1 = Model.make ~bounds:[ LB.full ] ~blocking:[ ("t", q "3") ] base in
-  let r0 = Holistic.analyze m0 and r1 = Holistic.analyze m1 in
+  let r0 = analyze m0 and r1 = analyze m1 in
   check_bound "without blocking" (Report.Finite (q "2"))
     r0.Report.results.(0).(0).Report.response;
   check_bound "with blocking" (Report.Finite (q "5"))
@@ -211,7 +214,7 @@ let test_blocking_term () =
 let test_release_jitter () =
   let base = [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ] in
   let m = Model.make ~bounds:[ LB.full ] ~release_jitter:[ ("g", q "4") ] base in
-  let r = Holistic.analyze m in
+  let r = analyze m in
   (* the response is measured from the nominal activation: J + C *)
   check_bound "jittered" (Report.Finite (q "6"))
     r.Report.results.(0).(0).Report.response
@@ -225,7 +228,7 @@ let test_multi_job_busy_window () =
       ~release_jitter:[ ("g", q "15") ]
       [ txn "g" "10" [ task "t" "4" "4" 0 1 ] ]
   in
-  let r = Holistic.analyze m in
+  let r = analyze m in
   check_bound "jitter-delayed job dominates" (Report.Finite (q "19"))
     r.Report.results.(0).(0).Report.response;
   (* the simulator's `Max jitter policy reproduces it: every instance
@@ -289,7 +292,7 @@ let test_best_case_refined_dominates () =
 
 let test_report_pp_smoke () =
   let m = paper_model () in
-  let r = Holistic.analyze m in
+  let r = analyze m in
   let names a b = (Model.task m a b).Model.name in
   let table = Format.asprintf "%a" (Report.pp ~names) r in
   Alcotest.(check bool) "mentions schedulable" true
@@ -347,12 +350,12 @@ let test_early_exit_flag () =
           tasks = [| task "t" "3" "1" 0 1 |] };
       ]
   in
-  let fast = Holistic.analyze m in
+  let fast = analyze m in
   Alcotest.(check bool) "unschedulable" false fast.Report.schedulable;
   Alcotest.(check bool) "not converged (early exit)" false fast.Report.converged;
   Alcotest.(check int) "one iteration" 1 fast.Report.outer_iterations;
   let full =
-    Holistic.analyze
+    analyze
       ~params:{ Analysis.Params.default with Analysis.Params.early_exit = false }
       m
   in
@@ -371,8 +374,8 @@ let test_exact_never_exceeds_reduced () =
     let spec = { Workload.Gen.default_spec with n_txns = 3; max_tasks_per_txn = 2 } in
     let sys = Workload.Gen.system ~seed spec in
     let m = Model.of_system sys in
-    let re = Holistic.analyze ~params:P.exact m in
-    let rr = Holistic.analyze ~params:P.default m in
+    let re = analyze ~params:P.exact m in
+    let rr = analyze ~params:P.default m in
     Array.iteri
       (fun a row ->
         Array.iteri
@@ -424,14 +427,14 @@ let ablation_identity_prop =
          QCheck.assume (scenario_total m < 20_000);
          let agrees base =
            let reference =
-             Holistic.analyze
+             analyze
                ~params:{ base with P.prune = false; incremental = false }
                m
            in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
-                   Holistic.analyze ~params:base ~pool m)
+                   analyze ~params:base ~pool m)
                = reference)
              [ 1; 4 ]
          in
@@ -439,9 +442,9 @@ let ablation_identity_prop =
 
 let test_keep_history () =
   let m = paper_model () in
-  let with_h = Holistic.analyze ~params:P.exact m in
+  let with_h = analyze ~params:P.exact m in
   let without_h =
-    Holistic.analyze ~params:{ P.exact with P.keep_history = false } m
+    analyze ~params:{ P.exact with P.keep_history = false } m
   in
   Alcotest.(check bool) "history dropped" true (without_h.Report.history = []);
   Alcotest.(check bool)
@@ -452,7 +455,7 @@ let test_scenario_counters () =
   let m = paper_model () in
   let exercise params =
     let counters = Rta.counters () in
-    ignore (Holistic.analyze ~params ~counters m);
+    ignore (analyze ~params ~counters m);
     (Rta.total_scenarios counters, Rta.visited_scenarios counters)
   in
   let t0, v0 =
@@ -465,14 +468,16 @@ let test_scenario_counters () =
 
 (* --- engine sessions --- *)
 
-(* Engine sessions must be observationally identical to the sessionless
-   shim: the compiled IR only reorganises static structure, the memo
-   replays exact values, and reusing one session (second run reads a
-   warm memo) must replay the identical report. *)
+(* Reports do not depend on how a session was obtained: a one-shot
+   session must agree with a reused one (the second run reads warm
+   memos) and with one rebound onto the model from another session
+   (shared IR, fresh memos and tables). *)
 let engine_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"engine session = sessionless shim, exact and reduced, jobs 1 and 4"
+       ~name:
+         "engine session: one-shot = reused = rebound, exact and reduced, jobs \
+          1 and 4"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -486,13 +491,21 @@ let engine_identity_prop =
          let sys = Workload.Gen.system ~seed spec in
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
+         let other =
+           Model.of_system (Workload.Gen.system ~seed:(seed + 1) spec)
+         in
          let agrees params =
-           let reference = Holistic.analyze ~params m in
+           let reference = analyze ~params m in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
                    let e = Engine.create ~params ~pool m in
-                   Engine.analyze e = reference && Engine.analyze e = reference))
+                   let rebound =
+                     Engine.with_model (Engine.create ~params ~pool other) m
+                   in
+                   Engine.analyze e = reference
+                   && Engine.analyze e = reference
+                   && Engine.analyze rebound = reference))
              [ 1; 4 ]
          in
          agrees P.exact && agrees P.default))
@@ -550,7 +563,7 @@ let test_engine_with_model () =
   Alcotest.(check bool)
     "rebound model = fresh session" true
     (Engine.analyze (Engine.with_model e scaled)
-    = Holistic.analyze ~params:P.exact scaled)
+    = analyze ~params:P.exact scaled)
 
 let test_engine_events () =
   let m = paper_model () in
@@ -637,9 +650,9 @@ let test_timebase_of_model () =
       Array.iteri
         (fun a (tx : Model.txn) ->
           check_q "scaled period converts back" tx.Model.period
-            (T.to_q tb tb.T.speriod.(a));
+            (T.to_q tb tb.T.period.(a));
           check_q "scaled deadline converts back" tx.Model.deadline
-            (T.to_q tb tb.T.sdeadline.(a)))
+            (T.to_q tb tb.T.deadline.(a)))
         m.Model.txns
 
 (* A single constant within 2^10 of max_int fails the headroom rule, so
@@ -680,7 +693,7 @@ let test_kernel_unrepresentable () =
   Alcotest.(check bool) "no kernel" true (Engine.kernel_scale e = None);
   let r_on = Engine.analyze e in
   let r_off =
-    Holistic.analyze ~params:{ P.default with P.int_kernel = false } m2
+    analyze ~params:{ P.default with P.int_kernel = false } m2
   in
   Alcotest.(check bool) "fallback report identical" true (r_on = r_off)
 
@@ -726,7 +739,7 @@ let test_kernel_runtime_fallback () =
        !events);
   Alcotest.(check bool) "session poisoned" true (Engine.kernel_scale e = None);
   let reference =
-    Holistic.analyze ~params:{ P.default with P.int_kernel = false } m
+    analyze ~params:{ P.default with P.int_kernel = false } m
   in
   Alcotest.(check bool) "fallback report identical" true (report = reference);
   (* a poisoned session goes straight to the rational path *)
@@ -734,16 +747,52 @@ let test_kernel_runtime_fallback () =
   Alcotest.(check int) "kernel skipped after poison" 1
     (Rta.kernel_runs counters)
 
+(* Long chains on one platform: interfering sets reach Memo.min_terms
+   terms, so the memo engages inside the analysis — the short-chain
+   workloads of the other properties never reach it. *)
+let long_chain_spec =
+  {
+    Workload.Gen.default_spec with
+    Workload.Gen.n_txns = 4;
+    n_resources = 1;
+    max_tasks_per_txn = 6;
+  }
+
+(* Some site's own or remote interfering set is long enough for the
+   memo (Memo.min_terms). *)
+let memo_engages (m : Model.t) =
+  let ir = Analysis.Ir.compile m in
+  let long l = List.length l >= Analysis.Memo.min_terms in
+  Array.exists Fun.id
+    (Array.mapi
+       (fun a (tx : Model.txn) ->
+         Array.exists Fun.id
+           (Array.mapi
+              (fun b _ ->
+                let s = Analysis.Ir.site ir ~a ~b in
+                long s.Analysis.Ir.own_hp
+                || Array.exists
+                     (fun (r : Analysis.Ir.remote) ->
+                       long r.Analysis.Ir.hp_list)
+                     s.Analysis.Ir.remotes)
+              tx.Model.tasks))
+       m.Model.txns)
+
 (* The tentpole identity: the scaled-int kernels reproduce the rational
    reports bit for bit — same bounds, history, sweep counts and verdict —
-   under both variants, sequential and 4-domain pools, with zero
-   overflow fallbacks on these workloads; and a model the kernel cannot
-   represent (gadget transaction appended) silently falls back to the
-   identical rational result. *)
+   under both variants and both best cases, sequential and 4-domain
+   pools, with zero overflow fallbacks on these workloads; a model the
+   kernel cannot represent (gadget transaction appended) silently falls
+   back to the identical rational result; and on a long-chain system
+   the memo engages (hits > 0) without changing a bit.  Refined stays
+   off the long chains: it has no early exit, and a long chain can
+   take minutes to converge. *)
 let kernel_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"int kernel = rational path, exact and reduced, jobs 1 and 4"
+       ~name:
+         "int kernel = rational path, exact and reduced, simple and refined, \
+          memo on long chains, jobs 1 and 4"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -782,22 +831,37 @@ let kernel_identity_prop =
              release_jitter = Array.append m.Model.release_jitter [| Q.zero |];
            }
          in
-         let agrees model base =
+         let agrees ?(memo_hits = false) model base =
            let reference =
-             Holistic.analyze ~params:{ base with P.int_kernel = false } model
+             analyze ~params:{ base with P.int_kernel = false } model
            in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
                    let counters = Rta.counters () in
-                   Engine.analyze (Engine.create ~params:base ~pool ~counters model)
-                   = reference
-                   && Rta.kernel_fallbacks counters = 0))
+                   let e = Engine.create ~params:base ~pool ~counters model in
+                   Engine.analyze e = reference
+                   && Rta.kernel_fallbacks counters = 0
+                   && ((not memo_hits)
+                      ||
+                      match Engine.memo_stats e with
+                      | Some s -> s.Analysis.Memo.hits > 0
+                      | None -> false)))
              [ 1; 4 ]
          in
+         let refined base = { base with P.best_case = P.Refined } in
+         let chain =
+           Model.of_system (Workload.Gen.system ~seed long_chain_spec)
+         in
+         let memo_hits = memo_engages chain in
          engaged
-         && agrees m P.exact && agrees m P.default
-         && agrees with_gadget P.exact && agrees with_gadget P.default))
+         && List.for_all
+              (fun model ->
+                List.for_all (agrees model)
+                  [ P.exact; P.default; refined P.exact; refined P.default ])
+              [ m; with_gadget ]
+         && agrees ~memo_hits chain P.default
+         && (scenario_total chain > 2_000 || agrees ~memo_hits chain P.exact)))
 
 (* --- delta re-analysis --- *)
 
@@ -868,8 +932,8 @@ let delta_identity_prop =
          QCheck.assume (scenario_total prev < 20_000);
          let agrees base next =
            let params = { base with P.keep_history = false } in
-           let prev_report = Holistic.analyze ~params prev in
-           let reference = Holistic.analyze ~params next in
+           let prev_report = analyze ~params prev in
+           let reference = analyze ~params next in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -903,7 +967,7 @@ let two_platform_model ?(extra = false) () =
 let test_delta_localized_admit () =
   let prev = two_platform_model () in
   let next = two_platform_model ~extra:true () in
-  let prev_report = Holistic.analyze ~params:delta_params prev in
+  let prev_report = analyze ~params:delta_params prev in
   let e = Engine.create ~params:delta_params next in
   (* C (priority 3, platform 1) interferes with B but not with A: the
      dirty closure is {B, C} and A's converged row is carried. *)
@@ -920,7 +984,7 @@ let test_delta_localized_admit () =
       Alcotest.(check int) "carried" 1 carried
   | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
   Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Holistic.analyze ~params:delta_params next))
+    (same_verdict r (analyze ~params:delta_params next))
 
 let test_delta_revoke () =
   (* revoking C must re-iterate B (its interference shrank — responses
@@ -928,7 +992,7 @@ let test_delta_revoke () =
      sharing a platform with the removed transaction) and carry A *)
   let prev = two_platform_model ~extra:true () in
   let next = two_platform_model () in
-  let prev_report = Holistic.analyze ~params:delta_params prev in
+  let prev_report = analyze ~params:delta_params prev in
   let e = Engine.create ~params:delta_params next in
   let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
   (match outcome with
@@ -938,18 +1002,18 @@ let test_delta_revoke () =
       Alcotest.(check int) "carried" 1 carried
   | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
   Alcotest.(check bool) "bit-identical results" true
-    (same_verdict r (Holistic.analyze ~params:delta_params next))
+    (same_verdict r (analyze ~params:delta_params next))
 
 let test_delta_plan_gates () =
   let m = two_platform_model () in
-  let converged = Holistic.analyze ~params:delta_params m in
+  let converged = analyze ~params:delta_params m in
   let expect_reason want = function
     | Error got -> Alcotest.(check string) want want got
     | Ok _ -> Alcotest.failf "expected cold reason %s" want
   in
   (* a non-converged previous report cannot seed anything *)
   let hopeless =
-    Holistic.analyze ~params:delta_params
+    analyze ~params:delta_params
       (Model.make
          ~bounds:[ LB.make ~alpha:(q "0.1") ~delta:Q.zero ~beta:Q.zero ]
          [ txn "g" "10" [ task "t" "2" "1" 0 1 ] ])
@@ -1033,8 +1097,8 @@ let seeded_identity_prop =
          let seed_model = dominating_seed target in
          let agrees base =
            let params = { base with P.keep_history = false } in
-           let seed_report = Holistic.analyze ~params seed_model in
-           let reference = Holistic.analyze ~params target in
+           let seed_report = analyze ~params seed_model in
+           let reference = analyze ~params target in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -1114,7 +1178,7 @@ let test_seeded_rejects_non_dominating () =
           target.Model.bounds;
     }
   in
-  let seed_report = Holistic.analyze ~params:delta_params seed_model in
+  let seed_report = analyze ~params:delta_params seed_model in
   Alcotest.(check bool) "harder seed still converged" true
     seed_report.Report.converged;
   let e = Engine.create ~params:delta_params target in
@@ -1124,12 +1188,12 @@ let test_seeded_rejects_non_dominating () =
       Alcotest.(check string) "cold reason" "seed-not-dominating" reason
   | Engine.Delta_warm _ -> Alcotest.fail "non-dominating seed was used");
   Alcotest.(check bool) "cold report returned" true
-    (same_verdict r (Holistic.analyze ~params:delta_params target));
+    (same_verdict r (analyze ~params:delta_params target));
   (* structure changes are their own reason: the squeeze argument needs
      the same transactions and chains on both sides *)
   match delta_perturbations target with
   | admit_like :: _ -> (
-      let seed_report = Holistic.analyze ~params:delta_params target in
+      let seed_report = analyze ~params:delta_params target in
       match
         Engine.analyze_seeded
           (Engine.create ~params:delta_params admit_like)

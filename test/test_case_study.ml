@@ -19,7 +19,7 @@ let load file =
   | Ok asm -> asm
   | Error es -> Alcotest.failf "%s: %s" path (String.concat " | " es)
 
-let analyze sys = Analysis.Holistic.analyze (Analysis.Model.of_system sys)
+let analyze sys = Analysis.Engine.(analyze (create_system sys))
 
 let test_sensor_fusion () =
   let asm = load "sensor_fusion.hsc" in
@@ -54,8 +54,7 @@ let test_cruise_control_analysis () =
   Alcotest.(check bool) "schedulable" true report.Report.schedulable;
   (* the exact analysis agrees with the verdict *)
   let exact =
-    Analysis.Holistic.analyze ~params:Analysis.Params.exact
-      (Analysis.Model.of_system sys)
+    Analysis.Engine.(analyze (create_system ~params:Analysis.Params.exact sys))
   in
   Alcotest.(check bool) "exact schedulable" true exact.Report.schedulable
 

@@ -13,10 +13,12 @@ module Q = Rational
 module LB = Platform.Linear_bound
 module Model = Analysis.Model
 module Report = Analysis.Report
-module Holistic = Analysis.Holistic
 module Engine = Simulator.Engine
 module Stats = Simulator.Stats
 module G = Workload.Gen
+
+let analyze_model ?params m =
+  Analysis.Engine.analyze (Analysis.Engine.create ?params m)
 
 let q = Q.of_decimal_string
 
@@ -30,7 +32,7 @@ let bound_of report ~txn ~task =
    are intermediate iterates and are skipped. *)
 let check_soundness ~seed ~spec ~exec ~horizon =
   let sys = G.system ~seed spec in
-  let report = Holistic.analyze (Model.of_system sys) in
+  let report = analyze_model (Model.of_system sys) in
   if report.Report.converged then begin
     let res =
       Engine.run
@@ -68,7 +70,7 @@ let test_soundness_random_phases () =
      initial phases and per-instance jitter draws must stay below it *)
   for seed = 1 to 10 do
     let sys = G.system ~seed G.default_spec in
-    let report = Holistic.analyze (Model.of_system sys) in
+    let report = analyze_model (Model.of_system sys) in
     if report.Report.converged then begin
       let res =
         Engine.run
@@ -125,7 +127,7 @@ let test_soundness_nested_platforms () =
           ];
       ]
   in
-  let report = Holistic.analyze (Model.of_system sys) in
+  let report = analyze_model (Model.of_system sys) in
   Alcotest.(check bool) "converged" true report.Report.converged;
   let res =
     Engine.run
@@ -168,8 +170,8 @@ let test_reduced_bounds_exact () =
     let spec = { G.default_spec with G.n_txns = 3; max_tasks_per_txn = 3 } in
     let sys = G.system ~seed spec in
     let m = Model.of_system sys in
-    let exact = Holistic.analyze ~params:Analysis.Params.exact m in
-    let reduced = Holistic.analyze m in
+    let exact = analyze_model ~params:Analysis.Params.exact m in
+    let reduced = analyze_model m in
     Array.iteri
       (fun a row ->
         Array.iteri
@@ -195,14 +197,14 @@ let test_pipeline_stability () =
       G.chain_assembly ~seed ~n_chains:2 ~chain_length:2 ~cross_host:(seed mod 2 = 0) ()
     in
     let direct = Transaction.Derive.derive_exn asm in
-    let report_direct = Holistic.analyze (Model.of_system direct) in
+    let report_direct = analyze_model (Model.of_system direct) in
     let reloaded =
       match Spec.load (Spec.to_string asm) with
       | Ok a -> a
       | Error es -> Alcotest.failf "reload: %s" (String.concat "; " es)
     in
     let indirect = Transaction.Derive.derive_exn reloaded in
-    let report_indirect = Holistic.analyze (Model.of_system indirect) in
+    let report_indirect = analyze_model (Model.of_system indirect) in
     Alcotest.(check bool) "same verdict" report_direct.Report.schedulable
       report_indirect.Report.schedulable;
     Array.iteri
@@ -231,7 +233,7 @@ let test_platform_monotonicity () =
     let sys = G.system ~seed G.default_spec in
     let m = Model.of_system sys in
     let better = { m with Model.bounds = Array.map improve m.Model.bounds } in
-    let r0 = Holistic.analyze m and r1 = Holistic.analyze better in
+    let r0 = analyze_model m and r1 = analyze_model better in
     if r0.Report.converged && r1.Report.converged then
     Array.iteri
       (fun a row ->
@@ -304,8 +306,8 @@ let test_wcet_monotonicity () =
   for seed = 60 to 66 do
     let sys = G.system ~seed G.default_spec in
     let m = Model.of_system sys in
-    let base = Holistic.analyze m in
-    let grown = Holistic.analyze (scale_task m ~txn:0 ~task:0 (q "1.5")) in
+    let base = analyze_model m in
+    let grown = analyze_model (scale_task m ~txn:0 ~task:0 (q "1.5")) in
     assert_pointwise_dominates
       ~msg:(Printf.sprintf "seed %d wcet growth" seed)
       base grown
@@ -316,11 +318,11 @@ let test_jitter_monotonicity () =
   for seed = 70 to 76 do
     let sys = G.system ~seed G.default_spec in
     let m = Model.of_system sys in
-    let base = Holistic.analyze m in
+    let base = analyze_model m in
     let jittered =
       let rj = Array.copy m.Model.release_jitter in
       rj.(0) <- Q.(rj.(0) + q "7");
-      Holistic.analyze { m with Model.release_jitter = rj }
+      analyze_model { m with Model.release_jitter = rj }
     in
     assert_pointwise_dominates
       ~msg:(Printf.sprintf "seed %d jitter growth" seed)
@@ -331,11 +333,11 @@ let test_blocking_monotonicity () =
   for seed = 80 to 84 do
     let sys = G.system ~seed G.default_spec in
     let m = Model.of_system sys in
-    let base = Holistic.analyze m in
+    let base = analyze_model m in
     let blocked =
       let bl = Array.map Array.copy m.Model.blocking in
       bl.(0).(0) <- Q.(bl.(0).(0) + q "3");
-      Holistic.analyze { m with Model.blocking = bl }
+      analyze_model { m with Model.blocking = bl }
     in
     assert_pointwise_dominates
       ~msg:(Printf.sprintf "seed %d blocking growth" seed)
@@ -351,7 +353,7 @@ let test_chain_assembly_soundness () =
         ~cross_host:(seed mod 2 = 0) ()
     in
     let sys = Transaction.Derive.derive_exn asm in
-    let report = Holistic.analyze (Model.of_system sys) in
+    let report = analyze_model (Model.of_system sys) in
     if report.Report.converged then
       let res =
         Engine.run
@@ -375,7 +377,7 @@ let test_chain_assembly_soundness () =
 let test_no_misses_when_schedulable () =
   for seed = 1 to 10 do
     let sys = G.system ~seed G.default_spec in
-    let report = Holistic.analyze (Model.of_system sys) in
+    let report = analyze_model (Model.of_system sys) in
     if report.Report.schedulable then begin
       let res =
         Engine.run

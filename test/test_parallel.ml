@@ -162,6 +162,10 @@ let test_ranges_steal_skewed () =
 
 (* --- memoised interference --- *)
 
+(* One-shot analysis session. *)
+let analyze ?params ?pool m =
+  Analysis.Engine.analyze (Analysis.Engine.create ?params ?pool m)
+
 let zeros (m : Model.t) =
   Array.map
     (fun (tx : Model.txn) -> Array.make (Array.length tx.Model.tasks) Q.zero)
@@ -187,8 +191,7 @@ let sweep_against_direct memo m ~phi ~jit =
                        (Q.to_string t))
                     (Analysis.Interference.w_star ~hp_list m ~phi ~jit ~i ~a ~b
                        ~t)
-                    (Analysis.Memo.w_star cache m ~phi ~jit ~i ~hp_list ~a ~b
-                       ~t))
+                    (Analysis.Memo.w_star cache m ~phi ~jit ~i ~hp_list ~t))
                 probe_times
           done)
         tx.Model.tasks)
@@ -216,31 +219,18 @@ let test_memo_values_and_stats () =
   Alcotest.(check bool) "row change invalidates" true
     (s3.Analysis.Memo.invalidations > s2.Analysis.Memo.invalidations)
 
-let test_memo_transparent () =
-  let m = Hsched.Paper_example.model () in
-  List.iter
-    (fun params ->
-      let on = Analysis.Holistic.analyze ~params m in
-      let off =
-        Analysis.Holistic.analyze
-          ~params:{ params with Params.memoize = false }
-          m
-      in
-      Alcotest.(check bool) "memo on/off reports equal" true (on = off))
-    [ Params.default; Params.exact ]
-
 (* --- determinism across job counts --- *)
 
 let test_paper_example_determinism () =
   let m = Hsched.Paper_example.model () in
   List.iter
     (fun params ->
-      let seq = Analysis.Holistic.analyze ~params m in
+      let seq = analyze ~params m in
       List.iter
         (fun jobs ->
           let par =
             P.with_pool ~jobs (fun pool ->
-                Analysis.Holistic.analyze ~params ~pool m)
+                analyze ~params ~pool m)
           in
           Alcotest.(check bool)
             (Printf.sprintf "jobs %d report" jobs)
@@ -285,10 +275,10 @@ let determinism_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let agrees params =
-           let seq = Analysis.Holistic.analyze ~params m in
+           let seq = analyze ~params m in
            let par =
              P.with_pool ~jobs:4 (fun pool ->
-                 Analysis.Holistic.analyze ~params ~pool m)
+                 analyze ~params ~pool m)
            in
            seq = par
          in
@@ -311,7 +301,7 @@ let steal_determinism_prop =
              List.map
                (fun jobs ->
                  P.with_pool ~jobs (fun pool ->
-                     Analysis.Holistic.analyze
+                     analyze
                        ~params:{ base with Params.steal } ~pool m))
                [ 1; 2; 4 ]
            in
@@ -348,8 +338,6 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "values and stats" `Quick test_memo_values_and_stats;
-          Alcotest.test_case "transparent in the analysis" `Quick
-            test_memo_transparent;
         ] );
       ( "determinism",
         [

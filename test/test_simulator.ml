@@ -138,7 +138,7 @@ let test_nested_platform () =
   check_q "composed mechanics" (q "5") (max_response res.Engine.stats ~txn:0 ~task:0);
   (* the composed analysis bound dominates the observation *)
   let sys = single_system ~resource:nested ~period:"32" ~wcet:"2" () in
-  let report = Analysis.Holistic.analyze (Analysis.Model.of_system sys) in
+  let report = Analysis.Engine.(analyze (create_system sys)) in
   match report.Analysis.Report.results.(0).(0).Analysis.Report.response with
   | Analysis.Report.Divergent -> Alcotest.fail "diverged"
   | Analysis.Report.Finite b ->

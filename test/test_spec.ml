@@ -118,7 +118,7 @@ let test_parsed_equals_programmatic () =
   (* the .hsc source and Paper_example must produce the same analysis *)
   let asm = load_ok source in
   let sys = Transaction.Derive.derive_exn asm in
-  let r = Analysis.Holistic.analyze (Analysis.Model.of_system sys) in
+  let r = Analysis.Engine.(analyze (create_system sys)) in
   let reference = Hsched.Paper_example.report () in
   Alcotest.(check bool) "same verdict" reference.Analysis.Report.schedulable
     r.Analysis.Report.schedulable;
@@ -250,7 +250,7 @@ instance c : C on P1;
   Alcotest.(check string) "model blocking" "3"
     (Q.to_string m.Analysis.Model.blocking.(0).(0));
   (* analysis: R = J + B + C = 5 + 3 + 2 = 10 *)
-  let r = Analysis.Holistic.analyze m in
+  let r = Analysis.Engine.(analyze (create m)) in
   (match r.Analysis.Report.results.(0).(0).Analysis.Report.response with
   | Analysis.Report.Divergent -> Alcotest.fail "divergent"
   | Analysis.Report.Finite x -> Alcotest.(check string) "R" "10" (Q.to_string x));

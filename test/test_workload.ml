@@ -116,7 +116,7 @@ let test_generated_analysable () =
   let schedulable = ref 0 in
   for seed = 1 to 20 do
     let sys = G.system ~seed G.default_spec in
-    let r = Analysis.Holistic.analyze (Analysis.Model.of_system sys) in
+    let r = Analysis.Engine.(analyze (create_system sys)) in
     if r.Analysis.Report.schedulable then incr schedulable
   done;
   Alcotest.(check bool) "most schedulable at 50% load" true (!schedulable >= 15)
