@@ -765,11 +765,11 @@ let parallel_scaling () =
   check "x9/admitted sets identical across job counts" (seq = par)
 
 (* ------------------------------------------------------------------ *)
-(* X10: branch-and-bound pruning + incremental fixed point — ablation  *)
+(* X10: branch-and-bound pruning — naive vs prune                      *)
 (* ------------------------------------------------------------------ *)
 
 let prune_incremental () =
-  header "X10 — pruning and incrementality: ablation matrix";
+  header "X10 — branch-and-bound pruning: naive vs prune";
   (* same interference-heavy workload as X9: the exact scenario product
      dominates, which is exactly what pruning attacks *)
   let spec =
@@ -786,10 +786,8 @@ let prune_incremental () =
      its own params, pool and counters, and takes a fresh memo
      (with_model) so the wall clocks stay comparable *)
   let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
-  let cell ~prune ~incremental ~jobs =
-    let params =
-      { Analysis.Params.exact with Analysis.Params.prune; incremental }
-    in
+  let cell ~prune ~jobs =
+    let params = { Analysis.Params.exact with Analysis.Params.prune } in
     let counters = Analysis.Rta.counters () in
     Parallel.Pool.with_pool ~jobs (fun pool ->
         let session =
@@ -815,39 +813,24 @@ let prune_incremental () =
       (float_of_int (Analysis.Rta.visited_scenarios c));
     r
   in
-  let naive = show "naive (1)" (cell ~prune:false ~incremental:false ~jobs:1) in
-  let prune_only =
-    show "prune (1)" (cell ~prune:true ~incremental:false ~jobs:1)
-  in
-  let incr_only =
-    show "incremental (1)" (cell ~prune:false ~incremental:true ~jobs:1)
-  in
-  let both = show "prune+incr (1)" (cell ~prune:true ~incremental:true ~jobs:1) in
-  let both4 =
-    show "prune+incr (4)" (cell ~prune:true ~incremental:true ~jobs:4)
-  in
+  let naive = show "naive (1)" (cell ~prune:false ~jobs:1) in
+  let pruned = show "prune (1)" (cell ~prune:true ~jobs:1) in
+  let naive4 = show "naive (4)" (cell ~prune:false ~jobs:4) in
+  let pruned4 = show "prune (4)" (cell ~prune:true ~jobs:4) in
   let report (_, r, _) = r in
   let visited (_, _, c) = Analysis.Rta.visited_scenarios c in
   (* Reports are pure data (exact rationals, ints, bools): structural
      equality is the bit-identity every cell promises. *)
-  check "x10/identity prune" (report prune_only = report naive);
-  check "x10/identity incremental" (report incr_only = report naive);
-  check "x10/identity prune+incremental" (report both = report naive);
-  check "x10/identity prune+incremental jobs 4" (report both4 = report naive);
+  check "x10/identity prune" (report pruned = report naive);
+  check "x10/identity naive jobs 4" (report naive4 = report naive);
+  check "x10/identity prune jobs 4" (report pruned4 = report naive);
   check "x10/naive visits everything" (visited naive = Analysis.Rta.total_scenarios (let _, _, c = naive in c));
   check "x10/pruning visits strictly fewer scenarios"
-    (visited prune_only < visited naive);
-  check "x10/incremental visits strictly fewer scenarios"
-    (visited incr_only < visited naive);
-  check "x10/combined visits strictly fewer than either"
-    (visited both <= visited prune_only && visited both <= visited incr_only);
+    (visited pruned < visited naive);
   if not !quick then begin
     let ms (t, _, _) = t in
-    Format.printf "speedup vs naive: prune %.2fx, incremental %.2fx, both %.2fx@."
-      (ms naive /. ms prune_only)
-      (ms naive /. ms incr_only)
-      (ms naive /. ms both);
-    check "x10/prune+incremental faster than naive" (ms both < ms naive)
+    Format.printf "speedup vs naive: prune %.2fx@." (ms naive /. ms pruned);
+    check "x10/prune faster than naive" (ms pruned < ms naive)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1373,10 +1356,10 @@ let parallel_speedup () =
   let host_cores = Domain.recommended_domain_count () in
   metric "x14/host_cores" (float_of_int host_cores);
   Format.printf "host offers %d core(s)@." host_cores;
-  (* determinism: X9's interference-heavy workload analysed under every
-     jobs x stealing combination must produce one report, bit for bit —
-     stealing moves index ranges between slots, but every index runs
-     exactly once and the range results are joined commutatively *)
+  (* determinism: X9's interference-heavy workload analysed at every
+     job count must produce one report, bit for bit — stealing moves
+     index ranges between slots, but every index runs exactly once and
+     the range results are joined commutatively *)
   let spec =
     {
       Workload.Gen.default_spec with
@@ -1390,32 +1373,25 @@ let parallel_speedup () =
   let reference = ref None in
   let all_identical = ref true in
   List.iter
-    (fun steal ->
-      List.iter
-        (fun jobs ->
-          let report =
-            Parallel.Pool.with_pool ~jobs (fun pool ->
-                (* with_model: share the IR, start from a cold memo *)
-                let cell =
-                  Analysis.Engine.with_model
-                    (Analysis.Engine.with_overrides base ~pool
-                       ~params:
-                         { Analysis.Params.exact with Analysis.Params.steal })
-                    m
-                in
-                Analysis.Engine.analyze cell)
-          in
-          let identical =
-            match !reference with
-            | None ->
-                reference := Some report;
-                true
-            | Some r -> r = report
-          in
-          if not identical then all_identical := false)
-        (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]))
-    [ true; false ];
-  check "x14/reports identical across jobs x stealing" !all_identical;
+    (fun jobs ->
+      let report =
+        Parallel.Pool.with_pool ~jobs (fun pool ->
+            (* with_model: share the IR, start from a cold memo *)
+            Analysis.Engine.analyze
+              (Analysis.Engine.with_model
+                 (Analysis.Engine.with_overrides base ~pool)
+                 m))
+      in
+      let identical =
+        match !reference with
+        | None ->
+            reference := Some report;
+            true
+        | Some r -> r = report
+      in
+      if not identical then all_identical := false)
+    (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]);
+  check "x14/reports identical across jobs" !all_identical;
   (* engagement: a region whose first quarter carries nearly all the
      work.  The slots owning the light three quarters drain their
      deques and raid the heavy one, so the steal counter must move —
@@ -1765,7 +1741,7 @@ let warm_probes_bench () =
       (rm, answers)
     in
     let cold_ladder = PL.create ~enabled:false () in
-    let warm_ladder = PL.create ~enabled:true () in
+    let warm_ladder = PL.create () in
     let cold_ms, cold_run = wall (fun () -> run cold_ladder) in
     let warm_ms, warm_run = wall (fun () -> run warm_ladder) in
     (cold_ms, warm_ms, cold_run, warm_run, PL.stats cold_ladder,

@@ -74,44 +74,6 @@ let no_int_kernel_flag =
            native integers); this only trades speed for a reference \
            measurement.")
 
-let no_incremental_flag =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Recompute every task in every outer fixed-point sweep instead of \
-           only those whose interference inputs changed.  Reports are \
-           identical either way.")
-
-let no_history_flag =
-  Arg.(
-    value & flag
-    & info [ "no-history" ]
-        ~doc:
-          "Do not record the per-iteration history matrices (ignored when \
-           $(b,--history) asks to print them).")
-
-let no_steal_flag =
-  Arg.(
-    value & flag
-    & info [ "no-steal" ]
-        ~doc:
-          "Give every pool slot a static contiguous chunk of the scenario \
-           space instead of letting drained slots steal from loaded ones.  \
-           Reports are identical either way; this only trades speed for a \
-           reference measurement.")
-
-let no_warm_probes_flag =
-  Arg.(
-    value & flag
-    & info [ "no-warm-probes" ]
-        ~doc:
-          "Run every design-space probe analysis cold instead of certifying \
-           or warm-seeding it from previously converged probes at dominating \
-           parameter points (the probe ladder).  Verdicts and reports are \
-           identical either way; this only trades speed for a reference \
-           measurement.")
-
 (* Domains are heavyweight OS threads: a job count beyond any plausible
    machine is a typo, not a request, so reject it at parse time along
    with negatives and non-integers (cmdliner parse errors exit 124). *)
@@ -242,8 +204,7 @@ let csv_flag =
         ~doc:"Emit machine-readable CSV (one row per task) instead of the table.")
 
 let analyze_cmd =
-  let run file exact history csv jobs trace no_prune no_incremental
-      no_int_kernel no_history no_steal no_warm_probes =
+  let run file exact history csv jobs trace no_prune no_int_kernel =
     let sys = or_die (load_system file) in
     let m = Analysis.Model.of_system sys in
     let params =
@@ -251,12 +212,9 @@ let analyze_cmd =
       {
         p with
         Analysis.Params.prune = not no_prune;
-        incremental = not no_incremental;
         int_kernel = not no_int_kernel;
-        steal = not no_steal;
-        warm_probes = not no_warm_probes;
-        (* --history needs the matrices; printing wins over --no-history *)
-        keep_history = (not no_history) || history <> None;
+        (* only --history prints the per-sweep matrices *)
+        keep_history = history <> None;
       }
     in
     let report =
@@ -314,9 +272,7 @@ let analyze_cmd =
           Exits 0 when schedulable, 2 when not.")
     Term.(
       const run $ file_arg $ exact_flag $ history_arg $ csv_flag $ jobs_arg
-      $ engine_trace_arg $ no_prune_flag $ no_incremental_flag
-      $ no_int_kernel_flag $ no_history_flag $ no_steal_flag
-      $ no_warm_probes_flag)
+      $ engine_trace_arg $ no_prune_flag $ no_int_kernel_flag)
 
 (* --- simulate --- *)
 
@@ -529,16 +485,14 @@ let print_region ~csv ~name ~grid rm current_alpha current_delta member =
            pts)
     in
     Printf.printf
-      {|{"platform":"%s","grid":%d,"domain":{"alpha":["%s","%s"],"delta":["%s","%s"]},"cells":%d,"feasible":%d,"infeasible":%d,"boundary":%d,"refined":%d,"probes":%d,"probe_hits":%d,"warm_probes":%b,"probe_ladder":{"probes":%d,"seeded":%d,"cold":%d,"cert_feasible":%d,"cert_infeasible":%d},"current":{"alpha":"%s","delta":"%s","member":%b},"frontier":[%s],"refined_vertices":[%s]}|}
+      {|{"platform":"%s","grid":%d,"domain":{"alpha":["%s","%s"],"delta":["%s","%s"]},"cells":%d,"feasible":%d,"infeasible":%d,"boundary":%d,"refined":%d,"probes":%d,"probe_hits":%d,"probe_ladder":{"probes":%d,"seeded":%d,"cold":%d,"cert_feasible":%d,"cert_infeasible":%d},"current":{"alpha":"%s","delta":"%s","member":%b},"frontier":[%s],"refined_vertices":[%s]}|}
       name grid
       (Q.to_string dom.S.a_lo)
       (Q.to_string dom.S.a_hi)
       (Q.to_string dom.S.d_lo)
       (Q.to_string dom.S.d_hi)
       st.C.cells st.C.feasible st.C.infeasible st.C.boundary st.C.refined
-      st.C.probes st.C.probe_hits
-      (Regions.Probe_ladder.enabled rm.D.ladder)
-      ls.Regions.Probe_ladder.probes ls.Regions.Probe_ladder.seeded
+      st.C.probes st.C.probe_hits ls.Regions.Probe_ladder.probes ls.Regions.Probe_ladder.seeded
       ls.Regions.Probe_ladder.cold ls.Regions.Probe_ladder.cert_feasible
       ls.Regions.Probe_ladder.cert_infeasible
       (Q.to_string current_alpha)
@@ -549,21 +503,14 @@ let print_region ~csv ~name ~grid rm current_alpha current_delta member =
   end
 
 let design_cmd =
-  let run file precision server_period region grid csv jobs trace
-      no_warm_probes =
+  let run file precision server_period region grid csv jobs trace =
     let sys = or_die (load_system file) in
     with_jobs jobs @@ fun pool ->
     with_trace trace @@ fun writer ->
     let sink = engine_sink writer in
-    let params =
-      {
-        Analysis.Params.default with
-        Analysis.Params.warm_probes = not no_warm_probes;
-      }
-    in
     (* One session for the whole command: every probe of the rate search
        and the breakdown sweep reuses the model compiled here. *)
-    let engine = Analysis.Engine.create_system ~params ~pool ?sink sys in
+    let engine = Analysis.Engine.create_system ~pool ?sink sys in
     let resources = sys.Transaction.System.resources in
     match region with
     | Some name -> (
@@ -641,8 +588,7 @@ let design_cmd =
           exact (α, Δ) schedulability region ($(b,--region)).")
     Term.(
       const run $ file_arg $ precision_arg $ server_period_arg $ region_arg
-      $ grid_arg $ csv_flag $ jobs_arg $ engine_trace_arg
-      $ no_warm_probes_flag)
+      $ grid_arg $ csv_flag $ jobs_arg $ engine_trace_arg)
 
 (* --- serve --- *)
 
@@ -717,8 +663,7 @@ let accept_limit_arg =
         ~doc:"With $(b,--socket): exit after serving $(docv) connections.")
 
 let serve_cmd =
-  let run file workers shards log exact max_batch trace socket accept_limit
-      no_steal no_warm_probes =
+  let run file workers shards log exact max_batch trace socket accept_limit =
     let src =
       try Ok (In_channel.with_open_bin file In_channel.input_all)
       with Sys_error e -> Error e
@@ -734,12 +679,7 @@ let serve_cmd =
           Option.map (fun w e -> w (Service.Events.to_json e)) writer
         in
         let params =
-          {
-            (params_of_exact exact) with
-            Analysis.Params.keep_history = false;
-            steal = not no_steal;
-            warm_probes = not no_warm_probes;
-          }
+          { (params_of_exact exact) with Analysis.Params.keep_history = false }
         in
         match
           Service.Server.create ~workers ~shards ~params ~max_batch ?trace
@@ -768,8 +708,7 @@ let serve_cmd =
           docs/SERVICE.md.")
     Term.(
       const run $ file_arg $ workers_arg $ shards_arg $ log_arg $ exact_flag
-      $ max_batch_arg $ engine_trace_arg $ socket_arg $ accept_limit_arg
-      $ no_steal_flag $ no_warm_probes_flag)
+      $ max_batch_arg $ engine_trace_arg $ socket_arg $ accept_limit_arg)
 
 (* --- format --- *)
 

@@ -336,7 +336,6 @@ module Delta = struct
   let plan t ~prev_model ~prev_report =
     let params = t.params in
     if not prev_report.Report.converged then Error "previous-not-converged"
-    else if not params.Params.incremental then Error "incremental-disabled"
     else if params.Params.best_case <> Params.Simple then
       Error "refined-best-case"
     else if params.Params.keep_history then Error "history-requested"
@@ -537,9 +536,7 @@ module Seeded = struct
   (* L1 gap between the two parameter points, used to pick the nearest
      dominating seed (fewest warm iterations to close) and reported in
      the [Seeded] event.  [gap] assumes [dominates ~seed target] (every
-     summand is then non-negative) — callers that already tested
-     dominance, like the [Regions.Probe_ladder] frontier scan, skip the
-     re-test. *)
+     summand is then non-negative): callers test dominance first. *)
   let gap ~seed target =
     begin
       let d = ref Q.zero in
@@ -573,9 +570,6 @@ module Seeded = struct
       !d
     end
 
-  let distance ~seed target =
-    if dominates ~seed target then Some (gap ~seed target) else None
-
   let plan t ~seed_model ~seed_report =
     let params = t.params in
     if not seed_report.Report.converged then Error "seed-not-converged"
@@ -604,12 +598,9 @@ module Seeded = struct
       let resp =
         Array.init n (fun a -> Array.make (Model.n_tasks m a) Report.Divergent)
       in
-      let distance =
-        Option.value ~default:Q.zero (distance ~seed:seed_model m)
-      in
       Ok
         ( { Fixpoint.dirty = Array.make n true; jit; resp; floor = true },
-          distance )
+          gap ~seed:seed_model m )
     end
 end
 

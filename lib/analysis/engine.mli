@@ -69,8 +69,8 @@ type event =
           cold run the seeding avoids). *)
   | Sweep of { iteration : int; recomputed : int; carried : int }
       (** One outer Jacobi iteration finished; [recomputed] tasks had a
-          dirty dependency row, [carried] reused their previous response
-          (incremental mode). *)
+          dirty dependency row, [carried] reused their previous
+          response. *)
   | Finished of { iterations : int; converged : bool; schedulable : bool }
   | Pool_stats of { steals : int; splits : int; idle : int }
       (** Emitted after an analysis during which the pool's work-stealing
@@ -170,7 +170,8 @@ val analyze : t -> Report.t
     fixed point on the jitters, inner busy-period recurrences per
     scenario, under the session's params, pool and memo.  Emits
     [Analysis_started], one [Sweep] per outer iteration and [Finished].
-    The report is the same for every job count and parameter toggle.
+    The report is the same for every job count, [prune] and
+    [int_kernel] setting.
 
     The fixed point is {!Fixpoint.Make}, run on {!Fixpoint.Scaled} when
     the session carries an integer timebase (see {!kernel_scale}) —
@@ -200,8 +201,7 @@ type delta_outcome =
           reused their previous responses without recomputation. *)
   | Delta_cold of { reason : string }
       (** The analysis ran cold.  [reason] is one of
-          ["previous-not-converged"], ["incremental-disabled"],
-          ["refined-best-case"], ["history-requested"], ["all-dirty"]
+          ["previous-not-converged"], ["refined-best-case"], ["history-requested"], ["all-dirty"]
           (planning refused) or ["warm-not-converged"] (the warm run
           early-exited or hit the iteration cap and was rerun cold). *)
 
@@ -268,15 +268,11 @@ module Seeded : sig
       jitters); per task Cb no larger and C shrinking by at least as
       much as Cb.  Reflexive. *)
 
-  val distance : seed:Model.t -> Model.t -> Rational.t option
-  (** L1 gap between the two parameter points (bounds and demands),
-      [None] unless [dominates ~seed].  The ladder picks the nearest
-      dominating seed — fewest warm sweeps to close the gap. *)
-
   val gap : seed:Model.t -> Model.t -> Rational.t
-  (** The gap alone, assuming [dominates ~seed] already holds
-      (meaningless otherwise).  For scans that tested dominance a step
-      earlier — one pass instead of two per frontier entry. *)
+  (** L1 gap between the two parameter points (bounds and demands),
+      assuming [dominates ~seed] already holds (meaningless otherwise).
+      The ladder picks the nearest dominating seed — fewest warm sweeps
+      to close the gap. *)
 end
 
 val analyze_seeded :

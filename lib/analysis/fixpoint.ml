@@ -424,11 +424,11 @@ module Make (N : Timeline.S) = struct
         (* The scenario vectors ν (Eq. 12) of the remote transactions
            form a mixed-radix space of size Π |hp_i|; indexing it lets
            the pool split it into contiguous ranges.  Ranges migrate
-           between slots under stealing, but every index runs exactly
-           once and range maxima join commutatively over exact values,
-           so neither the chunk count nor the steal schedule changes the
-           response.  [slots_for] keeps spaces too small to amortise a
-           domain wake-up inline on slot 0. *)
+           between slots as idle slots steal, but every index runs
+           exactly once and range maxima join commutatively over exact
+           values, so neither the chunk count nor the steal schedule
+           changes the response.  [slots_for] keeps spaces too small to
+           amortise a domain wake-up inline on slot 0. *)
         let stride = site.Ir.stride and total = site.Ir.total in
         Rta.record counters Rta.Total total;
         let jobs = Parallel.Pool.jobs pool in
@@ -438,8 +438,7 @@ module Make (N : Timeline.S) = struct
         let split run =
           if jobs = 1 || slots = 1 then run ~slot:0 ~lo:0 ~hi:total
           else
-            Parallel.Pool.run_ranges pool ~steal:params.Params.steal ~slots
-              ~n:total run
+            Parallel.Pool.run_ranges pool ~slots ~n:total run
         in
         if not params.Params.prune then begin
           (* Exhaustive enumeration — the reference pruning is checked
@@ -606,6 +605,11 @@ module Make (N : Timeline.S) = struct
 
   let copy_matrix m = Array.map Array.copy m
 
+  (* The cap on outer sweeps.  Converging systems settle in a handful;
+     the cap only stops a system whose jitters keep creeping up without
+     diverging or missing a deadline. *)
+  let max_sweeps = 256
+
   let analyze ~params ~pool ~counters ~sweep t memo ~warm =
     let tb = t.tb and ir = t.ir in
     let scale = tb.Timebase.scale in
@@ -670,16 +674,13 @@ module Make (N : Timeline.S) = struct
     let responses = ref (Array.map (Array.map (fun _ -> Divergent)) jit) in
     let diverged = ref false and converged = ref false in
     let iterations = ref 0 in
-    while
-      (not !converged) && (not !diverged)
-      && !iterations < params.Params.max_outer_iterations
-    do
+    while (not !converged) && (not !diverged) && !iterations < max_sweeps do
       incr iterations;
-      (* Jacobi sweep.  With [incremental], a task none of whose
-         dependency rows — precompiled in the IR — changed since the
-         previous sweep carries its response forward: the response is a
-         pure function of those rows, so the carried value is
-         bit-identical to a recomputation. *)
+      (* Jacobi sweep.  A task none of whose dependency rows —
+         precompiled in the IR — changed since the previous sweep
+         carries its response forward: the response is a pure function
+         of those rows, so the carried value is bit-identical to a
+         recomputation. *)
       let dirty (site : Ir.site) =
         let hit = ref false in
         Array.iteri
@@ -695,7 +696,7 @@ module Make (N : Timeline.S) = struct
               (fun b _ ->
                 let site = Ir.site ir ~a ~b in
                 match !prev with
-                | Some pr when params.Params.incremental && not (dirty site) ->
+                | Some pr when not (dirty site) ->
                     incr carried;
                     pr.(a).(b)
                 | _ ->
@@ -717,15 +718,13 @@ module Make (N : Timeline.S) = struct
           :: !history;
       (* With the Simple best case the offsets are constant and the
          responses are monotone across iterations, so a transaction
-         already past its deadline settles the verdict: stop early
-         unless asked for the full fixed point.  (Refined recomputes
+         already past its deadline settles the verdict: stop early.
+         The remaining sweeps would only refine the numbers of a
+         failing system, sometimes very slowly.  (Refined recomputes
          offsets, which breaks the monotonicity argument, so it always
          iterates fully.) *)
-      if
-        params.Params.early_exit
-        && params.Params.best_case = Params.Simple
-        && late resp
-      then diverged := true;
+      if params.Params.best_case = Params.Simple && late resp then
+        diverged := true;
       (* Next jitters, Jacobi-style from this iteration's responses. *)
       let next =
         try

@@ -111,11 +111,11 @@ module Make (N : Timeline.S) : sig
     Report.t
   (** The holistic analysis: outer Jacobi sweeps on the jitters, each
       recomputing the response of every task whose dependency rows
-      changed (all of them without [params.incremental]), until the
-      jitters repeat, a response diverges, some transaction misses its
-      deadline (with [params.early_exit] and the simple best case) or
-      [params.max_outer_iterations] is reached.  [sweep] is called after
-      each sweep.  [pool] splits the exact scenario enumeration;
+      changed and carrying the others forward, until the jitters
+      repeat, a response diverges, some transaction misses its deadline
+      (under the simple best case, whose responses grow monotonically:
+      the verdict is settled, the report has [converged = false]) or
+      256 sweeps have run.  [sweep] is called after each sweep.  [pool] splits the exact scenario enumeration;
       [counters] is bumped with its scenario accounting.
       @raise Rational.Overflow when an operation leaves the domain. *)
 end

@@ -22,37 +22,21 @@ let fixed_latency_family ~delta ~beta =
     bound_of_rate = (fun alpha -> LB.make ~alpha ~delta ~beta);
   }
 
-(* The searches below only read the verdict of each probe analysis, so
-   the per-sweep history matrices are dead weight: drop them whatever
-   parameters the caller passed. *)
-let probe_params params =
-  let p = Option.value params ~default:Analysis.Params.default in
-  { p with Analysis.Params.keep_history = false }
-
 (* One engine session per search: the compiled IR depends only on task
-   placement and priorities, which no probe below ever moves (probes
-   rebind demands or platform bounds), so every probe analysis shares
-   it through [Engine.with_model].  A caller-supplied [engine] is
-   reused directly — its model must be the system's — with the history
-   forced off for the probes. *)
+   placement and priorities, which no probe ever moves (probes rebind
+   demands or platform bounds), so every probe analysis shares it
+   through [Engine.with_model].  A caller-supplied [engine] is reused
+   directly — its model must be the system's.  Probes only read the
+   verdict, so the per-sweep history matrices are dead weight: they are
+   dropped whatever parameters the caller passed. *)
 let probe_engine ?engine ?params ?pool sys =
   match engine with
   | Some e -> Engine.with_overrides ?params ?pool e ~keep_history:false
   | None ->
-      Engine.create ~params:(probe_params params) ?pool
-        (Analysis.Model.of_system sys)
-
-(* Every boolean probe goes through a {!Regions.Probe_ladder}: stored
-   converged probes certify or warm-seed later ones (bit-identical
-   verdicts either way).  Callers that chain several searches over one
-   system pass [?ladder] to share the store across them; otherwise each
-   search gets a fresh ladder, enabled by the probe session's
-   [Params.warm_probes]. *)
-let ladder_for probe = function
-  | Some l -> l
-  | None ->
-      Regions.Probe_ladder.create
-        ~enabled:(Engine.params probe).Analysis.Params.warm_probes ()
+      let p = Option.value params ~default:Analysis.Params.default in
+      Engine.create
+        ~params:{ p with Analysis.Params.keep_history = false }
+        ?pool (Analysis.Model.of_system sys)
 
 let probe_schedulable ~ladder e ~bounds =
   let m = { (Engine.model e) with Analysis.Model.bounds } in
@@ -60,7 +44,9 @@ let probe_schedulable ~ladder e ~bounds =
 
 let schedulable_with ?engine ?params ?pool ?ladder sys ~bounds =
   let probe = probe_engine ?engine ?params ?pool sys in
-  probe_schedulable ~ladder:(ladder_for probe ladder) probe ~bounds
+  probe_schedulable
+    ~ladder:(Option.value ladder ~default:(Regions.Probe_ladder.create ()))
+    probe ~bounds
 
 let current_bounds (sys : Transaction.System.t) =
   Array.map
@@ -127,7 +113,7 @@ let search_min_rate ?(pool = Parallel.Pool.sequential) ~precision ok =
 let min_rate ?engine ?params ?pool ?ladder ?(precision = 10) sys ~resource
     ~family =
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let ok alpha =
     let bounds = Array.copy base in
@@ -142,7 +128,7 @@ let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
   if n <> Array.length sys.Transaction.System.resources then
     invalid_arg "Design.minimize_rates: one family per platform required";
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let rates = Array.make n Q.one in
   let bounds_of rates =
     Array.init n (fun i -> families.(i).bound_of_rate rates.(i))
@@ -173,7 +159,7 @@ let balance_rates ?engine ?params ?pool ?ladder ?(precision = 6) sys ~families =
   if n <> Array.length sys.Transaction.System.resources then
     invalid_arg "Design.balance_rates: one family per platform required";
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let den = 1 lsl precision in
   let rates = Array.make n Q.one in
   let bounds_of rates =
@@ -241,7 +227,7 @@ let scale_demands (m : Analysis.Model.t) factor =
 
 let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let m = Engine.model probe in
   let ok factor =
     if Q.(factor <= zero) then true
@@ -266,7 +252,7 @@ let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
 let max_delta ?engine ?params ?pool ?ladder ?(precision = 10) ?limit sys
     ~resource =
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let default_limit =
     Array.fold_left
@@ -309,7 +295,7 @@ let default_delta_limit (sys : Transaction.System.t) =
 let region ?engine ?params ?pool ?ladder ?(precision = 6) ?limit ?sink sys
     ~resource =
   let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let beta = base.(resource).LB.beta in
   let limit = Option.value limit ~default:(default_delta_limit sys) in

@@ -29,15 +29,14 @@
     regions).  A monotone predicate has a unique flip point, so results
     are independent of the job count — see docs/PERFORMANCE.md.
 
-    Under [Params.warm_probes] (the default) every boolean probe runs
-    through a {!Regions.Probe_ladder}: converged probes at dominating
-    (easier) parameter points certify or warm-seed later ones, with
-    verdicts bit-identical to cold probes (docs/PERFORMANCE.md, bench
-    X17).  Multisection rounds probe their grid points easiest-first
-    for the same reason.  Pass [ladder] to share one store across
-    several searches over the same system — the region + query
-    workload of bench X17 — or leave it out for a private, per-search
-    ladder. *)
+    Every boolean probe runs through a {!Regions.Probe_ladder}:
+    converged probes at dominating (easier) parameter points certify or
+    warm-seed later ones, with verdicts bit-identical to cold probes
+    (docs/PERFORMANCE.md, bench X17).  Multisection rounds probe their
+    grid points easiest-first for the same reason.  Pass [ladder] to
+    share one store across several searches over the same system — the
+    region + query workload of bench X17 — or leave it out for a
+    private, per-search ladder. *)
 
 type family = {
   describe : string;
@@ -50,6 +49,16 @@ val periodic_server_family : period:Rational.t -> family
 val fixed_latency_family : delta:Rational.t -> beta:Rational.t -> family
 (** Only the rate varies; delay and burstiness stay fixed (the abstract
     setting of the paper's Table 2). *)
+
+val probe_engine :
+  ?engine:Analysis.Engine.t ->
+  ?params:Analysis.Params.t ->
+  ?pool:Parallel.Pool.t ->
+  Transaction.System.t ->
+  Analysis.Engine.t
+(** The probe session every search here (and {!Sensitivity}) runs on:
+    [engine] rebound with [params] and [pool] when given, else a fresh
+    session over the system, with the history off either way. *)
 
 val schedulable_with :
   ?engine:Analysis.Engine.t ->

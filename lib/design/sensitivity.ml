@@ -50,32 +50,15 @@ let search_scaling ~precision ok =
     Q.(limit * make !lo den)
   end
 
-(* Probes only read the verdict; skip the per-sweep history copies.
-   Scaling probes rebind demands only, so the caller's (or a fresh)
-   session keeps its compiled IR across the whole search. *)
-let probe_engine ?engine ?params ?pool sys =
-  match engine with
-  | Some e -> Engine.with_overrides ?params ?pool e ~keep_history:false
-  | None ->
-      let params =
-        let p = Option.value params ~default:Analysis.Params.default in
-        { p with Analysis.Params.keep_history = false }
-      in
-      Engine.create ~params ?pool (Model.of_system sys)
-
-(* Scaling probes along one task's factor axis form a dominance chain —
-   a smaller factor shrinks (c, cb) together with c moving at least as
-   fast — so the bisection's probes certify and warm-seed each other
-   through a ladder (bit-identical verdicts; see Param_search). *)
-let ladder_for probe = function
-  | Some l -> l
-  | None ->
-      Regions.Probe_ladder.create
-        ~enabled:(Engine.params probe).Analysis.Params.warm_probes ()
-
+(* Scaling probes rebind demands only, so the caller's (or a fresh)
+   session keeps its compiled IR across the whole search.  Probes along
+   one task's factor axis form a dominance chain — a smaller factor
+   shrinks (c, cb) together with c moving at least as fast — so the
+   bisection's probes certify and warm-seed each other through a ladder
+   (bit-identical verdicts; see Param_search). *)
 let task_scaling ?engine ?params ?pool ?ladder ?(precision = 7) sys ~txn ~task =
-  let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe ladder in
+  let probe = Param_search.probe_engine ?engine ?params ?pool sys in
+  let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let m = Engine.model probe in
   let ok factor =
     if Q.(factor <= zero) then true
@@ -86,8 +69,8 @@ let task_scaling ?engine ?params ?pool ?ladder ?(precision = 7) sys ~txn ~task =
   search_scaling ~precision ok
 
 let all_task_margins ?engine ?params ?pool ?precision sys =
-  let probe = probe_engine ?engine ?params ?pool sys in
-  let ladder = ladder_for probe None in
+  let probe = Param_search.probe_engine ?engine ?params ?pool sys in
+  let ladder = Regions.Probe_ladder.create () in
   let m = Engine.model probe in
   let sites = ref [] in
   Array.iteri

@@ -8,11 +8,10 @@
     parameters and pool are adopted.  Without [engine], a fresh session
     is built from [params] and [pool].
 
-    Under [Params.warm_probes] scaling probes run through a
-    {!Regions.Probe_ladder} — probes along one task's factor axis form
-    a dominance chain, so the bisection's points certify and warm-seed
-    each other with bit-identical verdicts (see
-    {!Design.Param_search}).  [ladder] shares a store across calls;
+    Scaling probes run through a {!Regions.Probe_ladder} — probes along
+    one task's factor axis form a dominance chain, so the bisection's
+    points certify and warm-seed each other with bit-identical verdicts
+    (see {!Design.Param_search}).  [ladder] shares a store across calls;
     {!all_task_margins} shares one over all its per-task searches. *)
 
 type task_margin = {

@@ -187,7 +187,7 @@ let chunk ~jobs ~n ~slot = (slot * n / jobs, (slot + 1) * n / jobs)
    fixpoints) costs on the order of one.  Regions smaller than a few
    items per slot therefore lose more to dispatch than they gain from
    parallelism — the caller should run them inline on slot 0. *)
-let default_min_chunk = 8
+let min_chunk = 8
 
 (* Slots beyond the cores the host actually offers cannot run in
    parallel: the extra slots serialise behind the same cores and pay
@@ -197,7 +197,7 @@ let default_min_chunk = 8
    [weight] is the caller's estimate of one item in units of the
    cheapest item the pool is worth waking for, so a region of 3 items
    each worth 50 units parallelises while 7 unit items stay inline. *)
-let slots_for ?(min_chunk = default_min_chunk) ?(weight = 1) t n =
+let slots_for ?(weight = 1) t n =
   if n <= 0 then 1
   else
     let weight = Stdlib.max 1 weight in
@@ -275,20 +275,10 @@ let map_list t f l =
    have executed remains, so exiting early never drops an index. *)
 type range = { lo : int; hi : int }
 
-let run_ranges ?(steal = true) ?(min_block = 1) t ~slots ~n f =
+let run_ranges t ~slots ~n f =
   if n > 0 then begin
     let slots = Stdlib.max 1 (Stdlib.min slots t.jobs) in
-    let min_block = Stdlib.max 1 min_block in
     if slots = 1 then f ~slot:0 ~lo:0 ~hi:n
-    else if not steal then
-      (* Static geometry: exactly the contiguous chunks the pre-stealing
-         pool used, one block per slot — the reference the determinism
-         suite compares the stealing scheduler against. *)
-      run t (fun slot ->
-          if slot < slots then begin
-            let lo = slot * n / slots and hi = (slot + 1) * n / slots in
-            if lo < hi then f ~slot ~lo ~hi
-          end)
     else begin
       let deques =
         Array.init slots (fun s ->
@@ -299,7 +289,7 @@ let run_ranges ?(steal = true) ?(min_block = 1) t ~slots ~n f =
         let len = r.hi - r.lo in
         if len <= 0 then None
         else
-          let blk = Stdlib.min len (Stdlib.max min_block ((len + 1) / 2)) in
+          let blk = (len + 1) / 2 in
           if Atomic.compare_and_set deques.(s) r { r with lo = r.lo + blk }
           then begin
             if blk < len then Atomic.incr t.n_splits;

@@ -16,10 +16,9 @@
     scaled ints) or writes them at their index: the set of indices
     executed is always exactly [\[0, n)], so the join is a pure function
     of the inputs whatever the block geometry.  A computation run with
-    any job count — stealing on or off — returns results bit-identical
-    to the sequential run, the property the determinism tests assert
-    (see docs/PERFORMANCE.md and the memoization section of
-    docs/THEORY.md).
+    any job count returns results bit-identical to the sequential run,
+    the property the determinism tests assert (see docs/PERFORMANCE.md
+    and the memoization section of docs/THEORY.md).
 
     A pool is {e reentrant}: calling {!run} (or anything built on it)
     from inside a worker of the same pool degrades to executing every
@@ -64,48 +63,38 @@ val run : t -> (int -> unit) -> unit
     slots raise, the exception of the lowest slot is re-raised in the
     caller (deterministically), after every slot has completed. *)
 
-val slots_for : ?min_chunk:int -> ?weight:int -> t -> int -> int
+val slots_for : ?weight:int -> t -> int -> int
 (** [slots_for t n] is the number of slots a region of [n] items should
     be split over: at most [jobs t], at most the host's recommended
     domain count (extra slots cannot run in parallel and only pay
-    dispatch), and no more than [n·weight / min_chunk] so each woken
-    domain amortises the dispatch cost over at least [min_chunk] units
-    of work.  [weight] (default 1) is the caller's per-item cost hint in
-    units of the cheapest item worth dispatching for — one scenario's
-    busy fixpoints; a region of 3 whole-analysis items (weight in the
-    hundreds) parallelises even though [3 < min_chunk], while 7 unit
-    items stay inline.  [1] means: run the whole range inline on slot
-    0 — small regions then never pay the domain wake-up, which is what
-    keeps many tiny scenario spaces from making [jobs 4] slower than
-    [jobs 1].  Reductions joined over chunks are associative and
-    commutative in the analysis, so the slot count never changes
-    results (asserted by the identity tests and bench X9). *)
+    dispatch), and no more than [n·weight / 8] so each woken domain
+    amortises the dispatch cost over at least 8 units of work.
+    [weight] (default 1) is the caller's per-item cost hint in units of
+    the cheapest item worth dispatching for — one scenario's busy
+    fixpoints; a region of 3 whole-analysis items (weight in the
+    hundreds) parallelises even though [3 < 8], while 7 unit items stay
+    inline.  [1] means: run the whole range inline on slot 0 — small
+    regions then never pay the domain wake-up, which is what keeps many
+    tiny scenario spaces from making [jobs 4] slower than [jobs 1].
+    Reductions joined over chunks are associative and commutative in
+    the analysis, so the slot count never changes results (asserted by
+    the identity tests and bench X9). *)
 
 val run_ranges :
-  ?steal:bool ->
-  ?min_block:int ->
-  t ->
-  slots:int ->
-  n:int ->
-  (slot:int -> lo:int -> hi:int -> unit) ->
-  unit
+  t -> slots:int -> n:int -> (slot:int -> lo:int -> hi:int -> unit) -> unit
 (** [run_ranges t ~slots ~n f] covers the index range [\[0, n)] with
     calls [f ~slot ~lo ~hi], each a half-open sub-range executed on
     [slot]'s loop: every index is covered exactly once, and all calls
     with the same [slot] run sequentially in one domain (so per-slot
     caches need no locks).  Slot [s]'s deque is seeded with the
-    contiguous chunk [\[s·n/slots, (s+1)·n/slots)]; with [steal] (the
-    default) its owner claims halving blocks — never smaller than
-    [min_block] (default 1) — off the front, leaving the back
-    stealable, and a slot whose deque drains steals the back half of
-    the largest remaining deque, re-exposing the loot on its own deque
-    for further splitting.  Which slot executes which index therefore
-    depends on timing; results must be joined commutatively or written
-    at their index (see the determinism argument above).  With
-    [steal = false] the geometry degenerates to exactly one static
-    contiguous chunk per slot — the pre-stealing reference the
-    determinism tests compare against.  The pool's {!stats} counters
-    record the region's steals, splits and idle slots.
+    contiguous chunk [\[s·n/slots, (s+1)·n/slots)]; its owner claims
+    halving blocks off the front, leaving the back stealable, and a
+    slot whose deque drains steals the back half of the largest
+    remaining deque, re-exposing the loot on its own deque for further
+    splitting.  Which slot executes which index therefore depends on
+    timing; results must be joined commutatively or written at their
+    index (see the determinism argument above).  The pool's {!stats}
+    counters record the region's steals, splits and idle slots.
     [slots <= 1] (or [n] of 0) runs inline on slot 0 without touching
     the pool. *)
 

@@ -65,8 +65,6 @@ let create ?(enabled = true) () =
     cert_infeasible = 0;
   }
 
-let enabled t = t.enabled
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f

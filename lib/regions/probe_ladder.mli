@@ -49,12 +49,9 @@ type stats = {
 }
 
 val create : ?enabled:bool -> unit -> t
-(** A fresh empty ladder.  [~enabled:false] (from
-    [Params.warm_probes = false]) makes both probe entry points plain
-    cold passthroughs that still count {!stats} — the benchmarking
-    baseline. *)
-
-val enabled : t -> bool
+(** A fresh empty ladder.  [~enabled:false] makes both probe entry
+    points plain cold passthroughs that still count {!stats} — the cold
+    reference the tests and benches X16/X17 compare against. *)
 
 val schedulable : t -> Analysis.Engine.t -> Analysis.Model.t -> bool
 (** Boolean probe: the verdict of analysing [m] on a session derived

@@ -488,8 +488,7 @@ let process_batch t envs =
            snapshots differ wildly in analysis cost; slot identity still
            routes each item to the session owned by its executor. *)
         let slots = Parallel.Pool.slots_for ~weight:1024 t.pool m in
-        Parallel.Pool.run_ranges t.pool ~steal:t.params.Analysis.Params.steal
-          ~slots ~n:m (fun ~slot ~lo ~hi ->
+        Parallel.Pool.run_ranges t.pool ~slots ~n:m (fun ~slot ~lo ~hi ->
             for k = lo to hi - 1 do
               let i = idxs.(k) in
               results.(i) <-
@@ -617,9 +616,7 @@ let process_batch t envs =
         if w > 1 then begin
           parallel_count := !parallel_count + w;
           let slots = Parallel.Pool.slots_for ~weight:1024 t.pool w in
-          Parallel.Pool.run_ranges t.pool
-            ~steal:t.params.Analysis.Params.steal ~slots ~n:w
-            (fun ~slot ~lo ~hi ->
+          Parallel.Pool.run_ranges t.pool ~slots ~n:w (fun ~slot ~lo ~hi ->
               for k = lo to hi - 1 do
                 let j = work.(k) in
                 match cands.(j) with

@@ -340,8 +340,8 @@ let test_classical_divergent () =
   | _ -> Alcotest.fail "expected the lowest task to diverge"
 
 let test_early_exit_flag () =
-  (* a hopeless system: with early exit the loop stops quickly; without
-     it, the same verdict is reached but with full iteration counts *)
+  (* a hopeless system: the first sweep already overruns the deadline,
+     so the loop stops there with converged = false *)
   let m =
     Model.make
       ~bounds:[ LB.make ~alpha:(q "0.5") ~delta:Q.zero ~beta:Q.zero ]
@@ -354,16 +354,9 @@ let test_early_exit_flag () =
   Alcotest.(check bool) "unschedulable" false fast.Report.schedulable;
   Alcotest.(check bool) "not converged (early exit)" false fast.Report.converged;
   Alcotest.(check int) "one iteration" 1 fast.Report.outer_iterations;
-  let full =
-    analyze
-      ~params:{ Analysis.Params.default with Analysis.Params.early_exit = false }
-      m
-  in
-  Alcotest.(check bool) "same verdict" false full.Report.schedulable;
-  (* single-task transaction: jitters never change, so the full run
-     converges in 2 iterations with a genuine fixed point *)
-  Alcotest.(check bool) "full run converges" true full.Report.converged;
-  match full.Report.results.(0).(0).Report.response with
+  (* single-task transaction: jitters never change, so the response of
+     sweep 1 is already the fixed point's *)
+  match fast.Report.results.(0).(0).Report.response with
   | Report.Divergent -> Alcotest.fail "divergent"
   | Report.Finite r -> check_q "R = C/alpha" (q "6") r
 
@@ -392,7 +385,7 @@ let test_exact_never_exceeds_reduced () =
       re.Report.results
   done
 
-(* --- pruning and incrementality are invisible in reports --- *)
+(* --- pruning and carried responses are invisible in reports --- *)
 
 let scenario_total (m : Model.t) =
   let total = ref 0 in
@@ -404,15 +397,13 @@ let scenario_total (m : Model.t) =
     m.Model.txns;
   !total
 
-(* The tentpole identity: branch-and-bound pruning plus the incremental
-   outer fixed point produce, report-for-report (history included), the
-   same exact rationals as the naive enumerate-everything path — under
-   both variants and for both a sequential and a 4-domain pool. *)
+(* Branch-and-bound pruning produces, report-for-report (history
+   included), the same exact rationals as the naive enumerate-everything
+   path — under both variants and for both a sequential and a 4-domain
+   pool. *)
 let ablation_identity_prop =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:"prune+incremental = naive, exact and reduced, jobs 1 and 4"
-       ~count:10
+    (QCheck.Test.make ~name:"prune = naive, exact and reduced" ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
          let spec =
@@ -426,11 +417,7 @@ let ablation_identity_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let agrees base =
-           let reference =
-             analyze
-               ~params:{ base with P.prune = false; incremental = false }
-               m
-           in
+           let reference = analyze ~params:{ base with P.prune = false } m in
            List.for_all
              (fun jobs ->
                Parallel.Pool.with_pool ~jobs (fun pool ->
@@ -439,6 +426,65 @@ let ablation_identity_prop =
              [ 1; 4 ]
          in
          agrees P.exact && agrees P.default))
+
+(* Between sweeps the outer fixed point carries forward the response of
+   every task none of whose dependency rows changed.  Replaying a sweep
+   of a cold run from the all-dirty warm start at that sweep's jitters
+   recomputes every task, so each response the cold run carried is
+   checked against a recomputation. *)
+let carry_forward_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"carried responses = recomputed" ~count:10
+       (QCheck.int_range 1 1000)
+       (fun seed ->
+         let spec =
+           {
+             Workload.Gen.default_spec with
+             Workload.Gen.n_txns = 3;
+             max_tasks_per_txn = 3;
+           }
+         in
+         let m = Model.of_system (Workload.Gen.system ~seed spec) in
+         QCheck.assume (scenario_total m < 20_000);
+         let module X = Analysis.Fixpoint.Exact in
+         let ir = Analysis.Ir.compile m in
+         let agrees params =
+           let tables =
+             X.tables ir
+               (Analysis.Timebase.exact m
+                  ~horizon_factor:params.P.horizon_factor)
+           in
+           let run warm =
+             X.analyze ~params ~pool:Parallel.Pool.sequential
+               ~counters:(Rta.counters ())
+               ~sweep:(fun ~iteration:_ ~recomputed:_ ~carried:_ -> ())
+               tables (X.memo m ~slots:1) ~warm
+           in
+           List.for_all
+             (fun (h : Report.iteration) ->
+               let warm =
+                 {
+                   Analysis.Fixpoint.dirty = Array.make (Model.n_txns m) true;
+                   jit = h.Report.jitters;
+                   resp =
+                     Array.map
+                       (Array.map (fun _ -> Report.Divergent))
+                       h.Report.jitters;
+                   floor = false;
+                 }
+               in
+               match (run (Some (X.lift tables warm))).Report.history with
+               | replay :: _ -> replay.Report.responses = h.Report.responses
+               | [] -> false)
+             (run None).Report.history
+         in
+         List.for_all agrees
+           [
+             P.exact;
+             P.default;
+             { P.exact with P.best_case = P.Refined };
+             { P.default with P.best_case = P.Refined };
+           ]))
 
 let test_keep_history () =
   let m = paper_model () in
@@ -458,13 +504,11 @@ let test_scenario_counters () =
     ignore (analyze ~params ~counters m);
     (Rta.total_scenarios counters, Rta.visited_scenarios counters)
   in
-  let t0, v0 =
-    exercise { P.exact with P.prune = false; incremental = false }
-  in
+  let t0, v0 = exercise { P.exact with P.prune = false } in
   Alcotest.(check int) "naive visits everything" t0 v0;
   let t1, v1 = exercise P.exact in
-  Alcotest.(check bool) "visited within total" true (v1 <= t1);
-  Alcotest.(check bool) "incremental examines no more spaces" true (t1 <= t0)
+  Alcotest.(check int) "pruning examines the same spaces" t0 t1;
+  Alcotest.(check bool) "pruning visits fewer scenarios" true (v1 < v0)
 
 (* --- engine sessions --- *)
 
@@ -1259,6 +1303,7 @@ let () =
       ( "pruning",
         [
           ablation_identity_prop;
+          carry_forward_prop;
           Alcotest.test_case "keep_history off" `Quick test_keep_history;
           Alcotest.test_case "scenario counters" `Quick test_scenario_counters;
         ] );

@@ -92,51 +92,27 @@ let test_shutdown () =
 
 (* --- work-stealing ranges --- *)
 
-(* Whatever the block geometry — static chunks, owner splits, steals —
-   every index of [0, n) must be executed exactly once.  Ranges never
-   overlap, so the counting writes touch distinct cells and need no
-   lock. *)
+(* Whatever the block geometry — owner splits, steals — every index of
+   [0, n) must be executed exactly once.  Ranges never overlap, so the
+   counting writes touch distinct cells and need no lock. *)
 let test_ranges_cover_exactly_once () =
   List.iter
     (fun jobs ->
       P.with_pool ~jobs @@ fun pool ->
       List.iter
-        (fun steal ->
-          List.iter
-            (fun n ->
-              let hits = Array.make (max n 1) 0 in
-              P.run_ranges pool ~steal ~slots:(P.jobs pool) ~n
-                (fun ~slot:_ ~lo ~hi ->
-                  for i = lo to hi - 1 do
-                    hits.(i) <- hits.(i) + 1
-                  done);
-              for i = 0 to n - 1 do
-                Alcotest.(check int)
-                  (Printf.sprintf "jobs %d steal %b n %d index %d" jobs steal
-                     n i)
-                  1 hits.(i)
-              done)
-            [ 0; 1; 2; 3; 7; 64; 257 ])
-        [ true; false ])
+        (fun n ->
+          let hits = Array.make (max n 1) 0 in
+          P.run_ranges pool ~slots:(P.jobs pool) ~n (fun ~slot:_ ~lo ~hi ->
+              for i = lo to hi - 1 do
+                hits.(i) <- hits.(i) + 1
+              done);
+          for i = 0 to n - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "jobs %d n %d index %d" jobs n i)
+              1 hits.(i)
+          done)
+        [ 0; 1; 2; 3; 7; 64; 257 ])
     [ 1; 2; 4; 5 ]
-
-(* With stealing off the scheduler must degenerate to the pre-stealing
-   reference: exactly one contiguous chunk [s*n/slots, (s+1)*n/slots)
-   per slot, empty chunks never delivered. *)
-let test_ranges_static_geometry () =
-  P.with_pool ~jobs:4 @@ fun pool ->
-  let slots = 4 and n = 10 in
-  let calls = Array.make slots [] in
-  P.run_ranges pool ~steal:false ~slots ~n (fun ~slot ~lo ~hi ->
-      calls.(slot) <- (lo, hi) :: calls.(slot));
-  Array.iteri
-    (fun s got ->
-      let lo = s * n / slots and hi = (s + 1) * n / slots in
-      let expected = if lo < hi then [ (lo, hi) ] else [] in
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "slot %d chunk" s)
-        expected got)
-    calls
 
 (* A deliberately skewed region: the first quarter of the index space
    carries all the work, so the slots owning the light chunks drain
@@ -284,28 +260,25 @@ let determinism_prop =
          in
          agrees Params.exact && agrees Params.default))
 
-(* The full stealing matrix: a random workload analysed under every
-   jobs x stealing combination must yield one report, bit for bit —
-   stealing only changes which slot executes which index range, and the
-   analysis joins range results commutatively over exact values. *)
+(* A random workload analysed at jobs 1, 2 and 4 must yield one report,
+   bit for bit — stealing only changes which slot executes which index
+   range, and the analysis joins range results commutatively over exact
+   values.  Jobs 1 runs every range inline: the sequential reference. *)
 let steal_determinism_prop =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"jobs {1,2,4} x stealing on/off bit-identical"
-       ~count:8 (QCheck.int_range 1 1000)
+    (QCheck.Test.make ~name:"jobs {1,2,4} bit-identical" ~count:8
+       (QCheck.int_range 1 1000)
        (fun seed ->
          let sys = G.system ~seed small_spec in
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
-         let agrees base =
-           let reports steal =
+         let agrees params =
+           match
              List.map
                (fun jobs ->
-                 P.with_pool ~jobs (fun pool ->
-                     analyze
-                       ~params:{ base with Params.steal } ~pool m))
+                 P.with_pool ~jobs (fun pool -> analyze ~params ~pool m))
                [ 1; 2; 4 ]
-           in
-           match reports true @ reports false with
+           with
            | r :: rest -> List.for_all (fun r' -> r' = r) rest
            | [] -> false
          in
@@ -330,8 +303,6 @@ let () =
         [
           Alcotest.test_case "cover every index exactly once" `Quick
             test_ranges_cover_exactly_once;
-          Alcotest.test_case "static geometry without stealing" `Quick
-            test_ranges_static_geometry;
           Alcotest.test_case "skewed region records steals" `Quick
             test_ranges_steal_skewed;
         ] );

@@ -271,6 +271,75 @@ let region_identity_prop =
          in
          agrees P.exact && agrees P.default))
 
+(* The probe ladder certifies and warm-seeds probes from earlier ones;
+   what it answers must still be what cold probes answer.  On the
+   sensor-fusion example's P3 (the platform `hsched design --region P3`
+   reports on) the region build — frontier, refined vertices, cell
+   statistics — and then min-rate questions on the same ladder must
+   come out as through a disabled ladder. *)
+let test_ladder_equals_cold () =
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "../examples/sensor_fusion.hsc"; "examples/sensor_fusion.hsc" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.failf "cannot find sensor_fusion.hsc"
+  in
+  let sys =
+    match Spec.load_file path with
+    | Ok asm -> Transaction.Derive.derive_exn asm
+    | Error es -> Alcotest.failf "%s: %s" path (String.concat " | " es)
+  in
+  let resources = sys.Transaction.System.resources in
+  let resource =
+    Option.get
+      (Array.find_index
+         (fun (r : Platform.Resource.t) -> r.Platform.Resource.name = "P3")
+         resources)
+  in
+  let beta = resources.(resource).Platform.Resource.bound.LB.beta in
+  let run ladder =
+    let rm = D.region ~ladder ~precision:3 sys ~resource in
+    let answers =
+      List.map
+        (fun delta ->
+          D.min_rate ~ladder sys ~resource
+            ~family:(D.fixed_latency_family ~delta:(q delta) ~beta))
+        [ "0.5"; "1"; "2"; "4" ]
+    in
+    (rm, answers)
+  in
+  let warm_ladder = Regions.Probe_ladder.create () in
+  let warm, warm_answers = run warm_ladder in
+  let cold, cold_answers = run (Regions.Probe_ladder.create ~enabled:false ()) in
+  let points pts =
+    List.map
+      (fun (p : F.point) ->
+        Printf.sprintf "%s,%s,%b" (Q.to_string p.F.f_alpha)
+          (Q.to_string p.F.f_delta) p.F.f_refined)
+      pts
+  in
+  Alcotest.(check (list string))
+    "frontier"
+    (points (F.points cold.D.frontier))
+    (points (F.points warm.D.frontier));
+  Alcotest.(check (list string))
+    "refined vertices" (points cold.D.refined) (points warm.D.refined);
+  Alcotest.(check bool)
+    "cell stats" true
+    (C.stats cold.D.cells = C.stats warm.D.cells);
+  Alcotest.(check (list (option string)))
+    "min rates"
+    (List.map (Option.map Q.to_string) cold_answers)
+    (List.map (Option.map Q.to_string) warm_answers);
+  let s = Regions.Probe_ladder.stats warm_ladder in
+  Alcotest.(check bool)
+    "the warm ladder answered some probes without a cold analysis" true
+    (s.Regions.Probe_ladder.seeded + s.Regions.Probe_ladder.cert_feasible
+     + s.Regions.Probe_ladder.cert_infeasible
+    > 0)
+
 let () =
   Alcotest.run "regions"
     [
@@ -290,6 +359,8 @@ let () =
           Alcotest.test_case "min alpha vs multisection" `Quick
             test_paper_min_alpha;
           Alcotest.test_case "trace events" `Quick test_events;
+          Alcotest.test_case "ladder = cold probes on P3" `Quick
+            test_ladder_equals_cold;
         ] );
       ("identity", [ region_identity_prop ]);
     ]
