@@ -138,13 +138,16 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
       kernel_poisoned = ref false;
     }
   in
-  emit t
-    (Compiled
-       {
-         txns = Ir.n_txns ir;
-         tasks = Ir.n_tasks ir;
-         exact_scenarios = Ir.exact_scenarios ir;
-       });
+  (* Counting the exact scenarios builds every site, which a session
+     otherwise builds on first use: only a listener pays for it. *)
+  if Option.is_some sink then
+    emit t
+      (Compiled
+         {
+           txns = Ir.n_txns ir;
+           tasks = Ir.n_tasks ir;
+           exact_scenarios = Ir.exact_scenarios ir;
+         });
   emit_kernel_verdict t;
   t
 
@@ -315,8 +318,8 @@ module Delta = struct
      blocking, the task chain (demands, placement, priorities) and the
      linear bounds of every platform its tasks run on.  Interference
      *from other* transactions is not part of this check — changes
-     there are other transactions' dirtiness, propagated through the
-     dependency rows by the closure. *)
+     there are other transactions' dirtiness, propagated by the
+     closure under the rows each site reads. *)
   let txn_clean ~prev_model ~model ~prev_a ~a =
     let om = prev_model and nm = model in
     let ot = om.Model.txns.(prev_a) and nt = nm.Model.txns.(a) in
@@ -372,7 +375,7 @@ module Delta = struct
       if Array.for_all Fun.id seed then Error "all-dirty"
       else begin
         (* A removed transaction's interference is gone from equations
-           the new dependency rows cannot see any more; conservatively
+           the new model's reads rule cannot see any more; conservatively
            seed every survivor that shares a platform with it.  Clean
            survivors keep their resource indices (the task chains
            compared equal), so the overlap test in the old model's

@@ -1,12 +1,13 @@
 (** Analysis sessions: the model compiled once, analysed many times.
 
     An engine session binds together everything one analysis run needs —
-    the {!Model.t}, the compiled {!Ir.t} (participant sets, mixed-radix
-    scenario layouts, dependency rows), the {!Params.t}, the worker
-    {!Parallel.Pool.t}, the interference {!Memo.t} and the scenario
-    {!Rta.counters} — as one immutable value.  Creating the session pays
-    the per-model compilation cost once; every subsequent {!analyze} or
-    design-space probe reuses the compiled state.
+    the {!Model.t}, the compiled {!Ir.t} (participant sets and
+    mixed-radix scenario layouts, built per site on first use), the
+    {!Params.t}, the worker {!Parallel.Pool.t}, the interference
+    {!Memo.t} and the scenario {!Rta.counters} — as one immutable
+    value.  Creating the session pays the per-model compilation cost
+    once; every subsequent {!analyze} or design-space probe reuses the
+    compiled state.
 
     Sessions are cheap persistent values: {!with_overrides} and
     {!with_model} derive new sessions sharing whatever remains valid
@@ -68,8 +69,8 @@ type event =
           the warm start skipped (the exact cold count would cost the
           cold run the seeding avoids). *)
   | Sweep of { iteration : int; recomputed : int; carried : int }
-      (** One outer Jacobi iteration finished; [recomputed] tasks had a
-          dirty dependency row, [carried] reused their previous
+      (** One outer Jacobi iteration finished; [recomputed] tasks read
+          a dirty row ({!Ir.stale}), [carried] reused their previous
           response. *)
   | Finished of { iterations : int; converged : bool; schedulable : bool }
   | Pool_stats of { steals : int; splits : int; idle : int }
@@ -140,10 +141,10 @@ val with_model : t -> Model.t -> t
 val model : t -> Model.t
 
 val ir : t -> Ir.t
-(** The session's compiled IR.  [Ir.compatible (ir t) m] predicts
-    whether {!with_model}[ t m] will keep it warm — long-lived callers
-    (the admission-control service) use this to report how often a
-    rebind recompiled. *)
+(** The session's compiled IR.  {!with_model} keeps it, physically,
+    exactly when the new model is {!Ir.compatible} — long-lived callers
+    (the admission-control service) compare [ir] before and after a
+    rebind to report how often it recompiled. *)
 
 val params : t -> Params.t
 
@@ -188,7 +189,7 @@ val analyze : t -> Report.t
     from the bottom — even when the session's model differs from a
     previously analysed one by a single admitted or revoked fragment.
     {!analyze_delta} instead diffs the two models into a changed
-    transaction set, closes it over the IR's dependency rows
+    transaction set, closes it under the rows each site reads
     ({!Ir.dirty_closure}), pins every clean transaction's jitter row
     and responses at the previous converged values and iterates only
     the dirty frontier — O(affected) instead of O(system), with the
@@ -217,7 +218,7 @@ module Delta : sig
       seed the changed ones (different period, deadline, jitter,
       blocking, task chain or platform bounds — plus every survivor
       sharing a platform with a removed transaction), and close the
-      seed over the session IR's dependency rows.  [Error reason] when
+      seed with {!Ir.dirty_closure}.  [Error reason] when
       warm analysis is unsound or pointless — the [Delta_cold] reasons
       above, except ["warm-not-converged"]. *)
 

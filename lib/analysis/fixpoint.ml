@@ -676,17 +676,13 @@ module Make (N : Timeline.S) = struct
     let iterations = ref 0 in
     while (not !converged) && (not !diverged) && !iterations < max_sweeps do
       incr iterations;
-      (* Jacobi sweep.  A task none of whose dependency rows —
-         precompiled in the IR — changed since the previous sweep
-         carries its response forward: the response is a pure function
-         of those rows, so the carried value is bit-identical to a
-         recomputation. *)
-      let dirty (site : Ir.site) =
-        let hit = ref false in
-        Array.iteri
-          (fun i d -> if d && (jit_dirty.(i) || phi_dirty.(i)) then hit := true)
-          site.Ir.deps;
-        !hit
+      (* Jacobi sweep.  A task none of whose rows ({!Ir.stale}) changed
+         since the previous sweep carries its response forward: the
+         response is a pure function of those rows, so the carried
+         value is bit-identical to a recomputation. *)
+      let stale =
+        Ir.stale ir
+          ~dirty:(Array.init n (fun i -> jit_dirty.(i) || phi_dirty.(i)))
       in
       let recomputed = ref 0 and carried = ref 0 in
       let resp =
@@ -694,15 +690,14 @@ module Make (N : Timeline.S) = struct
           (fun a row ->
             Array.mapi
               (fun b _ ->
-                let site = Ir.site ir ~a ~b in
                 match !prev with
-                | Some pr when not (dirty site) ->
+                | Some pr when not (stale ~a ~b) ->
                     incr carried;
                     pr.(a).(b)
                 | _ ->
                     incr recomputed;
-                    response_time ~pool ~memo ~counters t site params
-                      ~phi:!phi ~jit)
+                    response_time ~pool ~memo ~counters t (Ir.site ir ~a ~b)
+                      params ~phi:!phi ~jit)
               row)
           jit
       in

@@ -110,8 +110,8 @@ module Make (N : Timeline.S) : sig
     warm:lifted option ->
     Report.t
   (** The holistic analysis: outer Jacobi sweeps on the jitters, each
-      recomputing the response of every task whose dependency rows
-      changed and carrying the others forward, until the jitters
+      recomputing the response of every task that reads a changed row
+      ({!Ir.stale}) and carrying the others forward, until the jitters
       repeat, a response diverges, some transaction misses its deadline
       (under the simple best case, whose responses grow monotonically:
       the verdict is settled, the report has [converged = false]) or

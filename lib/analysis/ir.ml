@@ -2,9 +2,13 @@
    machinery used to recompute on every [analyze] call but that actually
    depends only on the static structure of the system — task placement
    and priorities — not on demands, platform bounds, offsets or jitters.
-   Compiled once per engine session and shared by every analysis run. *)
+   Compiled once per engine session and shared by every analysis run.
 
-module Q = Rational
+   Compiling keeps only the per-task (res, prio) shape and, per
+   platform, the tasks it hosts.  Eq. 17 confines a site's interferers
+   to its own platform, so each site is built from that one list the
+   first time an analysis asks for it, and whether a site reads a dirty
+   row is decided from the shape alone ([stale]). *)
 
 type remote = { txn : int; choices : int array; hp_list : int list }
 
@@ -16,15 +20,18 @@ type site = {
   remotes : remote array;
   stride : int array;
   total : int;
-  deps : bool array;
 }
 
 type t = {
-  sites : site array array;
   shape : (int * int) array array;  (* (res, prio) per task: the only
                                        model inputs the IR reads *)
-  n_txns : int;
-  n_tasks : int;
+  on : (int * int) list array;  (* per platform: its tasks (a, b), in
+                                   (txn, task) order *)
+  sites : site option array array;
+      (* built on first use.  Sessions sharing the IR may race to build
+         a slot from several domains; every racer stores an equal
+         immutable site, so an [option] slot is safe where a
+         concurrently forced [Lazy.t] would raise *)
 }
 
 let hp m ~i ~a ~b =
@@ -41,100 +48,161 @@ let hp m ~i ~a ~b =
     m.Model.txns.(i).Model.tasks;
   List.rev !out
 
-let compile_site m ~a ~b =
-  let n = Model.n_txns m in
-  let own_hp = hp m ~i:a ~a ~b in
-  let own = own_hp @ [ b ] in
+(* Consecutive tasks of one transaction, grouped: the platform lists are
+   in (txn, task) order, so each group is one remote's interferers in
+   ascending position. *)
+let rec by_txn = function
+  | [] -> []
+  | (i, j) :: rest -> (
+      match by_txn rest with
+      | (i', js) :: groups when i' = i -> (i, j :: js) :: groups
+      | groups -> (i, [ j ]) :: groups)
+
+let build t ~a ~b =
+  let res, prio = t.shape.(a).(b) in
+  let hp =
+    List.filter
+      (fun (i, j) -> snd t.shape.(i).(j) >= prio && not (i = a && j = b))
+      t.on.(res)
+  in
+  let own, rem = List.partition (fun (i, _) -> i = a) hp in
+  let own_hp = List.map snd own in
   (* Remote transactions with interfering tasks, ascending index — the
      digit order of the site analysis's mixed-radix scenario index, so
      every chunk boundary and reduction order follows from it. *)
   let remotes =
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      if i <> a then
-        match hp m ~i ~a ~b with
-        | [] -> ()
-        | hp ->
-            out := { txn = i; choices = Array.of_list hp; hp_list = hp } :: !out
-    done;
-    Array.of_list !out
+    Array.of_list
+      (List.map
+         (fun (txn, hp_list) ->
+           { txn; choices = Array.of_list hp_list; hp_list })
+         (by_txn rem))
   in
   let n_rem = Array.length remotes in
   let stride = Array.make (n_rem + 1) 1 in
   for ri = 0 to n_rem - 1 do
     stride.(ri + 1) <- stride.(ri) * Array.length remotes.(ri).choices
   done;
-  (* The response of (a, b) reads the offset/jitter rows of its own
-     transaction and of every remote transaction with interfering
-     tasks — exactly the participant set above. *)
-  let deps = Array.make n false in
-  deps.(a) <- true;
-  Array.iter (fun r -> deps.(r.txn) <- true) remotes;
-  { a; b; own_hp; own; remotes; stride; total = stride.(n_rem); deps }
-
-let shape_of m =
-  Array.init (Model.n_txns m) (fun a ->
-      Array.init (Model.n_tasks m a) (fun b ->
-          let tk = Model.task m a b in
-          (tk.Model.res, tk.Model.prio)))
+  {
+    a;
+    b;
+    own_hp;
+    own = own_hp @ [ b ];
+    remotes;
+    stride;
+    total = stride.(n_rem);
+  }
 
 let compile m =
-  let n = Model.n_txns m in
-  let sites =
-    Array.init n (fun a ->
-        Array.init (Model.n_tasks m a) (fun b -> compile_site m ~a ~b))
+  let shape =
+    Array.map
+      (fun (tx : Model.txn) ->
+        Array.map (fun (tk : Model.task) -> (tk.Model.res, tk.Model.prio))
+          tx.Model.tasks)
+      m.Model.txns
   in
-  let n_tasks =
-    Array.fold_left (fun acc row -> acc + Array.length row) 0 sites
+  let n_res =
+    Array.fold_left
+      (Array.fold_left (fun acc (res, _) -> max acc (res + 1)))
+      0 shape
   in
-  { sites; shape = shape_of m; n_txns = n; n_tasks }
+  let on = Array.make n_res [] in
+  for a = Array.length shape - 1 downto 0 do
+    for b = Array.length shape.(a) - 1 downto 0 do
+      let res = fst shape.(a).(b) in
+      on.(res) <- (a, b) :: on.(res)
+    done
+  done;
+  {
+    shape;
+    on;
+    sites = Array.map (fun row -> Array.make (Array.length row) None) shape;
+  }
 
-let site t ~a ~b = t.sites.(a).(b)
+let site t ~a ~b =
+  match t.sites.(a).(b) with
+  | Some s -> s
+  | None ->
+      let s = build t ~a ~b in
+      t.sites.(a).(b) <- Some s;
+      s
 
-let site_of m ~a ~b = compile_site m ~a ~b
+let n_txns t = Array.length t.shape
 
-let n_txns t = t.n_txns
-
-let n_tasks t = t.n_tasks
+let n_tasks t =
+  Array.fold_left (fun acc row -> acc + Array.length row) 0 t.shape
 
 let exact_scenarios t =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc s -> acc + (List.length s.own * s.total)) acc row)
-    0 t.sites
+  let total = ref 0 in
+  Array.iteri
+    (fun a row ->
+      Array.iteri
+        (fun b _ ->
+          let s = site t ~a ~b in
+          total := !total + (List.length s.own * s.total))
+        row)
+    t.shape;
+  !total
 
-let compatible t m = t.shape = shape_of m
+let compatible t m =
+  Array.length t.shape = Model.n_txns m
+  && Array.for_all2
+       (fun row (tx : Model.txn) ->
+         Array.length row = Array.length tx.Model.tasks
+         && Array.for_all2
+              (fun (res, prio) (tk : Model.task) ->
+                res = tk.Model.res && prio = tk.Model.prio)
+              row tx.Model.tasks)
+       t.shape m.Model.txns
 
-(* Transitive closure of a dirty seed over the dependency rows, at
+(* The reads rule.  Site (a, b) on platform r at priority p reads row a
+   and every row i ≠ a with a task on r at priority ≥ p (Eq. 17).  So
+   with [top.(r)], the highest priority of a dirty row's task on r, the
+   site reads a dirty row iff row a is dirty or [top.(r) >= p]. *)
+let raise_top t top i =
+  Array.iter
+    (fun (res, prio) -> if prio > top.(res) then top.(res) <- prio)
+    t.shape.(i)
+
+let top_of t ~dirty =
+  let top = Array.make (Array.length t.on) min_int in
+  Array.iteri (fun i d -> if d then raise_top t top i) dirty;
+  top
+
+let stale t ~dirty =
+  let top = top_of t ~dirty in
+  fun ~a ~b ->
+    dirty.(a)
+    ||
+    let res, prio = t.shape.(a).(b) in
+    top.(res) >= prio
+
+(* Transitive closure of a dirty seed under the reads rule, at
    transaction granularity: a transaction is dirty when any of its sites
    reads the jitter/offset row of a dirty transaction.  Iterated to a
    fixed point, so the clean complement is a closed subsystem — every
-   dependency of a clean site lands on another clean transaction.  That
-   closure is what lets Engine.Delta pin clean rows at their previously
+   row a clean site reads is another clean transaction's.  That closure
+   is what lets Engine.Delta pin clean rows at their previously
    converged values: the pinned block's equations never read a dirty
    row, so carrying is exact (see docs/INCREMENTAL.md). *)
 let dirty_closure t ~seed =
-  let n = t.n_txns in
-  if Array.length seed <> n then
+  if Array.length seed <> n_txns t then
     invalid_arg "Ir.dirty_closure: seed length mismatch";
   let dirty = Array.copy seed in
+  let top = top_of t ~dirty in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun row ->
-        Array.iter
-          (fun s ->
-            if not dirty.(s.a) then
-              Array.iteri
-                (fun i d ->
-                  if d && dirty.(i) then begin
-                    dirty.(s.a) <- true;
-                    changed := true
-                  end)
-                s.deps)
-          row)
-      t.sites
+    Array.iteri
+      (fun a row ->
+        if
+          (not dirty.(a))
+          && Array.exists (fun (res, prio) -> top.(res) >= prio) row
+        then begin
+          dirty.(a) <- true;
+          raise_top t top a;
+          changed := true
+        end)
+      t.shape
   done;
   dirty
 

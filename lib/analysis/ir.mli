@@ -1,9 +1,13 @@
 (** Compiled analysis IR — the static skeleton of a {!Model.t}.
 
     Interference participant sets (Eq. 17), the mixed-radix layout of
-    the exact scenario space (Eq. 12) and the outer fixed point's
-    dependency rows are pure functions of task placement and priorities.
-    {!compile} hoists them once per {!Engine} session.
+    the exact scenario space (Eq. 12) and the rows each site reads in
+    the outer fixed point are pure functions of task placement and
+    priorities.  {!compile} keeps only that shape and, per platform,
+    the tasks it hosts; each {!site} is built from its own platform's
+    list the first time an analysis asks for it.  A change confined to
+    one platform therefore costs O(tasks on that platform), not
+    O(tasks × transactions).
 
     The IR never reads demands, periods, platform bounds, offsets or
     jitters, so one IR serves every model that shares the placement
@@ -36,25 +40,23 @@ type site = {
       (** mixed-radix strides; [stride.(Array.length remotes)] is the
           size of the remote scenario space *)
   total : int;  (** the remote scenario count [Π |choices|] *)
-  deps : bool array;
-      (** [deps.(i)] iff the response of [(a, b)] reads the offset or
-          jitter row of transaction [i] — the incremental outer fixed
-          point's dependency row *)
 }
 (** Everything the site response-time analysis ({!Fixpoint.Make}) needs
-    about one task under analysis. *)
+    about one task under analysis.  The response of [(a, b)] reads the
+    offset and jitter rows of [a] and of every transaction in
+    [remotes], and no others. *)
 
 type t
 
 val compile : Model.t -> t
-(** Compile every site of the model.  Cost is one {!hp} sweep per
-    (task, transaction) pair. *)
+(** The per-task (resource, priority) shape and the per-platform task
+    lists: O(tasks).  No site is built yet. *)
 
 val site : t -> a:int -> b:int -> site
-
-val site_of : Model.t -> a:int -> b:int -> site
-(** One-off compilation of a single site, for {!Rta.scenario_count},
-    which has no session to draw on. *)
+(** The site of task [(a, b)], built on first use from its platform's
+    task list — O(tasks on that platform) — and kept in the IR.  Safe
+    to call from several domains at once: racing callers build and
+    store equal immutable sites. *)
 
 val n_txns : t -> int
 
@@ -64,7 +66,7 @@ val n_tasks : t -> int
 val exact_scenarios : t -> int
 (** Σ over sites of (own initiators × remote scenarios) — the size of
     the space the exact variant examines, as reported by session
-    compilation events. *)
+    compilation events.  Builds every site. *)
 
 val timebase : Model.t -> horizon_factor:int -> int Timebase.t option
 (** The value-dependent half of session compilation: the scaled-int
@@ -78,17 +80,26 @@ val timebase : Model.t -> horizon_factor:int -> int Timebase.t option
 val compatible : t -> Model.t -> bool
 (** [compatible t m] iff [m] has the same transaction/task shape and
     identical per-task (resource, priority) assignment as the model the
-    IR was compiled from — the exact condition under which every hp set,
-    stride and dependency row of [t] is valid for [m].  Demands,
-    periods, deadlines, bounds, blocking and jitter may all differ. *)
+    IR was compiled from — the exact condition under which every site
+    of [t] is valid for [m].  Demands, periods, deadlines, bounds,
+    blocking and jitter may all differ.  Allocation-free; stops at the
+    first difference. *)
+
+val stale : t -> dirty:bool array -> a:int -> b:int -> bool
+(** [stale t ~dirty ~a ~b] iff the response of [(a, b)] reads a
+    transaction row marked in [dirty]: row [a] itself, or a row with a
+    task on the site's platform at priority at least the site's
+    (Eq. 17).  Partially applied to [~dirty] it costs one pass over the
+    tasks of the dirty rows, after which each query is O(1) and builds
+    no site.  [dirty] must have length {!n_txns}. *)
 
 val dirty_closure : t -> seed:bool array -> bool array
-(** Transitive closure of a per-transaction dirty seed over the IR's
-    dependency rows: the result marks [a] dirty whenever some site of
-    transaction [a] reads the jitter/offset row of a (transitively)
-    dirty transaction.  The clean complement is therefore a {e closed}
-    subsystem — no clean site depends on a dirty row — which is the
-    condition under which {!Engine.analyze_delta} may pin clean rows at
-    their previously converged values and iterate only the dirty
-    frontier (the warm fixed-point argument of docs/INCREMENTAL.md).
+(** Transitive closure of a per-transaction dirty seed under {!stale}:
+    the result marks [a] dirty whenever some site of transaction [a]
+    reads the jitter/offset row of a (transitively) dirty transaction.
+    The clean complement is therefore a {e closed} subsystem — no clean
+    site reads a dirty row — which is the condition under which
+    {!Engine.analyze_delta} may pin clean rows at their previously
+    converged values and iterate only the dirty frontier (the warm
+    fixed-point argument of docs/INCREMENTAL.md).  O(tasks) per round.
     [seed] must have length {!n_txns}. *)

@@ -5,7 +5,7 @@
    itself is Fixpoint's site analysis; this module counts. *)
 
 let scenario_count m params ~a ~b =
-  let site = Ir.site_of m ~a ~b in
+  let site = Ir.site (Ir.compile m) ~a ~b in
   let own = List.length site.Ir.own in
   match params.Params.variant with
   | Params.Reduced -> own

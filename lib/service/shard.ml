@@ -141,33 +141,39 @@ let engine_sink t =
   | None -> None
   | Some _ -> Some (fun e -> emit t (Events.Engine_event e))
 
+(* Bind [slot]'s session to [model]: created cold on first use, else
+   rebound via [with_model], which keeps the IR — physically — exactly
+   when the placement and priorities are unchanged ([Ir.compatible]). *)
+let rebind t slot model =
+  let session, kind =
+    match slot.session with
+    | None ->
+        ( Analysis.Engine.create ~params:t.params ?sink:(engine_sink t) model,
+          Cold )
+    | Some s ->
+        let s' = Analysis.Engine.with_model s model in
+        ( s',
+          if Analysis.Engine.ir s' == Analysis.Engine.ir s then Warm
+          else Rebound )
+  in
+  slot.session <- Some session;
+  (session, kind)
+
 (* Analyze a snapshot on [slot]'s session for [ten]: the tenant's
-   result cache first, then the slot's engine session, created cold or
-   rebound via [with_model] (the IR stays warm when only demands moved
-   — [Ir.compatible]).  When the tenant has a baseline, the analysis
-   runs through [Engine.analyze_delta]: the previous converged
-   responses are carried across the snapshot change and only the
-   affected tasks iterate, with a transparent cold fallback.  Cache,
-   baseline and therefore every wire-visible field depend only on the
-   tenant's own request history, which is what keeps per-tenant
-   responses bit-identical across worker counts AND shard counts. *)
+   result cache first, then the slot's session ([rebind]).  When the
+   tenant has a baseline, the analysis runs through
+   [Engine.analyze_delta]: the previous converged responses are carried
+   across the snapshot change and only the affected tasks iterate, with
+   a transparent cold fallback.  Cache, baseline and therefore every
+   wire-visible field depend only on the tenant's own request history,
+   which is what keeps per-tenant responses bit-identical across worker
+   counts AND shard counts. *)
 let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
   match Tenant.cache_find ten snap.Store.hash with
   | Some s -> (s, true, None, None, None)
   | None ->
       let model = Analysis.Model.of_system snap.Store.sys in
-      let session, kind =
-        match slot.session with
-        | None ->
-            ( Analysis.Engine.create ~params:t.params ?sink:(engine_sink t)
-                model,
-              Cold )
-        | Some s ->
-            let warm = Analysis.Ir.compatible (Analysis.Engine.ir s) model in
-            ( Analysis.Engine.with_model s model,
-              if warm then Warm else Rebound )
-      in
-      slot.session <- Some session;
+      let session, kind = rebind t slot model in
       let report, delta =
         match ten.Tenant.baseline with
         | Some (prev_model, prev_report) ->
@@ -212,21 +218,7 @@ let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
           (* Rebind the slot session to this snapshot's model first —
              [D.region] probes through the engine's current model, and
              the slot may have last served another tenant. *)
-          let model = Analysis.Model.of_system sys in
-          let session, kind =
-            match slot.session with
-            | None ->
-                ( Analysis.Engine.create ~params:t.params
-                    ?sink:(engine_sink t) model,
-                  Cold )
-            | Some s ->
-                let warm =
-                  Analysis.Ir.compatible (Analysis.Engine.ir s) model
-                in
-                ( Analysis.Engine.with_model s model,
-                  if warm then Warm else Rebound )
-          in
-          slot.session <- Some session;
+          let session, kind = rebind t slot (Analysis.Model.of_system sys) in
           let module D = Design.Param_search in
           let rm = D.region ~engine:session ~precision sys ~resource:idx in
           let b = resources.(idx).Platform.Resource.bound in

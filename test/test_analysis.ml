@@ -1250,6 +1250,135 @@ let test_seeded_rejects_non_dominating () =
           Alcotest.fail "structure mismatch was not rejected")
   | [] -> Alcotest.fail "no perturbations"
 
+(* --- the IR against Eq. 17 --- *)
+
+(* Placement shapes the IR must get right: three to five platforms,
+   uniform priorities over three levels (ties across transactions), and
+   chains whose tasks land on independently drawn platforms.  The IR
+   reads placement and priorities only, so no demand is ever analysed. *)
+let ir_model seed =
+  let st = Random.State.make [| seed |] in
+  let spec =
+    {
+      Workload.Gen.default_spec with
+      Workload.Gen.n_resources = 3 + Random.State.int st 3;
+      n_txns = 2 + Random.State.int st 7;
+      max_tasks_per_txn = 1 + Random.State.int st 4;
+      rm_priorities = false;
+      prio_levels = 3;
+    }
+  in
+  Model.of_system (Workload.Gen.system ~seed spec)
+
+(* The site of (a, b) straight from Eq. 17: the own transaction's
+   interferers, then every other transaction with interferers, in
+   ascending index, each a digit of the mixed-radix scenario index. *)
+let reference_site m ~a ~b =
+  let own_hp = Analysis.Ir.hp m ~i:a ~a ~b in
+  let remotes =
+    List.init (Model.n_txns m) Fun.id
+    |> List.filter_map (fun i ->
+           match Analysis.Ir.hp m ~i ~a ~b with
+           | hp when i <> a && hp <> [] ->
+               Some
+                 {
+                   Analysis.Ir.txn = i;
+                   choices = Array.of_list hp;
+                   hp_list = hp;
+                 }
+           | _ -> None)
+    |> Array.of_list
+  in
+  let n_rem = Array.length remotes in
+  let stride = Array.make (n_rem + 1) 1 in
+  Array.iteri
+    (fun ri (r : Analysis.Ir.remote) ->
+      stride.(ri + 1) <- stride.(ri) * Array.length r.Analysis.Ir.choices)
+    remotes;
+  (own_hp, own_hp @ [ b ], remotes, stride, stride.(n_rem))
+
+let ir_sites_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"per-platform sites = Eq. 17 reference" ~count:200
+       (QCheck.int_range 1 100_000)
+       (fun seed ->
+         let m = ir_model seed in
+         let ir = Analysis.Ir.compile m in
+         let scenarios = ref 0 in
+         Array.iteri
+           (fun a (tx : Model.txn) ->
+             Array.iteri
+               (fun b _ ->
+                 let own_hp, own, remotes, stride, total =
+                   reference_site m ~a ~b
+                 in
+                 let s = Analysis.Ir.site ir ~a ~b in
+                 scenarios := !scenarios + (List.length own * total);
+                 if
+                   not
+                     (s.Analysis.Ir.a = a && s.Analysis.Ir.b = b
+                     && s.Analysis.Ir.own_hp = own_hp
+                     && s.Analysis.Ir.own = own
+                     && s.Analysis.Ir.remotes = remotes
+                     && s.Analysis.Ir.stride = stride
+                     && s.Analysis.Ir.total = total)
+                 then QCheck.Test.fail_reportf "seed %d: site (%d, %d)" seed a b)
+               tx.Model.tasks)
+           m.Model.txns;
+         Analysis.Ir.exact_scenarios ir = !scenarios))
+
+(* The dirty closure against the dense one: transaction a turns dirty
+   when one of its sites reads a dirty row — its own, or a remote
+   transaction holding one of the site's Eq. 17 interferers.  The same
+   dense rows decide which sites a sweep recomputes ([Ir.stale]). *)
+let ir_closure_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"platform-level dirty closure = dense closure"
+       ~count:200 (QCheck.int_range 1 100_000) (fun seed ->
+         let m = ir_model seed in
+         let n = Model.n_txns m in
+         let st = Random.State.make [| seed; 1 |] in
+         let seed_rows = Array.init n (fun _ -> Random.State.int st 4 = 0) in
+         let reads ~a ~b i = i = a || Analysis.Ir.hp m ~i ~a ~b <> [] in
+         let ir = Analysis.Ir.compile m in
+         let stale = Analysis.Ir.stale ir ~dirty:seed_rows in
+         let stale_ok =
+           Array.for_all Fun.id
+             (Array.mapi
+                (fun a (tx : Model.txn) ->
+                  Array.for_all Fun.id
+                    (Array.mapi
+                       (fun b _ ->
+                         stale ~a ~b
+                         = List.exists
+                             (fun i -> seed_rows.(i) && reads ~a ~b i)
+                             (List.init n Fun.id))
+                       tx.Model.tasks))
+                m.Model.txns)
+         in
+         let dense = Array.copy seed_rows in
+         let changed = ref true in
+         while !changed do
+           changed := false;
+           Array.iteri
+             (fun a (tx : Model.txn) ->
+               if
+                 (not dense.(a))
+                 && Array.exists Fun.id
+                      (Array.mapi
+                         (fun b _ ->
+                           List.exists
+                             (fun i -> dense.(i) && reads ~a ~b i)
+                             (List.init n Fun.id))
+                         tx.Model.tasks)
+               then begin
+                 dense.(a) <- true;
+                 changed := true
+               end)
+             m.Model.txns
+         done;
+         stale_ok && Analysis.Ir.dirty_closure ir ~seed:seed_rows = dense))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -1342,4 +1471,5 @@ let () =
           Alcotest.test_case "non-dominating seed runs cold" `Quick
             test_seeded_rejects_non_dominating;
         ] );
+      ("ir", [ ir_sites_prop; ir_closure_prop ]);
     ]

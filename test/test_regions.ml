@@ -271,6 +271,58 @@ let region_identity_prop =
          in
          agrees P.exact && agrees P.default))
 
+(* The region build above probes sequentially, so every site of its
+   sink-less probe engine is first built on the main domain.  Here the
+   first analyses of a fresh session run inside [Pool.map_list]: pool
+   workers rebind the one shared IR and race to build its sites.  Each
+   racer stores an equal site, so every probe's report must still be
+   the cold report of its model. *)
+let shared_ir_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"sites first built on pool workers = cold analysis, jobs 4"
+       ~count:8
+       (QCheck.int_range 1 1000)
+       (fun seed ->
+         let spec =
+           {
+             Workload.Gen.default_spec with
+             Workload.Gen.n_resources = 3;
+             n_txns = 4;
+             max_tasks_per_txn = 3;
+           }
+         in
+         let m = Model.of_system (Workload.Gen.system ~seed spec) in
+         QCheck.assume (scenario_total m < 5_000);
+         let st = Random.State.make [| seed |] in
+         let probes =
+           List.init 8 (fun _ ->
+               let bounds = Array.copy m.Model.bounds in
+               let r = Random.State.int st (Array.length bounds) in
+               let den = 2 + Random.State.int st 15 in
+               bounds.(r) <-
+                 LB.make
+                   ~alpha:(Q.make (1 + Random.State.int st den) den)
+                   ~delta:bounds.(r).LB.delta ~beta:bounds.(r).LB.beta;
+               { m with Model.bounds })
+         in
+         List.for_all
+           (fun params ->
+             let cold =
+               List.map
+                 (fun p ->
+                   Analysis.Engine.analyze (Analysis.Engine.create ~params p))
+                 probes
+             in
+             Parallel.Pool.with_pool ~jobs:4 (fun pool ->
+                 let e = Analysis.Engine.create ~params ~pool m in
+                 Parallel.Pool.map_list pool
+                   (fun p ->
+                     Analysis.Engine.analyze (Analysis.Engine.with_model e p))
+                   probes)
+             = cold)
+           [ P.exact; P.default ]))
+
 (* The probe ladder certifies and warm-seeds probes from earlier ones;
    what it answers must still be what cold probes answer.  On the
    sensor-fusion example's P3 (the platform `hsched design --region P3`
@@ -362,5 +414,5 @@ let () =
           Alcotest.test_case "ladder = cold probes on P3" `Quick
             test_ladder_equals_cold;
         ] );
-      ("identity", [ region_identity_prop ]);
+      ("identity", [ region_identity_prop; shared_ir_prop ]);
     ]
