@@ -396,6 +396,21 @@ let classical_equivalence () =
     (Analysis.Engine.classical session ~resource:0);
   check "classical_equivalence/degenerate platform matches classical RTA" !all
 
+(* Every timed section runs on one clock: wall time in milliseconds from
+   CLOCK_MONOTONIC, the clock bench/perf uses too. *)
+let wall f =
+  let t0 = Monotonic_clock.now () in
+  let r = f () in
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6, r)
+
+(* Median wall time of [rounds] runs of [f] — the regression bounds in
+   X11/X13 compare numbers a scheduler spike in a single timed loop
+   would otherwise flip. *)
+let median_wall ~rounds f =
+  let times = Array.init rounds (fun _ -> fst (wall f)) in
+  Array.sort compare times;
+  times.(rounds / 2)
+
 (* ------------------------------------------------------------------ *)
 (* X7: scalability of the analysis                                     *)
 (* ------------------------------------------------------------------ *)
@@ -435,18 +450,13 @@ let scalability () =
           m.Model.txns;
         !total
       in
-      let time f =
-        let t0 = Sys.time () in
-        let r = f () in
-        ((Sys.time () -. t0) *. 1000., r)
-      in
       (* both variants share one session's compiled IR *)
       let session = Analysis.Engine.create m in
-      let reduced_ms, report = time (fun () -> Analysis.Engine.analyze session) in
+      let reduced_ms, report = wall (fun () -> Analysis.Engine.analyze session) in
       let exact_ms =
         if scenarios < 200_000 then
           fst
-            (time (fun () ->
+            (wall (fun () ->
                  Analysis.Engine.analyze
                    (Analysis.Engine.with_overrides session
                       ~params:Analysis.Params.exact)))
@@ -644,30 +654,16 @@ let best_case_ablation () =
     "(the refined lower bound counts phase-independent guaranteed@.     interference; it tightens the jitter bounds J = R - Rbest on loaded@.     platforms, while the paper's simple bound remains the sound default)@."
 
 (* ------------------------------------------------------------------ *)
-(* X9: parallel analysis engine — wall-clock scaling vs domain count   *)
+(* X9: analyses next to a domain pool, and batch admission over one   *)
 (* ------------------------------------------------------------------ *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  ((Unix.gettimeofday () -. t0) *. 1000., r)
-
-(* Median wall time of [rounds] runs of [f] — the regression bounds in
-   X11/X13 compare numbers a scheduler spike in a single timed loop
-   would otherwise flip. *)
-let median_wall ~rounds f =
-  let times = Array.init rounds (fun _ -> fst (wall f)) in
-  Array.sort compare times;
-  times.(rounds / 2)
-
 let parallel_scaling () =
-  header "X9 — parallel analysis engine: scaling and batch admission";
+  header "X9 — analyses next to a domain pool, and batch admission";
   Format.printf
     "host offers %d domain(s); speedup beyond that count is not expected@."
     (Domain.recommended_domain_count ());
   (* an 8-transaction workload on two shared platforms: interference
-     concentrates, so the exact scenario product (Eq. 12) dominates and
-     is exactly the region the pool chunks *)
+     concentrates, so the exact scenario product (Eq. 12) dominates *)
   let spec =
     {
       Workload.Gen.default_spec with
@@ -693,7 +689,10 @@ let parallel_scaling () =
     scenarios;
   Format.printf "%6s %12s %9s %10s@." "jobs" "wall (ms)" "speedup" "identical";
   (* one base session; every cell below derives from it, so the model is
-     compiled once for the whole matrix *)
+     compiled once for the whole matrix.  A cell runs the analysis on
+     this domain inside a pool of [jobs] slots — the way `design --jobs
+     N` holds its pool around every probe — so the pool's idle domains
+     must not slow it down *)
   let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
   let baseline = ref Float.nan in
   let reference = ref None in
@@ -702,14 +701,10 @@ let parallel_scaling () =
   List.iter
     (fun jobs ->
       let ms, report =
-        Parallel.Pool.with_pool ~jobs (fun pool ->
+        Parallel.Pool.with_pool ~jobs (fun _pool ->
             (* with_model: share the IR but start from a cold memo, so
                the wall clocks of the cells stay comparable *)
-            let cell =
-              Analysis.Engine.with_model
-                (Analysis.Engine.with_overrides base ~pool)
-                m
-            in
+            let cell = Analysis.Engine.with_model base m in
             wall (fun () -> Analysis.Engine.analyze cell))
       in
       if Float.is_nan !baseline then baseline := ms;
@@ -730,10 +725,8 @@ let parallel_scaling () =
         (if identical then "yes" else "NO"))
     (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]);
   check "x9/determinism across job counts" !all_identical;
-  (* Regression guard: the sequential cutoff (Pool.slots_for) must keep
-     small per-site enumerations inline, so adding domains never makes
-     this workload slower than the one-domain run (1.2x covers timer
-     noise). *)
+  (* Regression guard: a pool's idle domains must not make an analysis
+     slower than the one-domain run (1.2x covers timer noise). *)
   if not !quick then begin
     match (List.assoc_opt 1 !times, List.assoc_opt 4 !times) with
     | Some t1, Some t4 ->
@@ -783,23 +776,22 @@ let prune_incremental () =
   let sys = Workload.Gen.system ~seed:3 spec in
   let m = Model.of_system sys in
   (* one base session for the whole matrix; each cell re-derives it with
-     its own params, pool and counters, and takes a fresh memo
-     (with_model) so the wall clocks stay comparable *)
+     its own params and counters, and takes a fresh memo (with_model) so
+     the wall clocks stay comparable *)
   let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
-  let cell ~prune ~jobs =
+  let cell ~prune =
     let params = { Analysis.Params.exact with Analysis.Params.prune } in
     let counters = Analysis.Rta.counters () in
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        let session =
-          Analysis.Engine.with_model
-            (Analysis.Engine.with_overrides base ~params ~pool ~counters)
-            m
-        in
-        let ms, report = wall (fun () -> Analysis.Engine.analyze session) in
-        (ms, report, counters))
+    let session =
+      Analysis.Engine.with_model
+        (Analysis.Engine.with_overrides base ~params ~counters)
+        m
+    in
+    let ms, report = wall (fun () -> Analysis.Engine.analyze session) in
+    (ms, report, counters)
   in
-  Format.printf "%-22s %10s %10s %10s %10s %8s@." "cell (jobs)" "wall (ms)"
-    "total" "visited" "pruned" "bounds";
+  Format.printf "%-22s %10s %10s %10s %10s %8s@." "cell" "wall (ms)" "total"
+    "visited" "pruned" "bounds";
   let show name ((ms, _, c) as r) =
     Format.printf "%-22s %10.1f %10d %10d %10d %8d@." name ms
       (Analysis.Rta.total_scenarios c)
@@ -813,17 +805,13 @@ let prune_incremental () =
       (float_of_int (Analysis.Rta.visited_scenarios c));
     r
   in
-  let naive = show "naive (1)" (cell ~prune:false ~jobs:1) in
-  let pruned = show "prune (1)" (cell ~prune:true ~jobs:1) in
-  let naive4 = show "naive (4)" (cell ~prune:false ~jobs:4) in
-  let pruned4 = show "prune (4)" (cell ~prune:true ~jobs:4) in
+  let naive = show "naive" (cell ~prune:false) in
+  let pruned = show "prune" (cell ~prune:true) in
   let report (_, r, _) = r in
   let visited (_, _, c) = Analysis.Rta.visited_scenarios c in
   (* Reports are pure data (exact rationals, ints, bools): structural
      equality is the bit-identity every cell promises. *)
   check "x10/identity prune" (report pruned = report naive);
-  check "x10/identity naive jobs 4" (report naive4 = report naive);
-  check "x10/identity prune jobs 4" (report pruned4 = report naive);
   check "x10/naive visits everything" (visited naive = Analysis.Rta.total_scenarios (let _, _, c = naive in c));
   check "x10/pruning visits strictly fewer scenarios"
     (visited pruned < visited naive);
@@ -1348,73 +1336,14 @@ let speedup_gate ~enabled ~skip_reason ~prefix ~speedup_name ~check_name
   end
 
 (* ------------------------------------------------------------------ *)
-(* X14: work-stealing pool — speedup gate, determinism, engagement     *)
+(* X14: read-only probe batches over a shard's workers — speedup gate  *)
 (* ------------------------------------------------------------------ *)
 
 let parallel_speedup () =
-  header "X14 — work-stealing pool: speedup gate and scheduler engagement";
+  header "X14 — probe batch over a shard's workers: speedup gate";
   let host_cores = Domain.recommended_domain_count () in
   metric "x14/host_cores" (float_of_int host_cores);
   Format.printf "host offers %d core(s)@." host_cores;
-  (* determinism: X9's interference-heavy workload analysed at every
-     job count must produce one report, bit for bit — stealing moves
-     index ranges between slots, but every index runs exactly once and
-     the range results are joined commutatively *)
-  let spec =
-    {
-      Workload.Gen.default_spec with
-      Workload.Gen.n_txns = 8;
-      n_resources = 2;
-      max_tasks_per_txn = 3;
-    }
-  in
-  let m = Model.of_system (Workload.Gen.system ~seed:3 spec) in
-  let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
-  let reference = ref None in
-  let all_identical = ref true in
-  List.iter
-    (fun jobs ->
-      let report =
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            (* with_model: share the IR, start from a cold memo *)
-            Analysis.Engine.analyze
-              (Analysis.Engine.with_model
-                 (Analysis.Engine.with_overrides base ~pool)
-                 m))
-      in
-      let identical =
-        match !reference with
-        | None ->
-            reference := Some report;
-            true
-        | Some r -> r = report
-      in
-      if not identical then all_identical := false)
-    (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]);
-  check "x14/reports identical across jobs" !all_identical;
-  (* engagement: a region whose first quarter carries nearly all the
-     work.  The slots owning the light three quarters drain their
-     deques and raid the heavy one, so the steal counter must move —
-     on any host: a single-core pool runs the slots inline, and the
-     inline loop claims and steals through the same deques *)
-  let steals =
-    Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-        let before = (Parallel.Pool.stats pool).Parallel.Pool.steals in
-        Parallel.Pool.run_ranges pool ~slots:4 ~n:256
-          (fun ~slot:_ ~lo ~hi ->
-            for i = lo to hi - 1 do
-              if i < 64 then begin
-                let acc = ref i in
-                for k = 1 to 20_000 do
-                  acc := (!acc + k) land 0xFFFF
-                done;
-                ignore (Sys.opaque_identity !acc)
-              end
-            done);
-        (Parallel.Pool.stats pool).Parallel.Pool.steals - before)
-  in
-  metric "x14/skewed_region_steals" (float_of_int steals);
-  check "x14/stealing engages on a skewed region" (steals > 0);
   (* the speedup gate proper: a batch of independent read-only probes
      through the admission service.  Every probe re-analyses the whole
      admitted assembly (all units share the probe's platform), so the

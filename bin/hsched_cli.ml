@@ -110,12 +110,13 @@ let jobs_arg =
     value & opt jobs_conv 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the analysis engine on $(docv) parallel domains ($(b,0) = all \
-           cores, $(b,1) = sequential).  Results are bit-identical for every \
-           job count; see docs/PERFORMANCE.md for when parallelism helps.")
+          "Spread the search's independent probe analyses over $(docv) \
+           parallel domains ($(b,0) = all cores, $(b,1) = sequential).  \
+           Results are bit-identical for every job count; see \
+           docs/PERFORMANCE.md for when parallelism helps.")
 
-(* Every subcommand creates its pool around the whole run, so design
-   sweeps reuse one set of domains across all their analyses. *)
+(* design and sensitivity create their pool around the whole run, so
+   their searches reuse one set of domains. *)
 let with_jobs jobs f = Parallel.Pool.with_pool ~jobs f
 
 let engine_trace_arg =
@@ -204,7 +205,7 @@ let csv_flag =
         ~doc:"Emit machine-readable CSV (one row per task) instead of the table.")
 
 let analyze_cmd =
-  let run file exact history csv jobs trace no_prune no_int_kernel =
+  let run file exact history csv trace no_prune no_int_kernel =
     let sys = or_die (load_system file) in
     let m = Analysis.Model.of_system sys in
     let params =
@@ -218,10 +219,9 @@ let analyze_cmd =
       }
     in
     let report =
-      with_jobs jobs @@ fun pool ->
       with_trace trace @@ fun writer ->
       let sink = engine_sink writer in
-      Analysis.Engine.analyze (Analysis.Engine.create ~params ~pool ?sink m)
+      Analysis.Engine.analyze (Analysis.Engine.create ~params ?sink m)
     in
     let names a b = (Analysis.Model.task m a b).Analysis.Model.name in
     if csv then begin
@@ -271,7 +271,7 @@ let analyze_cmd =
          "Holistic schedulability analysis on abstract platforms (Section 3).  \
           Exits 0 when schedulable, 2 when not.")
     Term.(
-      const run $ file_arg $ exact_flag $ history_arg $ csv_flag $ jobs_arg
+      const run $ file_arg $ exact_flag $ history_arg $ csv_flag
       $ engine_trace_arg $ no_prune_flag $ no_int_kernel_flag)
 
 (* --- simulate --- *)
@@ -378,10 +378,10 @@ let sensitivity_cmd =
     let sink = engine_sink writer in
     (* One session for the whole command: every margin search and the
        slack report reuse the model compiled here. *)
-    let engine = Analysis.Engine.create_system ~pool ?sink sys in
+    let engine = Analysis.Engine.create_system ?sink sys in
     Format.printf "per-task WCET scaling margins (most critical first):@.%a@."
       Design.Sensitivity.pp_margins
-      (Design.Sensitivity.all_task_margins ~engine ~precision sys);
+      (Design.Sensitivity.all_task_margins ~engine ~pool ~precision sys);
     Format.printf "@.end-to-end slack per transaction:@.";
     List.iter
       (fun (name, response, deadline) ->
@@ -510,7 +510,7 @@ let design_cmd =
     let sink = engine_sink writer in
     (* One session for the whole command: every probe of the rate search
        and the breakdown sweep reuses the model compiled here. *)
-    let engine = Analysis.Engine.create_system ~pool ?sink sys in
+    let engine = Analysis.Engine.create_system ?sink sys in
     let resources = sys.Transaction.System.resources in
     match region with
     | Some name -> (
@@ -576,8 +576,8 @@ let design_cmd =
             Format.printf "  Σα = %a@." Q.pp_decimal
               (Array.fold_left Q.add Q.zero rates);
             Format.printf "breakdown utilization: %a@." Q.pp_decimal
-              (Design.Param_search.breakdown_utilization ~engine ~precision
-                 sys);
+              (Design.Param_search.breakdown_utilization ~engine ~pool
+                 ~precision sys);
             0)
   in
   Cmd.v

@@ -13,7 +13,6 @@ type event =
   | Seeded of { distance : Q.t; iterations : int; saved : int }
   | Sweep of { iteration : int; recomputed : int; carried : int }
   | Finished of { iterations : int; converged : bool; schedulable : bool }
-  | Pool_stats of { steals : int; splits : int; idle : int }
 
 type sink = event -> unit
 
@@ -48,9 +47,6 @@ let event_to_json = function
       Printf.sprintf
         {|{"event":"finished","iterations":%d,"converged":%b,"schedulable":%b}|}
         iterations converged schedulable
-  | Pool_stats { steals; splits; idle } ->
-      Printf.sprintf {|{"event":"pool","steals":%d,"splits":%d,"idle":%d}|}
-        steals splits idle
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -59,20 +55,14 @@ let event_to_json = function
 module Exact = Fixpoint.Exact
 module Scaled = Fixpoint.Scaled
 
-(* One interference memo per numeric instance, partitioned over the
-   session pool's [slots]; each is created on the main domain the first
+(* One interference memo per numeric instance, each created the first
    time its instance runs. *)
-type memos = {
-  slots : int;
-  scaled_memo : Scaled.memo Lazy.t;
-  exact_memo : Exact.memo Lazy.t;
-}
+type memos = { scaled_memo : Scaled.memo Lazy.t; exact_memo : Exact.memo Lazy.t }
 
 type t = {
   ir : Ir.t;
   model : Model.t;
   params : Params.t;
-  pool : Parallel.Pool.t;
   counters : Rta.counters;
   sink : sink option;
   scaled : Scaled.tables option;
@@ -91,13 +81,8 @@ type t = {
 
 let emit t e = match t.sink with None -> () | Some f -> f e
 
-let memos_for model pool =
-  let slots = Parallel.Pool.jobs pool in
-  {
-    slots;
-    scaled_memo = lazy (Scaled.memo model ~slots);
-    exact_memo = lazy (Exact.memo model ~slots);
-  }
+let memos_for model =
+  { scaled_memo = lazy (Scaled.memo model); exact_memo = lazy (Exact.memo model) }
 
 (* The C/α quotients are shared between the two tables. *)
 let tables_for model ir params =
@@ -119,8 +104,7 @@ let emit_kernel_verdict t =
         emit t (Kernel_compiled { scale = Timebase.scale (Scaled.timebase s) })
     | None -> emit t (Kernel_fallback { reason = "unrepresentable" })
 
-let create ?(params = Params.default) ?pool ?counters ?sink m =
-  let pool = Option.value pool ~default:Parallel.Pool.sequential in
+let create ?(params = Params.default) ?counters ?sink m =
   let counters = match counters with Some c -> c | None -> Rta.counters () in
   let ir = Ir.compile m in
   let scaled, exact = tables_for m ir params in
@@ -129,12 +113,11 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
       ir;
       model = m;
       params;
-      pool;
       counters;
       sink;
       scaled;
       exact;
-      memos = memos_for m pool;
+      memos = memos_for m;
       kernel_poisoned = ref false;
     }
   in
@@ -151,16 +134,14 @@ let create ?(params = Params.default) ?pool ?counters ?sink m =
   emit_kernel_verdict t;
   t
 
-let create_system ?params ?pool ?counters ?sink sys =
-  create ?params ?pool ?counters ?sink (Model.of_system sys)
+let create_system ?params ?counters ?sink sys =
+  create ?params ?counters ?sink (Model.of_system sys)
 
 let model t = t.model
 
 let ir t = t.ir
 
 let params t = t.params
-
-let pool t = t.pool
 
 let counters t = t.counters
 
@@ -181,24 +162,15 @@ let memo_stats t =
        (add none t.memos.scaled_memo Scaled.memo_stats)
        t.memos.exact_memo Exact.memo_stats)
 
-let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
+let with_overrides ?params ?keep_history ?counters ?sink t =
   let params = Option.value params ~default:t.params in
   let params =
     match keep_history with
     | None -> params
     | Some keep_history -> { params with Params.keep_history }
   in
-  let pool = Option.value pool ~default:t.pool in
   let counters = Option.value counters ~default:t.counters in
   let sink = match sink with Some _ as s -> s | None -> t.sink in
-  (* The memos partition one cache per pool slot; reuse them only while
-     that partitioning is still the pool's.  Cached values depend on
-     the model alone (identical here), never on params, so carrying
-     them across an override is transparent. *)
-  let memos =
-    if t.memos.slots = Parallel.Pool.jobs pool then t.memos
-    else memos_for t.model pool
-  in
   (* The tables depend on the model and on the horizon only; keep them
      — and the poison verdict, which is a property of the same pair —
      unless the kernel switch or the horizon factor changed. *)
@@ -211,7 +183,9 @@ let with_overrides ?params ?keep_history ?pool ?counters ?sink t =
       let scaled, exact = tables_for t.model t.ir params in
       (scaled, exact, ref false)
   in
-  { t with params; pool; counters; sink; memos; scaled; exact; kernel_poisoned }
+  (* The memos are kept: cached values depend on the model alone
+     (identical here), never on params. *)
+  { t with params; counters; sink; scaled; exact; kernel_poisoned }
 
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
@@ -225,7 +199,7 @@ let with_model t m =
     t with
     ir;
     model = m;
-    memos = memos_for m t.pool;
+    memos = memos_for m;
     scaled;
     exact;
     kernel_poisoned = ref false;
@@ -243,7 +217,7 @@ let kernel_scale t =
 let run t analyze =
   emit t (Analysis_started { variant = t.params.Params.variant });
   let report =
-    analyze ~params:t.params ~pool:t.pool ~counters:t.counters
+    analyze ~params:t.params ~counters:t.counters
       ~sweep:(fun ~iteration ~recomputed ~carried ->
         emit t (Sweep { iteration; recomputed; carried }))
   in
@@ -284,21 +258,7 @@ let dispatch t warm =
             run_exact t warm))
   | _ -> run_exact t warm
 
-(* Wrap every full analysis with the pool's scheduler accounting: the
-   counter deltas over the run are emitted as one [Pool_stats] event
-   when the work-stealing machinery engaged at all. *)
-let analyze_with t warm =
-  let before = Parallel.Pool.stats t.pool in
-  let report = dispatch t warm in
-  let after = Parallel.Pool.stats t.pool in
-  let steals = after.Parallel.Pool.steals - before.Parallel.Pool.steals
-  and splits = after.Parallel.Pool.splits - before.Parallel.Pool.splits
-  and idle = after.Parallel.Pool.idle_slots - before.Parallel.Pool.idle_slots in
-  if steals > 0 || splits > 0 || idle > 0 then
-    emit t (Pool_stats { steals; splits; idle });
-  report
-
-let analyze t = analyze_with t None
+let analyze t = dispatch t None
 
 (* ------------------------------------------------------------------ *)
 (* Delta re-analysis: warm fixed points across model changes           *)
@@ -453,7 +413,7 @@ let analyze_delta t ~prev_model ~prev_report =
       let carried = total - dirty in
       Rta.record_delta_run t.counters;
       emit t (Delta { dirty; total; carried });
-      let report = analyze_with t (Some p.Delta.warm) in
+      let report = dispatch t (Some p.Delta.warm) in
       (* A warm run that converged reached the system's least fixed
          point (the seed is below it coordinatewise and the clean block
          is pinned at it — docs/INCREMENTAL.md), and under early exit a
@@ -612,7 +572,7 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok (warm, distance) ->
       Rta.record_delta_run t.counters;
-      let report = analyze_with t (Some warm) in
+      let report = dispatch t (Some warm) in
       let iterations = report.Report.outer_iterations in
       emit t
         (Seeded

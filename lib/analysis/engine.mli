@@ -3,9 +3,8 @@
     An engine session binds together everything one analysis run needs —
     the {!Model.t}, the compiled {!Ir.t} (participant sets and
     mixed-radix scenario layouts, built per site on first use), the
-    {!Params.t}, the worker {!Parallel.Pool.t}, the interference
-    {!Memo.t} and the scenario {!Rta.counters} — as one immutable
-    value.  Creating the session pays the per-model compilation cost
+    {!Params.t}, the interference {!Memo.t} and the scenario
+    {!Rta.counters} — as one immutable value.  Creating the session pays the per-model compilation cost
     once; every subsequent {!analyze} or design-space probe reuses the
     compiled state.
 
@@ -13,13 +12,14 @@
     {!with_model} derive new sessions sharing whatever remains valid
     (the IR survives any model with the same placement and priorities;
     the memo survives parameter changes but never a model change).
+    An analysis runs on the domain that calls it; independent analyses
+    may run concurrently on sessions derived with {!with_model}.
 
     Reports do not depend on how a session was obtained: a one-shot
     session, a reused one and a rebound one analyse the same model to
     the same report, bit for bit — the IR only reorganises static
-    structure, and exact arithmetic plus the pool's deterministic slot
-    order do the rest.  The test suite asserts this over random
-    workloads. *)
+    structure, and exact arithmetic does the rest.  The test suite
+    asserts this over random workloads. *)
 
 type t
 (** One analysis session.  Immutable apart from the memo and counters it
@@ -73,13 +73,6 @@ type event =
           a dirty row ({!Ir.stale}), [carried] reused their previous
           response. *)
   | Finished of { iterations : int; converged : bool; schedulable : bool }
-  | Pool_stats of { steals : int; splits : int; idle : int }
-      (** Emitted after an analysis during which the pool's work-stealing
-          scheduler engaged: counter deltas over that one analysis —
-          ranges stolen by idle slots, ranges split off a slot's own
-          deque, and slots that finished a region without claiming any
-          work.  Never emitted when the run stayed sequential (the
-          counts would all be zero). *)
 
 type sink = event -> unit
 
@@ -91,22 +84,19 @@ val event_to_json : event -> string
 
 val create :
   ?params:Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?counters:Rta.counters ->
   ?sink:sink ->
   Model.t ->
   t
 (** Compile [m] into a session.  [params] defaults to {!Params.default},
-    [pool] to {!Parallel.Pool.sequential}, [counters] to a fresh set.
+    [counters] to a fresh set.
     Emits [Compiled] to [sink], followed — when
     [params.{!Params.int_kernel}] — by [Kernel_compiled] or
     [Kernel_fallback] according to whether the model admits an integer
-    timebase ({!Ir.timebase}).  The session does not own the pool;
-    shut it down where it was created. *)
+    timebase ({!Ir.timebase}). *)
 
 val create_system :
   ?params:Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?counters:Rta.counters ->
   ?sink:sink ->
   Transaction.System.t ->
@@ -116,7 +106,6 @@ val create_system :
 val with_overrides :
   ?params:Params.t ->
   ?keep_history:bool ->
-  ?pool:Parallel.Pool.t ->
   ?counters:Rta.counters ->
   ?sink:sink ->
   t ->
@@ -124,10 +113,9 @@ val with_overrides :
 (** Derived session over the same model: absent arguments keep the
     original's values, [keep_history] patches just that field of the
     effective params (the common verdict-only probe:
-    [with_overrides e ~keep_history:false]).  The compiled IR is always
-    shared.  The memos are shared when they are still valid — same model
-    by construction, and slot count matching the (possibly new) pool's
-    job count — and re-created otherwise. *)
+    [with_overrides e ~keep_history:false]).  The compiled IR and the
+    memos are always shared: the model is the same by construction, and
+    memoised values depend on the model alone. *)
 
 val with_model : t -> Model.t -> t
 (** Re-bind the session to another model.  The compiled IR is reused
@@ -148,8 +136,6 @@ val ir : t -> Ir.t
 
 val params : t -> Params.t
 
-val pool : t -> Parallel.Pool.t
-
 val counters : t -> Rta.counters
 (** Cumulative scenario accounting across every analysis this session
     (and sessions derived from it) ran. *)
@@ -169,9 +155,9 @@ val kernel_scale : t -> int option
 val analyze : t -> Report.t
 (** The holistic offset-based analysis (Section 3.2): outer Jacobi
     fixed point on the jitters, inner busy-period recurrences per
-    scenario, under the session's params, pool and memo.  Emits
-    [Analysis_started], one [Sweep] per outer iteration and [Finished].
-    The report is the same for every job count, [prune] and
+    scenario, under the session's params and memo, on the calling
+    domain.  Emits [Analysis_started], one [Sweep] per outer iteration
+    and [Finished].  The report is the same for every [prune] and
     [int_kernel] setting.
 
     The fixed point is {!Fixpoint.Make}, run on {!Fixpoint.Scaled} when

@@ -101,24 +101,16 @@ module Make (N : Timeline.S) = struct
     mutable invalidations : int;
   }
 
-  (* Caches are partitioned per task under analysis and per pool slot,
-     and allocated on first touch: a delta-warm analysis recomputes only
-     the dirty frontier, so most cells of a large memo are never
-     consulted.  Each [None] cell is written by the one domain the pool
-     statically assigns its slot to, so no synchronisation is needed. *)
-  type memo = { caches : cache option array array array; slots : int }
+  (* Caches are partitioned per task under analysis and allocated on
+     first touch: a delta-warm analysis recomputes only the dirty
+     frontier, so most cells of a large memo are never consulted. *)
+  type memo = cache option array array
 
-  let memo m ~slots =
-    if slots < 1 then invalid_arg "Memo.create: slots < 1";
-    {
-      caches =
-        Array.init (Model.n_txns m) (fun a ->
-            Array.init (Model.n_tasks m a) (fun _ -> Array.make slots None));
-      slots;
-    }
+  let memo m =
+    Array.init (Model.n_txns m) (fun a -> Array.make (Model.n_tasks m a) None)
 
-  let cache t ~a ~b ~slot =
-    match t.caches.(a).(b).(slot) with
+  let cache t ~a ~b =
+    match t.(a).(b) with
     | Some c -> c
     | None ->
         let c =
@@ -129,23 +121,22 @@ module Make (N : Timeline.S) = struct
             invalidations = 0;
           }
         in
-        t.caches.(a).(b).(slot) <- Some c;
+        t.(a).(b) <- Some c;
         c
 
   let memo_stats t =
     let acc = ref { hits = 0; misses = 0; invalidations = 0 } in
     Array.iter
-      (Array.iter
-         (Array.iter (function
-           | None -> ()
-           | Some (c : cache) ->
-               acc :=
-                 {
-                   hits = !acc.hits + c.hits;
-                   misses = !acc.misses + c.misses;
-                   invalidations = !acc.invalidations + c.invalidations;
-                 })))
-      t.caches;
+      (Array.iter (function
+        | None -> ()
+        | Some (c : cache) ->
+            acc :=
+              {
+                hits = !acc.hits + c.hits;
+                misses = !acc.misses + c.misses;
+                invalidations = !acc.invalidations + c.invalidations;
+              }))
+      t;
     !acc
 
   let rows_equal x y =
@@ -283,8 +274,7 @@ module Make (N : Timeline.S) = struct
 
   (* Per-session tables: the timebase plus, per site, the skeletons of
      its own and remote interfering sets — flattened on first use (the
-     delta path only touches its dirty frontier), from the main domain
-     before a site's scenario space goes to the pool. *)
+     delta path only touches its dirty frontier). *)
   type site_skeletons = { own_sk : skeleton; remote_sks : skeleton array }
 
   type tables = {
@@ -376,27 +366,24 @@ module Make (N : Timeline.S) = struct
     done;
     !acc
 
-  let response_time ~pool ~memo ~counters tables (site : Ir.site) params ~phi
-      ~jit =
+  let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
     let tb = tables.tb in
     let a = site.Ir.a and b = site.Ir.b in
     let own = site.Ir.own and remotes = site.Ir.remotes in
     let { own_sk; remote_sks } = skeletons tables site in
-    let cache_of slot = cache memo ~a ~b ~slot in
+    let cache = cache memo ~a ~b in
     (* Hoisted demand curve of transaction [i] initiated by τ_{i,k}: the
        kernel is compiled — or the memo entry resolved — once per
        response-time computation.  Tiny kernels bypass the memo. *)
-    let eval_of cache sk ~k =
+    let eval_of sk ~k =
       if Array.length sk.js >= memo_min_terms then
         evaluator cache sk ~phi ~jit ~k
       else
         let kernel = compile sk ~phi ~jit ~k in
         fun t -> N.eval kernel t
     in
-    let own_evals cache =
-      List.map (fun c -> (c, eval_of cache own_sk ~k:c)) own
-    in
-    let best_over_own own_evals ~remote_interference acc =
+    let own_evals = List.map (fun c -> (c, eval_of own_sk ~k:c)) own in
+    let best_over_own ~remote_interference acc =
       List.fold_left
         (fun acc (c, own_interference) ->
           bound_max acc
@@ -405,77 +392,54 @@ module Make (N : Timeline.S) = struct
         acc own_evals
     in
     (* The evaluators of every remote choice, per remote transaction. *)
-    let contributions cache =
+    let contrib =
       Array.mapi
         (fun ri (r : Ir.remote) ->
-          Array.map (fun k -> eval_of cache remote_sks.(ri) ~k) r.Ir.choices)
+          Array.map (fun k -> eval_of remote_sks.(ri) ~k) r.Ir.choices)
         remotes
     in
     match params.Params.variant with
     | Params.Reduced ->
-        let cache = cache_of 0 in
-        let contrib = contributions cache in
         Rta.record counters Rta.Total 1;
         Rta.record counters Rta.Visited 1;
-        best_over_own (own_evals cache)
+        best_over_own
           ~remote_interference:(wstar_sum contrib (Array.length contrib))
           (Finite N.zero)
     | Params.Exact ->
         (* The scenario vectors ν (Eq. 12) of the remote transactions
-           form a mixed-radix space of size Π |hp_i|; indexing it lets
-           the pool split it into contiguous ranges.  Ranges migrate
-           between slots as idle slots steal, but every index runs
-           exactly once and range maxima join commutatively over exact
-           values, so neither the chunk count nor the steal schedule
-           changes the response.  [slots_for] keeps spaces too small to
-           amortise a domain wake-up inline on slot 0. *)
+           form a mixed-radix space of size Π |hp_i|: index v picks
+           digit (v / stride_i) mod |hp_i| for remote i. *)
         let stride = site.Ir.stride and total = site.Ir.total in
         Rta.record counters Rta.Total total;
-        let jobs = Parallel.Pool.jobs pool in
-        let slots =
-          Parallel.Pool.slots_for ~weight:(List.length own) pool total
-        in
-        let split run =
-          if jobs = 1 || slots = 1 then run ~slot:0 ~lo:0 ~hi:total
-          else
-            Parallel.Pool.run_ranges pool ~slots ~n:total run
-        in
         if not params.Params.prune then begin
           (* Exhaustive enumeration — the reference pruning is checked
              against (bench X10, qcheck identity properties). *)
           Rta.record counters Rta.Visited total;
-          let results = Array.make jobs (Finite N.zero) in
-          split (fun ~slot ~lo ~hi ->
-              let cache = cache_of slot in
-              let contrib = contributions cache in
-              let own_evals = own_evals cache in
-              for v = lo to hi - 1 do
-                let remote_interference t =
-                  let acc = ref N.zero and rem = ref v in
-                  for ri = 0 to Array.length contrib - 1 do
-                    let fs = contrib.(ri) in
-                    let s = Array.length fs in
-                    acc := N.add !acc (fs.(!rem mod s) t);
-                    rem := !rem / s
-                  done;
-                  !acc
-                in
-                results.(slot) <-
-                  best_over_own own_evals ~remote_interference results.(slot)
-              done);
-          Array.fold_left bound_max (Finite N.zero) results
+          let best = ref (Finite N.zero) in
+          for v = 0 to total - 1 do
+            let remote_interference t =
+              let acc = ref N.zero and rem = ref v in
+              for ri = 0 to Array.length contrib - 1 do
+                let fs = contrib.(ri) in
+                let s = Array.length fs in
+                acc := N.add !acc (fs.(!rem mod s) t);
+                rem := !rem / s
+              done;
+              !acc
+            in
+            best := best_over_own ~remote_interference !best
+          done;
+          !best
         end
         else begin
           (* Branch and bound over the mixed-radix digit tree.  The
-             incumbent — the best response of any fully evaluated
-             scenario — is shared across slots through a join cell; a
-             subtree is discarded when an optimistic bound (fixed digits
-             at their actual demand, free digits at the scenario maximum
-             W{^*}) cannot beat it.  Pruning only drops scenarios
-             provably ≤ the running maximum, so the returned bound is
-             the exhaustive path's whatever the job count or
-             interleaving (see docs/THEORY.md). *)
-          let incumbent = Parallel.Pool.Cell.create bound_max (Finite N.zero) in
+             incumbent is the best response of any fully evaluated
+             scenario so far; a subtree is discarded when an optimistic
+             bound (fixed digits at their actual demand, free digits at
+             the scenario maximum W{^*}) cannot beat it.  Pruning only
+             drops scenarios provably ≤ the running maximum, so the
+             returned bound is the exhaustive path's (see
+             docs/THEORY.md). *)
           let horizon = tb.Timebase.horizon.(a) in
           (* Seed: per remote transaction, the initiator of maximal
              demand over the horizon — the argmax realising the Reduced
@@ -483,97 +447,73 @@ module Make (N : Timeline.S) = struct
              incumbent, and usually a near-maximal one. *)
           let seed_index =
             let idx = ref 0 in
-            let cache = cache_of 0 in
             Array.iteri
-              (fun ri (r : Ir.remote) ->
-                let w ci =
-                  eval_of cache remote_sks.(ri) ~k:r.Ir.choices.(ci) horizon
-                in
-                let best_ci = ref 0 and best_w = ref (w 0) in
-                for ci = 1 to Array.length r.Ir.choices - 1 do
-                  let w = w ci in
+              (fun ri fs ->
+                let best_ci = ref 0 and best_w = ref (fs.(0) horizon) in
+                for ci = 1 to Array.length fs - 1 do
+                  let w = fs.(ci) horizon in
                   if N.compare w !best_w > 0 then begin
                     best_w := w;
                     best_ci := ci
                   end
                 done;
                 idx := !idx + (!best_ci * stride.(ri)))
-              remotes;
+              contrib;
             !idx
           in
-          let evaluate own_evals fixed =
-            best_over_own own_evals
+          let evaluate fixed =
+            best_over_own
               ~remote_interference:(sum_from N.zero fixed)
               (Finite N.zero)
           in
           Rta.record counters Rta.Visited 1;
-          (let cache = cache_of 0 in
-           let fixed =
-             Array.to_list
-               (Array.mapi
-                  (fun ri (r : Ir.remote) ->
-                    let s = Array.length r.Ir.choices in
-                    let k = r.Ir.choices.(seed_index / stride.(ri) mod s) in
-                    eval_of cache remote_sks.(ri) ~k)
-                  remotes)
-           in
-           Parallel.Pool.Cell.join incumbent
-             (evaluate (own_evals cache) fixed));
+          let incumbent =
+            ref
+              (evaluate
+                 (Array.to_list
+                    (Array.mapi
+                       (fun ri fs ->
+                         fs.(seed_index / stride.(ri) mod Array.length fs))
+                       contrib)))
+          in
           let prune_le ub inc =
             match (ub, inc) with
             | _, Divergent -> true
             | Divergent, Finite _ -> false
             | Finite u, Finite i -> N.compare u i <= 0
           in
-          split (fun ~slot ~lo ~hi ->
-              if lo < hi then begin
-                let cache = cache_of slot in
-                let contrib = contributions cache in
-                let own_evals = own_evals cache in
-                (* Optimistic bound of the block where remotes
-                   [0..level-1] are free (at W{^*}) and the rest fixed. *)
-                let block_bound level fixed =
-                  Rta.record counters Rta.Bounds 1;
-                  let remote_interference t =
-                    sum_from (wstar_sum contrib level t) fixed t
-                  in
-                  best_over_own own_evals ~remote_interference (Finite N.zero)
-                in
-                (* The block [v_base, v_base + stride.(level)) with the
-                   digits above [level] fixed; only its intersection with
-                   [lo, hi) is this slot's, but the bound holds for any
-                   subset. *)
-                let rec visit level v_base fixed =
-                  if level = 0 then begin
-                    if v_base <> seed_index then begin
-                      Rta.record counters Rta.Visited 1;
-                      Parallel.Pool.Cell.join incumbent
-                        (evaluate own_evals fixed)
-                    end
-                  end
-                  else
-                    let inside =
-                      Stdlib.min hi (v_base + stride.(level))
-                      - Stdlib.max lo v_base
-                    in
-                    if
-                      inside > 1
-                      && prune_le (block_bound level fixed)
-                           (Parallel.Pool.Cell.get incumbent)
-                    then Rta.record counters Rta.Pruned inside
-                    else begin
-                      let ri = level - 1 in
-                      let sub = stride.(ri) in
-                      for ci = 0 to Array.length remotes.(ri).Ir.choices - 1 do
-                        let v = v_base + (ci * sub) in
-                        if v + sub > lo && v < hi then
-                          visit ri v (contrib.(ri).(ci) :: fixed)
-                      done
-                    end
-                in
-                visit (Array.length remotes) 0 []
-              end);
-          Parallel.Pool.Cell.get incumbent
+          (* Optimistic bound of the block where remotes [0..level-1] are
+             free (at W{^*}) and the rest fixed. *)
+          let block_bound level fixed =
+            Rta.record counters Rta.Bounds 1;
+            let remote_interference t =
+              sum_from (wstar_sum contrib level t) fixed t
+            in
+            best_over_own ~remote_interference (Finite N.zero)
+          in
+          (* The block [v_base, v_base + stride.(level)) with the digits
+             above [level] fixed. *)
+          let rec visit level v_base fixed =
+            if level = 0 then begin
+              if v_base <> seed_index then begin
+                Rta.record counters Rta.Visited 1;
+                incumbent := bound_max !incumbent (evaluate fixed)
+              end
+            end
+            else
+              let size = stride.(level) in
+              if size > 1 && prune_le (block_bound level fixed) !incumbent
+              then Rta.record counters Rta.Pruned size
+              else begin
+                let ri = level - 1 in
+                let sub = stride.(ri) in
+                Array.iteri
+                  (fun ci f -> visit ri (v_base + (ci * sub)) (f :: fixed))
+                  contrib.(ri)
+              end
+          in
+          visit (Array.length remotes) 0 [];
+          !incumbent
         end
 
   (* ---------------------------------------------------------------- *)
@@ -610,7 +550,7 @@ module Make (N : Timeline.S) = struct
      diverging or missing a deadline. *)
   let max_sweeps = 256
 
-  let analyze ~params ~pool ~counters ~sweep t memo ~warm =
+  let analyze ~params ~counters ~sweep t memo ~warm =
     let tb = t.tb and ir = t.ir in
     let scale = tb.Timebase.scale in
     let n = Array.length tb.Timebase.period in
@@ -696,8 +636,8 @@ module Make (N : Timeline.S) = struct
                     pr.(a).(b)
                 | _ ->
                     incr recomputed;
-                    response_time ~pool ~memo ~counters t (Ir.site ir ~a ~b)
-                      params ~phi:!phi ~jit)
+                    response_time ~memo ~counters t (Ir.site ir ~a ~b) params
+                      ~phi:!phi ~jit)
               row)
           jit
       in

@@ -4,14 +4,14 @@
     {!Make} holds every recurrence: the compiled demand kernels of
     Eqs. 7–11 and their memo entries, the busy-period fixed point of
     Eqs. 13–16, the simple and refined best cases, the response time of
-    one site (reduced, exhaustive exact, and branch-and-bound exact,
-    split over a domain pool), and the outer Jacobi iteration on the
-    dynamic offsets with incremental sweeps and warm starts.  It is
-    instantiated twice: {!Exact} on rationals and {!Scaled} on
-    overflow-checked scaled ints.  Every step of one is the image of the
-    other's under v ↦ v·scale, so both return the same report bit for
-    bit; {!Engine} runs {!Scaled} and falls back to {!Exact} when the
-    model leaves native-int range. *)
+    one site (reduced, exhaustive exact, and branch-and-bound exact),
+    and the outer Jacobi iteration on the dynamic offsets with
+    incremental sweeps and warm starts.  It is instantiated twice:
+    {!Exact} on rationals and {!Scaled} on overflow-checked scaled ints.
+    Every step of one is the image of the other's under v ↦ v·scale, so
+    both return the same report bit for bit; {!Engine} runs {!Scaled}
+    and falls back to {!Exact} when the model leaves native-int
+    range. *)
 
 type warm = {
   dirty : bool array;
@@ -64,9 +64,9 @@ module Make (N : Timeline.S) : sig
 
   type memo
 
-  val memo : Model.t -> slots:int -> memo
+  val memo : Model.t -> memo
 
-  val cache : memo -> a:int -> b:int -> slot:int -> cache
+  val cache : memo -> a:int -> b:int -> cache
 
   val memo_stats : memo -> memo_stats
 
@@ -88,7 +88,7 @@ module Make (N : Timeline.S) : sig
 
   type tables
   (** A session's timebase plus its per-site skeletons, flattened on
-      first use from the main domain. *)
+      first use. *)
 
   val tables : Ir.t -> num Timebase.t -> tables
 
@@ -102,7 +102,6 @@ module Make (N : Timeline.S) : sig
 
   val analyze :
     params:Params.t ->
-    pool:Parallel.Pool.t ->
     counters:Rta.counters ->
     sweep:(iteration:int -> recomputed:int -> carried:int -> unit) ->
     tables ->
@@ -115,8 +114,9 @@ module Make (N : Timeline.S) : sig
       repeat, a response diverges, some transaction misses its deadline
       (under the simple best case, whose responses grow monotonically:
       the verdict is settled, the report has [converged = false]) or
-      256 sweeps have run.  [sweep] is called after each sweep.  [pool] splits the exact scenario enumeration;
-      [counters] is bumped with its scenario accounting.
+      256 sweeps have run.  [sweep] is called after each sweep;
+      [counters] is bumped with the scenario accounting.  Runs on the
+      calling domain.
       @raise Rational.Overflow when an operation leaves the domain. *)
 end
 

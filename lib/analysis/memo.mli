@@ -19,23 +19,21 @@
     interfering tasks bypass it, so it engages exactly where it pays.
     Each numeric instance of the core ({!Fixpoint.Make}) keeps its own
     memo; this module is the view of the exact one, for tests.  Caches
-    are partitioned per task under analysis and per pool slot
-    ({!Parallel.Pool}): the static slot→chunk mapping of the pool
-    guarantees each cache is only ever touched by one domain per region,
-    so no locking is needed, and entries stay warm across sweeps. *)
+    are partitioned per task under analysis, and entries stay warm
+    across sweeps.  An analysis runs on the domain that calls it, so a
+    memo is never shared between domains and needs no locking. *)
 
 type t = Fixpoint.Exact.memo
 
 type cache = Fixpoint.Exact.cache
-(** The caches of one (task under analysis, pool slot) pair. *)
+(** The caches of one task under analysis. *)
 
-val create : Model.t -> slots:int -> t
-(** Fresh memo for [slots] pool slots (≥ 1).  Per-(task, slot) caches
-    are allocated lazily on first {!cache} access, so creation stays
-    O(tasks) pointers however large the slot count. *)
+val create : Model.t -> t
+(** Fresh memo.  Per-task caches are allocated lazily on first {!cache}
+    access, so creation stays O(tasks) pointers. *)
 
-val cache : t -> a:int -> b:int -> slot:int -> cache
-(** The cache task [(a, b)] must use on pool slot [slot]. *)
+val cache : t -> a:int -> b:int -> cache
+(** The cache of task [(a, b)]. *)
 
 val min_terms : int
 (** Smallest interfering-set size worth memoising.  Kernels with fewer
@@ -63,4 +61,4 @@ type stats = Fixpoint.memo_stats = {
 
 val stats : t -> stats
 (** Aggregate lookup statistics over every cache, for benchmarks and
-    tests.  Read only between parallel regions. *)
+    tests. *)

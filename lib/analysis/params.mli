@@ -3,9 +3,9 @@
     There are no other switches: the outer fixed point always carries
     clean tasks forward between sweeps, stops at the first deadline miss
     under the [Simple] best case and gives up after a fixed number of
-    sweeps ({!Fixpoint.Make.analyze}); the domain pool always steals
-    ({!Parallel.Pool.run_ranges}); design-space probes always go through
-    a {!Regions.Probe_ladder}. *)
+    sweeps ({!Fixpoint.Make.analyze}); an analysis always runs on the
+    domain that calls it; design-space probes always go through a
+    {!Regions.Probe_ladder}. *)
 
 type variant =
   | Exact

@@ -13,10 +13,9 @@ let scenario_count m params ~a ~b =
 
 (* Scenario accounting for benchmarks: one unit is one remote scenario
    vector ν of the mixed-radix product (all own-transaction choices are
-   always evaluated per unit).  Atomics because the pool's slots bump
-   them concurrently; the counts are diagnostics, not part of any
-   report, and under pruning the visited/pruned split may vary with
-   scheduling while the response stays bit-identical. *)
+   always evaluated per unit).  Atomics because the concurrent probes of
+   a design search share one session's counters; the counts are
+   diagnostics, not part of any report. *)
 type counters = {
   total : int Atomic.t;
   visited : int Atomic.t;

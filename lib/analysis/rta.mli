@@ -19,8 +19,8 @@
     one remote scenario vector ν of Eq. 12 ([Reduced] counts 1 per
     call).  The counts are cumulative across calls and safe to read
     concurrently; they are diagnostics only — never part of a
-    {!Report.t} — because the visited/pruned split depends on domain
-    scheduling even though the reported bounds do not. *)
+    {!Report.t} — because the visited/pruned split depends on the
+    pruning switch even though the reported bounds do not. *)
 type counters
 
 val counters : unit -> counters
@@ -34,8 +34,9 @@ val visited_scenarios : counters -> int
     pruning, [= total_scenarios] without). *)
 
 val pruned_scenarios : counters -> int
-(** Scenario units discarded by a bound test.  [visited + pruned] can
-    be below [total] — chunks may also be skipped wholesale. *)
+(** Scenario units discarded by a bound test.  Every unit of a pruned
+    enumeration is visited or pruned (the seed scenario is counted
+    visited even when its block is pruned afterwards). *)
 
 val bound_evaluations : counters -> int
 (** Optimistic block bounds computed (the overhead side of pruning). *)

@@ -29,21 +29,21 @@ let fixed_latency_family ~delta ~beta =
    directly — its model must be the system's.  Probes only read the
    verdict, so the per-sweep history matrices are dead weight: they are
    dropped whatever parameters the caller passed. *)
-let probe_engine ?engine ?params ?pool sys =
+let probe_engine ?engine ?params sys =
   match engine with
-  | Some e -> Engine.with_overrides ?params ?pool e ~keep_history:false
+  | Some e -> Engine.with_overrides ?params e ~keep_history:false
   | None ->
       let p = Option.value params ~default:Analysis.Params.default in
       Engine.create
         ~params:{ p with Analysis.Params.keep_history = false }
-        ?pool (Analysis.Model.of_system sys)
+        (Analysis.Model.of_system sys)
 
 let probe_schedulable ~ladder e ~bounds =
   let m = { (Engine.model e) with Analysis.Model.bounds } in
   Regions.Probe_ladder.schedulable ladder e m
 
-let schedulable_with ?engine ?params ?pool ?ladder sys ~bounds =
-  let probe = probe_engine ?engine ?params ?pool sys in
+let schedulable_with ?engine ?params ?ladder sys ~bounds =
+  let probe = probe_engine ?engine ?params sys in
   probe_schedulable
     ~ladder:(Option.value ladder ~default:(Regions.Probe_ladder.create ()))
     probe ~bounds
@@ -58,11 +58,11 @@ let current_bounds (sys : Transaction.System.t) =
    [hi] end is [ok_at_hi] (and the negation at [lo]).  With a one-slot
    pool this is the classical bisection probe at (lo + hi) / 2; with
    more slots it is a parallel multisection: min(jobs, width − 1)
-   evenly spaced interior points are probed concurrently and the
-   interval shrinks to the sub-interval bracketing the flip.  Both
-   shapes converge to the same unique flip point of a monotone
-   predicate, so the search result is independent of the job count
-   (the candidate sweeps of docs/PERFORMANCE.md). *)
+   evenly spaced interior points are probed concurrently, one whole
+   analysis per slot, and the interval shrinks to the sub-interval
+   bracketing the flip.  Both shapes converge to the same unique flip
+   point of a monotone predicate, so the search result is independent
+   of the job count (the candidate sweeps of docs/PERFORMANCE.md). *)
 let multisection_round ~pool ~ok_at_hi ok (lo, hi) =
   let jobs = Parallel.Pool.jobs pool in
   let width = hi - lo in
@@ -112,7 +112,7 @@ let search_min_rate ?(pool = Parallel.Pool.sequential) ~precision ok =
 
 let min_rate ?engine ?params ?pool ?ladder ?(precision = 10) sys ~resource
     ~family =
-  let probe = probe_engine ?engine ?params ?pool sys in
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let ok alpha =
@@ -120,14 +120,14 @@ let min_rate ?engine ?params ?pool ?ladder ?(precision = 10) sys ~resource
     bounds.(resource) <- family.bound_of_rate alpha;
     probe_schedulable ~ladder probe ~bounds
   in
-  search_min_rate ~pool:(Engine.pool probe) ~precision ok
+  search_min_rate ?pool ~precision ok
 
 let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
     =
   let n = Array.length families in
   if n <> Array.length sys.Transaction.System.resources then
     invalid_arg "Design.minimize_rates: one family per platform required";
-  let probe = probe_engine ?engine ?params ?pool sys in
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let rates = Array.make n Q.one in
   let bounds_of rates =
@@ -144,7 +144,7 @@ let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
           attempt.(i) <- alpha;
           probe_schedulable ~ladder probe ~bounds:(bounds_of attempt)
         in
-        match search_min_rate ~pool:(Engine.pool probe) ~precision ok with
+        match search_min_rate ?pool ~precision ok with
         | Some alpha when Q.(alpha < rates.(i)) ->
             rates.(i) <- alpha;
             changed := true
@@ -154,11 +154,11 @@ let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
     Some rates
   end
 
-let balance_rates ?engine ?params ?pool ?ladder ?(precision = 6) sys ~families =
+let balance_rates ?engine ?params ?ladder ?(precision = 6) sys ~families =
   let n = Array.length families in
   if n <> Array.length sys.Transaction.System.resources then
     invalid_arg "Design.balance_rates: one family per platform required";
-  let probe = probe_engine ?engine ?params ?pool sys in
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let den = 1 lsl precision in
   let rates = Array.make n Q.one in
@@ -226,7 +226,7 @@ let scale_demands (m : Analysis.Model.t) factor =
   }
 
 let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
-  let probe = probe_engine ?engine ?params ?pool sys in
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let m = Engine.model probe in
   let ok factor =
@@ -234,10 +234,9 @@ let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
     else
       Regions.Probe_ladder.schedulable ladder probe (scale_demands m factor)
   in
-  let pool = Engine.pool probe in
   if not (ok Q.one) then
     (* Even the given demands fail; search downwards instead. *)
-    search_max ~pool ~precision ~limit:Q.one ok
+    search_max ?pool ~precision ~limit:Q.one ok
   else begin
     (* Grow the ceiling until infeasible, then search inside. *)
     let rec ceiling limit =
@@ -246,12 +245,12 @@ let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
       else limit
     in
     let limit = ceiling (Q.of_int 2) in
-    if ok limit then limit else search_max ~pool ~precision ~limit ok
+    if ok limit then limit else search_max ?pool ~precision ~limit ok
   end
 
 let max_delta ?engine ?params ?pool ?ladder ?(precision = 10) ?limit sys
     ~resource =
-  let probe = probe_engine ?engine ?params ?pool sys in
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let default_limit =
@@ -267,7 +266,7 @@ let max_delta ?engine ?params ?pool ?ladder ?(precision = 10) ?limit sys
     probe_schedulable ~ladder probe ~bounds
   in
   if not (ok Q.zero) then None
-  else Some (search_max ~pool:(Engine.pool probe) ~precision ~limit ok)
+  else Some (search_max ?pool ~precision ~limit ok)
 
 (* --- region-backed mode -------------------------------------------- *)
 
@@ -292,9 +291,8 @@ let default_delta_limit (sys : Transaction.System.t) =
     (fun acc (x : Transaction.Txn.t) -> Q.max acc x.Transaction.Txn.deadline)
     Q.one sys.Transaction.System.transactions
 
-let region ?engine ?params ?pool ?ladder ?(precision = 6) ?limit ?sink sys
-    ~resource =
-  let probe = probe_engine ?engine ?params ?pool sys in
+let region ?engine ?params ?ladder ?(precision = 6) ?limit ?sink sys ~resource =
+  let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
   let beta = base.(resource).LB.beta in

@@ -17,17 +17,16 @@
     compiled IR is shared across the entire search
     ({!Analysis.Engine.with_model}).  Pass [engine] to reuse a session
     you already hold — it must be a session over the given system's
-    model; its parameters and pool are adopted (history is forced off
-    for the probes, which only read the verdict).  Without [engine], a
-    fresh probe session is built from [params] and [pool].
+    model; its parameters are adopted (history is forced off for the
+    probes, which only read the verdict).  Without [engine], a fresh
+    probe session is built from [params].
 
-    With a multi-slot pool the bisection becomes a parallel
-    multisection (one analysis per slot and per round, evenly spaced
-    over the open bracket), and the pool is also used by the underlying
-    analyses for the exact scenario enumeration whenever the sweep
-    itself has not saturated it (the pool self-serialises nested
-    regions).  A monotone predicate has a unique flip point, so results
-    are independent of the job count — see docs/PERFORMANCE.md.
+    The bracketing searches take a [pool]: with more than one slot the
+    bisection becomes a parallel multisection (one whole analysis per
+    slot and per round, evenly spaced over the open bracket).  Each
+    analysis runs on the slot that probes it.  A monotone predicate has
+    a unique flip point, so results are independent of the job count —
+    see docs/PERFORMANCE.md.
 
     Every boolean probe runs through a {!Regions.Probe_ladder}:
     converged probes at dominating (easier) parameter points certify or
@@ -53,17 +52,15 @@ val fixed_latency_family : delta:Rational.t -> beta:Rational.t -> family
 val probe_engine :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   Transaction.System.t ->
   Analysis.Engine.t
 (** The probe session every search here (and {!Sensitivity}) runs on:
-    [engine] rebound with [params] and [pool] when given, else a fresh
-    session over the system, with the history off either way. *)
+    [engine] with [params] when given, else a fresh session over the
+    system, with the history off either way. *)
 
 val schedulable_with :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   Transaction.System.t ->
   bounds:Platform.Linear_bound.t array ->
@@ -101,7 +98,6 @@ val minimize_rates :
 val balance_rates :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   Transaction.System.t ->
@@ -169,7 +165,6 @@ type region_mode = {
 val region :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   ?limit:Rational.t ->

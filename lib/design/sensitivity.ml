@@ -56,8 +56,8 @@ let search_scaling ~precision ok =
    shrinks (c, cb) together with c moving at least as fast — so the
    bisection's probes certify and warm-seed each other through a ladder
    (bit-identical verdicts; see Param_search). *)
-let task_scaling ?engine ?params ?pool ?ladder ?(precision = 7) sys ~txn ~task =
-  let probe = Param_search.probe_engine ?engine ?params ?pool sys in
+let task_scaling ?engine ?params ?ladder ?(precision = 7) sys ~txn ~task =
+  let probe = Param_search.probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let m = Engine.model probe in
   let ok factor =
@@ -68,8 +68,9 @@ let task_scaling ?engine ?params ?pool ?ladder ?(precision = 7) sys ~txn ~task =
   in
   search_scaling ~precision ok
 
-let all_task_margins ?engine ?params ?pool ?precision sys =
-  let probe = Param_search.probe_engine ?engine ?params ?pool sys in
+let all_task_margins ?engine ?params ?(pool = Parallel.Pool.sequential)
+    ?precision sys =
+  let probe = Param_search.probe_engine ?engine ?params sys in
   let ladder = Regions.Probe_ladder.create () in
   let m = Engine.model probe in
   let sites = ref [] in
@@ -81,9 +82,8 @@ let all_task_margins ?engine ?params ?pool ?precision sys =
         tx.Model.tasks)
     m.Model.txns;
   (* One independent search per task — the candidate sweep the pool
-     parallelises; the inner analyses reuse the same pool and
-     self-serialise while the sweep holds it. *)
-  Parallel.Pool.map_list (Engine.pool probe)
+     parallelises, each search on the slot that runs it. *)
+  Parallel.Pool.map_list pool
     (fun (txn, task, name) ->
       {
         txn;
@@ -94,11 +94,11 @@ let all_task_margins ?engine ?params ?pool ?precision sys =
     !sites
   |> List.sort (fun a b -> Q.compare a.factor b.factor)
 
-let transaction_slack ?engine ?params ?pool sys =
+let transaction_slack ?engine ?params sys =
   let e =
     match engine with
-    | Some e -> Engine.with_overrides ?params ?pool e
-    | None -> Engine.create_system ?params ?pool sys
+    | Some e -> Engine.with_overrides ?params e
+    | None -> Engine.create_system ?params sys
   in
   let m = Engine.model e in
   let report = Engine.analyze e in

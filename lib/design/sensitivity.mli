@@ -5,8 +5,8 @@
     search (scaling probes rebind demands only, so the compiled IR is
     shared throughout).  Pass [engine] to reuse a session you already
     hold — it must be a session over the given system's model; its
-    parameters and pool are adopted.  Without [engine], a fresh session
-    is built from [params] and [pool].
+    parameters are adopted.  Without [engine], a fresh session is built
+    from [params].
 
     Scaling probes run through a {!Regions.Probe_ladder} — probes along
     one task's factor axis form a dominance chain, so the bisection's
@@ -26,7 +26,6 @@ type task_margin = {
 val task_scaling :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   Transaction.System.t ->
@@ -46,14 +45,13 @@ val all_task_margins :
   Transaction.System.t ->
   task_margin list
 (** {!task_scaling} for every task, sorted most-critical (smallest
-    factor) first.  The per-task searches are independent; the session's
-    pool spreads them over its domains (the margin list is identical for
-    every job count). *)
+    factor) first.  The per-task searches are independent; [pool]
+    (default {!Parallel.Pool.sequential}) spreads them over its domains
+    (the margin list is identical for every job count). *)
 
 val transaction_slack :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   Transaction.System.t ->
   (string * Analysis.Report.bound * Rational.t) list
 (** Per transaction: name, end-to-end response bound, and deadline;

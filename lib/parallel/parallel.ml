@@ -1,6 +1,5 @@
-(** Parallel execution substrate for the analysis engine: a domain pool
-    with static slot identity, a work-stealing range scheduler
-    ({!Pool.run_ranges}), deterministic reductions and reentrancy
-    fallback.  See {!Pool} and docs/PERFORMANCE.md for the design. *)
+(** Parallel execution substrate: a domain pool with static slot
+    identity, deterministic index-order maps and reentrancy fallback,
+    for independent work items.  See {!Pool} and docs/PERFORMANCE.md. *)
 
 module Pool = Pool

@@ -25,7 +25,8 @@ type event =
     }
   | Batch of { size : int; parallel : int; shed : int }
       (** One shard batch: [size] requests drained, [parallel] of them
-          executed on worker domains, [shed] dropped. *)
+          read-only items of a group run on the shard's pool, [shed]
+          dropped. *)
   | Replay of { records : int; tenants : int }
       (** Startup replayed [records] WAL records into [tenants] tenant
           stores, all hashes verified. *)

@@ -176,14 +176,6 @@ let stats_json t ~seq ~tenant =
     match List.assoc_opt tid all_tenants with Some s -> s | None -> t.boot
   in
   let sum f = List.fold_left (fun acc v -> acc + f v) 0 vlist in
-  let pool =
-    {
-      Parallel.Pool.steals =
-        sum (fun v -> v.Shard.v_pool.Parallel.Pool.steals);
-      splits = sum (fun v -> v.Shard.v_pool.Parallel.Pool.splits);
-      idle_slots = sum (fun v -> v.Shard.v_pool.Parallel.Pool.idle_slots);
-    }
-  in
   let agg = Metrics.merged (List.map (fun v -> v.Shard.v_metrics) vlist) in
   let shard_obj i (v : Shard.view) =
     Json.Obj
@@ -196,7 +188,7 @@ let stats_json t ~seq ~tenant =
       @ Metrics.fields v.Shard.v_metrics ~workers:v.Shard.v_workers
           ~entries:v.Shard.v_entries
           ~kernel_sessions:v.Shard.v_kernel_sessions
-          ~fallback_count:v.Shard.v_fallback_count ~pool:v.Shard.v_pool)
+          ~fallback_count:v.Shard.v_fallback_count)
   in
   Json.Obj
     (P.head ?tenant seq "stats"
@@ -210,7 +202,6 @@ let stats_json t ~seq ~tenant =
         ~entries:(sum (fun v -> v.Shard.v_entries))
         ~kernel_sessions:(sum (fun v -> v.Shard.v_kernel_sessions))
         ~fallback_count:(sum (fun v -> v.Shard.v_fallback_count))
-        ~pool
     @
     if nshards = 1 then []
     else

@@ -108,7 +108,7 @@ let merged ms =
     ms;
   a
 
-let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
+let fields t ~workers ~entries ~kernel_sessions ~fallback_count =
   [
     ("workers", Json.Int workers);
       ( "requests",
@@ -162,13 +162,6 @@ let fields t ~workers ~entries ~kernel_sessions ~fallback_count ~pool =
           ] );
       ("kernel_sessions", Json.Int kernel_sessions);
       ("fallback_count", Json.Int fallback_count);
-      ( "pool",
-        Json.Obj
-          [
-            ("steals", Json.Int pool.Parallel.Pool.steals);
-            ("splits", Json.Int pool.Parallel.Pool.splits);
-            ("idle_slots", Json.Int pool.Parallel.Pool.idle_slots);
-          ] );
       ("batches", Json.Int t.batches);
       ( "latency_ms",
         Json.Obj

@@ -70,7 +70,6 @@ val fields :
   entries:int ->
   kernel_sessions:int ->
   fallback_count:int ->
-  pool:Parallel.Pool.stats ->
   (string * Json.t) list
 (** The [stats] response body from ["workers"] through ["latency_ms"],
     in the stable wire order; the caller prepends the response head and
@@ -78,7 +77,6 @@ val fields :
     [entries] is the result-cache size, [kernel_sessions] the live
     worker sessions currently running on the integer timeline kernel,
     [fallback_count] the total kernel-overflow fallbacks those sessions
-    recorded, [pool] the pool's cumulative work-stealing counters (all
-    snapshots taken at the stats barrier, not counters of this
-    record).  Used both for the fleet aggregate and for each per-shard
-    object under sharding. *)
+    recorded (both snapshots taken at the stats barrier, not counters
+    of this record).  Used both for the fleet aggregate and for each
+    per-shard object under sharding. *)

@@ -21,6 +21,8 @@ let max_region_precision = 10
 
 let default_region_precision = 5
 
+let max_line_bytes = 1 lsl 20
+
 type envelope = {
   seq : int;
   arrival : float;

@@ -34,6 +34,11 @@ val max_region_precision : int
 val default_region_precision : int
 (** 5 — the [precision] used when the request omits the field. *)
 
+val max_line_bytes : int
+(** 1 MiB — the longest request line {!Server.run} reads.  A longer
+    line is discarded up to its newline and answered with an
+    ["invalid"] error. *)
+
 type envelope = {
   seq : int;  (** assigned in arrival order; echoed in the response *)
   arrival : float;  (** {!Unix.gettimeofday} at read time *)

@@ -2,7 +2,7 @@ module P = Protocol
 
 (* The server is the fleet plus the JSON-lines IO loops.  The batching
    core lives in {!Shard} (per-tenant stores, caches and baselines;
-   parallel read-only groups; speculative commit groups) and the
+   parallel read-only groups; commits as barriers) and the
    topology in {!Fleet} (consistent-hash routing, shard domains, stats
    merging, WAL replay and compaction); this module keeps the
    historical single-server API on top. *)
@@ -25,6 +25,26 @@ let process_batch = Fleet.process_batch
 
 let handle t ?deadline_ms ?tenant req = Fleet.handle t ?deadline_ms ?tenant req
 
+(* One request line without its newline, [`Overlong] when it ran past
+   [P.max_line_bytes] (the rest is discarded up to the newline or EOF,
+   so a client cannot grow the heap without bound).  Raises
+   [End_of_file] at EOF with nothing read, like [input_line]. *)
+let read_line ic =
+  let buf = Buffer.create 256 in
+  let rec go over =
+    match input_char ic with
+    | '\n' -> if over then `Overlong else `Line (Buffer.contents buf)
+    | c ->
+        let over = over || Buffer.length buf >= P.max_line_bytes in
+        if not over then Buffer.add_char buf c;
+        go over
+    | exception End_of_file ->
+        if over then `Overlong
+        else if Buffer.length buf = 0 then raise End_of_file
+        else `Line (Buffer.contents buf)
+  in
+  go false
+
 let run t ic oc =
   let now = Fleet.clock t in
   let mu = Mutex.create () in
@@ -38,7 +58,7 @@ let run t ic oc =
     Domain.spawn (fun () ->
         (try
            while true do
-             let line = input_line ic in
+             let line = read_line ic in
              let arrival = now () in
              Mutex.lock mu;
              Queue.add (line, arrival) q;
@@ -77,17 +97,28 @@ let run t ic oc =
     let items =
       List.filter_map
         (fun (line, arrival) ->
-          if String.trim line = "" then None
-          else
-            let seq = Fleet.fresh_seq t in
-            match P.parse line with
-            | Ok (req, deadline_ms, tenant) ->
-                Some (`Env { P.seq; arrival; deadline_ms; tenant; req })
-            | Error msg ->
-                (* Counted here, not at response time, so a [stats] in
-                   the same batch already sees the error. *)
-                Fleet.count_error t;
-                Some (`Err (seq, msg)))
+          let parsed =
+            match line with
+            | `Line l when String.trim l = "" -> None
+            | `Line l -> Some (P.parse l)
+            | `Overlong ->
+                Some
+                  (Error
+                     (Printf.sprintf "request line exceeds %d bytes"
+                        P.max_line_bytes))
+          in
+          Option.map
+            (fun parsed ->
+              let seq = Fleet.fresh_seq t in
+              match parsed with
+              | Ok (req, deadline_ms, tenant) ->
+                  `Env { P.seq; arrival; deadline_ms; tenant; req }
+              | Error msg ->
+                  (* Counted here, not at response time, so a [stats] in
+                     the same batch already sees the error. *)
+                  Fleet.count_error t;
+                  `Err (seq, msg))
+            parsed)
         lines
     in
     let envs = List.filter_map (function `Env e -> Some e | _ -> None) items in

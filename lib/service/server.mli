@@ -8,9 +8,9 @@
     Requests arrive as JSON lines ({!Protocol}); the {!run} loop drains
     whatever has arrived into a batch, sheds expired or overload-victim
     requests, executes maximal runs of read-only requests ([query],
-    [what_if]) in parallel on the workers, and serializes the mutating
-    requests ([admit], [revoke]) per tenant and [stats] as a fleet
-    barrier.
+    [what_if]) in parallel on the workers, and runs the mutating
+    requests ([admit], [revoke]) as barriers in arrival order on their
+    shard and [stats] as a fleet barrier.
 
     Admission is transactional: the candidate snapshot is built and
     analyzed {e beside} the tenant's current one, and the store
@@ -88,8 +88,10 @@ val run : t -> in_channel -> out_channel -> unit
 (** The JSON-lines loop: read requests from [ic] (a dedicated reader
     domain keeps draining while a batch is being processed — that is
     what makes batches larger than one under load), write responses to
-    [oc] in arrival order, return on end of input.  Unparseable lines
-    are answered with [status:"error"] in place. *)
+    [oc] in arrival order, return on end of input.  Unparseable lines,
+    and lines longer than {!Protocol.max_line_bytes} (read no further
+    than that, then discarded up to their newline), are answered with
+    [status:"error"] in place and counted in [requests.errors]. *)
 
 val run_unix_socket : ?accept_limit:int -> t -> path:string -> unit
 (** Serve connections on a Unix-domain socket, one client at a time,

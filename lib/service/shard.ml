@@ -64,7 +64,6 @@ type view = {
   v_entries : int;  (* result-cache entries summed over tenants *)
   v_kernel_sessions : int;
   v_fallback_count : int;
-  v_pool : Parallel.Pool.stats;
   v_tenants : (string * Store.t) list;  (* sorted by tenant id *)
 }
 
@@ -130,7 +129,6 @@ let view t =
     v_entries = cache_entries t;
     v_kernel_sessions = !kernel_sessions;
     v_fallback_count = !fallback_count;
-    v_pool = Parallel.Pool.stats t.pool;
     v_tenants = tenant_stores t;
   }
 
@@ -474,33 +472,39 @@ let process_batch t envs =
         let m = Array.length idxs in
         parallel_count := !parallel_count + m;
         let snaps = Array.map (fun i -> tens.(i).Tenant.store) idxs in
-        (* One item is a whole analysis — orders of magnitude above the
-           pool's wake-up cost, hence the large weight: any group of two
-           or more parallelises.  Stealing rebalances the group when
-           snapshots differ wildly in analysis cost; slot identity still
-           routes each item to the session owned by its executor. *)
-        let slots = Parallel.Pool.slots_for ~weight:1024 t.pool m in
-        Parallel.Pool.run_ranges t.pool ~slots ~n:m (fun ~slot ~lo ~hi ->
-            for k = lo to hi - 1 do
-              let i = idxs.(k) in
+        (* One item is a whole analysis.  Slot [s] takes items s,
+           s + jobs, … on its own session, so each session is touched by
+           one domain only. *)
+        let jobs = Array.length t.slots in
+        Parallel.Pool.run t.pool (fun slot ->
+            let k = ref slot in
+            while !k < m do
+              let i = idxs.(!k) in
               results.(i) <-
-                evaluate t t.slots.(slot) tens.(i) snaps.(k) arr.(i).P.req
+                evaluate t t.slots.(slot) tens.(i) snaps.(!k) arr.(i).P.req;
+              k := !k + jobs
             done));
     List.iter finalize (List.rev !pending);
     pending := [];
     to_run := []
   in
-  let commit_with i uid ~op cand (summary, cache_hit, kind, delta, fresh) =
+  (* A commit runs on the driving domain, on slot 0's session, against
+     the tenant's current store: admissions and revocations are barriers
+     in arrival order. *)
+  let commit i uid ~op cand =
     let seq = arr.(i).P.seq in
     let tenant = arr.(i).P.tenant in
     let ten = tens.(i) in
+    let summary, cache_hit, kind, delta, fresh =
+      analyze_snapshot t t.slots.(0) ten cand
+    in
     record_kind t kind;
     record_cache t cache_hit;
     record_delta t delta;
     Tenant.update_baseline ten fresh;
     Tenant.cache_add ten summary;
     let session = Option.map session_label kind in
-    let commit status response =
+    let apply status response =
       ten.Tenant.store <- cand;
       wal_append t ten uid ~op cand;
       t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
@@ -509,7 +513,7 @@ let process_batch t envs =
     match op with
     | `Admit ->
         if summary.P.s_schedulable then
-          commit "admitted"
+          apply "admitted"
             (P.admitted ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
                ~cached:cache_hit summary)
         else (
@@ -525,12 +529,9 @@ let process_batch t envs =
         (* Revocation commits whenever the remaining assembly is valid:
            shrinking the admitted set must not be refusable on analysis
            grounds, but the response still reports the verdict. *)
-        commit "revoked"
+        apply "revoked"
           (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
              ~cached:cache_hit summary)
-  in
-  let commit_barrier i uid ~op cand =
-    commit_with i uid ~op cand (analyze_snapshot t t.slots.(0) tens.(i) cand)
   in
   let barrier i =
     let env = arr.(i) in
@@ -556,100 +557,16 @@ let process_batch t envs =
     | P.Admit { uid; spec } -> (
         match Store.admit ten.Tenant.store ~uid ~spec with
         | Error errors -> invalid ~op:"admit" ~uid errors
-        | Ok cand -> commit_barrier i uid ~op:`Admit cand)
+        | Ok cand -> commit i uid ~op:`Admit cand)
     | P.Revoke { uid } -> (
         match Store.revoke ten.Tenant.store ~uid with
         | Error errors -> invalid ~op:"revoke" ~uid errors
-        | Ok cand -> commit_barrier i uid ~op:`Revoke cand)
+        | Ok cand -> commit i uid ~op:`Revoke cand)
     | P.Query | P.What_if _ | P.Region _ -> assert false
-  in
-  (* Pending admission/revocation group: consecutive commit requests are
-     speculatively analyzed in parallel against each tenant's store as
-     of the group start, then finalized in arrival order.  A finalized
-     commit changes only its own tenant's store, so it invalidates the
-     remaining speculations of that tenant — those rerun inline against
-     the current store, exactly as the sequential barrier would — while
-     other tenants' speculations stay valid: interleaved multi-tenant
-     admissions commute, which is where sharded fleets earn their
-     throughput.  Responses are bit-identical to fully sequential
-     processing for any worker count or steal schedule. *)
-  let admits = ref [] in
-  let flush_admits () =
-    (match List.rev !admits with
-    | [] -> ()
-    | [ i ] -> barrier i
-    | idxs ->
-        let idxs = Array.of_list idxs in
-        let m = Array.length idxs in
-        let snaps = Array.map (fun i -> tens.(i).Tenant.store) idxs in
-        let cands =
-          Array.mapi
-            (fun j i ->
-              match arr.(i).P.req with
-              | P.Admit { uid; spec } -> (
-                  match Store.admit snaps.(j) ~uid ~spec with
-                  | Error es -> `Invalid (uid, "admit", es)
-                  | Ok c -> `Cand (uid, `Admit, c))
-              | P.Revoke { uid } -> (
-                  match Store.revoke snaps.(j) ~uid with
-                  | Error es -> `Invalid (uid, "revoke", es)
-                  | Ok c -> `Cand (uid, `Revoke, c))
-              | P.Query | P.What_if _ | P.Region _ | P.Stats -> assert false)
-            idxs
-        in
-        let spec_results = Array.make m None in
-        let work =
-          Array.of_list
-            (List.filter
-               (fun j -> match cands.(j) with `Cand _ -> true | _ -> false)
-               (List.init m Fun.id))
-        in
-        let w = Array.length work in
-        if w > 1 then begin
-          parallel_count := !parallel_count + w;
-          let slots = Parallel.Pool.slots_for ~weight:1024 t.pool w in
-          Parallel.Pool.run_ranges t.pool ~slots ~n:w (fun ~slot ~lo ~hi ->
-              for k = lo to hi - 1 do
-                let j = work.(k) in
-                match cands.(j) with
-                | `Cand (_, _, c) ->
-                    spec_results.(j) <-
-                      Some (analyze_snapshot t t.slots.(slot) tens.(idxs.(j)) c)
-                | `Invalid _ -> ()
-              done)
-        end;
-        Array.iteri
-          (fun j i ->
-            if tens.(i).Tenant.store != snaps.(j) then
-              (* An earlier member committed to this tenant: the
-                 speculation no longer describes the store this request
-                 applies to. *)
-              barrier i
-            else begin
-              Metrics.count_request t.metrics arr.(i).P.req;
-              match cands.(j) with
-              | `Invalid (uid, op, errors) ->
-                  t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-                  finish i ~status:"rejected" ~cache_hit:false ~session:None
-                    (P.rejected ?tenant:arr.(i).P.tenant ~seq:arr.(i).P.seq
-                       ~op ~uid ~reason:"invalid" ~errors
-                       ~hash:tens.(i).Tenant.store.Store.hash ())
-              | `Cand (uid, op, cand) ->
-                  let pre =
-                    match spec_results.(j) with
-                    | Some pre -> pre
-                    | None -> analyze_snapshot t t.slots.(0) tens.(i) cand
-                  in
-                  commit_with i uid ~op cand pre
-            end)
-          idxs);
-    admits := []
   in
   for i = 0 to n - 1 do
     let env = arr.(i) in
-    if shed_reason.(i) <> None then (
-      flush_admits ();
-      pending := i :: !pending)
+    if shed_reason.(i) <> None then pending := i :: !pending
     else
       let expired =
         match env.P.deadline_ms with
@@ -658,24 +575,17 @@ let process_batch t envs =
       in
       if expired then (
         shed_reason.(i) <- Some "deadline";
-        flush_admits ();
         pending := i :: !pending)
       else
         match env.P.req with
         | P.Query | P.What_if _ | P.Region _ ->
-            flush_admits ();
             pending := i :: !pending;
             to_run := i :: !to_run
-        | P.Admit _ | P.Revoke _ ->
+        | P.Admit _ | P.Revoke _ | P.Stats ->
             flush ();
-            admits := i :: !admits
-        | P.Stats ->
-            flush ();
-            flush_admits ();
             barrier i
   done;
   flush ();
-  flush_admits ();
   let shed =
     Array.fold_left
       (fun acc r -> if r = None then acc else acc + 1)

@@ -5,16 +5,14 @@
     The batching core is the original single-store server generalized
     over tenants: maximal runs of read-only requests execute in
     parallel on the shard's workers against each item's own tenant
-    snapshot, consecutive admissions/revocations are speculated in
-    parallel and finalized in arrival order (a commit only invalidates
-    the {e same} tenant's later speculations — different tenants
-    commute), and [stats] is a barrier the fleet renders.  Committed
-    mutations append to the WAL inside the commit.
+    snapshot, while every admission, revocation and [stats] request is
+    a barrier run on the driving domain in arrival order ([stats] is
+    rendered by the fleet).  Committed mutations append to the WAL
+    inside the commit.
 
     A shard must only be driven from one domain (the fleet pins each
     shard to its own domain when running more than one); per-tenant
-    responses are bit-identical for any worker count, steal schedule or
-    shard count. *)
+    responses are bit-identical for any worker count or shard count. *)
 
 type t
 
@@ -25,7 +23,6 @@ type view = {
   v_kernel_sessions : int;
       (** live sessions currently on the integer timeline kernel *)
   v_fallback_count : int;  (** kernel-overflow fallbacks recorded *)
-  v_pool : Parallel.Pool.stats;
   v_tenants : (string * Store.t) list;  (** sorted by tenant id *)
 }
 (** Snapshot for the fleet's stats barrier; only taken while the shard

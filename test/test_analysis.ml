@@ -31,8 +31,8 @@ let txn name period tasks =
   { Model.tname = name; period = q period; deadline = q period; tasks = Array.of_list tasks }
 
 (* One-shot session: compile, analyse once. *)
-let analyze ?params ?pool ?counters m =
-  Engine.analyze (Engine.create ?params ?pool ?counters m)
+let analyze ?params ?counters m =
+  Engine.analyze (Engine.create ?params ?counters m)
 
 (* --- busy fixpoint --- *)
 
@@ -399,8 +399,7 @@ let scenario_total (m : Model.t) =
 
 (* Branch-and-bound pruning produces, report-for-report (history
    included), the same exact rationals as the naive enumerate-everything
-   path — under both variants and for both a sequential and a 4-domain
-   pool. *)
+   path — under both variants. *)
 let ablation_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"prune = naive, exact and reduced" ~count:10
@@ -417,13 +416,7 @@ let ablation_identity_prop =
          let m = Model.of_system sys in
          QCheck.assume (scenario_total m < 20_000);
          let agrees base =
-           let reference = analyze ~params:{ base with P.prune = false } m in
-           List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   analyze ~params:base ~pool m)
-               = reference)
-             [ 1; 4 ]
+           analyze ~params:base m = analyze ~params:{ base with P.prune = false } m
          in
          agrees P.exact && agrees P.default))
 
@@ -455,10 +448,9 @@ let carry_forward_prop =
                   ~horizon_factor:params.P.horizon_factor)
            in
            let run warm =
-             X.analyze ~params ~pool:Parallel.Pool.sequential
-               ~counters:(Rta.counters ())
+             X.analyze ~params ~counters:(Rta.counters ())
                ~sweep:(fun ~iteration:_ ~recomputed:_ ~carried:_ -> ())
-               tables (X.memo m ~slots:1) ~warm
+               tables (X.memo m) ~warm
            in
            List.for_all
              (fun (h : Report.iteration) ->
@@ -519,9 +511,7 @@ let test_scenario_counters () =
 let engine_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:
-         "engine session: one-shot = reused = rebound, exact and reduced, jobs \
-          1 and 4"
+       ~name:"engine session: one-shot = reused = rebound, exact and reduced"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -540,17 +530,11 @@ let engine_identity_prop =
          in
          let agrees params =
            let reference = analyze ~params m in
-           List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let e = Engine.create ~params ~pool m in
-                   let rebound =
-                     Engine.with_model (Engine.create ~params ~pool other) m
-                   in
-                   Engine.analyze e = reference
-                   && Engine.analyze e = reference
-                   && Engine.analyze rebound = reference))
-             [ 1; 4 ]
+           let e = Engine.create ~params m in
+           let rebound = Engine.with_model (Engine.create ~params other) m in
+           Engine.analyze e = reference
+           && Engine.analyze e = reference
+           && Engine.analyze rebound = reference
          in
          agrees P.exact && agrees P.default))
 
@@ -570,11 +554,10 @@ let test_engine_overrides () =
   Alcotest.(check bool)
     "rest of the report identical" true
     ({ full with Report.history = [] } = probe);
-  (* a pool override re-partitions the memo and changes nothing else *)
-  Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check bool)
-        "jobs 4 identical" true
-        (Engine.analyze (Engine.with_overrides e ~pool) = full))
+  (* an override keeps the memos, which depend on the model only *)
+  Alcotest.(check bool)
+    "override on warm memos identical" true
+    (Engine.analyze (Engine.with_overrides e ~params:P.exact) = full)
 
 let test_engine_with_model () =
   let m = paper_model () in
@@ -824,8 +807,8 @@ let memo_engages (m : Model.t) =
 
 (* The tentpole identity: the scaled-int kernels reproduce the rational
    reports bit for bit — same bounds, history, sweep counts and verdict —
-   under both variants and both best cases, sequential and 4-domain
-   pools, with zero overflow fallbacks on these workloads; a model the
+   under both variants and both best cases, with zero overflow
+   fallbacks on these workloads; a model the
    kernel cannot represent (gadget transaction appended) silently falls
    back to the identical rational result; and on a long-chain system
    the memo engages (hits > 0) without changing a bit.  Refined stays
@@ -836,7 +819,7 @@ let kernel_identity_prop =
     (QCheck.Test.make
        ~name:
          "int kernel = rational path, exact and reduced, simple and refined, \
-          memo on long chains, jobs 1 and 4"
+          memo on long chains"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -879,19 +862,15 @@ let kernel_identity_prop =
            let reference =
              analyze ~params:{ base with P.int_kernel = false } model
            in
-           List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let counters = Rta.counters () in
-                   let e = Engine.create ~params:base ~pool ~counters model in
-                   Engine.analyze e = reference
-                   && Rta.kernel_fallbacks counters = 0
-                   && ((not memo_hits)
-                      ||
-                      match Engine.memo_stats e with
-                      | Some s -> s.Analysis.Memo.hits > 0
-                      | None -> false)))
-             [ 1; 4 ]
+           let counters = Rta.counters () in
+           let e = Engine.create ~params:base ~counters model in
+           Engine.analyze e = reference
+           && Rta.kernel_fallbacks counters = 0
+           && ((not memo_hits)
+              ||
+              match Engine.memo_stats e with
+              | Some s -> s.Analysis.Memo.hits > 0
+              | None -> false)
          in
          let refined base = { base with P.best_case = P.Refined } in
          let chain =
@@ -949,8 +928,7 @@ let delta_perturbations (m : Model.t) =
 (* The tentpole identity: a warm delta fixed point seeded from the
    previous converged report reproduces the cold analysis bit for bit
    on results, convergence and verdict — for admit-like and revoke-like
-   perturbations, both variants, sequential and 4-domain pools, and the
-   integer kernel on or off.  Plans that fall back cold (previous run
+   perturbations, both variants, and the integer kernel on or off.  Plans that fall back cold (previous run
    not converged, everything dirty, …) are exercised by the same
    property: analyze_delta must agree with the cold reference either
    way.  Only the outer iteration count may differ — the warm
@@ -958,9 +936,7 @@ let delta_perturbations (m : Model.t) =
 let delta_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:
-         "warm delta = cold analysis, exact and reduced, jobs 1 and 4, kernel \
-          on and off"
+       ~name:"warm delta = cold analysis, exact and reduced, kernel on and off"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -978,15 +954,9 @@ let delta_identity_prop =
            let params = { base with P.keep_history = false } in
            let prev_report = analyze ~params prev in
            let reference = analyze ~params next in
-           List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let e = Engine.create ~params ~pool next in
-                   let r, _ =
-                     Engine.analyze_delta e ~prev_model:prev ~prev_report
-                   in
-                   same_verdict r reference))
-             [ 1; 4 ]
+           let e = Engine.create ~params next in
+           let r, _ = Engine.analyze_delta e ~prev_model:prev ~prev_report in
+           same_verdict r reference
          in
          List.for_all
            (fun next ->
@@ -1116,15 +1086,15 @@ let dominating_seed (m : Model.t) =
 
 (* The probe-ladder identity: a fixed point seeded from a converged
    report at a dominating parameter point reproduces the cold analysis
-   bit for bit — results, convergence, verdict — for both variants,
-   sequential and 4-domain pools.  Seeds whose own analysis did not
+   bit for bit — results, convergence, verdict — for both variants.
+   Seeds whose own analysis did not
    converge exercise the transparent cold fallback through the same
    property.  [verdict_only] must still return the cold verdict even
    when its report is not converged. *)
 let seeded_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"seeded warm = cold analysis, exact and reduced, jobs 1 and 4"
+       ~name:"seeded warm = cold analysis, exact and reduced"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -1143,18 +1113,13 @@ let seeded_identity_prop =
            let params = { base with P.keep_history = false } in
            let seed_report = analyze ~params seed_model in
            let reference = analyze ~params target in
-           List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let e = Engine.create ~params ~pool target in
-                   let r, _ = Engine.analyze_seeded e ~seed_model ~seed_report in
-                   let rv, _ =
-                     Engine.analyze_seeded ~verdict_only:true e ~seed_model
-                       ~seed_report
-                   in
-                   same_verdict r reference
-                   && rv.Report.schedulable = reference.Report.schedulable))
-             [ 1; 4 ]
+           let e = Engine.create ~params target in
+           let r, _ = Engine.analyze_seeded e ~seed_model ~seed_report in
+           let rv, _ =
+             Engine.analyze_seeded ~verdict_only:true e ~seed_model ~seed_report
+           in
+           same_verdict r reference
+           && rv.Report.schedulable = reference.Report.schedulable
          in
          agrees P.exact && agrees P.default))
 

@@ -1,12 +1,11 @@
-(* Parallel engine: pool semantics, memoised interference, and the
-   bit-identical determinism guarantee across job counts.  Report.t and
-   the design-search results are pure data (exact rationals, ints,
-   bools), so structural equality [=] is exactly the "bit-identical"
-   property the engine promises. *)
+(* The domain pool: pool semantics, memoised interference, and the
+   bit-identical determinism guarantee for analyses and searches run on
+   pool workers.  Report.t and the design-search results are pure data
+   (exact rationals, ints, bools), so structural equality [=] is exactly
+   the "bit-identical" property the engine promises. *)
 
 module Q = Rational
 module P = Parallel.Pool
-module G = Workload.Gen
 module Model = Analysis.Model
 module Params = Analysis.Params
 
@@ -90,57 +89,10 @@ let test_shutdown () =
     Alcotest.fail "ran on a shut-down pool"
   with Invalid_argument _ -> ()
 
-(* --- work-stealing ranges --- *)
-
-(* Whatever the block geometry — owner splits, steals — every index of
-   [0, n) must be executed exactly once.  Ranges never overlap, so the
-   counting writes touch distinct cells and need no lock. *)
-let test_ranges_cover_exactly_once () =
-  List.iter
-    (fun jobs ->
-      P.with_pool ~jobs @@ fun pool ->
-      List.iter
-        (fun n ->
-          let hits = Array.make (max n 1) 0 in
-          P.run_ranges pool ~slots:(P.jobs pool) ~n (fun ~slot:_ ~lo ~hi ->
-              for i = lo to hi - 1 do
-                hits.(i) <- hits.(i) + 1
-              done);
-          for i = 0 to n - 1 do
-            Alcotest.(check int)
-              (Printf.sprintf "jobs %d n %d index %d" jobs n i)
-              1 hits.(i)
-          done)
-        [ 0; 1; 2; 3; 7; 64; 257 ])
-    [ 1; 2; 4; 5 ]
-
-(* A deliberately skewed region: the first quarter of the index space
-   carries all the work, so the slots owning the light chunks drain
-   their deques and must raid the heavy one.  This holds on any host —
-   a single-core pool runs the slot loops inline, and the inline loop
-   claims and steals through the same deques. *)
-let test_ranges_steal_skewed () =
-  P.with_pool ~jobs:4 @@ fun pool ->
-  let before = (P.stats pool).P.steals in
-  P.run_ranges pool ~slots:4 ~n:256 (fun ~slot:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        if i < 64 then begin
-          let acc = ref i in
-          for k = 1 to 5_000 do
-            acc := (!acc + k) land 0xFFFF
-          done;
-          ignore (Sys.opaque_identity !acc)
-        end
-      done);
-  Alcotest.(check bool)
-    "skewed region records steals" true
-    ((P.stats pool).P.steals > before)
-
 (* --- memoised interference --- *)
 
 (* One-shot analysis session. *)
-let analyze ?params ?pool m =
-  Analysis.Engine.analyze (Analysis.Engine.create ?params ?pool m)
+let analyze ?params m = Analysis.Engine.analyze (Analysis.Engine.create ?params m)
 
 let zeros (m : Model.t) =
   Array.map
@@ -156,7 +108,7 @@ let sweep_against_direct memo m ~phi ~jit =
     (fun a (tx : Model.txn) ->
       Array.iteri
         (fun b _ ->
-          let cache = Analysis.Memo.cache memo ~a ~b ~slot:0 in
+          let cache = Analysis.Memo.cache memo ~a ~b in
           for i = 0 to Array.length m.Model.txns - 1 do
             let hp_list = Analysis.Interference.hp m ~i ~a ~b in
             if hp_list <> [] then
@@ -176,7 +128,7 @@ let sweep_against_direct memo m ~phi ~jit =
 let test_memo_values_and_stats () =
   let m = Hsched.Paper_example.model () in
   let phi = zeros m and jit = zeros m in
-  let memo = Analysis.Memo.create m ~slots:1 in
+  let memo = Analysis.Memo.create m in
   sweep_against_direct memo m ~phi ~jit;
   let s1 = Analysis.Memo.stats memo in
   Alcotest.(check bool) "first sweep misses" true (s1.Analysis.Memo.misses > 0);
@@ -197,6 +149,8 @@ let test_memo_values_and_stats () =
 
 (* --- determinism across job counts --- *)
 
+(* One analysis per slot, all running at once on the pool's domains:
+   each must return the sequential report. *)
 let test_paper_example_determinism () =
   let m = Hsched.Paper_example.model () in
   List.iter
@@ -206,11 +160,14 @@ let test_paper_example_determinism () =
         (fun jobs ->
           let par =
             P.with_pool ~jobs (fun pool ->
-                analyze ~params ~pool m)
+                P.tabulate pool jobs (fun _ -> analyze ~params m))
           in
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs %d report" jobs)
-            true (seq = par))
+          Array.iteri
+            (fun slot r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "jobs %d, slot %d report" jobs slot)
+                true (seq = r))
+            par)
         [ 2; 3; 4 ])
     [ Params.default; Params.exact ]
 
@@ -229,61 +186,6 @@ let test_design_determinism () =
   in
   Alcotest.(check bool) "task margins equal" true (mseq = mpar)
 
-let small_spec = { G.default_spec with G.n_txns = 3; max_tasks_per_txn = 3 }
-
-let scenario_total (m : Model.t) =
-  let total = ref 0 in
-  Array.iteri
-    (fun a (tx : Model.txn) ->
-      Array.iteri
-        (fun b _ ->
-          total := !total + Analysis.Rta.scenario_count m Params.exact ~a ~b)
-        tx.Model.tasks)
-    m.Model.txns;
-  !total
-
-let determinism_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"jobs 1 = jobs 4, exact and reduced" ~count:12
-       (QCheck.int_range 1 1000)
-       (fun seed ->
-         let sys = G.system ~seed small_spec in
-         let m = Model.of_system sys in
-         QCheck.assume (scenario_total m < 20_000);
-         let agrees params =
-           let seq = analyze ~params m in
-           let par =
-             P.with_pool ~jobs:4 (fun pool ->
-                 analyze ~params ~pool m)
-           in
-           seq = par
-         in
-         agrees Params.exact && agrees Params.default))
-
-(* A random workload analysed at jobs 1, 2 and 4 must yield one report,
-   bit for bit — stealing only changes which slot executes which index
-   range, and the analysis joins range results commutatively over exact
-   values.  Jobs 1 runs every range inline: the sequential reference. *)
-let steal_determinism_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"jobs {1,2,4} bit-identical" ~count:8
-       (QCheck.int_range 1 1000)
-       (fun seed ->
-         let sys = G.system ~seed small_spec in
-         let m = Model.of_system sys in
-         QCheck.assume (scenario_total m < 20_000);
-         let agrees params =
-           match
-             List.map
-               (fun jobs ->
-                 P.with_pool ~jobs (fun pool -> analyze ~params ~pool m))
-               [ 1; 2; 4 ]
-           with
-           | r :: rest -> List.for_all (fun r' -> r' = r) rest
-           | [] -> false
-         in
-         agrees Params.exact && agrees Params.default))
-
 let () =
   Alcotest.run "parallel"
     [
@@ -299,13 +201,6 @@ let () =
           Alcotest.test_case "reentrancy" `Quick test_reentrant;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
         ] );
-      ( "ranges",
-        [
-          Alcotest.test_case "cover every index exactly once" `Quick
-            test_ranges_cover_exactly_once;
-          Alcotest.test_case "skewed region records steals" `Quick
-            test_ranges_steal_skewed;
-        ] );
       ( "memo",
         [
           Alcotest.test_case "values and stats" `Quick test_memo_values_and_stats;
@@ -315,7 +210,5 @@ let () =
           Alcotest.test_case "paper example" `Quick
             test_paper_example_determinism;
           Alcotest.test_case "design searches" `Quick test_design_determinism;
-          determinism_prop;
-          steal_determinism_prop;
         ] );
     ]

@@ -219,7 +219,7 @@ let random_points st ~limit =
 let region_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"region member = cold analysis, exact and reduced, jobs 1 and 4"
+       ~name:"region member = cold analysis, exact and reduced"
        ~count:8
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -249,25 +249,18 @@ let region_identity_prop =
          in
          let pts = random_points st ~limit in
          let agrees params =
+           let rm = D.region ~params ~precision:3 sys ~resource in
            List.for_all
-             (fun jobs ->
-               Parallel.Pool.with_pool ~jobs (fun pool ->
-                   let rm =
-                     D.region ~params ~pool ~precision:3 sys ~resource
-                   in
-                   List.for_all
-                     (fun (alpha, delta) ->
-                       let bounds =
-                         Array.map
-                           (fun (r : Platform.Resource.t) ->
-                             r.Platform.Resource.bound)
-                           sys.Transaction.System.resources
-                       in
-                       bounds.(resource) <- LB.make ~alpha ~delta ~beta;
-                       D.region_member rm ~alpha ~delta
-                       = D.schedulable_with ~params sys ~bounds)
-                     pts))
-             [ 1; 4 ]
+             (fun (alpha, delta) ->
+               let bounds =
+                 Array.map
+                   (fun (r : Platform.Resource.t) -> r.Platform.Resource.bound)
+                   sys.Transaction.System.resources
+               in
+               bounds.(resource) <- LB.make ~alpha ~delta ~beta;
+               D.region_member rm ~alpha ~delta
+               = D.schedulable_with ~params sys ~bounds)
+             pts
          in
          agrees P.exact && agrees P.default))
 
@@ -315,7 +308,7 @@ let shared_ir_prop =
                  probes
              in
              Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-                 let e = Analysis.Engine.create ~params ~pool m in
+                 let e = Analysis.Engine.create ~params m in
                  Parallel.Pool.map_list pool
                    (fun p ->
                      Analysis.Engine.analyze (Analysis.Engine.with_model e p))

@@ -722,6 +722,62 @@ let test_shard_identity () =
   in
   Alcotest.(check (list string)) "one batch, 2 shards" base batched
 
+(* Back-to-back commits of one tenant inside one batch: each one must
+   see the store its predecessor committed, whatever other tenants'
+   commits and queries sit between them. *)
+let same_tenant_envelopes () =
+  let acme = Some "acme" and globex = Some "globex" in
+  List.mapi
+    (fun i (tenant, req) ->
+      { P.seq = i + 1; arrival = 0.; deadline_ms = None; tenant; req })
+    [
+      (acme, P.Admit { uid = "a"; spec = unit_spec 1 });
+      (globex, P.Admit { uid = "x"; spec = unit_spec 2 });
+      (acme, P.Admit { uid = "b"; spec = unit_spec 3 });
+      (acme, P.Revoke { uid = "a" });
+      (globex, P.Admit { uid = "y"; spec = unit_spec 4 });
+      (globex, P.Query);
+      (acme, P.Admit { uid = "c"; spec = unit_spec 5 });
+    ]
+
+let test_same_tenant_commits () =
+  let envs = same_tenant_envelopes () in
+  let run ~workers ~shards ~batched =
+    with_server ~workers ~shards @@ fun srv ->
+    let resps =
+      if batched then List.map Json.to_string (Server.process_batch srv envs)
+      else run_envs srv envs
+    in
+    (resps, List.map (tenant_hash srv) [ "acme"; "globex" ])
+  in
+  let reference = run ~workers:1 ~shards:1 ~batched:false in
+  List.iter
+    (fun (workers, shards, batched) ->
+      Alcotest.(check (pair (list string) (list string)))
+        (Printf.sprintf "workers %d, shards %d, %s" workers shards
+           (if batched then "one batch" else "one request per batch"))
+        reference
+        (run ~workers ~shards ~batched))
+    [
+      (1, 1, true);
+      (1, 2, false);
+      (1, 2, true);
+      (2, 1, false);
+      (2, 1, true);
+      (2, 2, false);
+      (2, 2, true);
+    ];
+  let resps, _ = reference in
+  Alcotest.(check (list string))
+    "every commit lands"
+    [ "admitted"; "admitted"; "admitted"; "revoked"; "admitted"; "ok"; "admitted" ]
+    (List.map
+       (fun r ->
+         match Json.parse r with
+         | Ok j -> status j
+         | Error e -> Alcotest.failf "bad response %s: %s" r e)
+       resps)
+
 (* --- durability: the write-ahead log --- *)
 
 let with_wal f =
@@ -1110,6 +1166,8 @@ let () =
         [
           Alcotest.test_case "bit-identical across shard counts" `Quick
             test_shard_identity;
+          Alcotest.test_case "same-tenant commits in one batch" `Quick
+            test_same_tenant_commits;
         ] );
       ( "durability",
         [
