@@ -867,7 +867,7 @@ let service_throughput () =
     | Error e -> failwith e
   in
   let mk_server workers =
-    match Service.Server.create ~workers ~params items with
+    match Service.Fleet.create ~workers ~params items with
     | Ok s -> s
     | Error es -> failwith (String.concat "; " es)
   in
@@ -895,9 +895,9 @@ let service_throughput () =
             })
       in
       let ms, resps =
-        wall (fun () -> Service.Server.process_batch srv envs)
+        wall (fun () -> Service.Fleet.process_batch srv envs)
       in
-      Service.Server.shutdown srv;
+      Service.Fleet.shutdown srv;
       let rendered = List.map Service.Json.to_string resps in
       let identical =
         match !reference with
@@ -922,7 +922,7 @@ let service_throughput () =
         let ok = ref 0 in
         for i = 0 to n_units - 1 do
           match
-            Service.Server.handle srv
+            Service.Fleet.handle srv
               (Service.Protocol.Admit
                  { uid = Printf.sprintf "u%d" i; spec = unit_spec i })
           with
@@ -940,7 +940,7 @@ let service_throughput () =
     (float_of_int n_units /. admit_ms *. 1000.);
   metric "x11/admissions_per_sec" (float_of_int n_units /. admit_ms *. 1000.);
   check "x11/every admission committed" (admitted_ok = n_units);
-  Service.Server.shutdown srv;
+  Service.Fleet.shutdown srv;
   (* warm vs cold: the same what_if candidates analyzed through one
      long-lived session (the rebind keeps the IR — only demands move)
      and by a fresh engine per candidate.  The store is populated first
@@ -951,15 +951,15 @@ let service_throughput () =
   let srv = mk_server 1 in
   for i = 0 to 5 do
     ignore
-      (Service.Server.handle srv
+      (Service.Fleet.handle srv
          (Service.Protocol.Admit
             { uid = Printf.sprintf "u%d" i; spec = unit_spec i }))
   done;
-  ignore (Service.Server.handle srv (what_if 0));
+  ignore (Service.Fleet.handle srv (what_if 0));
   for i = 1 to n_probes do
-    ignore (Service.Server.handle srv (what_if i))
+    ignore (Service.Fleet.handle srv (what_if i))
   done;
-  let m = Service.Server.metrics srv in
+  let m = Service.Fleet.metrics srv in
   check "x11/rebinds kept the IR warm" (m.Service.Metrics.ir_warm >= n_probes);
   (* the timed comparison runs at the engine-session layer on
      precomputed candidate models, so both sides do identical work
@@ -967,7 +967,7 @@ let service_throughput () =
      hashing, result cache and response construction of the service
      path would otherwise drown the compilation cost on one side
      only *)
-  let store = Service.Server.store srv in
+  let store = Service.Fleet.default_store srv in
   let models =
     Array.init (n_probes + 1) (fun i ->
         match Service.Store.admit store ~uid:"probe" ~spec:(probe_spec i) with
@@ -1001,7 +1001,7 @@ let service_throughput () =
                (Analysis.Engine.create ~params models.(i)))
         done)
   in
-  Service.Server.shutdown srv;
+  Service.Fleet.shutdown srv;
   (* each timed sample is a whole probe batch, so the recorded numbers
      are per-batch medians over the rounds — not per-probe figures *)
   Format.printf
@@ -1370,12 +1370,12 @@ let parallel_speedup () =
       i (30 + i) (30 + i) (i + 2) i i
   in
   let probe_batch workers =
-    match Service.Server.create ~workers ~params items with
+    match Service.Fleet.create ~workers ~params items with
     | Error es -> failwith (String.concat "; " es)
     | Ok srv ->
         for i = 0 to n_units - 1 do
           ignore
-            (Service.Server.handle srv
+            (Service.Fleet.handle srv
                (Service.Protocol.Admit
                   { uid = Printf.sprintf "w%d" i; spec = p3_unit i }))
         done;
@@ -1392,9 +1392,9 @@ let parallel_speedup () =
               })
         in
         let ms, resps =
-          wall (fun () -> Service.Server.process_batch srv envs)
+          wall (fun () -> Service.Fleet.process_batch srv envs)
         in
-        Service.Server.shutdown srv;
+        Service.Fleet.shutdown srv;
         (ms, List.map Service.Json.to_string resps)
   in
   let t1, r1 = probe_batch 1 in
@@ -1476,22 +1476,22 @@ let fleet_sharding () =
   let tenant_hashes srv =
     Array.to_list tenants
     |> List.map (fun t ->
-           match Service.Server.tenant_store srv t with
+           match Service.Fleet.tenant_store srv t with
            | Some s -> s.Service.Store.hash
            | None -> "missing")
   in
   let run shards log =
     match
-      Service.Server.create ~workers:1 ~shards ~params
+      Service.Fleet.create ~workers:1 ~shards ~params
         ~max_batch:(List.length envs) ?log items
     with
     | Error es -> failwith (String.concat "; " es)
     | Ok srv ->
         let ms, resps =
-          wall (fun () -> Service.Server.process_batch srv envs)
+          wall (fun () -> Service.Fleet.process_batch srv envs)
         in
         let hashes = tenant_hashes srv in
-        Service.Server.shutdown srv;
+        Service.Fleet.shutdown srv;
         (ms, List.map Service.Json.to_string resps, hashes)
   in
   let t1, r1, h1 = run 1 None in
@@ -1513,11 +1513,11 @@ let fleet_sharding () =
   Sys.remove log;
   let _, _, logged = run 2 (Some log) in
   let replayed =
-    match Service.Server.create ~workers:1 ~shards:4 ~params ~log items with
+    match Service.Fleet.create ~workers:1 ~shards:4 ~params ~log items with
     | Error es -> failwith (String.concat "; " es)
     | Ok srv ->
         let hs = tenant_hashes srv in
-        Service.Server.shutdown srv;
+        Service.Fleet.shutdown srv;
         hs
   in
   Sys.remove log;

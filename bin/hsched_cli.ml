@@ -221,7 +221,9 @@ let analyze_cmd =
     let report =
       with_trace trace @@ fun writer ->
       let sink = engine_sink writer in
-      Analysis.Engine.analyze (Analysis.Engine.create ~params ?sink m)
+      try Analysis.Engine.analyze (Analysis.Engine.create ~params ?sink m)
+      with Q.Overflow ->
+        or_die (Error "arithmetic overflow: exact rationals exceed native ints")
     in
     let names a b = (Analysis.Model.task m a b).Analysis.Model.name in
     if csv then begin
@@ -621,9 +623,10 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition tenants onto $(docv) shards by consistent hashing, \
-           each with its own worker pool and engine sessions, pinned to \
-           its own domain.  Per-tenant responses are bit-identical for \
-           every shard count.")
+           each with its own worker pool and engine sessions.  The shards \
+           run on one domain pool, at most one domain per core, so shards \
+           beyond the core count share domains.  Per-tenant responses are \
+           bit-identical for every shard count.")
 
 let log_arg =
   Arg.(
@@ -682,20 +685,20 @@ let serve_cmd =
           { (params_of_exact exact) with Analysis.Params.keep_history = false }
         in
         match
-          Service.Server.create ~workers ~shards ~params ~max_batch ?trace
+          Service.Fleet.create ~workers ~shards ~params ~max_batch ?trace
             ?log items
         with
         | Error es ->
             List.iter prerr_endline es;
             1
-        | Ok srv ->
+        | Ok fleet ->
             Fun.protect
-              ~finally:(fun () -> Service.Server.shutdown srv)
+              ~finally:(fun () -> Service.Fleet.shutdown fleet)
               (fun () ->
                 match socket with
-                | None -> Service.Server.run srv stdin stdout
+                | None -> Service.Server.run fleet stdin stdout
                 | Some path ->
-                    Service.Server.run_unix_socket ?accept_limit srv ~path);
+                    Service.Server.run_unix_socket ?accept_limit fleet ~path);
             0)
   in
   Cmd.v

@@ -654,6 +654,3 @@ let edf_tasks t ~resource =
 
 let edf_schedulable t ~resource =
   Edf.schedulable ~bound:t.model.Model.bounds.(resource) (edf_tasks t ~resource)
-
-let edf_margin t ~resource =
-  Edf.margin ~bound:t.model.Model.bounds.(resource) (edf_tasks t ~resource)

@@ -167,7 +167,9 @@ val analyze : t -> Report.t
     events, same report, bit for bit.  A checked-arithmetic overflow
     mid-run aborts the scaled run, emits [Kernel_fallback], bumps
     {!Rta.kernel_fallbacks} and transparently reruns on
-    {!Fixpoint.Exact}; later analyses on this session skip the kernel. *)
+    {!Fixpoint.Exact}; later analyses on this session skip the kernel.
+    @raise Rational.Overflow when the exact rationals overflow native
+    ints too. *)
 
 (** {1 Delta re-analysis}
 
@@ -228,7 +230,8 @@ val analyze_delta :
     warm runs that do not converge fall back to the cold path
     transparently ({!Rta.delta_fallbacks}).  On a kernel session the
     warm start is scaled onto the integer timeline when the previous
-    values lie on its lattice, and runs on exact rationals otherwise. *)
+    values lie on its lattice, and runs on exact rationals otherwise.
+    @raise Rational.Overflow like {!analyze}. *)
 
 (** {1 Seeded analysis}
 
@@ -307,7 +310,3 @@ val classical_schedulable : t -> resource:int -> bool
 
 val edf_schedulable : t -> resource:int -> bool
 (** {!Edf.schedulable} over the same view (priorities ignored). *)
-
-val edf_margin : t -> resource:int -> Rational.t option
-(** {!Edf.margin}: spare cycles at the tightest deadline, [None] when
-    infeasible by rate. *)

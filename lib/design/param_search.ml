@@ -327,8 +327,5 @@ let region ?engine ?params ?ladder ?(precision = 6) ?limit ?sink sys ~resource =
 let region_member rm ~alpha ~delta =
   Regions.Cell.member rm.cells ~probe:rm.region_probe ~alpha ~delta
 
-let region_classify rm ~alpha ~delta =
-  Regions.Cell.classify rm.cells ~alpha ~delta
-
 let region_max_delta rm ~alpha = Regions.Frontier.max_delta rm.frontier ~alpha
 let region_min_alpha rm ~delta = Regions.Frontier.min_alpha rm.frontier ~delta

@@ -183,9 +183,6 @@ val region_member : region_mode -> alpha:Rational.t -> delta:Rational.t -> bool
     Certified cells answer without analysis; boundary points run one
     probe.  Agrees with a cold analysis at every point. *)
 
-val region_classify :
-  region_mode -> alpha:Rational.t -> delta:Rational.t -> Regions.Cell.verdict
-
 val region_max_delta : region_mode -> alpha:Rational.t -> Rational.t option
 (** Largest certified-feasible Δ at [alpha] ({!Regions.Frontier.max_delta}):
     within one cell width below {!max_delta}'s multisection answer. *)

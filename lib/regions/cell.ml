@@ -1,6 +1,5 @@
 module Q = Rational
 module Sym = Symbolic
-module LB = Platform.Linear_bound
 
 type verdict = Feasible | Infeasible | Boundary
 
@@ -98,14 +97,6 @@ let sample_of_report (model : Analysis.Model.t) report =
          model.Analysis.Model.txns)
   in
   { s_schedulable = report.Analysis.Report.schedulable; s_slacks }
-
-let sample_of_engine engine ~resource ~beta ~alpha ~delta =
-  let model = Analysis.Engine.model engine in
-  let bounds = Array.copy model.Analysis.Model.bounds in
-  bounds.(resource) <- LB.make ~alpha ~delta ~beta;
-  let m = { model with Analysis.Model.bounds } in
-  let report = Analysis.Engine.analyze (Analysis.Engine.with_model engine m) in
-  sample_of_report model report
 
 (* The slack of every transaction at the three sample corners, fitted
    into affine forms and validated at the fourth.  Any transaction that

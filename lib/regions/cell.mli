@@ -85,17 +85,6 @@ val sample_of_report : Analysis.Model.t -> Analysis.Report.t -> sample
     {!Probe_ladder.analyze}): boundary refinement fits the slack
     iterates of non-converged corners too. *)
 
-val sample_of_engine :
-  Analysis.Engine.t ->
-  resource:int ->
-  beta:Q.t ->
-  alpha:Q.t ->
-  delta:Q.t ->
-  sample
-(** One probe analysis with platform [resource] rebound to
-    [(alpha, delta, beta)], through the session ([with_model] keeps the
-    IR warm — only the bound array moves). *)
-
 val build :
   ?sink:(event -> unit) ->
   ?precision:int ->

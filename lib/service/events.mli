@@ -4,9 +4,10 @@
     like the analysis engine's [--trace]: the engine events of every
     session the workers drive pass through verbatim ({!Engine_event}),
     interleaved with per-request and per-batch service events.  Requests
-    are finalized in arrival order on the main domain, so the request
-    events of a scripted session appear in a deterministic order; engine
-    events from concurrently analyzing workers may interleave. *)
+    are finalized in arrival order on their shard's driving domain, so
+    the request events of one shard appear in a deterministic order;
+    those of different shards, and the engine events of concurrently
+    analyzing workers, may interleave. *)
 
 type event =
   | Engine_event of Analysis.Engine.event

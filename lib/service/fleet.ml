@@ -1,40 +1,30 @@
 module P = Protocol
 
 (* The fleet: N shards, each owning a partition of tenants chosen by a
-   consistent-hash ring over tenant ids.
+   consistent-hash ring over tenant ids, run on one {!Parallel.Pool}
+   with one slot per shard.
 
-   With one shard (the default) the shard lives on the caller's domain
-   and a batch is handed to it whole — bit-for-bit the original
-   single-store server, stats included.  With more, each shard is
-   pinned to its own domain (created there, so the pool-ownership
-   contract holds) behind a mutex/condition mailbox; the fleet splits a
-   batch into maximal stats-free segments, partitions each segment by
-   shard, dispatches the sub-batches concurrently and scatters the
-   responses back into envelope order.  A [stats] request is a fleet
-   barrier: every outstanding sub-batch is awaited first, then the
-   owning shard runs the request and calls back into {!stats_json},
-   which may read every (now quiescent) shard and merge.
+   Shard [s] is created on slot [s] and, since slot identity is static,
+   every later batch of shard [s] runs on that same domain — the
+   contract of {!Shard.create}.  With one shard the pool is sequential:
+   the shard lives on the caller's domain and a batch is handed to it
+   whole, bit-for-bit the original single-store server, stats included.
+   With more, the fleet splits a batch into maximal stats-free
+   segments; a segment is one [Pool.run] in which slot [s] processes
+   shard [s]'s sub-batch, and the responses are scattered back into
+   envelope order.  A [stats] request is a fleet barrier: one
+   [Pool.run] in which only the owning slot works, calling back into
+   {!stats_json}, which may read every (quiescent) shard and merge.
 
-   Memory ordering: a shard's state is published to the fleet domain by
-   the mailbox mutex on completion, and onward to whichever shard
-   domain renders stats by that shard's own mailbox mutex — a
-   release/acquire chain, so no shard state is ever read unfenced. *)
-
-type job = Idle | Work of P.envelope list | Quit
-
-type cell = {
-  mutable shard : Shard.t option;  (* set by the owning domain *)
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable job : job;
-  mutable result : Json.t list option;
-  mutable failed : exn option;
-  mutable domain : unit Domain.t option;  (* None when single-shard *)
-}
+   [Pool.run] returns only after every slot has finished, and its mutex
+   orders each region's writes before the caller's and the next
+   region's reads, so no shard state is ever read unfenced and a
+   failing shard never leaves another one mid-batch. *)
 
 type t = {
   boot : Store.t;
-  cells : cell array;
+  pool : Parallel.Pool.t;  (* one slot per shard *)
+  shards : Shard.t array;  (* shard [s] is driven by slot [s] *)
   ring : (int * int) array;  (* (point, shard), sorted by point *)
   wal : Wal.t option;
   wal_compact : int;
@@ -71,12 +61,12 @@ let make_ring nshards =
   end
 
 (* First ring point at or after the tenant's hash, wrapping — the
-   routing rule documented in docs/SERVICE.md. *)
-let route t tid =
-  if Array.length t.cells = 1 then 0
+   routing rule documented in docs/SERVICE.md.  An empty ring is the
+   one-shard fleet. *)
+let route_on ring tid =
+  let m = Array.length ring in
+  if m = 0 then 0
   else begin
-    let ring = t.ring in
-    let m = Array.length ring in
     let h = point_of tid in
     let lo = ref 0 and hi = ref m in
     while !lo < !hi do
@@ -86,90 +76,21 @@ let route t tid =
     snd ring.(if !lo = m then 0 else !lo)
   end
 
+let route t tid = route_on t.ring tid
+
 let resolved env = Option.value env.P.tenant ~default:Tenant.default_id
-
-(* ------------------------------------------------------------------ *)
-(* Shard mailboxes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let new_cell () =
-  {
-    shard = None;
-    mu = Mutex.create ();
-    cv = Condition.create ();
-    job = Idle;
-    result = None;
-    failed = None;
-    domain = None;
-  }
-
-let shard_of cell =
-  match cell.shard with Some s -> s | None -> assert false
-
-let shard_loop cell make =
-  let sh = make () in
-  Mutex.lock cell.mu;
-  cell.shard <- Some sh;
-  Condition.broadcast cell.cv;
-  Mutex.unlock cell.mu;
-  let rec loop () =
-    Mutex.lock cell.mu;
-    while (match cell.job with Idle -> true | _ -> false) do
-      Condition.wait cell.cv cell.mu
-    done;
-    let job = cell.job in
-    Mutex.unlock cell.mu;
-    match job with
-    | Idle -> assert false
-    | Quit -> Shard.shutdown sh
-    | Work envs ->
-        let r =
-          match Shard.process_batch sh envs with
-          | v -> Ok v
-          | exception e -> Error e
-        in
-        Mutex.lock cell.mu;
-        cell.job <- Idle;
-        (match r with
-        | Ok v -> cell.result <- Some v
-        | Error e -> cell.failed <- Some e);
-        Condition.broadcast cell.cv;
-        Mutex.unlock cell.mu;
-        loop ()
-  in
-  loop ()
-
-let submit cell envs =
-  Mutex.lock cell.mu;
-  cell.job <- Work envs;
-  Condition.broadcast cell.cv;
-  Mutex.unlock cell.mu
-
-let await cell =
-  Mutex.lock cell.mu;
-  while cell.result = None && cell.failed = None do
-    Condition.wait cell.cv cell.mu
-  done;
-  let r = cell.result and f = cell.failed in
-  cell.result <- None;
-  cell.failed <- None;
-  Mutex.unlock cell.mu;
-  match f with Some e -> raise e | None -> Option.get r
 
 (* ------------------------------------------------------------------ *)
 (* Stats rendering                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let views t = Array.map (fun c -> Shard.view (shard_of c)) t.cells
 
 (* The fleet-wide [stats] body: the historical single-server shape
    (head, status, admitted/hash of the addressed tenant, then the
    {!Metrics.fields} block over the merged counters), plus — only when
    sharded — per-shard metric objects and the shard map. *)
 let stats_json t ~seq ~tenant =
-  let nshards = Array.length t.cells in
-  let views = views t in
-  let vlist = Array.to_list views in
+  let nshards = Array.length t.shards in
+  let vlist = Array.to_list (Array.map Shard.view t.shards) in
   let all_tenants = List.concat_map (fun v -> v.Shard.v_tenants) vlist in
   let tid = Option.value tenant ~default:Tenant.default_id in
   let tstore =
@@ -271,18 +192,6 @@ let create ?(workers = 1) ?(shards = 1) ?(params = default_params)
                           emit;
                       (Some w, tenants)))
         in
-        let t =
-          {
-            boot;
-            cells = Array.init nshards (fun _ -> new_cell ());
-            ring = make_ring nshards;
-            wal;
-            wal_compact;
-            emit;
-            now;
-            next_seq = 0;
-          }
-        in
         (* The default tenant always exists, booted from the base, so a
            fleet answers [query]/[stats] exactly like the seed server
            even before any traffic. *)
@@ -290,39 +199,41 @@ let create ?(workers = 1) ?(shards = 1) ?(params = default_params)
           if List.mem_assoc Tenant.default_id replayed then replayed
           else (Tenant.default_id, boot) :: replayed
         in
+        let ring = make_ring nshards in
         let parts = Array.make nshards [] in
         List.iter
           (fun (tid, s) ->
-            let i = route t tid in
+            let i = route_on ring tid in
             parts.(i) <- (tid, s) :: parts.(i))
           replayed;
-        let mk i =
-          Shard.create ~id:i ~workers ~params ~max_batch ~emit ~now ?wal ~boot
-            ~tenants:(List.rev parts.(i))
-            ()
+        let pool = Parallel.Pool.create ~jobs:nshards in
+        let made = Array.make nshards None in
+        Parallel.Pool.run pool (fun i ->
+            made.(i) <-
+              Some
+                (Shard.create ~id:i ~workers ~params ~max_batch ~emit ~now
+                   ?wal ~boot
+                   ~tenants:(List.rev parts.(i))
+                   ()));
+        let t =
+          {
+            boot;
+            pool;
+            shards = Array.map Option.get made;
+            ring;
+            wal;
+            wal_compact;
+            emit;
+            now;
+            next_seq = 0;
+          }
         in
-        if nshards = 1 then t.cells.(0).shard <- Some (mk 0)
-        else
-          Array.iteri
-            (fun i cell ->
-              cell.domain <-
-                Some (Domain.spawn (fun () -> shard_loop cell (fun () -> mk i))))
-            t.cells;
+        (* Published to each shard's domain by the next [Pool.run]. *)
         Array.iter
-          (fun cell ->
-            Mutex.lock cell.mu;
-            while cell.shard = None do
-              Condition.wait cell.cv cell.mu
-            done;
-            Mutex.unlock cell.mu)
-          t.cells;
-        (* Published to each shard domain by the first mailbox
-           hand-off, which happens-before any stats barrier. *)
-        Array.iter
-          (fun cell ->
-            Shard.set_stats_view (shard_of cell) (fun ~seq ~tenant ->
+          (fun sh ->
+            Shard.set_stats_view sh (fun ~seq ~tenant ->
                 stats_json t ~seq ~tenant))
-          t.cells;
+          t.shards;
         Ok t
       with Failed es -> Error es)
 
@@ -337,8 +248,7 @@ let maybe_compact t =
   | Some w when Wal.mutations w >= t.wal_compact ->
       let records = Wal.mutations w in
       let tenants =
-        Array.to_list t.cells
-        |> List.concat_map (fun c -> Shard.tenant_stores (shard_of c))
+        Array.to_list t.shards |> List.concat_map Shard.tenant_stores
       in
       let snapshots = Wal.compact w ~tenants in
       Option.iter
@@ -346,55 +256,50 @@ let maybe_compact t =
         t.emit
   | _ -> ()
 
+(* Several shards: split the batch at every [stats] into stats-free
+   segments.  A segment is one pool region in which slot [s] runs shard
+   [s]'s sub-batch; a [stats] is a region of its own in which only the
+   owning slot works. *)
 let multi t envs =
   let arr = Array.of_list envs in
-  let n = Array.length arr in
-  let nshards = Array.length t.cells in
-  let out = Array.make n Json.Null in
+  let out = Array.make (Array.length arr) Json.Null in
+  (* [idxs] newest first, so each per-shard list comes out oldest first *)
+  let segment idxs =
+    let per = Array.make (Array.length t.shards) [] in
+    List.iter
+      (fun i ->
+        let s = route t (resolved arr.(i)) in
+        per.(s) <- i :: per.(s))
+      idxs;
+    Parallel.Pool.run t.pool (fun s ->
+        if per.(s) <> [] then
+          List.iter2
+            (fun i r -> out.(i) <- r)
+            per.(s)
+            (Shard.process_batch t.shards.(s)
+               (List.map (fun i -> arr.(i)) per.(s))))
+  in
   let run = ref [] in
   let flush () =
-    match List.rev !run with
-    | [] -> ()
-    | idxs ->
-        run := [];
-        let per = Array.make nshards [] in
-        List.iter
-          (fun i ->
-            let s = route t (resolved arr.(i)) in
-            per.(s) <- i :: per.(s))
-          idxs;
-        let active =
-          List.filter (fun s -> per.(s) <> []) (List.init nshards Fun.id)
-        in
-        List.iter
-          (fun s -> submit t.cells.(s) (List.rev_map (fun i -> arr.(i)) per.(s)))
-          active;
-        List.iter
-          (fun s ->
-            let rs = await t.cells.(s) in
-            List.iter2 (fun i r -> out.(i) <- r) (List.rev per.(s)) rs)
-          active
+    if !run <> [] then segment !run;
+    run := []
   in
-  for i = 0 to n - 1 do
-    match arr.(i).P.req with
-    | P.Stats -> (
-        (* Fleet barrier: drain the outstanding segment, then let the
-           owning shard render against the quiescent fleet. *)
-        flush ();
-        let s = route t (resolved arr.(i)) in
-        submit t.cells.(s) [ arr.(i) ];
-        match await t.cells.(s) with
-        | [ r ] -> out.(i) <- r
-        | _ -> assert false)
-    | _ -> run := i :: !run
-  done;
+  Array.iteri
+    (fun i env ->
+      match env.P.req with
+      | P.Stats ->
+          flush ();
+          segment [ i ]
+      | _ -> run := i :: !run)
+    arr;
   flush ();
   Array.to_list out
 
 let process_batch t envs =
   let responses =
-    if Array.length t.cells = 1 then
-      Shard.process_batch (shard_of t.cells.(0)) envs
+    (* One shard: the whole batch, stats included, on the caller's
+       domain — what the one-slot pool would run inline. *)
+    if Array.length t.shards = 1 then Shard.process_batch t.shards.(0) envs
     else multi t envs
   in
   maybe_compact t;
@@ -408,10 +313,9 @@ let handle t ?deadline_ms ?tenant req =
   match process_batch t [ env ] with [ r ] -> r | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Accessors (the server wrapper's compatibility surface)              *)
+(* Accessors (for the IO loops, tests and benches; between batches)    *)
 (* ------------------------------------------------------------------ *)
 
-let shards t = Array.length t.cells
 let clock t = t.now
 
 let fresh_seq t =
@@ -421,41 +325,24 @@ let fresh_seq t =
 (* Parse errors are attributed to shard 0's record; {!Metrics.merged}
    folds them back into the fleet aggregate. *)
 let count_error t =
-  let m = Shard.metrics (shard_of t.cells.(0)) in
+  let m = Shard.metrics t.shards.(0) in
   m.Metrics.errors <- m.Metrics.errors + 1
 
-let workers t =
-  Array.fold_left (fun acc c -> acc + Shard.workers (shard_of c)) 0 t.cells
-
-let cache_entries t =
-  Array.fold_left
-    (fun acc c -> acc + Shard.cache_entries (shard_of c))
-    0 t.cells
-
 let metrics t =
-  Metrics.merged
-    (Array.to_list (Array.map (fun c -> Shard.metrics (shard_of c)) t.cells))
+  Metrics.merged (Array.to_list (Array.map Shard.metrics t.shards))
 
 let tenant_store t tid =
   Option.map
     (fun ten -> ten.Tenant.store)
-    (Shard.tenant_find (shard_of t.cells.(route t tid)) tid)
+    (Shard.tenant_find t.shards.(route t tid) tid)
 
 let default_store t =
   match tenant_store t Tenant.default_id with
   | Some s -> s
   | None -> assert false (* created at boot *)
 
+(* Each shard's worker pool is joined from the slot that created it. *)
 let shutdown t =
-  Array.iter
-    (fun cell ->
-      match cell.domain with
-      | None -> Shard.shutdown (shard_of cell)
-      | Some d ->
-          Mutex.lock cell.mu;
-          cell.job <- Quit;
-          Condition.broadcast cell.cv;
-          Mutex.unlock cell.mu;
-          Domain.join d)
-    t.cells;
+  Parallel.Pool.run t.pool (fun s -> Shard.shutdown t.shards.(s));
+  Parallel.Pool.shutdown t.pool;
   Option.iter Wal.close t.wal

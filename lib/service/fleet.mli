@@ -1,19 +1,51 @@
-(** The multi-tenant fleet: tenants consistent-hashed onto N
-    {!Shard}s, with an optional durable {!Wal} of committed mutations.
+(** The long-lived multi-tenant admission-control fleet: tenants
+    consistent-hashed onto N {!Shard}s, with an optional durable {!Wal}
+    of committed mutations.  {!Server} runs the JSON-lines IO loops on
+    top of it.
 
-    With one shard (the default) the shard runs on the caller's domain
-    and every batch is handed to it whole — byte-for-byte the original
-    single-store server.  With more, each shard is pinned to its own
-    domain behind a mailbox: a batch is split into maximal stats-free
-    segments, each segment partitioned by shard and dispatched
-    concurrently, and responses are scattered back into envelope order.
-    [stats] is a fleet barrier — outstanding sub-batches are awaited,
-    then the owning shard renders the merged fleet view.
+    Each shard serves its partition of tenants with its own worker
+    pool, engine sessions and metrics.  The shards run on one
+    {!Parallel.Pool} with one slot per shard: shard [s] is created on
+    slot [s], and static slot identity keeps every later batch of it on
+    that domain.  With one shard (the default) the pool is sequential
+    and every batch is handed to the shard whole on the caller's
+    domain — byte-for-byte the original single-store server.  With
+    more, a batch is split into maximal stats-free segments, each
+    segment runs as one pool region in which every shard processes its
+    own sub-batch, and responses are scattered back into envelope
+    order; [stats] is a fleet barrier, a region in which only the
+    owning shard works and renders the merged fleet view.  The pool
+    spawns at most one domain per core (the caller included), so shards
+    beyond the core count share domains.
 
-    When a log is attached, committed admits/revokes append to it
-    inside the commit, startup replays it (hard error on any hash
-    divergence) and the fleet compacts it into per-tenant snapshot
-    records once the mutation count passes the threshold. *)
+    Within a shard, a drained batch sheds expired or overload-victim
+    requests, executes maximal runs of read-only requests ([query],
+    [what_if], [region]) in parallel on the shard's workers, and runs
+    the mutating requests ([admit], [revoke]) as barriers in arrival
+    order.
+
+    Admission is transactional: the candidate snapshot is built and
+    analyzed {e beside} the tenant's current one, and the store
+    reference is re-pointed only on a schedulable verdict — a rejection
+    leaves the committed snapshot untouched (it was never modified),
+    with a structured report of which transactions miss and by what
+    margin.  A request whose exact arithmetic overflows native integers
+    ({!Rational.Overflow}) is rejected as invalid, commits nothing and
+    caches nothing.
+
+    Every response is deterministic for a scripted session (fixed
+    requests, fixed worker count): request finalization runs in arrival
+    order on each shard's driving domain, per-tenant state (store,
+    result cache, delta baseline) evolves in that order, and the
+    analysis itself is bit-identical across sessions, job counts and
+    shard counts.  Only latency values and the interleaving of engine
+    trace events vary.
+
+    With a log attached, committed admits/revokes append to it inside
+    the commit, before the response is finalized; startup replays it to
+    the exact recorded hashes (hard error on any divergence), and the
+    fleet compacts it into per-tenant snapshot records once the
+    mutation count passes the threshold. *)
 
 type t
 
@@ -31,16 +63,25 @@ val create :
   ?wal_compact:int ->
   Spec.Ast.t ->
   (t, string list) result
-(** [workers] (default 1; 0 = all cores) sizes {e each} shard's pool;
-    [shards] (default 1) the shard count; [max_batch] (default 64) the
-    per-shard overload threshold; [log] attaches (and replays) the
-    write-ahead log; [wal_compact] (default 256) is the mutation-record
-    count that triggers snapshot compaction.  Fails with the base
-    description's diagnostics, or with the replay divergence report. *)
+(** [workers] (default 1; 0 = all cores) sizes {e each} shard's domain
+    pool and per-worker session set.  [shards] (default 1) is the shard
+    count.  [params] defaults to {!default_params}.  [max_batch]
+    (default 64) is the per-shard overload threshold: a drained batch
+    beyond it sheds [what_if]/[region] probes first, then [query], then
+    admissions — never [stats].  [trace] receives the service event
+    stream ({!Events}); the fleet wraps the sink in a mutex, so the
+    caller serializes nothing.  [now] is the clock (injectable for
+    tests).  [log] attaches the write-ahead log: existing records are
+    replayed first, then every commit appends.  [wal_compact] (default
+    256) is the mutation-record count that triggers snapshot
+    compaction.  Fails with the base description's diagnostics, or with
+    the replay divergence report. *)
 
 val process_batch : t -> Protocol.envelope list -> Json.t list
 (** Responses in envelope order.  Must be called from the domain that
-    created the fleet. *)
+    created the fleet.  If a shard raises, every other shard still
+    finishes its part of the segment, and the exception of the lowest
+    failing shard is re-raised; the fleet stays usable. *)
 
 val handle :
   t -> ?deadline_ms:float -> ?tenant:string -> Protocol.request -> Json.t
@@ -51,21 +92,15 @@ val route : t -> string -> int
 (** The shard a tenant id routes to (first ring point at or after the
     tenant's hash). *)
 
-val shards : t -> int
-
-val workers : t -> int
-(** Total workers across shards. *)
-
 val metrics : t -> Metrics.t
 (** A fresh merged copy of the per-shard records; call only between
     batches. *)
-
-val cache_entries : t -> int
 
 val tenant_store : t -> string -> Store.t option
 (** The tenant's current committed snapshot, if it exists. *)
 
 val default_store : t -> Store.t
+(** The default tenant's current committed snapshot. *)
 
 val clock : t -> unit -> float
 
@@ -77,5 +112,6 @@ val count_error : t -> unit
     into the fleet aggregate). *)
 
 val shutdown : t -> unit
-(** Quit and join the shard domains and their pools, then close the
-    WAL.  The fleet must not be used afterwards. *)
+(** Join every shard's worker pool (each from its own slot), then the
+    fleet's pool, then close the WAL.  The fleet must not be used
+    afterwards. *)

@@ -1,29 +1,8 @@
 module P = Protocol
 
-(* The server is the fleet plus the JSON-lines IO loops.  The batching
-   core lives in {!Shard} (per-tenant stores, caches and baselines;
-   parallel read-only groups; commits as barriers) and the
-   topology in {!Fleet} (consistent-hash routing, shard domains, stats
-   merging, WAL replay and compaction); this module keeps the
-   historical single-server API on top. *)
-
-type t = Fleet.t
-
-let create ?workers ?shards ?params ?max_batch ?trace ?now ?log ?wal_compact
-    base =
-  Fleet.create ?workers ?shards ?params ?max_batch ?trace ?now ?log
-    ?wal_compact base
-
-let store = Fleet.default_store
-let tenant_store = Fleet.tenant_store
-let workers = Fleet.workers
-let shards = Fleet.shards
-let metrics = Fleet.metrics
-let cache_entries = Fleet.cache_entries
-let shutdown = Fleet.shutdown
-let process_batch = Fleet.process_batch
-
-let handle t ?deadline_ms ?tenant req = Fleet.handle t ?deadline_ms ?tenant req
+(* The JSON-lines IO loops over a {!Fleet}: read request lines,
+   assign sequence numbers, hand each drained batch to the fleet and
+   write the responses back in arrival order. *)
 
 (* One request line without its newline, [`Overlong] when it ran past
    [P.max_line_bytes] (the rest is discarded up to the newline or EOF,
@@ -122,7 +101,7 @@ let run t ic oc =
         lines
     in
     let envs = List.filter_map (function `Env e -> Some e | _ -> None) items in
-    let resps = process_batch t envs in
+    let resps = Fleet.process_batch t envs in
     let rec interleave items resps =
       match items with
       | [] -> ()

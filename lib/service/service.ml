@@ -6,9 +6,9 @@
     replay log of committed mutations, {!Protocol} defines the
     JSON-lines wire format (docs/SERVICE.md is the field-by-field
     reference), {!Shard} batches a tenant partition onto worker
-    domains, {!Fleet} consistent-hashes tenants across shards and
-    merges their [stats], {!Server} keeps the single-server API plus
-    the IO loops on top, {!Metrics} and {!Events} are the
+    domains, {!Fleet} consistent-hashes tenants across shards run on
+    one domain pool and merges their [stats], {!Server} runs the
+    JSON-lines IO loops over a fleet, {!Metrics} and {!Events} are the
     observability surface, and {!Json} is the dependency-free JSON
     reader/writer underneath it all. *)
 

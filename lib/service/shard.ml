@@ -56,8 +56,8 @@ type t = {
 }
 
 (* A snapshot of the shard for the fleet's stats barrier.  Only read
-   while the shard is quiescent (the fleet awaited every outstanding
-   batch), so plain field reads are ordered by the mailbox mutexes. *)
+   while the shard is quiescent (the fleet's previous pool region has
+   finished), so plain field reads are ordered by the pool's mutex. *)
 type view = {
   v_metrics : Metrics.t;
   v_workers : int;
@@ -91,9 +91,9 @@ let create ~id ~workers ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
 
 let set_stats_view t f = t.stats_view <- Some f
 let metrics t = t.metrics
-let workers t = Array.length t.slots
 let shutdown t = Parallel.Pool.shutdown t.pool
 
+(* Find or create (from the boot snapshot) the tenant. *)
 let tenant t tid =
   match Hashtbl.find_opt t.tenants tid with
   | Some ten -> ten
@@ -107,9 +107,6 @@ let tenant_find t tid = Hashtbl.find_opt t.tenants tid
 let tenant_stores t =
   Hashtbl.fold (fun tid ten acc -> (tid, ten.Tenant.store) :: acc) t.tenants []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let cache_entries t =
-  Hashtbl.fold (fun _ ten acc -> acc + Tenant.cache_entries ten) t.tenants 0
 
 let view t =
   let kernel_sessions = ref 0 and fallback_count = ref 0 in
@@ -126,7 +123,10 @@ let view t =
   {
     v_metrics = t.metrics;
     v_workers = Array.length t.slots;
-    v_entries = cache_entries t;
+    v_entries =
+      Hashtbl.fold
+        (fun _ ten acc -> acc + Tenant.cache_entries ten)
+        t.tenants 0;
     v_kernel_sessions = !kernel_sessions;
     v_fallback_count = !fallback_count;
     v_tenants = tenant_stores t;
@@ -252,27 +252,34 @@ let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
               ladder = Some (Regions.Probe_ladder.stats rm.D.ladder);
             })
 
+(* The one [errors] entry of a request whose exact arithmetic overflows
+   native ints: it is rejected as invalid, like a malformed one, and
+   nothing is committed or cached. *)
+let overflow_error = "arithmetic overflow: exact rationals exceed native ints"
+
 (* Evaluate one read-only request against the frozen [snap]; runs on a
    worker domain. *)
 let evaluate t slot ten snap req =
-  match req with
-  | P.Query ->
-      let summary, cache_hit, kind, delta, fresh =
-        analyze_snapshot t slot ten snap
-      in
-      Evaluated { candidate = None; summary; cache_hit; kind; delta; fresh }
-  | P.What_if { uid; spec } -> (
-      match Store.admit snap ~uid ~spec with
-      | Error es -> Invalid es
-      | Ok cand ->
-          let summary, cache_hit, kind, delta, fresh =
-            analyze_snapshot t slot ten cand
-          in
-          Evaluated
-            { candidate = Some cand; summary; cache_hit; kind; delta; fresh })
-  | P.Region { resource; precision } ->
-      region_snapshot t slot ten snap ~resource ~precision
-  | P.Admit _ | P.Revoke _ | P.Stats -> assert false
+  try
+    match req with
+    | P.Query ->
+        let summary, cache_hit, kind, delta, fresh =
+          analyze_snapshot t slot ten snap
+        in
+        Evaluated { candidate = None; summary; cache_hit; kind; delta; fresh }
+    | P.What_if { uid; spec } -> (
+        match Store.admit snap ~uid ~spec with
+        | Error es -> Invalid es
+        | Ok cand ->
+            let summary, cache_hit, kind, delta, fresh =
+              analyze_snapshot t slot ten cand
+            in
+            Evaluated
+              { candidate = Some cand; summary; cache_hit; kind; delta; fresh })
+    | P.Region { resource; precision } ->
+        region_snapshot t slot ten snap ~resource ~precision
+    | P.Admit _ | P.Revoke _ | P.Stats -> assert false
+  with Rational.Overflow -> Invalid [ overflow_error ]
 
 let session_label = function
   | Cold -> "cold"
@@ -394,6 +401,22 @@ let process_batch t envs =
            tenant = env.P.tenant;
          })
   in
+  (* Rejected as invalid: the tenant's store is untouched and nothing is
+     cached. *)
+  let invalid i errors =
+    let env = arr.(i) in
+    let uid =
+      match env.P.req with
+      | P.Admit { uid; _ } | P.What_if { uid; _ } | P.Revoke { uid } -> uid
+      | P.Region { resource; _ } -> resource
+      | P.Query | P.Stats -> "?"
+    in
+    t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
+    finish i ~status:"rejected" ~cache_hit:false ~session:None
+      (P.rejected ?tenant:env.P.tenant ~seq:env.P.seq
+         ~op:(P.op_name env.P.req) ~uid ~reason:"invalid" ~errors
+         ~hash:tens.(i).Tenant.store.Store.hash ())
+  in
   let finalize i =
     let env = arr.(i) in
     let seq = env.P.seq in
@@ -413,17 +436,7 @@ let process_batch t envs =
     | None -> (
         match results.(i) with
         | Not_run -> assert false
-        | Invalid errors ->
-            t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-            let uid =
-              match env.P.req with
-              | P.What_if { uid; _ } -> uid
-              | P.Region { resource; _ } -> resource
-              | _ -> "?"
-            in
-            finish i ~status:"rejected" ~cache_hit:false ~session:None
-              (P.rejected ?tenant ~seq ~op:(P.op_name env.P.req) ~uid
-                 ~reason:"invalid" ~errors ~hash:ten.Tenant.store.Store.hash ())
+        | Invalid errors -> invalid i errors
         | Evaluated { candidate; summary; cache_hit; kind; delta; fresh } -> (
             record_kind t kind;
             record_cache t cache_hit;
@@ -490,61 +503,57 @@ let process_batch t envs =
   in
   (* A commit runs on the driving domain, on slot 0's session, against
      the tenant's current store: admissions and revocations are barriers
-     in arrival order. *)
-  let commit i uid ~op cand =
+     in arrival order.  [build] makes the candidate from that store. *)
+  let commit i uid ~op build =
     let seq = arr.(i).P.seq in
     let tenant = arr.(i).P.tenant in
     let ten = tens.(i) in
-    let summary, cache_hit, kind, delta, fresh =
-      analyze_snapshot t t.slots.(0) ten cand
-    in
-    record_kind t kind;
-    record_cache t cache_hit;
-    record_delta t delta;
-    Tenant.update_baseline ten fresh;
-    Tenant.cache_add ten summary;
-    let session = Option.map session_label kind in
-    let apply status response =
-      ten.Tenant.store <- cand;
-      wal_append t ten uid ~op cand;
-      t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
-      finish i ~status ~cache_hit ~session response
-    in
-    match op with
-    | `Admit ->
-        if summary.P.s_schedulable then
-          apply "admitted"
-            (P.admitted ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
-               ~cached:cache_hit summary)
-        else (
-          (* Rollback: the candidate is dropped, the tenant's store was
-             never touched. *)
-          t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-          finish i ~status:"rejected" ~cache_hit ~session
-            (P.rejected ?tenant ~seq ~op:"admit" ~uid ~reason:"unschedulable"
-               ~violations:summary.P.s_violations
-               ~candidate_instances:(Store.unit_instances cand uid)
-               ~hash:ten.Tenant.store.Store.hash ()))
-    | `Revoke ->
-        (* Revocation commits whenever the remaining assembly is valid:
-           shrinking the admitted set must not be refusable on analysis
-           grounds, but the response still reports the verdict. *)
-        apply "revoked"
-          (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
-             ~cached:cache_hit summary)
+    match
+      Result.map
+        (fun cand -> (cand, analyze_snapshot t t.slots.(0) ten cand))
+        (build ten.Tenant.store)
+    with
+    | exception Rational.Overflow -> invalid i [ overflow_error ]
+    | Error errors -> invalid i errors
+    | Ok (cand, (summary, cache_hit, kind, delta, fresh)) -> (
+        record_kind t kind;
+        record_cache t cache_hit;
+        record_delta t delta;
+        Tenant.update_baseline ten fresh;
+        Tenant.cache_add ten summary;
+        let session = Option.map session_label kind in
+        let apply status response =
+          ten.Tenant.store <- cand;
+          wal_append t ten uid ~op cand;
+          t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
+          finish i ~status ~cache_hit ~session response
+        in
+        match op with
+        | `Admit ->
+            if summary.P.s_schedulable then
+              apply "admitted"
+                (P.admitted ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
+                   ~cached:cache_hit summary)
+            else (
+              (* Rollback: the candidate is dropped, the tenant's store was
+                 never touched. *)
+              t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
+              finish i ~status:"rejected" ~cache_hit ~session
+                (P.rejected ?tenant ~seq ~op:"admit" ~uid
+                   ~reason:"unschedulable" ~violations:summary.P.s_violations
+                   ~candidate_instances:(Store.unit_instances cand uid)
+                   ~hash:ten.Tenant.store.Store.hash ()))
+        | `Revoke ->
+            (* Revocation commits whenever the remaining assembly is valid:
+               shrinking the admitted set must not be refusable on analysis
+               grounds, but the response still reports the verdict. *)
+            apply "revoked"
+              (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
+                 ~cached:cache_hit summary))
   in
   let barrier i =
     let env = arr.(i) in
-    let seq = env.P.seq in
-    let tenant = env.P.tenant in
-    let ten = tens.(i) in
     Metrics.count_request t.metrics env.P.req;
-    let invalid ~op ~uid errors =
-      t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-      finish i ~status:"rejected" ~cache_hit:false ~session:None
-        (P.rejected ?tenant ~seq ~op ~uid ~reason:"invalid" ~errors
-           ~hash:ten.Tenant.store.Store.hash ())
-    in
     match env.P.req with
     | P.Stats ->
         (* The fleet renders stats: every shard is quiescent at this
@@ -553,15 +562,9 @@ let process_batch t envs =
           match t.stats_view with Some f -> f | None -> assert false
         in
         finish i ~status:"ok" ~cache_hit:false ~session:None
-          (render ~seq ~tenant)
-    | P.Admit { uid; spec } -> (
-        match Store.admit ten.Tenant.store ~uid ~spec with
-        | Error errors -> invalid ~op:"admit" ~uid errors
-        | Ok cand -> commit i uid ~op:`Admit cand)
-    | P.Revoke { uid } -> (
-        match Store.revoke ten.Tenant.store ~uid with
-        | Error errors -> invalid ~op:"revoke" ~uid errors
-        | Ok cand -> commit i uid ~op:`Revoke cand)
+          (render ~seq:env.P.seq ~tenant:env.P.tenant)
+    | P.Admit { uid; spec } -> commit i uid ~op:`Admit (Store.admit ~uid ~spec)
+    | P.Revoke { uid } -> commit i uid ~op:`Revoke (Store.revoke ~uid)
     | P.Query | P.What_if _ | P.Region _ -> assert false
   in
   for i = 0 to n - 1 do

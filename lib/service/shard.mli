@@ -10,9 +10,11 @@
     rendered by the fleet).  Committed mutations append to the WAL
     inside the commit.
 
-    A shard must only be driven from one domain (the fleet pins each
-    shard to its own domain when running more than one); per-tenant
-    responses are bit-identical for any worker count or shard count. *)
+    A shard must only be driven from one domain (the fleet drives shard
+    [s] from slot [s] of its pool, whose slot identity is static);
+    per-tenant responses are bit-identical for any worker count or
+    shard count.  A request whose exact arithmetic overflows native
+    ints ({!Rational.Overflow}) is answered as an invalid request. *)
 
 type t
 
@@ -54,9 +56,6 @@ val process_batch : t -> Protocol.envelope list -> Json.t list
 (** Responses in envelope order.  Must be called from the shard's
     driving domain. *)
 
-val tenant : t -> string -> Tenant.t
-(** Find or create (from the boot snapshot) the tenant. *)
-
 val tenant_find : t -> string -> Tenant.t option
 
 val tenant_stores : t -> (string * Store.t) list
@@ -65,10 +64,6 @@ val tenant_stores : t -> (string * Store.t) list
 val view : t -> view
 
 val metrics : t -> Metrics.t
-
-val workers : t -> int
-
-val cache_entries : t -> int
 
 val shutdown : t -> unit
 (** Join the shard's worker domains.  The shard must not be used

@@ -93,7 +93,8 @@ let tokenize src =
         | q ->
             emit (NUMBER q);
             advance (j - i)
-        | exception Invalid_argument _ -> error ("bad number " ^ text))
+        | exception (Invalid_argument _ | Rational.Overflow) ->
+            error ("bad number " ^ text))
       end
       else if c = '"' then begin
         let rec stop j =

@@ -24,7 +24,7 @@
 module Q = Rational
 module Store = Service.Store
 module P = Service.Protocol
-module Server = Service.Server
+module Fleet = Service.Fleet
 module Json = Service.Json
 
 let base_src =
@@ -52,17 +52,22 @@ let unit_spec ?(wcet = "0.2") i =
 let params =
   { Analysis.Params.default with Analysis.Params.keep_history = false }
 
-let mk_server ?(workers = 1) ?shards ?max_batch ?now ?log ?wal_compact () =
+let mk_server ?(workers = 1) ?shards ?max_batch ?trace ?now ?log ?wal_compact
+    ?(base = base_items) () =
   match
-    Server.create ~workers ?shards ~params ?max_batch ?now ?log ?wal_compact
-      base_items
+    Fleet.create ~workers ?shards ~params ?max_batch ?trace ?now ?log
+      ?wal_compact base
   with
   | Ok s -> s
   | Error es -> Alcotest.failf "server boot: %s" (String.concat "; " es)
 
-let with_server ?workers ?shards ?max_batch ?now ?log ?wal_compact f =
-  let srv = mk_server ?workers ?shards ?max_batch ?now ?log ?wal_compact () in
-  Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
+let with_server ?workers ?shards ?max_batch ?trace ?now ?log ?wal_compact
+    ?base f =
+  let srv =
+    mk_server ?workers ?shards ?max_batch ?trace ?now ?log ?wal_compact ?base
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Fleet.shutdown srv) (fun () -> f srv)
 
 let str_field name j =
   match Json.string_field name j with
@@ -76,27 +81,27 @@ let status = str_field "status"
 let test_admit_revoke_admit () =
   with_server @@ fun srv ->
   let admit i =
-    Server.handle srv (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i })
+    Fleet.handle srv (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i })
   in
   Alcotest.(check string) "first admit" "admitted" (status (admit 1));
-  let h1 = (Server.store srv).Store.hash in
+  let h1 = (Fleet.default_store srv).Store.hash in
   Alcotest.(check string) "revoke" "revoked"
-    (status (Server.handle srv (P.Revoke { uid = "u1" })));
+    (status (Fleet.handle srv (P.Revoke { uid = "u1" })));
   Alcotest.(check string) "re-admit" "admitted" (status (admit 1));
-  Alcotest.(check string) "idempotent hash" h1 (Server.store srv).Store.hash;
+  Alcotest.(check string) "idempotent hash" h1 (Fleet.default_store srv).Store.hash;
   (* duplicate id is rejected without touching the store *)
-  let before = Server.store srv in
+  let before = Fleet.default_store srv in
   Alcotest.(check string) "duplicate rejected" "rejected" (status (admit 1));
-  Alcotest.(check bool) "store untouched" true (Server.store srv == before)
+  Alcotest.(check bool) "store untouched" true (Fleet.default_store srv == before)
 
 let test_rollback_on_reject () =
   with_server @@ fun srv ->
   Alcotest.(check string) "seed unit" "admitted"
-    (status (Server.handle srv (P.Admit { uid = "ok"; spec = unit_spec 1 })));
-  let before = Server.store srv in
+    (status (Fleet.handle srv (P.Admit { uid = "ok"; spec = unit_spec 1 })));
+  let before = Fleet.default_store srv in
   (* P3 offers alpha = 0.2: a 100-cycle demand every 30 can never fit *)
   let resp =
-    Server.handle srv
+    Fleet.handle srv
       (P.Admit { uid = "huge"; spec = unit_spec ~wcet:"100" 2 })
   in
   Alcotest.(check string) "verdict" "rejected" (status resp);
@@ -104,9 +109,9 @@ let test_rollback_on_reject () =
   (* rollback is by construction: the committed snapshot is the very
      value from before the attempt, not a reconstruction *)
   Alcotest.(check bool) "store physically identical" true
-    (Server.store srv == before);
+    (Fleet.default_store srv == before);
   Alcotest.(check bool) "candidate not left admitted" false
-    (Store.mem (Server.store srv) "huge");
+    (Store.mem (Fleet.default_store srv) "huge");
   (* the rejection report names the candidate's transaction *)
   match Json.member "violations" resp with
   | Some (Json.List (_ :: _ as vs)) ->
@@ -123,17 +128,17 @@ let test_rollback_on_reject () =
 
 let test_deadline_shedding () =
   with_server @@ fun srv ->
-  let before = Server.store srv in
+  let before = Fleet.default_store srv in
   (* deadline_ms = 0 expires at arrival, deterministically *)
-  let resp = Server.handle srv ~deadline_ms:0. (P.Admit { uid = "u"; spec = unit_spec 1 }) in
+  let resp = Fleet.handle srv ~deadline_ms:0. (P.Admit { uid = "u"; spec = unit_spec 1 }) in
   Alcotest.(check string) "shed" "shed" (status resp);
   Alcotest.(check string) "reason" "deadline" (str_field "reason" resp);
-  Alcotest.(check bool) "store untouched" true (Server.store srv == before);
+  Alcotest.(check bool) "store untouched" true (Fleet.default_store srv == before);
   Alcotest.(check int) "metrics counted it" 1
-    (Server.metrics srv).Service.Metrics.shed_deadline;
+    (Fleet.metrics srv).Service.Metrics.shed_deadline;
   (* without a deadline the same request commits *)
   Alcotest.(check string) "then admitted" "admitted"
-    (status (Server.handle srv (P.Admit { uid = "u"; spec = unit_spec 1 })))
+    (status (Fleet.handle srv (P.Admit { uid = "u"; spec = unit_spec 1 })))
 
 (* --- overload shedding --- *)
 
@@ -149,7 +154,7 @@ let test_overload_sheds_probes_first () =
       env 5 P.Stats;
     ]
   in
-  match List.map status (Server.process_batch srv batch) with
+  match List.map status (Fleet.process_batch srv batch) with
   | [ a; p1; q; p2; s ] ->
       (* 5 requests over a budget of 2: both probes and the query go,
          newest probes first; the admit and the stats survive *)
@@ -187,7 +192,7 @@ let mixed_session workers =
   let bounds_checked = ref 0 and sent = ref 0 in
   let send req =
     incr sent;
-    Server.handle srv req
+    Fleet.handle srv req
   in
   for i = 1 to 16 do
     let uid = Printf.sprintf "u%d" i in
@@ -196,7 +201,7 @@ let mixed_session workers =
     let q = send P.Query in
     Alcotest.(check (list (triple string string string)))
       (Printf.sprintf "query after admit %d" i)
-      (fresh_bounds (Server.store srv))
+      (fresh_bounds (Fleet.default_store srv))
       (query_bounds q);
     incr bounds_checked;
     if i mod 3 = 0 then begin
@@ -204,7 +209,7 @@ let mixed_session workers =
       let q = send P.Query in
       Alcotest.(check (list (triple string string string)))
         (Printf.sprintf "query after revoke %d" i)
-        (fresh_bounds (Server.store srv))
+        (fresh_bounds (Fleet.default_store srv))
         (query_bounds q);
       incr bounds_checked
     end
@@ -229,12 +234,12 @@ let int_field name j =
 let test_stats_kernel_fields () =
   with_server ~workers:2 @@ fun srv ->
   (* Before any analysis ran, no worker session exists yet. *)
-  let s0 = Server.handle srv P.Stats in
+  let s0 = Fleet.handle srv P.Stats in
   Alcotest.(check int) "no sessions yet" 0 (int_field "kernel_sessions" s0);
   Alcotest.(check int) "no fallbacks yet" 0 (int_field "fallback_count" s0);
-  ignore (Server.handle srv (P.Admit { uid = "a"; spec = unit_spec 1 }));
-  ignore (Server.handle srv P.Query);
-  let s1 = Server.handle srv P.Stats in
+  ignore (Fleet.handle srv (P.Admit { uid = "a"; spec = unit_spec 1 }));
+  ignore (Fleet.handle srv P.Query);
+  let s1 = Fleet.handle srv P.Stats in
   (* The base model's constants are small decimals, so the admitted
      system fits the integer timeline and the analyzing session reports
      an engaged kernel with no overflow fallback. *)
@@ -268,8 +273,8 @@ let probes_arbitrary =
 let prop_what_if_pure specs =
   with_server ~workers:4 @@ fun srv ->
   (* a real admitted system underneath, so probes analyze something *)
-  ignore (Server.handle srv (P.Admit { uid = "seed"; spec = unit_spec 1 }));
-  let before = Server.store srv in
+  ignore (Fleet.handle srv (P.Admit { uid = "seed"; spec = unit_spec 1 }));
+  let before = Fleet.default_store srv in
   let envs =
     List.mapi
       (fun i spec ->
@@ -282,10 +287,10 @@ let prop_what_if_pure specs =
         })
       specs
   in
-  let resps = Server.process_batch srv envs in
+  let resps = Fleet.process_batch srv envs in
   List.length resps = List.length specs
-  && Server.store srv == before
-  && (Server.store srv).Store.hash = before.Store.hash
+  && Fleet.default_store srv == before
+  && (Fleet.default_store srv).Store.hash = before.Store.hash
 
 let test_what_if_pure =
   QCheck_alcotest.to_alcotest
@@ -526,9 +531,9 @@ let test_diff_dirties_only_intersection () =
 
 let test_delta_metrics () =
   with_server @@ fun srv ->
-  ignore (Server.handle srv (P.Admit { uid = "u1"; spec = unit_spec 1 }));
-  ignore (Server.handle srv (P.Admit { uid = "u2"; spec = unit_spec 2 }));
-  let m = Server.metrics srv in
+  ignore (Fleet.handle srv (P.Admit { uid = "u1"; spec = unit_spec 1 }));
+  ignore (Fleet.handle srv (P.Admit { uid = "u2"; spec = unit_spec 2 }));
+  let m = Fleet.metrics srv in
   (* the first admission is necessarily cold (no baseline); the second
      analyzes warm against it and carries the first unit's task *)
   Alcotest.(check bool) "warm deltas observed" true
@@ -604,18 +609,18 @@ let test_json_round_trip =
 (* --- tenancy --- *)
 
 let tenant_hash srv id =
-  match Server.tenant_store srv id with
+  match Fleet.tenant_store srv id with
   | Some s -> s.Store.hash
   | None -> Alcotest.failf "tenant %S has no store" id
 
 let test_tenant_isolation () =
   with_server @@ fun srv ->
-  let boot = (Server.store srv).Store.hash in
+  let boot = (Fleet.default_store srv).Store.hash in
   let r1 =
-    Server.handle srv ~tenant:"acme" (P.Admit { uid = "u"; spec = unit_spec 1 })
+    Fleet.handle srv ~tenant:"acme" (P.Admit { uid = "u"; spec = unit_spec 1 })
   in
   let r2 =
-    Server.handle srv ~tenant:"globex"
+    Fleet.handle srv ~tenant:"globex"
       (P.Admit { uid = "u"; spec = unit_spec 2 })
   in
   (* the same uid lives independently under each tenant *)
@@ -627,24 +632,24 @@ let test_tenant_isolation () =
     (tenant_hash srv "acme" <> tenant_hash srv "globex");
   (* the default tenant is untouched, and its responses carry no tenant
      field — the pre-tenant protocol byte for byte *)
-  Alcotest.(check string) "default untouched" boot (Server.store srv).Store.hash;
-  let q = Server.handle srv P.Query in
+  Alcotest.(check string) "default untouched" boot (Fleet.default_store srv).Store.hash;
+  let q = Fleet.handle srv P.Query in
   Alcotest.(check bool) "no tenant field" true (Json.member "tenant" q = None);
   (* revoking under one tenant leaves the other's unit admitted *)
   Alcotest.(check string) "acme revoke" "revoked"
-    (status (Server.handle srv ~tenant:"acme" (P.Revoke { uid = "u" })));
+    (status (Fleet.handle srv ~tenant:"acme" (P.Revoke { uid = "u" })));
   Alcotest.(check string) "acme back to boot" boot (tenant_hash srv "acme");
   Alcotest.(check bool) "globex keeps its unit" true
-    (Store.mem (Option.get (Server.tenant_store srv "globex")) "u")
+    (Store.mem (Option.get (Fleet.tenant_store srv "globex")) "u")
 
 let test_stats_shard_map () =
   with_server ~shards:2 @@ fun srv ->
   ignore
-    (Server.handle srv ~tenant:"acme" (P.Admit { uid = "u"; spec = unit_spec 1 }));
+    (Fleet.handle srv ~tenant:"acme" (P.Admit { uid = "u"; spec = unit_spec 1 }));
   ignore
-    (Server.handle srv ~tenant:"globex"
+    (Fleet.handle srv ~tenant:"globex"
        (P.Admit { uid = "u"; spec = unit_spec 2 }));
-  let s = Server.handle srv P.Stats in
+  let s = Fleet.handle srv P.Stats in
   Alcotest.(check int) "workers summed across shards" 2 (int_field "workers" s);
   (match Json.member "shards" s with
   | Some (Json.List l) -> Alcotest.(check int) "per-shard records" 2 (List.length l)
@@ -669,6 +674,100 @@ let test_stats_shard_map () =
               | _ -> Alcotest.failf "tenant %S maps to a non-integer" tid)
             fields
       | _ -> Alcotest.fail "shard map lacks tenants")
+
+(* --- requests whose numbers do not fit native ints --- *)
+
+(* One platform with α = 1/2, Δ = 1, β = 1: the exact instance of the
+   analysis below overflows on it. *)
+let pa_items =
+  match
+    Spec.Parser.parse
+      "platform Pa { alpha = 0.5; delta = 1; beta = 1; host = \"n\"; }"
+  with
+  | Ok items -> items
+  | Error e -> Alcotest.failf "base parse: %s" e
+
+(* A 22-digit fraction: a lexer error, not an exception. *)
+let tiny_spec =
+  "component Tiny { implementation: scheduler fixed_priority; thread T \
+   periodic(period = 10, deadline = 10) priority 1 { task a(wcet = \
+   0.0000000000000000000001, bcet = 0); } } instance X : Tiny on Pa;"
+
+(* A valid transaction whose analysis overflows native-int rationals.
+   At two shards it is sent from "globex" (shard 0) and from the default
+   tenant (shard 1). *)
+let overflow_spec =
+  "component Big { implementation: scheduler fixed_priority; thread T \
+   periodic(period = 1000000007, deadline = 999999937) priority 1 { task \
+   a(wcet = 0.0000000013, bcet = 0.000000001); task b(wcet = 0.0000000013, \
+   bcet = 0.000000001); } } instance B : Big on Pa;"
+
+let test_overflow_rejected () =
+  List.iter
+    (fun shards ->
+      with_server ~shards ~base:pa_items @@ fun fleet ->
+      let boot = (Fleet.default_store fleet).Store.hash in
+      let resps =
+        Fleet.process_batch fleet
+          (List.mapi
+             (fun i (tenant, req) ->
+               { P.seq = i + 1; arrival = 0.; deadline_ms = None; tenant; req })
+             [
+               (None, P.Admit { uid = "tiny"; spec = tiny_spec });
+               ( Some "globex",
+                 P.Admit { uid = "big"; spec = overflow_spec } );
+               (None, P.What_if { uid = "big"; spec = overflow_spec });
+               (None, P.Admit { uid = "big"; spec = overflow_spec });
+               (Some "globex", P.Query);
+               (None, P.Stats);
+             ])
+      in
+      let label what = Printf.sprintf "%d shards: %s" shards what in
+      (match resps with
+      | [ tiny; big_globex; probe; big; query; stats ] ->
+          let errors r =
+            match Json.member "errors" r with
+            | Some (Json.List [ Json.String e ]) -> e
+            | _ -> Alcotest.failf "not one error: %s" (Json.to_string r)
+          in
+          List.iter
+            (fun (what, r, fragment) ->
+              Alcotest.(check string) (label what) "rejected" (status r);
+              Alcotest.(check string)
+                (label (what ^ " reason"))
+                "invalid" (str_field "reason" r);
+              Alcotest.(check string)
+                (label (what ^ " hash"))
+                boot (str_field "hash" r);
+              Alcotest.(check bool)
+                (label (what ^ " names the error"))
+                true
+                (contains (errors r) fragment))
+            [
+              ("22-digit fraction", tiny, "bad number");
+              ("overflowing admit", big_globex, "overflow");
+              ("overflowing what_if", probe, "overflow");
+              ("overflowing admit again", big, "overflow");
+            ];
+          Alcotest.(check string) (label "query answered") "ok"
+            (status query);
+          Alcotest.(check string) (label "query hash") boot
+            (str_field "hash" query);
+          Alcotest.(check int) (label "rejected") 4
+            (int_field "rejected" stats);
+          Alcotest.(check int) (label "committed") 0
+            (int_field "committed" stats);
+          (* only the query's summary was cached *)
+          Alcotest.(check (option int))
+            (label "cache entries") (Some 1)
+            (Option.bind (Json.member "cache" stats)
+               (Json.int_field "entries"))
+      | _ -> Alcotest.fail (label "one response per request"));
+      Alcotest.(check string) (label "default untouched") boot
+        (Fleet.default_store fleet).Store.hash;
+      Alcotest.(check string) (label "globex untouched") boot
+        (tenant_hash fleet "globex"))
+    [ 1; 2 ]
 
 (* --- sharding: bit-identical responses at every shard count --- *)
 
@@ -702,7 +801,7 @@ let scripted_envelopes () =
 let run_envs srv envs =
   (* one envelope per batch keeps shedding out of the picture *)
   List.concat_map
-    (fun e -> List.map Json.to_string (Server.process_batch srv [ e ]))
+    (fun e -> List.map Json.to_string (Fleet.process_batch srv [ e ]))
     envs
 
 let test_shard_identity () =
@@ -718,7 +817,7 @@ let test_shard_identity () =
   (* the whole script as one fleet-partitioned batch is identical too *)
   let batched =
     with_server ~shards:2 @@ fun srv ->
-    List.map Json.to_string (Server.process_batch srv envs)
+    List.map Json.to_string (Fleet.process_batch srv envs)
   in
   Alcotest.(check (list string)) "one batch, 2 shards" base batched
 
@@ -745,7 +844,7 @@ let test_same_tenant_commits () =
   let run ~workers ~shards ~batched =
     with_server ~workers ~shards @@ fun srv ->
     let resps =
-      if batched then List.map Json.to_string (Server.process_batch srv envs)
+      if batched then List.map Json.to_string (Fleet.process_batch srv envs)
       else run_envs srv envs
     in
     (resps, List.map (tenant_hash srv) [ "acme"; "globex" ])
@@ -778,6 +877,72 @@ let test_same_tenant_commits () =
          | Error e -> Alcotest.failf "bad response %s: %s" r e)
        resps)
 
+(* A shard that raises mid-batch: the fleet re-raises only after every
+   shard has finished its part, and the next batch is served normally.
+   The raising trace sink stands in for a real failure — the [--trace]
+   writer raises [Sys_error] on a full disk from the same call. *)
+exception Sink_failed
+
+let test_failing_shard () =
+  let failing = ref None in
+  let trace = function
+    | Service.Events.Request { tenant = Some tid; _ }
+      when Some tid = !failing ->
+        failing := None;
+        raise Sink_failed
+    | _ -> ()
+  in
+  with_server ~shards:2 ~trace @@ fun fleet ->
+  let on_shard s =
+    List.find
+      (fun tid -> Fleet.route fleet tid = s)
+      (List.init 64 (Printf.sprintf "t%d"))
+  in
+  let t0 = on_shard 0 and t1 = on_shard 1 in
+  let envs reqs =
+    List.mapi
+      (fun i (tenant, req) ->
+        {
+          P.seq = i + 1;
+          arrival = Unix.gettimeofday ();
+          deadline_ms = None;
+          tenant = Some tenant;
+          req;
+        })
+      reqs
+  in
+  failing := Some t0;
+  (match
+     Fleet.process_batch fleet
+       (envs
+          [
+            (t1, P.Admit { uid = "a"; spec = unit_spec 1 });
+            (t0, P.Admit { uid = "a"; spec = unit_spec 2 });
+            (t1, P.Region { resource = "P2"; precision = 6 });
+          ])
+   with
+  | exception Sink_failed -> ()
+  | _ -> Alcotest.fail "the sink's exception was swallowed");
+  let resps =
+    Fleet.process_batch fleet
+      (envs [ (t0, P.Query); (t1, P.Query); (t1, P.Stats) ])
+  in
+  Alcotest.(check (list string))
+    "answered in order"
+    [ "ok"; "ok"; "ok" ]
+    (List.map status resps);
+  Alcotest.(check (list string))
+    "ops in order" [ "query"; "query"; "stats" ]
+    (List.map (str_field "op") resps);
+  List.iter2
+    (fun tid r ->
+      Alcotest.(check string)
+        (Printf.sprintf "tenant %s's committed hash" tid)
+        (tenant_hash fleet tid) (str_field "hash" r))
+    [ t0; t1; t1 ] resps;
+  Alcotest.(check bool) "shard 1's admit committed" true
+    (Store.mem (Option.get (Fleet.tenant_store fleet t1)) "a")
+
 (* --- durability: the write-ahead log --- *)
 
 let with_wal f =
@@ -791,36 +956,36 @@ let test_wal_restart () =
   with_wal @@ fun log ->
   let finals =
     with_server ~log @@ fun srv ->
-    ignore (Server.handle srv (P.Admit { uid = "d1"; spec = unit_spec 1 }));
+    ignore (Fleet.handle srv (P.Admit { uid = "d1"; spec = unit_spec 1 }));
     ignore
-      (Server.handle srv ~tenant:"acme"
+      (Fleet.handle srv ~tenant:"acme"
          (P.Admit { uid = "a1"; spec = unit_spec 2 }));
     ignore
-      (Server.handle srv ~tenant:"acme"
+      (Fleet.handle srv ~tenant:"acme"
          (P.Admit { uid = "a2"; spec = unit_spec 3 }));
-    ignore (Server.handle srv ~tenant:"acme" (P.Revoke { uid = "a1" }));
+    ignore (Fleet.handle srv ~tenant:"acme" (P.Revoke { uid = "a1" }));
     (* a rejected admission must not reach the log *)
     Alcotest.(check string) "rejected" "rejected"
       (status
-         (Server.handle srv (P.Admit { uid = "no"; spec = unit_spec ~wcet:"100" 4 })));
-    ((Server.store srv).Store.hash, tenant_hash srv "acme")
+         (Fleet.handle srv (P.Admit { uid = "no"; spec = unit_spec ~wcet:"100" 4 })));
+    ((Fleet.default_store srv).Store.hash, tenant_hash srv "acme")
   in
   (* restart — at a different shard count: replay is placement-independent *)
   with_server ~shards:2 ~log @@ fun srv ->
   Alcotest.(check string) "default replayed" (fst finals)
-    (Server.store srv).Store.hash;
+    (Fleet.default_store srv).Store.hash;
   Alcotest.(check string) "acme replayed" (snd finals) (tenant_hash srv "acme");
   (* the replayed server serves queries against the replayed stores *)
-  let q = Server.handle srv ~tenant:"acme" P.Query in
+  let q = Fleet.handle srv ~tenant:"acme" P.Query in
   Alcotest.(check (list (triple string string string)))
     "bounds match one-shot"
-    (fresh_bounds (Option.get (Server.tenant_store srv "acme")))
+    (fresh_bounds (Option.get (Fleet.tenant_store srv "acme")))
     (query_bounds q)
 
 let test_wal_tamper () =
   with_wal @@ fun log ->
   (with_server ~log @@ fun srv ->
-   ignore (Server.handle srv (P.Admit { uid = "u"; spec = unit_spec 1 })));
+   ignore (Fleet.handle srv (P.Admit { uid = "u"; spec = unit_spec 1 })));
   (* flip the recorded hash: replay must refuse to serve *)
   let lines = In_channel.with_open_text log In_channel.input_lines in
   let patched =
@@ -845,9 +1010,9 @@ let test_wal_tamper () =
           output_string oc l;
           output_char oc '\n')
         patched);
-  match Server.create ~workers:1 ~params ~log base_items with
+  match Fleet.create ~workers:1 ~params ~log base_items with
   | Ok srv ->
-      Server.shutdown srv;
+      Fleet.shutdown srv;
       Alcotest.fail "tampered log accepted"
   | Error es ->
       Alcotest.(check bool) "reports the divergence" true
@@ -860,10 +1025,10 @@ let test_wal_compaction () =
     for i = 1 to 6 do
       let tenant = if i mod 2 = 0 then Some "acme" else None in
       ignore
-        (Server.handle srv ?tenant
+        (Fleet.handle srv ?tenant
            (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i }))
     done;
-    ((Server.store srv).Store.hash, tenant_hash srv "acme")
+    ((Fleet.default_store srv).Store.hash, tenant_hash srv "acme")
   in
   (* 6 admissions over a threshold of 4: the log was compacted into one
      snapshot per tenant plus the post-compaction mutation tail *)
@@ -874,7 +1039,7 @@ let test_wal_compaction () =
     (count "\"rec\":\"admit\"" <= 2);
   (* replay from the compacted log reaches the same hashes *)
   with_server ~log @@ fun srv ->
-  Alcotest.(check string) "default" (fst finals) (Server.store srv).Store.hash;
+  Alcotest.(check string) "default" (fst finals) (Fleet.default_store srv).Store.hash;
   Alcotest.(check string) "acme" (snd finals) (tenant_hash srv "acme")
 
 (* A crash between writing the snapshot temp file and the atomic rename
@@ -955,9 +1120,9 @@ let test_wal_torn_tail () =
     List.map
       (fun i ->
         ignore
-          (Server.handle srv
+          (Fleet.handle srv
              (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i }));
-        (Server.store srv).Store.hash)
+        (Fleet.default_store srv).Store.hash)
       [ 1; 2 ]
   in
   let full = In_channel.with_open_bin log In_channel.input_all in
@@ -987,16 +1152,16 @@ let test_wal_torn_tail () =
   (* a torn header leaves no record: the log restarts empty *)
   write (String.sub full 0 5);
   Alcotest.(check string) "torn header" (boot_store ()).Store.hash
-    (with_server ~log @@ fun srv -> (Server.store srv).Store.hash);
+    (with_server ~log @@ fun srv -> (Fleet.default_store srv).Store.hash);
   (* a server appends after the truncation and replays what it wrote *)
   write (String.sub full 0 (len - 7));
   let after =
     with_server ~log @@ fun srv ->
-    ignore (Server.handle srv (P.Admit { uid = "u3"; spec = unit_spec 3 }));
-    (Server.store srv).Store.hash
+    ignore (Fleet.handle srv (P.Admit { uid = "u3"; spec = unit_spec 3 }));
+    (Fleet.default_store srv).Store.hash
   in
   Alcotest.(check string) "appended after truncation" after
-    (with_server ~log @@ fun srv -> (Server.store srv).Store.hash);
+    (with_server ~log @@ fun srv -> (Fleet.default_store srv).Store.hash);
   (* a malformed line that is complete, last or not, is still refused *)
   List.iter
     (fun bytes ->
@@ -1018,7 +1183,7 @@ let boot_hash = lazy (boot_store ()).Store.hash
 let tenant_hashes srv =
   List.map
     (fun id ->
-      match Server.tenant_store srv id with
+      match Fleet.tenant_store srv id with
       | Some s -> s.Store.hash
       | None -> Lazy.force boot_hash)
     [ ""; "a"; "b" ]
@@ -1119,6 +1284,8 @@ let () =
             test_admit_revoke_admit;
           Alcotest.test_case "rollback on reject" `Quick test_rollback_on_reject;
           Alcotest.test_case "store candidates" `Quick test_store_candidates;
+          Alcotest.test_case "overflowing numbers are rejected" `Quick
+            test_overflow_rejected;
         ] );
       ( "shedding",
         [
@@ -1168,6 +1335,8 @@ let () =
             test_shard_identity;
           Alcotest.test_case "same-tenant commits in one batch" `Quick
             test_same_tenant_commits;
+          Alcotest.test_case "a failing shard leaves the fleet usable" `Quick
+            test_failing_shard;
         ] );
       ( "durability",
         [

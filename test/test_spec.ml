@@ -47,6 +47,21 @@ let test_lexer_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected lexer error"
 
+(* Literals that do not fit a native int are a located lexer error,
+   whether the overflow is in the integer part or in a long fraction. *)
+let test_lexer_out_of_range () =
+  List.iter
+    (fun (src, expected) ->
+      match L.tokenize src with
+      | Error e -> Alcotest.(check string) src expected e
+      | Ok _ -> Alcotest.failf "expected a lexer error for %s" src)
+    [
+      ( "wcet =\n  0.0000000000000000000001;",
+        "line 2, column 3: bad number 0.0000000000000000000001" );
+      ( "x = 12345678901234567890",
+        "line 1, column 5: bad number 12345678901234567890" );
+    ]
+
 let test_lexer_positions () =
   match L.tokenize "a\n  b" with
   | Ok [ _; b; _ ] ->
@@ -401,6 +416,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "out-of-range numbers" `Quick
+            test_lexer_out_of_range;
           Alcotest.test_case "positions" `Quick test_lexer_positions;
         ] );
       ( "parser",
