@@ -9,7 +9,11 @@
    Run with: dune exec bench/main.exe            (everything)
              dune exec bench/main.exe -- list    (section names)
              dune exec bench/main.exe -- <name>  (one section)
-   --out FILE redirects the JSON summary (default BENCH_analysis.json). *)
+   Results go to BENCH_analysis.json (--out FILE: elsewhere), keyed by
+   section: each record holds the section's checks and metrics, whether
+   it ran under --quick, the git revision, the core count and the
+   clock.  A run replaces the records of the sections it ran and keeps
+   the others; a missing or unparsable file starts empty. *)
 
 module Q = Rational
 module LB = Platform.Linear_bound
@@ -30,8 +34,8 @@ let header title =
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: every PASS/FAIL check and the headline    *)
-(* numbers are also recorded and dumped to BENCH_analysis.json, so CI  *)
-(* can assert on them without scraping the human-readable output.      *)
+(* numbers are also recorded in BENCH_analysis.json, per section, so   *)
+(* CI can assert on them without scraping the human-readable output.   *)
 (* ------------------------------------------------------------------ *)
 
 let quick = ref false
@@ -40,41 +44,23 @@ let quick = ref false
 
 let out_path = ref "BENCH_analysis.json"
 
+(* The running section's checks and metrics, newest first. *)
 let checks : (string * bool) list ref = ref []
 
 let metrics : (string * float) list ref = ref []
 
+(* The failed checks of the whole run, and the total count. *)
+let failures : string list ref = ref []
+
+let n_checks = ref 0
+
 let check name ok =
   checks := (name, ok) :: !checks;
+  incr n_checks;
+  if not ok then failures := name :: !failures;
   Format.printf "%s: %s@." name (if ok then "PASS" else "FAIL")
 
 let metric name v = metrics := (name, v) :: !metrics
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json path =
-  let oc = open_out path in
-  let field (k, v) = Printf.sprintf "    \"%s\": %s" (json_escape k) v in
-  let obj entries = String.concat ",\n" (List.map field entries) in
-  Printf.fprintf oc
-    "{\n  \"quick\": %b,\n  \"checks\": {\n%s\n  },\n  \"metrics\": {\n%s\n  }\n}\n"
-    !quick
-    (obj (List.rev_map (fun (k, ok) -> (k, string_of_bool ok)) !checks))
-    (obj
-       (List.rev_map
-          (fun (k, v) ->
-            (k, if Float.is_nan v then "null" else Printf.sprintf "%.3f" v))
-          !metrics));
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: supply functions of a periodic server                     *)
@@ -1811,10 +1797,28 @@ let sections =
     ("timings", timings);
   ]
 
+module J = Service.Json
+
+(* Where the results were measured. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+      let rev = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if rev = "" then "unknown" else rev
+
+let rev = lazy (git_rev ())
+
+(* Records of the sections this run finished, newest first. *)
+let ran : (string * J.t) list ref = ref []
+
 (* A crashing section records a failed check instead of aborting the
    run: [finish] must still execute so the JSON summary reaches --out
    whatever happened (CI asserts on the file, not the exit trace). *)
 let run_section (name, f) =
+  checks := [];
+  metrics := [];
   let ms, () =
     wall (fun () ->
         try f ()
@@ -1822,15 +1826,69 @@ let run_section (name, f) =
           Format.printf "section %s raised: %s@." name (Printexc.to_string exn);
           check (Printf.sprintf "%s/completed without exception" name) false)
   in
-  metric (Printf.sprintf "section/%s_ms" name) ms
+  metric (Printf.sprintf "section/%s_ms" name) ms;
+  let value v =
+    if Float.is_finite v then J.Float (Float.round (v *. 1000.) /. 1000.)
+    else J.Null
+  in
+  ran :=
+    ( name,
+      J.Obj
+        [
+          ("quick", J.Bool !quick);
+          ("rev", J.String (Lazy.force rev));
+          ("nproc", J.Int (Domain.recommended_domain_count ()));
+          ("clock", J.String "monotonic");
+          ( "checks",
+            J.Obj (List.rev_map (fun (k, ok) -> (k, J.Bool ok)) !checks) );
+          ( "metrics",
+            J.Obj (List.rev_map (fun (k, v) -> (k, value v)) !metrics) );
+        ] )
+    :: !ran
+
+(* Objects one field per line, everything else as [J.to_string]. *)
+let rec render b indent (v : J.t) =
+  match v with
+  | J.Obj (_ :: _ as fields) ->
+      let pad = String.make (indent + 2) ' ' in
+      Buffer.add_string b "{\n";
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ",\n";
+          Printf.bprintf b "%s\"%s\": " pad (J.escape k);
+          render b (indent + 2) v)
+        fields;
+      Printf.bprintf b "\n%s}" (String.make indent ' ')
+  | v -> Buffer.add_string b (J.to_string v)
+
+(* Merge this run's records into the file: sections in [sections]
+   order, then any the file holds under other names. *)
+let write_json path =
+  let previous =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> []
+    | text -> ( match J.parse text with Ok (J.Obj fields) -> fields | _ -> [])
+  in
+  let latest name =
+    match List.assoc_opt name !ran with
+    | Some r -> Some (name, r)
+    | None -> Option.map (fun r -> (name, r)) (List.assoc_opt name previous)
+  in
+  let known = List.filter_map (fun (name, _) -> latest name) sections in
+  let others =
+    List.filter (fun (name, _) -> not (List.mem_assoc name sections)) previous
+  in
+  let b = Buffer.create 4096 in
+  render b 0 (J.Obj (known @ others));
+  Buffer.add_char b '\n';
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b)
 
 let finish () =
   write_json !out_path;
-  let failed = List.filter (fun (_, ok) -> not ok) !checks in
-  Format.printf "@.%s written: %d check(s), %d failed@." !out_path
-    (List.length !checks) (List.length failed);
-  List.iter (fun (n, _) -> Format.printf "FAILED: %s@." n) failed;
-  if failed <> [] then exit 1
+  Format.printf "@.%s written: %d check(s), %d failed@." !out_path !n_checks
+    (List.length !failures);
+  List.iter (Format.printf "FAILED: %s@.") (List.rev !failures);
+  if !failures <> [] then exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -35,6 +35,15 @@ let or_die = function
       prerr_endline msg;
       exit 1
 
+(* A system whose exact arithmetic leaves native ints is bad input, not
+   an internal error: every command that computes on it says so and
+   exits 1. *)
+let or_overflow f =
+  try f ()
+  with Q.Overflow ->
+    prerr_endline "arithmetic overflow: exact rationals exceed native ints";
+    1
+
 (* --- common args --- *)
 
 let file_arg =
@@ -181,7 +190,9 @@ let validate_cmd =
 let derive_cmd =
   let run file =
     let sys = or_die (load_system file) in
-    Format.printf "%a@." Transaction.System.pp sys;
+    or_overflow @@ fun () ->
+    (* rendered whole first, so an overflow prints nothing *)
+    print_string (Format.asprintf "%a@." Transaction.System.pp sys);
     0
   in
   Cmd.v
@@ -207,6 +218,7 @@ let csv_flag =
 let analyze_cmd =
   let run file exact history csv trace no_prune no_int_kernel =
     let sys = or_die (load_system file) in
+    or_overflow @@ fun () ->
     let m = Analysis.Model.of_system sys in
     let params =
       let p = params_of_exact exact in
@@ -221,9 +233,7 @@ let analyze_cmd =
     let report =
       with_trace trace @@ fun writer ->
       let sink = engine_sink writer in
-      try Analysis.Engine.analyze (Analysis.Engine.create ~params ?sink m)
-      with Q.Overflow ->
-        or_die (Error "arithmetic overflow: exact rationals exceed native ints")
+      Analysis.Engine.analyze (Analysis.Engine.create ~params ?sink m)
     in
     let names a b = (Analysis.Model.task m a b).Analysis.Model.name in
     if csv then begin
@@ -375,6 +385,7 @@ let simulate_cmd =
 let sensitivity_cmd =
   let run file precision jobs trace =
     let sys = or_die (load_system file) in
+    or_overflow @@ fun () ->
     with_jobs jobs @@ fun pool ->
     with_trace trace @@ fun writer ->
     let sink = engine_sink writer in
@@ -507,6 +518,7 @@ let print_region ~csv ~name ~grid rm current_alpha current_delta member =
 let design_cmd =
   let run file precision server_period region grid csv jobs trace =
     let sys = or_die (load_system file) in
+    or_overflow @@ fun () ->
     with_jobs jobs @@ fun pool ->
     with_trace trace @@ fun writer ->
     let sink = engine_sink writer in

@@ -56,7 +56,8 @@ module Exact = Fixpoint.Exact
 module Scaled = Fixpoint.Scaled
 
 (* One interference memo per numeric instance, each created the first
-   time its instance runs. *)
+   time its instance memoises a curve — the integer instance never
+   does (Timeline.S.memo_min_terms). *)
 type memos = { scaled_memo : Scaled.memo Lazy.t; exact_memo : Exact.memo Lazy.t }
 
 type t = {
@@ -233,8 +234,7 @@ let run t analyze =
 let run_exact t warm =
   let tables = Lazy.force t.exact in
   run t
-    (Exact.analyze tables
-       (Lazy.force t.memos.exact_memo)
+    (Exact.analyze tables t.memos.exact_memo
        ~warm:(Option.map (Exact.lift tables) warm))
 
 (* The integer timeline when the session has one, else exact rationals.
@@ -249,8 +249,7 @@ let dispatch t warm =
       | exception Q.Overflow -> run_exact t warm
       | lifted -> (
           Rta.record_kernel_run t.counters;
-          let memo = Lazy.force t.memos.scaled_memo in
-          try run t (Scaled.analyze tables memo ~warm:lifted)
+          try run t (Scaled.analyze tables t.memos.scaled_memo ~warm:lifted)
           with Q.Overflow ->
             Rta.record_kernel_fallback t.counters;
             t.kernel_poisoned := true;

@@ -142,7 +142,9 @@ val counters : t -> Rta.counters
 
 val memo_stats : t -> Memo.stats option
 (** Lookup statistics summed over the session's memos (one per numeric
-    instance, see {!Memo}).  Always [Some]: the memo is always on. *)
+    instance).  Only the exact-rational instance memoises ({!Memo}), so
+    a session whose analyses all ran on the integer timeline reports
+    zeros.  Always [Some]. *)
 
 val kernel_scale : t -> int option
 (** The denominator of the integer timeline this session's analyses run

@@ -16,11 +16,9 @@ type warm = {
 
 type memo_stats = { hits : int; misses : int; invalidations : int }
 
-(* Below this many interfering tasks, a demand curve is cheaper to
-   evaluate directly than to look up: a hit still pays a hashtable
-   probe, which costs about as much as walking a handful of hoisted
-   terms. *)
-let memo_min_terms = 4
+(* Job counts clamp at 0 with an int comparison: [Stdlib.max] is
+   polymorphic, and the build inlines nothing across modules. *)
+let at_least_0 (n : int) = if n > 0 then n else 0
 
 module Make (N : Timeline.S) = struct
   type num = N.t
@@ -84,7 +82,9 @@ module Make (N : Timeline.S) = struct
   (* One entry caches the demand curve of transaction [i] initiated by
      τ_{i,k} against a fixed task under analysis: (t -> W^k_i) samples,
      valid as long as the jitter and offset rows of [i] still hold the
-     values the samples were computed under. *)
+     values the samples were computed under.  Only curves of at least
+     [N.memo_min_terms] terms are memoised: exact rationals from 4 on,
+     scaled ints never (a probe would cost more than the kernel). *)
   module Tbl = Hashtbl.Make (N)
 
   type entry = {
@@ -145,9 +145,12 @@ module Make (N : Timeline.S) = struct
     let rec go i = i < 0 || (N.equal x.(i) y.(i) && go (i - 1)) in
     go (Array.length x - 1)
 
-  (* The cache entry is resolved — and its kernel recompiled if a row
-     changed — once; the returned closure only does the per-t lookup. *)
-  let evaluator c sk ~phi ~jit ~k =
+  (* A demand curve ready to evaluate: its kernel, or — for curves long
+     enough for this timeline's memo — its cache entry, resolved and
+     recompiled if a row changed. *)
+  type curve = Direct of N.t Timeline.kernel | Memoised of cache * entry
+
+  let memoised c sk ~phi ~jit ~k =
     let i = sk.txn in
     let jit_row = jit.(i) and phi_row = phi.(i) in
     let e =
@@ -174,16 +177,21 @@ module Make (N : Timeline.S) = struct
           Hashtbl.add c.entries (i, k) e;
           e
     in
-    fun t ->
-      match Tbl.find_opt e.values t with
-      | Some v ->
-          c.hits <- c.hits + 1;
-          v
-      | None ->
-          c.misses <- c.misses + 1;
-          let v = N.eval e.kernel t in
-          Tbl.add e.values t v;
-          v
+    Memoised (c, e)
+
+  let eval_curve curve t =
+    match curve with
+    | Direct kernel -> N.eval kernel t
+    | Memoised (c, e) -> (
+        match Tbl.find_opt e.values t with
+        | Some v ->
+            c.hits <- c.hits + 1;
+            v
+        | None ->
+            c.misses <- c.misses + 1;
+            let v = N.eval e.kernel t in
+            Tbl.add e.values t v;
+            v)
 
   (* ---------------------------------------------------------------- *)
   (* Busy-period fixed point                                          *)
@@ -234,7 +242,7 @@ module Make (N : Timeline.S) = struct
                     N.ceil_div (N.sub r jit.(i).(j)) tb.Timebase.period.(i) - 1
                   in
                   N.add acc
-                    (N.mul_int (Stdlib.max 0 arrivals) tb.Timebase.cb.(i).(j)))
+                    (N.mul_int (at_least_0 arrivals) tb.Timebase.cb.(i).(j)))
                 acc hp_list
             in
             let guaranteed r =
@@ -311,10 +319,10 @@ module Make (N : Timeline.S) = struct
         k
 
   (* Response of task (a,b) within busy periods started by the scenario
-     where τ_{a,c} initiates the own transaction; [own_interference]
-     and [remote_interference] are the demands of the other tasks. *)
-  let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c
-      ~own_interference ~remote_interference =
+     where τ_{a,c} initiates the own transaction; [own] is the demand
+     curve of the other own tasks, [remote] the demand of the remote
+     transactions. *)
+  let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c ~own ~remote =
     let ta = tb.Timebase.period.(a) and cost = tb.Timebase.c.(a).(b) in
     let horizon = tb.Timebase.horizon.(a) and base = tb.Timebase.base.(a).(b) in
     let ph =
@@ -323,13 +331,13 @@ module Make (N : Timeline.S) = struct
     let p0 = 1 - N.floor_div (N.add jit.(a).(b) ph) ta in
     (* Nominal self activations inside (0, l), clamped at 0 like the
        kernels. *)
-    let inside l = Stdlib.max 0 (N.ceil_div (N.sub l ph) ta) in
+    let inside l = at_least_0 (N.ceil_div (N.sub l ph) ta) in
     let demand self_jobs w =
       N.add
-        (N.add (N.add base (N.mul_int self_jobs cost)) (own_interference w))
-        (remote_interference w)
+        (N.add (N.add base (N.mul_int self_jobs cost)) (eval_curve own w))
+        (remote w)
     in
-    let busy_length l = demand (Stdlib.max 0 (inside l - p0 + 1)) l in
+    let busy_length l = demand (at_least_0 (inside l - p0 + 1)) l in
     match fixpoint ~horizon busy_length N.zero with
     | None -> Divergent
     | Some l ->
@@ -345,66 +353,71 @@ module Make (N : Timeline.S) = struct
         done;
         !best
 
-  (* Folds over demand curves at one point t, written as loops: they run
-     once per busy-period iteration, and a closure per call would be the
-     iteration's main allocation. *)
-  let rec sum_from acc fs t =
-    match fs with [] -> acc | f :: fs -> sum_from (N.add acc (f t)) fs t
-
-  let maximum fs t =
-    let acc = ref N.zero in
-    for i = 0 to Array.length fs - 1 do
-      acc := max !acc (fs.(i) t)
-    done;
-    !acc
-
-  (* Σ over remotes [0..level-1] of their scenario maximum W{^*}. *)
-  let wstar_sum contrib level t =
-    let acc = ref N.zero in
-    for ri = 0 to level - 1 do
-      acc := N.add !acc (maximum contrib.(ri) t)
-    done;
-    !acc
-
   let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
     let tb = tables.tb in
     let a = site.Ir.a and b = site.Ir.b in
-    let own = site.Ir.own and remotes = site.Ir.remotes in
     let { own_sk; remote_sks } = skeletons tables site in
-    let cache = cache memo ~a ~b in
-    (* Hoisted demand curve of transaction [i] initiated by τ_{i,k}: the
-       kernel is compiled — or the memo entry resolved — once per
-       response-time computation.  Tiny kernels bypass the memo. *)
-    let eval_of sk ~k =
-      if Array.length sk.js >= memo_min_terms then
-        evaluator cache sk ~phi ~jit ~k
-      else
-        let kernel = compile sk ~phi ~jit ~k in
-        fun t -> N.eval kernel t
+    (* Every demand curve is compiled — or its memo entry resolved — once
+       per response-time computation.  Only curves long enough for this
+       timeline's memo touch it, so a timeline that never memoises
+       allocates no cache. *)
+    let cache = lazy (cache (Lazy.force memo) ~a ~b) in
+    let curve sk ~k =
+      if Array.length sk.js >= N.memo_min_terms then
+        memoised (Lazy.force cache) sk ~phi ~jit ~k
+      else Direct (compile sk ~phi ~jit ~k)
     in
-    let own_evals = List.map (fun c -> (c, eval_of own_sk ~k:c)) own in
-    let best_over_own ~remote_interference acc =
-      List.fold_left
-        (fun acc (c, own_interference) ->
-          bound_max acc
-            (scenario_response tb ~phi ~jit ~a ~b ~c ~own_interference
-               ~remote_interference))
-        acc own_evals
+    let own =
+      Array.of_list (List.map (fun c -> (c, curve own_sk ~k:c)) site.Ir.own)
     in
-    (* The evaluators of every remote choice, per remote transaction. *)
-    let contrib =
+    (* The curves of every remote choice, per remote transaction. *)
+    let remotes =
       Array.mapi
         (fun ri (r : Ir.remote) ->
-          Array.map (fun k -> eval_of remote_sks.(ri) ~k) r.Ir.choices)
-        remotes
+          Array.map (fun k -> curve remote_sks.(ri) ~k) r.Ir.choices)
+        site.Ir.remotes
+    in
+    let n_remotes = Array.length remotes in
+    (* The scenario under evaluation, one slot per remote: remotes below
+       [level] are free, at their scenario maximum W{^*}; remote [ri]
+       from [level] on is fixed at choice [digit.(ri)]. *)
+    let level = ref n_remotes and digit = Array.make n_remotes 0 in
+    let remote t =
+      let acc = ref N.zero in
+      for ri = 0 to n_remotes - 1 do
+        let curves = remotes.(ri) in
+        let w =
+          if ri < !level then begin
+            let w = ref N.zero in
+            for ci = 0 to Array.length curves - 1 do
+              w := max !w (eval_curve curves.(ci) t)
+            done;
+            !w
+          end
+          else eval_curve curves.(digit.(ri)) t
+        in
+        acc := N.add !acc w
+      done;
+      !acc
+    in
+    (* The response under the slots' scenario, over every own
+       initiator. *)
+    let evaluate lvl =
+      level := lvl;
+      let best = ref (Finite N.zero) in
+      for oi = 0 to Array.length own - 1 do
+        let c, curve = own.(oi) in
+        best :=
+          bound_max !best
+            (scenario_response tb ~phi ~jit ~a ~b ~c ~own:curve ~remote)
+      done;
+      !best
     in
     match params.Params.variant with
     | Params.Reduced ->
         Rta.record counters Rta.Total 1;
         Rta.record counters Rta.Visited 1;
-        best_over_own
-          ~remote_interference:(wstar_sum contrib (Array.length contrib))
-          (Finite N.zero)
+        evaluate n_remotes
     | Params.Exact ->
         (* The scenario vectors ν (Eq. 12) of the remote transactions
            form a mixed-radix space of size Π |hp_i|: index v picks
@@ -417,17 +430,13 @@ module Make (N : Timeline.S) = struct
           Rta.record counters Rta.Visited total;
           let best = ref (Finite N.zero) in
           for v = 0 to total - 1 do
-            let remote_interference t =
-              let acc = ref N.zero and rem = ref v in
-              for ri = 0 to Array.length contrib - 1 do
-                let fs = contrib.(ri) in
-                let s = Array.length fs in
-                acc := N.add !acc (fs.(!rem mod s) t);
-                rem := !rem / s
-              done;
-              !acc
-            in
-            best := best_over_own ~remote_interference !best
+            let rem = ref v in
+            for ri = 0 to n_remotes - 1 do
+              let s = Array.length remotes.(ri) in
+              digit.(ri) <- !rem mod s;
+              rem := !rem / s
+            done;
+            best := bound_max !best (evaluate 0)
           done;
           !best
         end
@@ -445,74 +454,58 @@ module Make (N : Timeline.S) = struct
              demand over the horizon — the argmax realising the Reduced
              variant's W* there.  An ordinary scenario, so a sound
              incumbent, and usually a near-maximal one. *)
-          let seed_index =
-            let idx = ref 0 in
-            Array.iteri
-              (fun ri fs ->
-                let best_ci = ref 0 and best_w = ref (fs.(0) horizon) in
-                for ci = 1 to Array.length fs - 1 do
-                  let w = fs.(ci) horizon in
-                  if N.compare w !best_w > 0 then begin
-                    best_w := w;
-                    best_ci := ci
-                  end
-                done;
-                idx := !idx + (!best_ci * stride.(ri)))
-              contrib;
-            !idx
-          in
-          let evaluate fixed =
-            best_over_own
-              ~remote_interference:(sum_from N.zero fixed)
-              (Finite N.zero)
-          in
+          let seed_index = ref 0 in
+          for ri = 0 to n_remotes - 1 do
+            let curves = remotes.(ri) in
+            let best_ci = ref 0
+            and best_w = ref (eval_curve curves.(0) horizon) in
+            for ci = 1 to Array.length curves - 1 do
+              let w = eval_curve curves.(ci) horizon in
+              if N.compare w !best_w > 0 then begin
+                best_w := w;
+                best_ci := ci
+              end
+            done;
+            digit.(ri) <- !best_ci;
+            seed_index := !seed_index + (!best_ci * stride.(ri))
+          done;
+          let seed_index = !seed_index in
           Rta.record counters Rta.Visited 1;
-          let incumbent =
-            ref
-              (evaluate
-                 (Array.to_list
-                    (Array.mapi
-                       (fun ri fs ->
-                         fs.(seed_index / stride.(ri) mod Array.length fs))
-                       contrib)))
-          in
+          let incumbent = ref (evaluate 0) in
           let prune_le ub inc =
             match (ub, inc) with
             | _, Divergent -> true
             | Divergent, Finite _ -> false
             | Finite u, Finite i -> N.compare u i <= 0
           in
-          (* Optimistic bound of the block where remotes [0..level-1] are
-             free (at W{^*}) and the rest fixed. *)
-          let block_bound level fixed =
+          (* Optimistic bound of the block where remotes below [lvl]
+             are free and the rest hold the digits of the descent. *)
+          let block_bound lvl =
             Rta.record counters Rta.Bounds 1;
-            let remote_interference t =
-              sum_from (wstar_sum contrib level t) fixed t
-            in
-            best_over_own ~remote_interference (Finite N.zero)
+            evaluate lvl
           in
-          (* The block [v_base, v_base + stride.(level)) with the digits
-             above [level] fixed. *)
-          let rec visit level v_base fixed =
-            if level = 0 then begin
+          (* The block [v_base, v_base + stride.(lvl)). *)
+          let rec visit lvl v_base =
+            if lvl = 0 then begin
               if v_base <> seed_index then begin
                 Rta.record counters Rta.Visited 1;
-                incumbent := bound_max !incumbent (evaluate fixed)
+                incumbent := bound_max !incumbent (evaluate 0)
               end
             end
             else
-              let size = stride.(level) in
-              if size > 1 && prune_le (block_bound level fixed) !incumbent
-              then Rta.record counters Rta.Pruned size
+              let size = stride.(lvl) in
+              if size > 1 && prune_le (block_bound lvl) !incumbent then
+                Rta.record counters Rta.Pruned size
               else begin
-                let ri = level - 1 in
+                let ri = lvl - 1 in
                 let sub = stride.(ri) in
-                Array.iteri
-                  (fun ci f -> visit ri (v_base + (ci * sub)) (f :: fixed))
-                  contrib.(ri)
+                for ci = 0 to Array.length remotes.(ri) - 1 do
+                  digit.(ri) <- ci;
+                  visit ri (v_base + (ci * sub))
+                done
               end
           in
-          visit (Array.length remotes) 0 [];
+          visit n_remotes 0;
           !incumbent
         end
 

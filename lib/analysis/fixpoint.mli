@@ -28,9 +28,6 @@ type warm = {
 
 type memo_stats = { hits : int; misses : int; invalidations : int }
 
-val memo_min_terms : int
-(** {!Memo.min_terms}. *)
-
 module Make (N : Timeline.S) : sig
   type num = N.t
 
@@ -70,11 +67,19 @@ module Make (N : Timeline.S) : sig
 
   val memo_stats : memo -> memo_stats
 
-  val evaluator :
+  type curve
+  (** A demand curve ready to evaluate at any t: its compiled kernel,
+      or its memo entry for curves of at least [N.memo_min_terms]
+      terms. *)
+
+  val memoised :
     cache -> skeleton -> phi:num array array -> jit:num array array ->
-    k:int -> num -> num
-  (** Memoised [Timeline.eval (compile …)]: the entry is resolved (and
-      recompiled if a row changed) once, the closure only looks up. *)
+    k:int -> curve
+  (** The curve's memo entry, resolved (and recompiled if a row changed)
+      once; evaluations only look up. *)
+
+  val eval_curve : curve -> num -> num
+  (** [Timeline.eval (compile …) t], from the memo when it holds t. *)
 
   (** {1 Fixed points} *)
 
@@ -105,7 +110,7 @@ module Make (N : Timeline.S) : sig
     counters:Rta.counters ->
     sweep:(iteration:int -> recomputed:int -> carried:int -> unit) ->
     tables ->
-    memo ->
+    memo Lazy.t ->
     warm:lifted option ->
     Report.t
   (** The holistic analysis: outer Jacobi sweeps on the jitters, each
@@ -115,8 +120,9 @@ module Make (N : Timeline.S) : sig
       (under the simple best case, whose responses grow monotonically:
       the verdict is settled, the report has [converged = false]) or
       256 sweeps have run.  [sweep] is called after each sweep;
-      [counters] is bumped with the scenario accounting.  Runs on the
-      calling domain.
+      [counters] is bumped with the scenario accounting; the memo is
+      forced only by a curve long enough for this timeline's memo
+      ([N.memo_min_terms]).  Runs on the calling domain.
       @raise Rational.Overflow when an operation leaves the domain. *)
 end
 

@@ -16,7 +16,7 @@ let cache = E.cache
 
 let stats = E.memo_stats
 
-let min_terms = Fixpoint.memo_min_terms
+let min_terms = Timeline.Exact.memo_min_terms
 
 let w_star c m ~phi ~jit ~i ~hp_list ~t =
   let tb =
@@ -24,5 +24,6 @@ let w_star c m ~phi ~jit ~i ~hp_list ~t =
   in
   let sk = E.skeleton tb ~i ~hp_list in
   List.fold_left
-    (fun acc k -> Rational.max acc (E.evaluator c sk ~phi ~jit ~k t))
+    (fun acc k ->
+      Rational.max acc (E.eval_curve (E.memoised c sk ~phi ~jit ~k) t))
     Rational.zero hp_list

@@ -15,13 +15,16 @@
     change the least fixed point — see the memoisation section of
     docs/THEORY.md for the argument.
 
-    The memo is always on: demand curves with fewer than {!min_terms}
-    interfering tasks bypass it, so it engages exactly where it pays.
-    Each numeric instance of the core ({!Fixpoint.Make}) keeps its own
-    memo; this module is the view of the exact one, for tests.  Caches
-    are partitioned per task under analysis, and entries stay warm
-    across sweeps.  An analysis runs on the domain that calls it, so a
-    memo is never shared between domains and needs no locking. *)
+    Only exact rationals memoise.  Each timeline fixes its own cutoff
+    ({!Timeline.S.memo_min_terms}): on exact rationals, demand curves
+    of at least {!min_terms} interfering tasks go through the memo and
+    shorter ones are evaluated directly; on the integer timeline an
+    evaluation is cheaper than a cache probe, so it never memoises and
+    never allocates a cache.  This module is the view of the exact
+    instance's memo, for tests.  Caches are partitioned per task under
+    analysis, and entries stay warm across sweeps.  An analysis runs on
+    the domain that calls it, so a memo is never shared between domains
+    and needs no locking. *)
 
 type t = Fixpoint.Exact.memo
 
@@ -36,9 +39,10 @@ val cache : t -> a:int -> b:int -> cache
 (** The cache of task [(a, b)]. *)
 
 val min_terms : int
-(** Smallest interfering-set size worth memoising.  Kernels with fewer
-    terms are evaluated directly: a cache probe costs about as much as
-    the evaluation itself. *)
+(** Smallest interfering-set size worth memoising on exact rationals
+    ([Timeline.Exact.memo_min_terms]).  Kernels with fewer terms are
+    evaluated directly: a cache probe costs about as much as the
+    evaluation itself. *)
 
 val w_star :
   cache ->

@@ -24,16 +24,23 @@ module type S = sig
   val floor_of_q : scale:int -> Q.t -> t
   val to_q : scale:int -> t -> Q.t
   val eval : t kernel -> t -> t
+  val memo_min_terms : int
 end
 
 (* The per-term loop of Eq. 8/11 is the one piece written per domain:
-   it is the innermost loop of every busy-period fixed point, and a
-   direct loop over the concrete arrays beats calls through a functor
-   argument.  Both loops compute, per term, the ⌊(J + ϕ)/T⌋ delayed jobs
-   (hoisted at compile time) plus ⌈(t − ϕ)/T⌉ jobs released inside,
-   clamped at 0 so the evaluation at t = 0 equals the t → 0+ limit —
-   fixed-point iterations seeded at 0 then count the jobs released at
-   the critical instant instead of stalling. *)
+   it is the innermost loop of every busy-period fixed point.  Both
+   loops compute, per term, the ⌊(J + ϕ)/T⌋ delayed jobs (hoisted at
+   compile time) plus ⌈(t − ϕ)/T⌉ jobs released inside, clamped at 0 so
+   the evaluation at t = 0 equals the t → 0+ limit — fixed-point
+   iterations seeded at 0 then count the jobs released at the critical
+   instant instead of stalling.
+
+   The build compiles every module with [-opaque], so nothing is
+   inlined across modules: [Stdlib.max] would be a call to the
+   polymorphic comparison, [Rational.Checked] an indirect call and a
+   helper of this module an out-of-line call.  The clamps are therefore
+   int comparisons, and the scaled loop spells out its ceiling division
+   and the overflow checks of [Rational.mul_exn] and [add_exn]. *)
 
 module Exact = struct
   type t = Q.t
@@ -55,11 +62,16 @@ module Exact = struct
   let eval k t =
     let acc = ref Q.zero in
     for idx = 0 to Array.length k.phase - 1 do
-      let inside = Stdlib.max 0 (Q.ceil Q.((t - k.phase.(idx)) / k.period)) in
-      let jobs = Stdlib.max 0 (k.delayed.(idx) + inside) in
-      acc := Q.(!acc + mul_int k.cost.(idx) jobs)
+      let inside = Q.ceil Q.((t - k.phase.(idx)) / k.period) in
+      let jobs = k.delayed.(idx) + (if inside > 0 then inside else 0) in
+      if jobs > 0 then acc := Q.(!acc + mul_int k.cost.(idx) jobs)
     done;
     !acc
+
+  (* A hit replays an exact rational sum of several terms, each a
+     division and a product on fractions: worth a hashtable probe from
+     a handful of terms on. *)
+  let memo_min_terms = 4
 end
 
 module Scaled = struct
@@ -87,14 +99,32 @@ module Scaled = struct
   let floor_of_q ~scale v = Q.floor Q.(v * of_int scale)
   let to_q ~scale v = Q.of_scaled ~scale v
 
+  (* The overflow checks raise on exactly the inputs where
+     [Rational.Checked] would: a product of operands below 2^31 fits,
+     larger ones are checked by division as in [mul_exn], and a sum
+     overflows when both operands' signs differ from its own, as in
+     [add_exn]. *)
   let eval k t =
     let acc = ref 0 in
     let period = k.period and phase = k.phase and delayed = k.delayed in
     let cost = k.cost in
     for idx = 0 to Array.length phase - 1 do
-      let inside = Stdlib.max 0 (ceil_div (t - phase.(idx)) period) in
-      let jobs = Stdlib.max 0 (delayed.(idx) + inside) in
-      acc := Q.Checked.(!acc + (jobs * cost.(idx)))
+      let x = t - phase.(idx) in
+      let inside = if x > 0 then 1 + ((x - 1) / period) else 0 in
+      let jobs = delayed.(idx) + inside in
+      if jobs > 0 then begin
+        let c = cost.(idx) in
+        let w = jobs * c in
+        if (jobs lor c) lsr 31 <> 0 && c <> 0 && w / c <> jobs then
+          raise Q.Overflow;
+        let s = !acc + w in
+        if (!acc lxor s) land (w lxor s) < 0 then raise Q.Overflow;
+        acc := s
+      end
     done;
     !acc
+
+  (* With the loop above, a hashtable probe costs more than the terms it
+     would skip: the integer timeline never memoises. *)
+  let memo_min_terms = max_int
 end

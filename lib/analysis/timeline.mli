@@ -67,11 +67,19 @@ module type S = sig
       curve: per term, ⌊(J + ϕ)/T⌋ delayed jobs plus ⌈(t − ϕ)/T⌉
       jobs released inside the window, clamped at 0, times the
       cost. *)
+
+  val memo_min_terms : int
+  (** Smallest demand curve, in terms, that the fixed-point core
+      memoises across sweeps on this timeline ({!Memo}); [max_int]:
+      never. *)
 end
 
 module Exact : S with type t = Rational.t
-(** Exact rationals; conversions ignore [scale]. *)
+(** Exact rationals; conversions ignore [scale].  Curves of
+    [memo_min_terms = 4] terms or more are memoised. *)
 
 module Scaled : S with type t = int
 (** Scaled numerators on native ints; [add], [sub], [mul_int] and
-    [eval] raise [Rational.Overflow] instead of wrapping. *)
+    [eval] raise [Rational.Overflow] instead of wrapping, on exactly the
+    inputs where [Rational.Checked] would.  Never memoised: its [eval]
+    is cheaper than a cache probe. *)

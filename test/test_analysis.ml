@@ -450,7 +450,7 @@ let carry_forward_prop =
            let run warm =
              X.analyze ~params ~counters:(Rta.counters ())
                ~sweep:(fun ~iteration:_ ~recomputed:_ ~carried:_ -> ())
-               tables (X.memo m) ~warm
+               tables (lazy (X.memo m)) ~warm
            in
            List.for_all
              (fun (h : Report.iteration) ->
@@ -774,6 +774,120 @@ let test_kernel_runtime_fallback () =
   Alcotest.(check int) "kernel skipped after poison" 1
     (Rta.kernel_runs counters)
 
+(* --- the scaled demand kernel on its own --- *)
+
+module TL = Analysis.Timeline
+
+(* The per-term loop as first written over [Stdlib.max] and
+   [Rational.Checked]: the reference for the values and for exactly
+   which inputs raise [Rational.Overflow]. *)
+let reference_eval (k : int TL.kernel) t =
+  let ceil_div x y = if x > 0 then 1 + ((x - 1) / y) else -(-x / y) in
+  let acc = ref 0 in
+  for idx = 0 to Array.length k.TL.phase - 1 do
+    let inside = Stdlib.max 0 (ceil_div (t - k.TL.phase.(idx)) k.TL.period) in
+    let jobs = Stdlib.max 0 (k.TL.delayed.(idx) + inside) in
+    acc := Q.Checked.(!acc + (jobs * k.TL.cost.(idx)))
+  done;
+  !acc
+
+let exact_kernel (k : int TL.kernel) =
+  {
+    TL.period = Q.of_int k.TL.period;
+    phase = Array.map Q.of_int k.TL.phase;
+    delayed = k.TL.delayed;
+    cost = Array.map Q.of_int k.TL.cost;
+  }
+
+let outcome f = match f () with v -> Some v | exception Q.Overflow -> None
+
+(* Random kernels as [Timebase] builds them: costs >= 0, phases in
+   (0, T], a few delayed jobs per term, and t on, just around or well
+   past the phases.  Costs mix small values with near-max_int quotients
+   so that some products and some sums overflow. *)
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let* period = oneof [ int_range 1 10; int_range 1 1_000_000 ] in
+  let* n = int_range 1 5 in
+  let cost =
+    oneof
+      [
+        return 0;
+        int_range 1 1000;
+        map (fun d -> max_int / d) (int_range 1 64);
+        int_range 0 max_int;
+      ]
+  in
+  let* terms =
+    list_repeat n (triple (int_range 1 period) (int_range 0 3) cost)
+  in
+  let phase = Array.of_list (List.map (fun (p, _, _) -> p) terms) in
+  let* t =
+    oneof
+      [
+        return 0;
+        map2
+          (fun j d -> phase.(j) + d)
+          (int_range 0 (n - 1))
+          (int_range (-2) 2);
+        int_range 0 (64 * period);
+      ]
+  in
+  return
+    ( {
+        TL.period;
+        phase;
+        delayed = Array.of_list (List.map (fun (_, d, _) -> d) terms);
+        cost = Array.of_list (List.map (fun (_, _, c) -> c) terms);
+      },
+      t )
+
+let kernel_eval_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"scaled kernel = exact kernel, overflow iff the reference fold's"
+       ~count:2000
+       (QCheck.make kernel_case_gen)
+       (fun (k, t) ->
+         let reference = outcome (fun () -> reference_eval k t) in
+         outcome (fun () -> TL.Scaled.eval k t) = reference
+         &&
+         match reference with
+         | None -> true
+         | Some v ->
+             Q.equal
+               (TL.Exact.eval (exact_kernel k) (Q.of_int t))
+               (Q.of_int v)))
+
+(* max_int = (2^31 − 1)·(2^31 + 1): that many jobs of that cost fill an
+   int exactly, one more job overflows the product; two terms summing
+   to max_int pass, one more unit overflows the sum. *)
+let test_kernel_overflow_boundary () =
+  let one_term ~delayed ~cost =
+    {
+      TL.period = 1;
+      phase = [| 1 |];
+      delayed = [| delayed |];
+      cost = [| cost |];
+    }
+  in
+  let c = (1 lsl 31) - 1 and jobs = (1 lsl 31) + 1 in
+  Alcotest.(check int) "jobs × cost = max_int" max_int
+    (TL.Scaled.eval (one_term ~delayed:jobs ~cost:c) 0);
+  Alcotest.check_raises "one more job" Q.Overflow (fun () ->
+      ignore (TL.Scaled.eval (one_term ~delayed:(jobs + 1) ~cost:c) 0));
+  let two_terms last =
+    {
+      TL.period = 1;
+      phase = [| 1; 1 |];
+      delayed = [| max_int - 1; last |];
+      cost = [| 1; 1 |];
+    }
+  in
+  Alcotest.(check int) "sum = max_int" max_int (TL.Scaled.eval (two_terms 1) 0);
+  Alcotest.check_raises "one more unit" Q.Overflow (fun () ->
+      ignore (TL.Scaled.eval (two_terms 2) 0))
+
 (* Long chains on one platform: interfering sets reach Memo.min_terms
    terms, so the memo engages inside the analysis — the short-chain
    workloads of the other properties never reach it. *)
@@ -811,7 +925,8 @@ let memo_engages (m : Model.t) =
    fallbacks on these workloads; a model the
    kernel cannot represent (gadget transaction appended) silently falls
    back to the identical rational result; and on a long-chain system
-   the memo engages (hits > 0) without changing a bit.  Refined stays
+   the rational reference's memo engages (hits > 0) without changing a
+   bit, while a clean scaled run never touches a memo.  Refined stays
    off the long chains: it has no early exit, and a long chain can
    take minutes to converge. *)
 let kernel_identity_prop =
@@ -859,16 +974,22 @@ let kernel_identity_prop =
            }
          in
          let agrees ?(memo_hits = false) model base =
-           let reference =
-             analyze ~params:{ base with P.int_kernel = false } model
+           let rational =
+             Engine.create ~params:{ base with P.int_kernel = false } model
            in
+           let reference = Engine.analyze rational in
            let counters = Rta.counters () in
            let e = Engine.create ~params:base ~counters model in
            Engine.analyze e = reference
            && Rta.kernel_fallbacks counters = 0
-           && ((not memo_hits)
+           && (Engine.kernel_scale e = None
               ||
               match Engine.memo_stats e with
+              | Some s -> s.Analysis.Memo.hits = 0 && s.Analysis.Memo.misses = 0
+              | None -> false)
+           && ((not memo_hits)
+              ||
+              match Engine.memo_stats rational with
               | Some s -> s.Analysis.Memo.hits > 0
               | None -> false)
          in
@@ -1413,6 +1534,9 @@ let () =
       ( "int kernel",
         [
           kernel_identity_prop;
+          kernel_eval_prop;
+          Alcotest.test_case "kernel overflow boundary" `Quick
+            test_kernel_overflow_boundary;
           Alcotest.test_case "timebase of the paper model" `Quick
             test_timebase_of_model;
           Alcotest.test_case "unrepresentable models fall back" `Quick
