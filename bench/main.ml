@@ -389,13 +389,25 @@ let wall f =
   let r = f () in
   (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6, r)
 
+let median times =
+  Array.sort compare times;
+  times.(Array.length times / 2)
+
 (* Median wall time of [rounds] runs of [f] — the regression bounds in
    X11/X13 compare numbers a scheduler spike in a single timed loop
    would otherwise flip. *)
-let median_wall ~rounds f =
-  let times = Array.init rounds (fun _ -> fst (wall f)) in
-  Array.sort compare times;
-  times.(rounds / 2)
+let median_wall ~rounds f = median (Array.init rounds (fun _ -> fst (wall f)))
+
+(* Median wall times of [f] and of [g] over [rounds] rounds that each
+   run [f] then [g], so a drift in host load between rounds weighs on
+   both sides alike instead of on whichever side ran in that block. *)
+let median_walls ~rounds f g =
+  let times =
+    Array.init rounds (fun _ ->
+        let tf = fst (wall f) in
+        (tf, fst (wall g)))
+  in
+  (median (Array.map fst times), median (Array.map snd times))
 
 (* ------------------------------------------------------------------ *)
 (* X7: scalability of the analysis                                     *)
@@ -1634,11 +1646,11 @@ let warm_probes_bench () =
   let module D = Design.Param_search in
   let module PL = Regions.Probe_ladder in
   (* One workload = one region build plus one min-rate multisection per
-     question, run twice on fresh sessions: once through one shared warm
-     ladder (dominance certificates + seeded fixed points), once through
-     a disabled ladder (every probe a cold analysis).  Both searches are
+     question, run on a fresh session either through one shared warm
+     ladder (dominance certificates + seeded fixed points) or through a
+     disabled ladder (every probe a cold analysis).  Both searches are
      deterministic and the ladder never changes a verdict, so the two
-     runs probe the same points in the same order; only the fixed-point
+     sides probe the same points in the same order; only the fixed-point
      work behind each verdict changes. *)
   let measure sys ~resource ~precision ~n_queries =
     let beta =
@@ -1649,7 +1661,8 @@ let warm_probes_bench () =
       List.init n_queries (fun i ->
           Q.add (Q.make 1 2) (Q.make (15 * i) (2 * n_queries)))
     in
-    let run ladder =
+    let run ~enabled () =
+      let ladder = PL.create ~enabled () in
       let engine =
         Analysis.Engine.create ~params:Analysis.Params.default
           (Model.of_system sys)
@@ -1662,14 +1675,19 @@ let warm_probes_bench () =
               ~family:(D.fixed_latency_family ~delta ~beta))
           deltas
       in
-      (rm, answers)
+      ((rm, answers), PL.stats ladder)
     in
-    let cold_ladder = PL.create ~enabled:false () in
-    let warm_ladder = PL.create () in
-    let cold_ms, cold_run = wall (fun () -> run cold_ladder) in
-    let warm_ms, warm_run = wall (fun () -> run warm_ladder) in
-    (cold_ms, warm_ms, cold_run, warm_run, PL.stats cold_ladder,
-     PL.stats warm_ladder)
+    (* one untimed run of each side supplies the answers and ladder
+       counts checked below; the times are medians of rounds that run a
+       cold then a warm side, each on a fresh session and ladder, so
+       neither one scheduler spike (cold and warm times are each bimodal
+       on a 2-core host) nor a drift in host load can flip the gate *)
+    let cold_run, cold_stats = run ~enabled:false () in
+    let warm_run, warm_stats = run ~enabled:true () in
+    let cold_ms, warm_ms =
+      median_walls ~rounds:5 (run ~enabled:false) (run ~enabled:true)
+    in
+    (cold_ms, warm_ms, cold_run, warm_run, cold_stats, warm_stats)
   in
   let same_answer a b =
     match (a, b) with
@@ -1718,7 +1736,8 @@ let warm_probes_bench () =
   Format.printf
     "paper example: %d probes each side; warm ladder answered %d by \
      certificate (zero analyses), %d seeded, %d cold — %d analyses vs %d \
-     cold (%.2fx); wall warm %.1f ms vs cold %.1f ms (%.2fx)@."
+     cold (%.2fx); wall warm %.1f ms vs cold %.1f ms (%.2fx, medians of 5 \
+     rounds)@."
     ws.PL.probes certified ws.PL.seeded ws.PL.cold warm_analyses cs.PL.cold
     (float_of_int cs.PL.cold /. float_of_int (max 1 warm_analyses))
     warm_ms cold_ms (cold_ms /. warm_ms);
@@ -1755,7 +1774,8 @@ let warm_probes_bench () =
   metric "x17/heavy_cold_analyses" (float_of_int hcs.PL.cold);
   Format.printf
     "heavy workload: %d probes each side (%d certified, %d seeded, %d \
-     cold); wall warm %.1f ms vs cold %.1f ms (%.2fx)@."
+     cold); wall warm %.1f ms vs cold %.1f ms (%.2fx, medians of 5 \
+     rounds)@."
     hws.PL.probes h_certified hws.PL.seeded hws.PL.cold h_warm_ms h_cold_ms
     (h_cold_ms /. h_warm_ms);
   check "x17/heavy warm and cold runs probed the same points"

@@ -341,17 +341,26 @@ module Make (N : Timeline.S) = struct
     match fixpoint ~horizon busy_length N.zero with
     | None -> Divergent
     | Some l ->
-        let best = ref (Finite N.zero) in
-        for p = p0 to inside l do
-          match fixpoint ~horizon (demand (p - p0 + 1)) N.zero with
-          | None -> best := Divergent
-          | Some w ->
-              let activation =
-                N.sub (N.add ph (N.mul_int (p - 1) ta)) phi.(a).(b)
-              in
-              best := bound_max !best (Finite (N.sub w activation))
-        done;
-        !best
+        let response p w =
+          let activation =
+            N.sub (N.add ph (N.mul_int (p - 1) ta)) phi.(a).(b)
+          in
+          Finite (N.sub w activation)
+        in
+        let last = inside l in
+        if last < p0 then Finite N.zero
+        else begin
+          (* The last job completes at the end of the window: the least
+             fixed point of [demand (last - p0 + 1)] is [l] itself
+             (docs/THEORY.md).  Earlier jobs iterate from 0. *)
+          let best = ref (bound_max (Finite N.zero) (response last l)) in
+          for p = p0 to last - 1 do
+            match fixpoint ~horizon (demand (p - p0 + 1)) N.zero with
+            | None -> best := Divergent
+            | Some w -> best := bound_max !best (response p w)
+          done;
+          !best
+        end
 
   let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
     let tb = tables.tb in
@@ -400,16 +409,20 @@ module Make (N : Timeline.S) = struct
       done;
       !acc
     in
+    let n_own = Array.length own in
+    (* The response under the slots' scenario when own initiator [oi]
+       starts the busy period. *)
+    let initiator oi =
+      let c, curve = own.(oi) in
+      scenario_response tb ~phi ~jit ~a ~b ~c ~own:curve ~remote
+    in
     (* The response under the slots' scenario, over every own
        initiator. *)
     let evaluate lvl =
       level := lvl;
       let best = ref (Finite N.zero) in
-      for oi = 0 to Array.length own - 1 do
-        let c, curve = own.(oi) in
-        best :=
-          bound_max !best
-            (scenario_response tb ~phi ~jit ~a ~b ~c ~own:curve ~remote)
+      for oi = 0 to n_own - 1 do
+        best := bound_max !best (initiator oi)
       done;
       !best
     in
@@ -478,34 +491,68 @@ module Make (N : Timeline.S) = struct
             | Divergent, Finite _ -> false
             | Finite u, Finite i -> N.compare u i <= 0
           in
-          (* Optimistic bound of the block where remotes below [lvl]
-             are free and the rest hold the digits of the descent. *)
-          let block_bound lvl =
-            Rta.record counters Rta.Bounds 1;
-            evaluate lvl
+          (* The dominance argument holds per own initiator, so each
+             block keeps its bound per initiator: [values.(lvl)] for the
+             block evaluated at level [lvl] (row 0 for leaves).  Below a
+             block whose finite bound for an initiator cannot beat the
+             incumbent, that initiator is not evaluated again: the
+             bound stands in for it, and since it is ≤ the incumbent,
+             every pruning decision and incumbent update is the one a
+             full evaluation would make (docs/THEORY.md).  A divergent
+             bound never stands in: its iteration stopped past the
+             horizon, so the evaluations below could reach points it
+             never did. *)
+          let values =
+            Array.init (n_remotes + 1) (fun _ -> Array.make n_own Divergent)
+          in
+          (* The slots' scenario with remotes below [lvl] free, under
+             the bounds of the nearest evaluated enclosing block. *)
+          let evaluate_within enclosing lvl =
+            level := lvl;
+            let row = values.(lvl) in
+            let best = ref (Finite N.zero) in
+            for oi = 0 to n_own - 1 do
+              let v =
+                match enclosing with
+                | Some up -> (
+                    match up.(oi) with
+                    | Finite _ as u when prune_le u !incumbent -> u
+                    | _ -> initiator oi)
+                | None -> initiator oi
+              in
+              row.(oi) <- v;
+              best := bound_max !best v
+            done;
+            !best
           in
           (* The block [v_base, v_base + stride.(lvl)). *)
-          let rec visit lvl v_base =
+          let rec visit lvl v_base enclosing =
             if lvl = 0 then begin
               if v_base <> seed_index then begin
                 Rta.record counters Rta.Visited 1;
-                incumbent := bound_max !incumbent (evaluate 0)
+                incumbent := bound_max !incumbent (evaluate_within enclosing 0)
               end
             end
             else
               let size = stride.(lvl) in
-              if size > 1 && prune_le (block_bound lvl) !incumbent then
-                Rta.record counters Rta.Pruned size
+              if size <= 1 then descend lvl v_base enclosing
               else begin
-                let ri = lvl - 1 in
-                let sub = stride.(ri) in
-                for ci = 0 to Array.length remotes.(ri) - 1 do
-                  digit.(ri) <- ci;
-                  visit ri (v_base + (ci * sub))
-                done
+                (* The block's optimistic bound: remotes below [lvl]
+                   free, the rest at the digits of the descent. *)
+                Rta.record counters Rta.Bounds 1;
+                if prune_le (evaluate_within enclosing lvl) !incumbent then
+                  Rta.record counters Rta.Pruned size
+                else descend lvl v_base (Some values.(lvl))
               end
+          and descend lvl v_base enclosing =
+            let ri = lvl - 1 in
+            let sub = stride.(ri) in
+            for ci = 0 to Array.length remotes.(ri) - 1 do
+              digit.(ri) <- ci;
+              visit ri (v_base + (ci * sub)) enclosing
+            done
           in
-          visit n_remotes 0;
+          visit n_remotes 0 None;
           !incumbent
         end
 

@@ -12,10 +12,10 @@ let scenario_count m params ~a ~b =
   | Params.Exact -> own * site.Ir.total
 
 (* Scenario accounting for benchmarks: one unit is one remote scenario
-   vector ν of the mixed-radix product (all own-transaction choices are
-   always evaluated per unit).  Atomics because the concurrent probes of
-   a design search share one session's counters; the counts are
-   diagnostics, not part of any report. *)
+   vector ν of the mixed-radix product, however many own-transaction
+   initiators the branch and bound evaluates in it.  Atomics because the
+   concurrent probes of a design search share one session's counters;
+   the counts are diagnostics, not part of any report. *)
 type counters = {
   total : int Atomic.t;
   visited : int Atomic.t;

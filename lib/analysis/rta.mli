@@ -31,7 +31,9 @@ val total_scenarios : counters -> int
 
 val visited_scenarios : counters -> int
 (** Scenario units actually evaluated ([<= total_scenarios] with
-    pruning, [= total_scenarios] without). *)
+    pruning, [= total_scenarios] without).  With pruning, a visited
+    scenario evaluates only the own initiators whose bound in the
+    enclosing blocks can still beat the incumbent (docs/THEORY.md). *)
 
 val pruned_scenarios : counters -> int
 (** Scenario units discarded by a bound test.  Every unit of a pruned
