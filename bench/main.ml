@@ -394,20 +394,25 @@ let median times =
   times.(Array.length times / 2)
 
 (* Median wall time of [rounds] runs of [f] — the regression bounds in
-   X11/X13 compare numbers a scheduler spike in a single timed loop
+   X13/X16 compare numbers a scheduler spike in a single timed loop
    would otherwise flip. *)
 let median_wall ~rounds f = median (Array.init rounds (fun _ -> fst (wall f)))
 
-(* Median wall times of [f] and of [g] over [rounds] rounds that each
-   run [f] then [g], so a drift in host load between rounds weighs on
-   both sides alike instead of on whichever side ran in that block. *)
-let median_walls ~rounds f g =
+(* Medians of the times [f ()] and [g ()] report over [rounds] rounds
+   that each run [f] then [g], so a drift in host load between rounds
+   weighs on both sides alike instead of on whichever side ran in that
+   block. *)
+let median_pairs ~rounds f g =
   let times =
     Array.init rounds (fun _ ->
-        let tf = fst (wall f) in
-        (tf, fst (wall g)))
+        let tf = f () in
+        (tf, g ()))
   in
   (median (Array.map fst times), median (Array.map snd times))
+
+(* Median wall times of [f] and of [g], alternating as above. *)
+let median_walls ~rounds f g =
+  median_pairs ~rounds (fun () -> fst (wall f)) (fun () -> fst (wall g))
 
 (* ------------------------------------------------------------------ *)
 (* X7: scalability of the analysis                                     *)
@@ -652,11 +657,11 @@ let best_case_ablation () =
     "(the refined lower bound counts phase-independent guaranteed@.     interference; it tightens the jitter bounds J = R - Rbest on loaded@.     platforms, while the paper's simple bound remains the sound default)@."
 
 (* ------------------------------------------------------------------ *)
-(* X9: analyses next to a domain pool, and batch admission over one   *)
+(* X9: analyses next to a domain pool                                  *)
 (* ------------------------------------------------------------------ *)
 
 let parallel_scaling () =
-  header "X9 — analyses next to a domain pool, and batch admission";
+  header "X9 — analyses next to a domain pool";
   Format.printf
     "host offers %d domain(s); speedup beyond that count is not expected@."
     (Domain.recommended_domain_count ());
@@ -688,23 +693,27 @@ let parallel_scaling () =
   Format.printf "%6s %12s %9s %10s@." "jobs" "wall (ms)" "speedup" "identical";
   (* one base session; every cell below derives from it, so the model is
      compiled once for the whole matrix.  A cell runs the analysis on
-     this domain inside a pool of [jobs] slots — the way `design --jobs
-     N` holds its pool around every probe — so the pool's idle domains
-     must not slow it down *)
+     this domain next to a pool of [jobs] slots — the way a fleet
+     shard's analysis runs next to the other shards' domains — so the
+     pool's idle domains must not slow it down.  Only the analysis is
+     timed, not the pool's spawn and join *)
   let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
+  let cell jobs =
+    let pool = Parallel.Pool.create ~jobs in
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () ->
+        (* with_model: share the IR but start from a cold memo, so the
+           wall clocks of the cells stay comparable *)
+        let session = Analysis.Engine.with_model base m in
+        wall (fun () -> Analysis.Engine.analyze session))
+  in
   let baseline = ref Float.nan in
   let reference = ref None in
   let all_identical = ref true in
-  let times = ref [] in
   List.iter
     (fun jobs ->
-      let ms, report =
-        Parallel.Pool.with_pool ~jobs (fun _pool ->
-            (* with_model: share the IR but start from a cold memo, so
-               the wall clocks of the cells stay comparable *)
-            let cell = Analysis.Engine.with_model base m in
-            wall (fun () -> Analysis.Engine.analyze cell))
-      in
+      let ms, report = cell jobs in
       if Float.is_nan !baseline then baseline := ms;
       (* Report.t is pure data (exact rationals, ints, bools), so
          structural equality is the bit-identical check the engine
@@ -717,43 +726,26 @@ let parallel_scaling () =
         | Some r -> r = report
       in
       if not identical then all_identical := false;
-      times := (jobs, ms) :: !times;
       metric (Printf.sprintf "x9/exact_jobs%d_ms" jobs) ms;
       Format.printf "%6d %12.1f %9.2f %10s@." jobs ms (!baseline /. ms)
         (if identical then "yes" else "NO"))
     (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]);
   check "x9/determinism across job counts" !all_identical;
   (* Regression guard: a pool's idle domains must not make an analysis
-     slower than the one-domain run (1.2x covers timer noise). *)
+     slower than the one-domain run (1.2x covers timer noise).  One
+     analysis takes about 2 ms, so the gate compares medians of rounds
+     that each run a jobs-1 then a jobs-4 cell. *)
   if not !quick then begin
-    match (List.assoc_opt 1 !times, List.assoc_opt 4 !times) with
-    | Some t1, Some t4 ->
-        check "x9/jobs4 within 1.2x of jobs1" (t4 <= 1.2 *. t1)
-    | _ -> ()
-  end;
-  (* batch admission: the workload sweep itself parallelised — one
-     seeded system per pool slot, admitted set compared across pools *)
-  let seeds = List.init 24 (fun i -> i + 1) in
-  let admitted jobs =
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        wall (fun () ->
-            Parallel.Pool.map_list pool
-              (fun seed ->
-                let sys = Workload.Gen.system ~seed Workload.Gen.default_spec in
-                let report = Analysis.Engine.(analyze (create_system sys)) in
-                (seed, report.Report.schedulable))
-              seeds))
-  in
-  let seq_ms, seq = admitted 1 in
-  let par_ms, par = admitted 4 in
-  let admitted_of l = List.filter_map (fun (s, ok) -> if ok then Some s else None) l in
-  Format.printf
-    "batch admission, 24 seeds: %d admitted; jobs 1: %.1f ms, jobs 4: %.1f ms@."
-    (List.length (admitted_of seq))
-    seq_ms par_ms;
-  metric "x9/batch_jobs1_ms" seq_ms;
-  metric "x9/batch_jobs4_ms" par_ms;
-  check "x9/admitted sets identical across job counts" (seq = par)
+    let rounds = 5 in
+    let t1, t4 =
+      median_pairs ~rounds (fun () -> fst (cell 1)) (fun () -> fst (cell 4))
+    in
+    Format.printf "medians of %d rounds: jobs 1 %.2f ms, jobs 4 %.2f ms@."
+      rounds t1 t4;
+    metric "x9/median_jobs1_ms" t1;
+    metric "x9/median_jobs4_ms" t4;
+    check "x9/jobs4 within 1.2x of jobs1" (t4 <= 1.2 *. t1)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* X10: branch-and-bound pruning — naive vs prune                      *)
@@ -864,8 +856,8 @@ let service_throughput () =
     | Ok items -> items
     | Error e -> failwith e
   in
-  let mk_server workers =
-    match Service.Fleet.create ~workers ~params items with
+  let mk_server () =
+    match Service.Fleet.create ~params items with
     | Ok s -> s
     | Error es -> failwith (String.concat "; " es)
   in
@@ -873,48 +865,29 @@ let service_throughput () =
   let what_if i =
     Service.Protocol.What_if { uid = "probe"; spec = probe_spec i }
   in
-  (* one batch of read-only probes, executed on 1/2/4 workers: responses
-     must be bit-identical whatever the worker count *)
-  Format.printf "%8s %12s %14s %10s@." "workers" "wall (ms)" "probes/sec"
-    "identical";
-  let reference = ref None in
-  let all_same = ref true in
-  List.iter
-    (fun workers ->
-      let srv = mk_server workers in
-      let envs =
-        List.init n_probes (fun i ->
-            {
-              Service.Protocol.seq = i + 1;
-              arrival = Unix.gettimeofday ();
-              deadline_ms = None;
-              tenant = None;
-              req = what_if i;
-            })
-      in
-      let ms, resps =
-        wall (fun () -> Service.Fleet.process_batch srv envs)
-      in
-      Service.Fleet.shutdown srv;
-      let rendered = List.map Service.Json.to_string resps in
-      let identical =
-        match !reference with
-        | None ->
-            reference := Some rendered;
-            true
-        | Some r -> r = rendered
-      in
-      if not identical then all_same := false;
-      metric (Printf.sprintf "x11/probe_batch_w%d_ms" workers) ms;
-      Format.printf "%8d %12.1f %14.0f %10s@." workers ms
-        (float_of_int n_probes /. ms *. 1000.)
-        (if identical then "yes" else "NO"))
-    (if !quick then [ 1; 4 ] else [ 1; 2; 4 ]);
-  check "x11/probe responses identical across worker counts" !all_same;
-  (* admission throughput: transactional commits are barriers, so they
-     serialize on worker 0 whatever the pool size *)
+  (* one batch of read-only probes, evaluated in arrival order on the
+     shard's session *)
+  let srv = mk_server () in
+  let envs =
+    List.init n_probes (fun i ->
+        {
+          Service.Protocol.seq = i + 1;
+          arrival = Unix.gettimeofday ();
+          deadline_ms = None;
+          tenant = None;
+          req = what_if i;
+        })
+  in
+  let ms, _ = wall (fun () -> Service.Fleet.process_batch srv envs) in
+  Service.Fleet.shutdown srv;
+  metric "x11/probe_batch_ms" ms;
+  Format.printf "probe batch: %d what_if probes in %.1f ms (%.0f probes/sec)@."
+    n_probes ms
+    (float_of_int n_probes /. ms *. 1000.);
+  (* admission throughput: transactional commits are barriers in
+     arrival order *)
   let n_units = if !quick then 8 else 16 in
-  let srv = mk_server 1 in
+  let srv = mk_server () in
   let admit_ms, admitted_ok =
     wall (fun () ->
         let ok = ref 0 in
@@ -946,7 +919,7 @@ let service_throughput () =
      which the warm session skips, is then a visible share of the cold
      path — against an empty store both loops are dominated by
      per-request bookkeeping and the comparison measures nothing. *)
-  let srv = mk_server 1 in
+  let srv = mk_server () in
   for i = 0 to 5 do
     ignore
       (Service.Fleet.handle srv
@@ -983,16 +956,17 @@ let service_throughput () =
     ignore (Analysis.Engine.analyze !session);
     ignore (Analysis.Engine.analyze (Analysis.Engine.create ~params models.(i)))
   done;
+  (* Each round runs a warm then a cold batch, so a drift in host load
+     weighs on both sides alike. *)
   let rounds = 8 in
-  let warm_batch_ms =
-    median_wall ~rounds (fun () ->
+  let warm_batch_ms, cold_batch_ms =
+    median_walls ~rounds
+      (fun () ->
         for i = 1 to n_probes do
           session := Analysis.Engine.with_model !session models.(i);
           ignore (Analysis.Engine.analyze !session)
         done)
-  in
-  let cold_batch_ms =
-    median_wall ~rounds (fun () ->
+      (fun () ->
         for i = 1 to n_probes do
           ignore
             (Analysis.Engine.analyze
@@ -1316,7 +1290,7 @@ let int_kernel_bench () =
   if not !quick then
     check "x12/exact sequential speedup >= 1.5x" (r_exact >= 1.5 *. k_exact)
 
-(* Shared speedup gate (X14/X15/X16): record the ratio and assert
+(* Shared speedup gate (X15/X16/X17): record the ratio and assert
    [faster_ms *. factor <= baseline_ms] — but only when [enabled].  A
    host too small for the expectation (or a --quick run too short to
    time) records the skip as a metric instead, so CI can tell a pass
@@ -1332,87 +1306,6 @@ let speedup_gate ~enabled ~skip_reason ~prefix ~speedup_name ~check_name
     Format.printf "SKIPPED: %s (%s)@." check_name skip_reason;
     metric (prefix ^ "/speedup_gate_skipped") 1.
   end
-
-(* ------------------------------------------------------------------ *)
-(* X14: read-only probe batches over a shard's workers — speedup gate  *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_speedup () =
-  header "X14 — probe batch over a shard's workers: speedup gate";
-  let host_cores = Domain.recommended_domain_count () in
-  metric "x14/host_cores" (float_of_int host_cores);
-  Format.printf "host offers %d core(s)@." host_cores;
-  (* the speedup gate proper: a batch of independent read-only probes
-     through the admission service.  Every probe re-analyses the whole
-     admitted assembly (all units share the probe's platform), so the
-     per-item cost dwarfs dispatch and the coarse-grained batch split
-     should scale near-linearly with the workers *)
-  let params =
-    { Analysis.Params.default with Analysis.Params.keep_history = false }
-  in
-  let items =
-    match Spec.Parser.parse service_base with
-    | Ok items -> items
-    | Error e -> failwith e
-  in
-  let n_units = if !quick then 8 else 12 in
-  let n_probes = if !quick then 16 else 48 in
-  (* all units on the probe's platform, so every probe dirties the whole
-     assembly — a probe against an empty or disjoint store would be too
-     cheap to out-run the batch dispatch *)
-  let p3_unit i =
-    Printf.sprintf
-      "component W%d { implementation: scheduler fixed_priority; thread T \
-       periodic(period = %d, deadline = %d) priority %d { task work(wcet = \
-       0.2, bcet = 0.1); } } instance WI%d : W%d on P3;"
-      i (30 + i) (30 + i) (i + 2) i i
-  in
-  let probe_batch workers =
-    match Service.Fleet.create ~workers ~params items with
-    | Error es -> failwith (String.concat "; " es)
-    | Ok srv ->
-        for i = 0 to n_units - 1 do
-          ignore
-            (Service.Fleet.handle srv
-               (Service.Protocol.Admit
-                  { uid = Printf.sprintf "w%d" i; spec = p3_unit i }))
-        done;
-        let envs =
-          List.init n_probes (fun i ->
-              {
-                Service.Protocol.seq = i + 1;
-                arrival = Unix.gettimeofday ();
-                deadline_ms = None;
-              tenant = None;
-                req =
-                  Service.Protocol.What_if
-                    { uid = "probe"; spec = probe_spec i };
-              })
-        in
-        let ms, resps =
-          wall (fun () -> Service.Fleet.process_batch srv envs)
-        in
-        Service.Fleet.shutdown srv;
-        (ms, List.map Service.Json.to_string resps)
-  in
-  let t1, r1 = probe_batch 1 in
-  let t2, r2 = probe_batch 2 in
-  let t4, r4 = probe_batch 4 in
-  metric "x14/probe_batch_w1_ms" t1;
-  metric "x14/probe_batch_w2_ms" t2;
-  metric "x14/probe_batch_w4_ms" t4;
-  Format.printf
-    "probe batch (%d probes over %d units): w1 %.1f ms, w2 %.1f ms, w4 %.1f \
-     ms (w4 speedup %.2fx)@."
-    n_probes n_units t1 t2 t4 (t1 /. t4);
-  check "x14/probe responses identical across worker counts"
-    (r1 = r2 && r2 = r4);
-  speedup_gate ~enabled:(host_cores >= 4)
-    ~skip_reason:
-      (Printf.sprintf "needs >= 4 cores, host offers %d" host_cores)
-    ~prefix:"x14" ~speedup_name:"x14/speedup_w4"
-    ~check_name:"x14/workers4 at least 2x faster than workers1" ~factor:2.
-    ~baseline_ms:t1 ~faster_ms:t4
 
 (* ------------------------------------------------------------------ *)
 (* X15: sharded fleet — cross-shard identity, durable replay, speedup  *)
@@ -1480,7 +1373,7 @@ let fleet_sharding () =
   in
   let run shards log =
     match
-      Service.Fleet.create ~workers:1 ~shards ~params
+      Service.Fleet.create ~shards ~params
         ~max_batch:(List.length envs) ?log items
     with
     | Error es -> failwith (String.concat "; " es)
@@ -1511,7 +1404,7 @@ let fleet_sharding () =
   Sys.remove log;
   let _, _, logged = run 2 (Some log) in
   let replayed =
-    match Service.Fleet.create ~workers:1 ~shards:4 ~params ~log items with
+    match Service.Fleet.create ~shards:4 ~params ~log items with
     | Error es -> failwith (String.concat "; " es)
     | Ok srv ->
         let hs = tenant_hashes srv in
@@ -1623,7 +1516,7 @@ let region_interface () =
               verified := false)
     (List.combine deltas reg);
   check "x16/region answers verified by direct analysis" !verified;
-  (* unlike the X14/X15 gates this is not a parallel-speedup claim:
+  (* unlike the X15 gate this is not a parallel-speedup claim:
      the margin comes from the probe counts (≈125 build probes against
      ≈1000 multisection probes), so core count cannot flip it and
      --quick keeps it.  It is still a ratio of wall times, which host
@@ -1752,7 +1645,7 @@ let warm_probes_bench () =
      costs ~900µs and seeding roughly halves the iteration count — here
      the 2x shows up in wall time.  Unlike Part 1's analysis-count
      ratio this is a wall-clock claim, so the gate follows the
-     X13/X14 convention: full mode only, loud skip under --quick. *)
+     X13/X15 convention: full mode only, loud skip under --quick. *)
   let heavy =
     Workload.Gen.system ~seed:3
       {
@@ -1810,7 +1703,6 @@ let sections =
     ("int_kernel", int_kernel_bench);
     ("service_throughput", service_throughput);
     ("delta_admit", delta_admit);
-    ("parallel_speedup", parallel_speedup);
     ("fleet_sharding", fleet_sharding);
     ("region_interface", region_interface);
     ("warm_probes", warm_probes_bench);

@@ -83,26 +83,9 @@ let no_int_kernel_flag =
            native integers); this only trades speed for a reference \
            measurement.")
 
-(* Domains are heavyweight OS threads: a job count beyond any plausible
-   machine is a typo, not a request, so reject it at parse time along
-   with negatives and non-integers (cmdliner parse errors exit 124). *)
-let max_jobs = 512
-
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %s" s))
-    | Some n when n < 0 ->
-        Error (`Msg (Printf.sprintf "must be >= 0 (0 = all cores), got %d" n))
-    | Some n when n > max_jobs ->
-        Error (`Msg (Printf.sprintf "must be <= %d, got %d" max_jobs n))
-    | Some n -> Ok n
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 (* Search-grid precisions are exponents (grids have 2^bits points), so
    a typo like 1000 would hang the process for geological time; bound
-   them at parse time like the job counts. *)
+   them at parse time (cmdliner parse errors exit 124). *)
 let precision_conv ~max_bits =
   let parse s =
     match int_of_string_opt s with
@@ -113,20 +96,6 @@ let precision_conv ~max_bits =
     | Some n -> Ok n
   in
   Arg.conv ~docv:"BITS" (parse, Format.pp_print_int)
-
-let jobs_arg =
-  Arg.(
-    value & opt jobs_conv 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Spread the search's independent probe analyses over $(docv) \
-           parallel domains ($(b,0) = all cores, $(b,1) = sequential).  \
-           Results are bit-identical for every job count; see \
-           docs/PERFORMANCE.md for when parallelism helps.")
-
-(* design and sensitivity create their pool around the whole run, so
-   their searches reuse one set of domains. *)
-let with_jobs jobs f = Parallel.Pool.with_pool ~jobs f
 
 let engine_trace_arg =
   Arg.(
@@ -383,10 +352,9 @@ let simulate_cmd =
 (* --- sensitivity --- *)
 
 let sensitivity_cmd =
-  let run file precision jobs trace =
+  let run file precision trace =
     let sys = or_die (load_system file) in
     or_overflow @@ fun () ->
-    with_jobs jobs @@ fun pool ->
     with_trace trace @@ fun writer ->
     let sink = engine_sink writer in
     (* One session for the whole command: every margin search and the
@@ -394,7 +362,7 @@ let sensitivity_cmd =
     let engine = Analysis.Engine.create_system ?sink sys in
     Format.printf "per-task WCET scaling margins (most critical first):@.%a@."
       Design.Sensitivity.pp_margins
-      (Design.Sensitivity.all_task_margins ~engine ~pool ~precision sys);
+      (Design.Sensitivity.all_task_margins ~engine ~precision sys);
     Format.printf "@.end-to-end slack per transaction:@.";
     List.iter
       (fun (name, response, deadline) ->
@@ -416,7 +384,7 @@ let sensitivity_cmd =
   Cmd.v
     (Cmd.info "sensitivity"
        ~doc:"Per-task growth margins and per-transaction slack.")
-    Term.(const run $ file_arg $ precision_arg $ jobs_arg $ engine_trace_arg)
+    Term.(const run $ file_arg $ precision_arg $ engine_trace_arg)
 
 (* --- design --- *)
 
@@ -516,10 +484,9 @@ let print_region ~csv ~name ~grid rm current_alpha current_delta member =
   end
 
 let design_cmd =
-  let run file precision server_period region grid csv jobs trace =
+  let run file precision server_period region grid csv trace =
     let sys = or_die (load_system file) in
     or_overflow @@ fun () ->
-    with_jobs jobs @@ fun pool ->
     with_trace trace @@ fun writer ->
     let sink = engine_sink writer in
     (* One session for the whole command: every probe of the rate search
@@ -590,8 +557,8 @@ let design_cmd =
             Format.printf "  Σα = %a@." Q.pp_decimal
               (Array.fold_left Q.add Q.zero rates);
             Format.printf "breakdown utilization: %a@." Q.pp_decimal
-              (Design.Param_search.breakdown_utilization ~engine ~pool
-                 ~precision sys);
+              (Design.Param_search.breakdown_utilization ~engine ~precision
+                 sys);
             0)
   in
   Cmd.v
@@ -602,22 +569,16 @@ let design_cmd =
           exact (α, Δ) schedulability region ($(b,--region)).")
     Term.(
       const run $ file_arg $ precision_arg $ server_period_arg $ region_arg
-      $ grid_arg $ csv_flag $ jobs_arg $ engine_trace_arg)
+      $ grid_arg $ csv_flag $ engine_trace_arg)
 
 (* --- serve --- *)
 
-let workers_arg =
-  Arg.(
-    value & opt jobs_conv 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Worker domains, each driving one long-lived engine session \
-           ($(b,0) = all cores).  Read-only requests of a batch run on the \
-           workers in parallel; verdicts are identical for every count.")
+(* Counts that must be at least one (shards, batch sizes, accept
+   limits): garbage, zero, negatives and counts beyond any plausible
+   deployment are typos rejected at parse time, not values to serve
+   with. *)
+let max_jobs = 512
 
-(* Like jobs_conv, but for counts that must be at least one (shards,
-   batch sizes, accept limits): garbage, zero and negatives are typos
-   rejected at parse time, not values to serve with. *)
 let positive_conv =
   let parse s =
     match int_of_string_opt s with
@@ -635,10 +596,10 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition tenants onto $(docv) shards by consistent hashing, \
-           each with its own worker pool and engine sessions.  The shards \
-           run on one domain pool, at most one domain per core, so shards \
-           beyond the core count share domains.  Per-tenant responses are \
-           bit-identical for every shard count.")
+           each with its own engine session.  The shards run on one domain \
+           pool, at most one domain per core, so shards beyond the core \
+           count share domains.  Per-tenant responses are bit-identical \
+           for every shard count.")
 
 let log_arg =
   Arg.(
@@ -678,7 +639,7 @@ let accept_limit_arg =
         ~doc:"With $(b,--socket): exit after serving $(docv) connections.")
 
 let serve_cmd =
-  let run file workers shards log exact max_batch trace socket accept_limit =
+  let run file shards log exact max_batch trace socket accept_limit =
     let src =
       try Ok (In_channel.with_open_bin file In_channel.input_all)
       with Sys_error e -> Error e
@@ -697,8 +658,7 @@ let serve_cmd =
           { (params_of_exact exact) with Analysis.Params.keep_history = false }
         in
         match
-          Service.Fleet.create ~workers ~shards ~params ~max_batch ?trace
-            ?log items
+          Service.Fleet.create ~shards ~params ~max_batch ?trace ?log items
         with
         | Error es ->
             List.iter prerr_endline es;
@@ -722,8 +682,8 @@ let serve_cmd =
           Unix socket, one response per line.  Protocol reference in \
           docs/SERVICE.md.")
     Term.(
-      const run $ file_arg $ workers_arg $ shards_arg $ log_arg $ exact_flag
-      $ max_batch_arg $ engine_trace_arg $ socket_arg $ accept_limit_arg)
+      const run $ file_arg $ shards_arg $ log_arg $ exact_flag $ max_batch_arg
+      $ engine_trace_arg $ socket_arg $ accept_limit_arg)
 
 (* --- format --- *)
 

@@ -292,7 +292,7 @@ val analyze_seeded :
     verdict (a warm early exit overran a deadline the fixed point also
     overruns; a warm iteration cap implies the cold cap), but its
     response iterates are only cold-identical when [converged].
-    Boolean probes ({!Design.Param_search} multisection) use
+    Boolean probes ({!Design.Param_search} bisection) use
     [verdict_only]; report-returning probes (region corner samples)
     use the default.  Counted by {!Rta.delta_runs} /
     {!Rta.delta_fallbacks} alongside delta re-analysis. *)

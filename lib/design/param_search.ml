@@ -53,65 +53,27 @@ let current_bounds (sys : Transaction.System.t) =
     (fun (r : Platform.Resource.t) -> r.Platform.Resource.bound)
     sys.Transaction.System.resources
 
-(* One round of the bracketing searches below, on the integer grid
-   interval (lo, hi) of a monotone predicate [ok] whose value at the
-   [hi] end is [ok_at_hi] (and the negation at [lo]).  With a one-slot
-   pool this is the classical bisection probe at (lo + hi) / 2; with
-   more slots it is a parallel multisection: min(jobs, width − 1)
-   evenly spaced interior points are probed concurrently, one whole
-   analysis per slot, and the interval shrinks to the sub-interval
-   bracketing the flip.  Both shapes converge to the same unique flip
-   point of a monotone predicate, so the search result is independent
-   of the job count (the candidate sweeps of docs/PERFORMANCE.md). *)
-let multisection_round ~pool ~ok_at_hi ok (lo, hi) =
-  let jobs = Parallel.Pool.jobs pool in
-  let width = hi - lo in
-  let n = Stdlib.min jobs (width - 1) in
-  if n <= 1 then begin
+(* Bisect the integer grid interval (lo, hi) of a monotone predicate
+   [ok] down to two adjacent points; [ok_at_hi] is its value at the [hi]
+   end (and the negation its value at [lo]). *)
+let rec bisect ~ok_at_hi ok (lo, hi) =
+  if hi - lo <= 1 then (lo, hi)
+  else
     let mid = (lo + hi) / 2 in
-    if ok mid = ok_at_hi then (lo, mid) else (mid, hi)
-  end
-  else begin
-    let probes =
-      List.init n (fun m -> lo + ((m + 1) * width / (n + 1)))
-      |> List.sort_uniq Stdlib.compare
-      |> List.filter (fun p -> p > lo && p < hi)
-    in
-    (* Easiest point first: when [ok] holds at the [hi] end the high
-       grid points are the easy ones, so probe them first — a
-       warm-seeding [ok] (Probe_ladder) then meets each harder point
-       with its easier neighbours already converged.  The bracket fold
-       below is order-insensitive, so the round's result is
-       unchanged. *)
-    let probes = if ok_at_hi then List.rev probes else probes in
-    Parallel.Pool.map_list pool (fun p -> (p, ok p)) probes
-    |> List.fold_left
-         (fun (lo, hi) (p, okp) ->
-           if okp = ok_at_hi then (lo, Stdlib.min hi p)
-           else (Stdlib.max lo p, hi))
-         (lo, hi)
-  end
+    bisect ~ok_at_hi ok (if ok mid = ok_at_hi then (lo, mid) else (mid, hi))
 
 (* Least grid point k/2^precision in (0, 1] satisfying [ok]; assumes [ok]
    is monotone (false below the threshold, true above). *)
-let search_min_rate ?(pool = Parallel.Pool.sequential) ~precision ok =
+let search_min_rate ~precision ok =
   let den = 1 lsl precision in
   if not (ok Q.one) then None
-  else begin
+  else
     (* Invariant: ok(hi/den), not ok(lo/den) (lo = 0 is never feasible:
        rate must be positive). *)
-    let bracket = ref (0, den) in
-    while (fun (lo, hi) -> hi - lo > 1) !bracket do
-      bracket :=
-        multisection_round ~pool ~ok_at_hi:true
-          (fun p -> ok (Q.make p den))
-          !bracket
-    done;
-    Some (Q.make (snd !bracket) den)
-  end
+    let _, hi = bisect ~ok_at_hi:true (fun p -> ok (Q.make p den)) (0, den) in
+    Some (Q.make hi den)
 
-let min_rate ?engine ?params ?pool ?ladder ?(precision = 10) sys ~resource
-    ~family =
+let min_rate ?engine ?params ?ladder ?(precision = 10) sys ~resource ~family =
   let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
@@ -120,10 +82,9 @@ let min_rate ?engine ?params ?pool ?ladder ?(precision = 10) sys ~resource
     bounds.(resource) <- family.bound_of_rate alpha;
     probe_schedulable ~ladder probe ~bounds
   in
-  search_min_rate ?pool ~precision ok
+  search_min_rate ~precision ok
 
-let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
-    =
+let minimize_rates ?engine ?params ?ladder ?(precision = 10) sys ~families =
   let n = Array.length families in
   if n <> Array.length sys.Transaction.System.resources then
     invalid_arg "Design.minimize_rates: one family per platform required";
@@ -144,7 +105,7 @@ let minimize_rates ?engine ?params ?pool ?ladder ?(precision = 10) sys ~families
           attempt.(i) <- alpha;
           probe_schedulable ~ladder probe ~bounds:(bounds_of attempt)
         in
-        match search_min_rate ?pool ~precision ok with
+        match search_min_rate ~precision ok with
         | Some alpha when Q.(alpha < rates.(i)) ->
             rates.(i) <- alpha;
             changed := true
@@ -189,20 +150,15 @@ let balance_rates ?engine ?params ?ladder ?(precision = 6) sys ~families =
 
 (* Largest grid point in [0, limit] satisfying the monotone-decreasing
    predicate [ok] (ok 0 assumed true). *)
-let search_max ?(pool = Parallel.Pool.sequential) ~precision ~limit ok =
+let search_max ~precision ~limit ok =
   let den = 1 lsl precision in
   if ok limit then limit
-  else begin
+  else
     (* ok at lo*limit/den, not ok at hi*limit/den *)
-    let bracket = ref (0, den) in
-    while (fun (lo, hi) -> hi - lo > 1) !bracket do
-      bracket :=
-        multisection_round ~pool ~ok_at_hi:false
-          (fun p -> ok Q.(limit * make p den))
-          !bracket
-    done;
-    Q.(limit * make (fst !bracket) den)
-  end
+    let lo, _ =
+      bisect ~ok_at_hi:false (fun p -> ok Q.(limit * make p den)) (0, den)
+    in
+    Q.(limit * make lo den)
 
 let scale_demands (m : Analysis.Model.t) factor =
   {
@@ -225,7 +181,7 @@ let scale_demands (m : Analysis.Model.t) factor =
         m.Analysis.Model.txns;
   }
 
-let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
+let breakdown_utilization ?engine ?params ?ladder ?(precision = 10) sys =
   let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let m = Engine.model probe in
@@ -236,7 +192,7 @@ let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
   in
   if not (ok Q.one) then
     (* Even the given demands fail; search downwards instead. *)
-    search_max ?pool ~precision ~limit:Q.one ok
+    search_max ~precision ~limit:Q.one ok
   else begin
     (* Grow the ceiling until infeasible, then search inside. *)
     let rec ceiling limit =
@@ -245,11 +201,10 @@ let breakdown_utilization ?engine ?params ?pool ?ladder ?(precision = 10) sys =
       else limit
     in
     let limit = ceiling (Q.of_int 2) in
-    if ok limit then limit else search_max ?pool ~precision ~limit ok
+    if ok limit then limit else search_max ~precision ~limit ok
   end
 
-let max_delta ?engine ?params ?pool ?ladder ?(precision = 10) ?limit sys
-    ~resource =
+let max_delta ?engine ?params ?ladder ?(precision = 10) ?limit sys ~resource =
   let probe = probe_engine ?engine ?params sys in
   let ladder = Option.value ladder ~default:(Regions.Probe_ladder.create ()) in
   let base = current_bounds sys in
@@ -266,14 +221,14 @@ let max_delta ?engine ?params ?pool ?ladder ?(precision = 10) ?limit sys
     probe_schedulable ~ladder probe ~bounds
   in
   if not (ok Q.zero) then None
-  else Some (search_max ?pool ~precision ~limit ok)
+  else Some (search_max ~precision ~limit ok)
 
 (* --- region-backed mode -------------------------------------------- *)
 
 (* One region computation replaces a whole family of point searches:
    the certified cell tree answers membership in O(tree depth) and the
    Pareto staircase answers min-rate/max-delay questions in O(log),
-   where every multisection above pays [precision] analyses per
+   where every bisection above pays [precision] analyses per
    question.  Probes inside boundary slivers fall back to the shared
    probe session, so region answers agree with a cold analysis at every
    point (the qcheck identity in test_regions.ml). *)

@@ -21,21 +21,18 @@
     probes, which only read the verdict).  Without [engine], a fresh
     probe session is built from [params].
 
-    The bracketing searches take a [pool]: with more than one slot the
-    bisection becomes a parallel multisection (one whole analysis per
-    slot and per round, evenly spaced over the open bracket).  Each
-    analysis runs on the slot that probes it.  A monotone predicate has
-    a unique flip point, so results are independent of the job count —
-    see docs/PERFORMANCE.md.
+    The bracketing searches bisect sequentially on the calling domain,
+    one probe analysis per step: a search's probe sequence, and so its
+    answer, is fixed by the system, the precision and the ladder it runs
+    through, never by the host's core count.
 
     Every boolean probe runs through a {!Regions.Probe_ladder}:
     converged probes at dominating (easier) parameter points certify or
     warm-seed later ones, with verdicts bit-identical to cold probes
-    (docs/PERFORMANCE.md, bench X17).  Multisection rounds probe their
-    grid points easiest-first for the same reason.  Pass [ladder] to
-    share one store across several searches over the same system — the
-    region + query workload of bench X17 — or leave it out for a
-    private, per-search ladder. *)
+    (docs/PERFORMANCE.md, bench X17).  Pass [ladder] to share one store
+    across several searches over the same system — the region + query
+    workload of bench X17 — or leave it out for a private, per-search
+    ladder. *)
 
 type family = {
   describe : string;
@@ -70,7 +67,6 @@ val schedulable_with :
 val min_rate :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   Transaction.System.t ->
@@ -84,7 +80,6 @@ val min_rate :
 val minimize_rates :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   Transaction.System.t ->
@@ -112,7 +107,6 @@ val balance_rates :
 val breakdown_utilization :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   Transaction.System.t ->
@@ -125,7 +119,6 @@ val breakdown_utilization :
 val max_delta :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?ladder:Regions.Probe_ladder.t ->
   ?precision:int ->
   ?limit:Rational.t ->
@@ -139,14 +132,14 @@ val max_delta :
 
 (** {1 Region-backed mode}
 
-    Instead of one multisection (≈ [precision] analyses) per question,
+    Instead of one bisection (≈ [precision] analyses) per question,
     compute platform [resource]'s whole (α, Δ) schedulability region
     once ({!Regions.Cell}) and answer any number of membership,
     min-rate or max-delay questions from it — O(tree depth) or O(log)
     per answer, with a probe fallback inside uncertified boundary
     slivers that keeps every answer exact.  Bench X16 gates the
     crossover: one region build plus 100 queries beats 100
-    multisections by ≥ 5×. *)
+    bisections by ≥ 5×. *)
 
 type region_mode = {
   cells : Regions.Cell.t;
@@ -176,7 +169,7 @@ val region :
     [α ∈ \[2{^-precision}, 1\] × Δ ∈ \[0, limit\]] (precision defaults
     to 6, [limit] to the largest transaction deadline), with the
     platform's β held at its current value.  Probes share one engine
-    session exactly like the multisection searches. *)
+    session exactly like the bisection searches. *)
 
 val region_member : region_mode -> alpha:Rational.t -> delta:Rational.t -> bool
 (** Is the system schedulable with [resource] at [(alpha, delta)]?
@@ -185,10 +178,10 @@ val region_member : region_mode -> alpha:Rational.t -> delta:Rational.t -> bool
 
 val region_max_delta : region_mode -> alpha:Rational.t -> Rational.t option
 (** Largest certified-feasible Δ at [alpha] ({!Regions.Frontier.max_delta}):
-    within one cell width below {!max_delta}'s multisection answer. *)
+    within one cell width below {!max_delta}'s bisection answer. *)
 
 val region_min_alpha : region_mode -> delta:Rational.t -> Rational.t option
 (** Smallest certified-feasible α at [delta]; within a cell width of
-    {!min_rate}'s multisection answer (the two grids differ: the region
-    spans [α ∈ \[2{^-precision}, 1\]], the multisection [k/2{^precision}],
+    {!min_rate}'s bisection answer (the two grids differ: the region
+    spans [α ∈ \[2{^-precision}, 1\]], the bisection [k/2{^precision}],
     so either side may certify the finer point). *)

@@ -68,8 +68,7 @@ let task_scaling ?engine ?params ?ladder ?(precision = 7) sys ~txn ~task =
   in
   search_scaling ~precision ok
 
-let all_task_margins ?engine ?params ?(pool = Parallel.Pool.sequential)
-    ?precision sys =
+let all_task_margins ?engine ?params ?precision sys =
   let probe = Param_search.probe_engine ?engine ?params sys in
   let ladder = Regions.Probe_ladder.create () in
   let m = Engine.model probe in
@@ -81,9 +80,7 @@ let all_task_margins ?engine ?params ?(pool = Parallel.Pool.sequential)
           sites := (txn, task, tk.Model.name) :: !sites)
         tx.Model.tasks)
     m.Model.txns;
-  (* One independent search per task — the candidate sweep the pool
-     parallelises, each search on the slot that runs it. *)
-  Parallel.Pool.map_list pool
+  List.map
     (fun (txn, task, name) ->
       {
         txn;

@@ -40,14 +40,11 @@ val task_scaling :
 val all_task_margins :
   ?engine:Analysis.Engine.t ->
   ?params:Analysis.Params.t ->
-  ?pool:Parallel.Pool.t ->
   ?precision:int ->
   Transaction.System.t ->
   task_margin list
 (** {!task_scaling} for every task, sorted most-critical (smallest
-    factor) first.  The per-task searches are independent; [pool]
-    (default {!Parallel.Pool.sequential}) spreads them over its domains
-    (the margin list is identical for every job count). *)
+    factor) first. *)
 
 val transaction_slack :
   ?engine:Analysis.Engine.t ->

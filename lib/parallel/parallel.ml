@@ -1,5 +1,5 @@
 (** Parallel execution substrate: a domain pool with static slot
-    identity, deterministic index-order maps and reentrancy fallback,
-    for independent work items.  See {!Pool} and docs/PERFORMANCE.md. *)
+    identity and a reentrancy fallback, on which the serving fleet runs
+    its shards.  See {!Pool} and docs/PERFORMANCE.md. *)
 
 module Pool = Pool

@@ -4,7 +4,7 @@
    participant 0 itself and waits for the unfinished count to drain.
    Slot identity is static — slot [s] of a region always runs in the
    participant [s mod participants] — so per-slot state (a serving
-   shard's engine sessions) is only ever touched by one domain.  At
+   shard and its engine session) is only ever touched by one domain.  At
    most one worker per hardware core is ever spawned: surplus domains
    cannot run in parallel, yet each live domain taxes every minor
    collection with stop-the-world coordination, so on a single-core
@@ -69,8 +69,7 @@ let worker t participant participants =
   done
 
 let create ~jobs =
-  if jobs < 0 then invalid_arg "Parallel.Pool.create: jobs < 0";
-  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+  if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs < 1";
   let t =
     {
       jobs;
@@ -97,8 +96,6 @@ let create ~jobs =
   end;
   t
 
-let sequential = create ~jobs:1
-
 let shutdown t =
   if t.jobs > 1 && not t.stopped then begin
     Mutex.lock t.mutex;
@@ -108,10 +105,6 @@ let shutdown t =
     Array.iter Domain.join t.workers;
     t.workers <- [||]
   end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let reraise_first t =
   let err = ref None in
@@ -165,25 +158,3 @@ let run t f =
         t.work <- None;
         Mutex.unlock t.mutex;
         reraise_first t)
-
-let tabulate t n f =
-  if n < 0 then invalid_arg "Parallel.Pool.tabulate: negative length";
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    if t.jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        results.(i) <- Some (f i)
-      done
-    else
-      run t (fun slot ->
-          for i = slot * n / t.jobs to ((slot + 1) * n / t.jobs) - 1 do
-            results.(i) <- Some (f i)
-          done);
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let map_array t f arr = tabulate t (Array.length arr) (fun i -> f arr.(i))
-
-let map_list t f l =
-  Array.to_list (map_array t f (Array.of_list l))

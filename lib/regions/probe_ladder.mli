@@ -1,6 +1,6 @@
 (** Dominance-indexed store of converged probe analyses.
 
-    Design-space sweeps ({!Design.Param_search} multisection and
+    Design-space sweeps ({!Design.Param_search} bisection and
     descent, {!Design.Sensitivity} scaling searches, {!Cell} region
     builds) analyse hundreds of models that differ only in platform
     bounds or demands.  The ladder keeps the Pareto frontiers of the
@@ -31,9 +31,14 @@
     not to the number of probes run — the ladder pays for itself even
     on workloads whose cold analysis takes only microseconds.
 
-    The store is mutex-protected and shared freely across
-    {!Parallel.Pool} workers; answers are order-independent, the
-    {!stats} may vary with scheduling. *)
+    One domain drives a ladder: the design searches probe sequentially
+    on the calling domain, and a serving shard builds regions on its
+    own domain (the store keeps its mutex all the same).  Under a
+    monotone predicate the answers are order-independent.  Under a
+    non-monotone one — the analysis' verdict is not always monotone in
+    the platform parameters (ROADMAP item 1) — a certificate can answer
+    a probe that a cold analysis would answer otherwise, so an answer
+    can depend on which probes the ladder stored before it. *)
 
 type t
 

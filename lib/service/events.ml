@@ -9,7 +9,7 @@ type event =
       session : string option;
       tenant : string option;
     }
-  | Batch of { size : int; parallel : int; shed : int }
+  | Batch of { size : int; shed : int }
   | Replay of { records : int; tenants : int }
   | Compaction of { records : int; tenants : int }
 
@@ -30,9 +30,8 @@ let to_json = function
         (match session with
         | None -> "null"
         | Some s -> Printf.sprintf "%S" s)
-  | Batch { size; parallel; shed } ->
-      Printf.sprintf {|{"event":"batch","size":%d,"parallel":%d,"shed":%d}|}
-        size parallel shed
+  | Batch { size; shed } ->
+      Printf.sprintf {|{"event":"batch","size":%d,"shed":%d}|} size shed
   | Replay { records; tenants } ->
       Printf.sprintf {|{"event":"replay","records":%d,"tenants":%d}|} records
         tenants

@@ -2,12 +2,11 @@
 
     [hsched serve --trace FILE] writes one JSON object per line, exactly
     like the analysis engine's [--trace]: the engine events of every
-    session the workers drive pass through verbatim ({!Engine_event}),
-    interleaved with per-request and per-batch service events.  Requests
-    are finalized in arrival order on their shard's driving domain, so
-    the request events of one shard appear in a deterministic order;
-    those of different shards, and the engine events of concurrently
-    analyzing workers, may interleave. *)
+    shard's session pass through verbatim ({!Engine_event}), interleaved
+    with per-request and per-batch service events.  Requests are
+    evaluated and finalized in arrival order on their shard's driving
+    domain, so the events of one shard appear in a deterministic order;
+    those of different shards may interleave. *)
 
 type event =
   | Engine_event of Analysis.Engine.event
@@ -24,9 +23,8 @@ type event =
           (** the request's wire tenant; rendered only when present, so
               default-tenant trace lines keep their historical bytes *)
     }
-  | Batch of { size : int; parallel : int; shed : int }
-      (** One shard batch: [size] requests drained, [parallel] of them
-          read-only items of a group run on the shard's pool, [shed]
+  | Batch of { size : int; shed : int }
+      (** One shard batch: [size] requests drained, [shed] of them
           dropped. *)
   | Replay of { records : int; tenants : int }
       (** Startup replayed [records] WAL records into [tenants] tenant

@@ -4,17 +4,17 @@ module P = Protocol
    consistent-hash ring over tenant ids, run on one {!Parallel.Pool}
    with one slot per shard.
 
-   Shard [s] is created on slot [s] and, since slot identity is static,
-   every later batch of shard [s] runs on that same domain — the
-   contract of {!Shard.create}.  With one shard the pool is sequential:
-   the shard lives on the caller's domain and a batch is handed to it
-   whole, bit-for-bit the original single-store server, stats included.
-   With more, the fleet splits a batch into maximal stats-free
-   segments; a segment is one [Pool.run] in which slot [s] processes
-   shard [s]'s sub-batch, and the responses are scattered back into
-   envelope order.  A [stats] request is a fleet barrier: one
-   [Pool.run] in which only the owning slot works, calling back into
-   {!stats_json}, which may read every (quiescent) shard and merge.
+   Slot identity is static, so every batch of shard [s] runs on slot
+   [s]'s domain — a shard must only be driven from one domain.  With
+   one shard the pool is sequential: the shard lives on the caller's
+   domain and a batch is handed to it whole, bit-for-bit the original
+   single-store server, stats included.  With more, the fleet splits a
+   batch into maximal stats-free segments; a segment is one [Pool.run]
+   in which slot [s] processes shard [s]'s sub-batch, and the responses
+   are scattered back into envelope order.  A [stats] request is a
+   fleet barrier: one [Pool.run] in which only the owning slot works,
+   calling back into {!stats_json}, which may read every (quiescent)
+   shard and merge.
 
    [Pool.run] returns only after every slot has finished, and its mutex
    orders each region's writes before the caller's and the next
@@ -106,8 +106,7 @@ let stats_json t ~seq ~tenant =
            Json.List
              (List.map (fun (tid, _) -> Json.String tid) v.Shard.v_tenants) );
        ]
-      @ Metrics.fields v.Shard.v_metrics ~workers:v.Shard.v_workers
-          ~entries:v.Shard.v_entries
+      @ Metrics.fields v.Shard.v_metrics ~entries:v.Shard.v_entries
           ~kernel_sessions:v.Shard.v_kernel_sessions
           ~fallback_count:v.Shard.v_fallback_count)
   in
@@ -119,7 +118,6 @@ let stats_json t ~seq ~tenant =
         ("hash", Json.String tstore.Store.hash);
       ]
     @ Metrics.fields agg
-        ~workers:(sum (fun v -> v.Shard.v_workers))
         ~entries:(sum (fun v -> v.Shard.v_entries))
         ~kernel_sessions:(sum (fun v -> v.Shard.v_kernel_sessions))
         ~fallback_count:(sum (fun v -> v.Shard.v_fallback_count))
@@ -148,9 +146,8 @@ let stats_json t ~seq ~tenant =
 
 exception Failed of string list
 
-let create ?(workers = 1) ?(shards = 1) ?(params = default_params)
-    ?(max_batch = 64) ?trace ?(now = Unix.gettimeofday) ?log
-    ?(wal_compact = 256) base =
+let create ?(shards = 1) ?(params = default_params) ?(max_batch = 64) ?trace
+    ?(now = Unix.gettimeofday) ?log ?(wal_compact = 256) base =
   match Store.boot base with
   | Error es -> Error es
   | Ok boot -> (
@@ -206,20 +203,17 @@ let create ?(workers = 1) ?(shards = 1) ?(params = default_params)
             let i = route_on ring tid in
             parts.(i) <- (tid, s) :: parts.(i))
           replayed;
-        let pool = Parallel.Pool.create ~jobs:nshards in
-        let made = Array.make nshards None in
-        Parallel.Pool.run pool (fun i ->
-            made.(i) <-
-              Some
-                (Shard.create ~id:i ~workers ~params ~max_batch ~emit ~now
-                   ?wal ~boot
-                   ~tenants:(List.rev parts.(i))
-                   ()));
+        let shards =
+          Array.init nshards (fun i ->
+              Shard.create ~id:i ~params ~max_batch ~emit ~now ?wal ~boot
+                ~tenants:(List.rev parts.(i))
+                ())
+        in
         let t =
           {
             boot;
-            pool;
-            shards = Array.map Option.get made;
+            pool = Parallel.Pool.create ~jobs:nshards;
+            shards;
             ring;
             wal;
             wal_compact;
@@ -341,8 +335,6 @@ let default_store t =
   | Some s -> s
   | None -> assert false (* created at boot *)
 
-(* Each shard's worker pool is joined from the slot that created it. *)
 let shutdown t =
-  Parallel.Pool.run t.pool (fun s -> Shard.shutdown t.shards.(s));
   Parallel.Pool.shutdown t.pool;
   Option.iter Wal.close t.wal

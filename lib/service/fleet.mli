@@ -3,11 +3,11 @@
     of committed mutations.  {!Server} runs the JSON-lines IO loops on
     top of it.
 
-    Each shard serves its partition of tenants with its own worker
-    pool, engine sessions and metrics.  The shards run on one
-    {!Parallel.Pool} with one slot per shard: shard [s] is created on
-    slot [s], and static slot identity keeps every later batch of it on
-    that domain.  With one shard (the default) the pool is sequential
+    Each shard serves its partition of tenants with its own engine
+    session and metrics.  The shards run on one {!Parallel.Pool} with
+    one slot per shard, and static slot identity keeps every batch of
+    shard [s] on slot [s]'s domain.  The pool is the program's only
+    parallelism.  With one shard (the default) the pool is sequential
     and every batch is handed to the shard whole on the caller's
     domain — byte-for-byte the original single-store server.  With
     more, a batch is split into maximal stats-free segments, each
@@ -19,10 +19,10 @@
     beyond the core count share domains.
 
     Within a shard, a drained batch sheds expired or overload-victim
-    requests, executes maximal runs of read-only requests ([query],
-    [what_if], [region]) in parallel on the shard's workers, and runs
-    the mutating requests ([admit], [revoke]) as barriers in arrival
-    order.
+    requests, evaluates maximal runs of read-only requests ([query],
+    [what_if], [region]) in arrival order against each tenant's store
+    as of the run's start, and runs the mutating requests ([admit],
+    [revoke]) as barriers in arrival order.
 
     Admission is transactional: the candidate snapshot is built and
     analyzed {e beside} the tenant's current one, and the store
@@ -33,13 +33,13 @@
     ({!Rational.Overflow}) is rejected as invalid, commits nothing and
     caches nothing.
 
-    Every response is deterministic for a scripted session (fixed
-    requests, fixed worker count): request finalization runs in arrival
-    order on each shard's driving domain, per-tenant state (store,
-    result cache, delta baseline) evolves in that order, and the
-    analysis itself is bit-identical across sessions, job counts and
-    shard counts.  Only latency values and the interleaving of engine
-    trace events vary.
+    Every response is deterministic for a scripted session: requests
+    are evaluated and finalized in arrival order on each shard's
+    driving domain, per-tenant state (store, result cache, delta
+    baseline) evolves in that order, and the analysis itself is
+    bit-identical across sessions and shard counts.  Only latency
+    values and the interleaving of different shards' trace events
+    vary.
 
     With a log attached, committed admits/revokes append to it inside
     the commit, before the response is finalized; startup replays it to
@@ -53,7 +53,6 @@ val default_params : Analysis.Params.t
 (** The serving default: the reduced analysis without history. *)
 
 val create :
-  ?workers:int ->
   ?shards:int ->
   ?params:Analysis.Params.t ->
   ?max_batch:int ->
@@ -63,19 +62,18 @@ val create :
   ?wal_compact:int ->
   Spec.Ast.t ->
   (t, string list) result
-(** [workers] (default 1; 0 = all cores) sizes {e each} shard's domain
-    pool and per-worker session set.  [shards] (default 1) is the shard
-    count.  [params] defaults to {!default_params}.  [max_batch]
-    (default 64) is the per-shard overload threshold: a drained batch
-    beyond it sheds [what_if]/[region] probes first, then [query], then
-    admissions — never [stats].  [trace] receives the service event
-    stream ({!Events}); the fleet wraps the sink in a mutex, so the
-    caller serializes nothing.  [now] is the clock (injectable for
-    tests).  [log] attaches the write-ahead log: existing records are
-    replayed first, then every commit appends.  [wal_compact] (default
-    256) is the mutation-record count that triggers snapshot
-    compaction.  Fails with the base description's diagnostics, or with
-    the replay divergence report. *)
+(** [shards] (default 1) is the shard count, and the size of the
+    fleet's domain pool.  [params] defaults to {!default_params}.
+    [max_batch] (default 64) is the per-shard overload threshold: a
+    drained batch beyond it sheds [what_if]/[region] probes first, then
+    [query], then admissions — never [stats].  [trace] receives the
+    service event stream ({!Events}); the fleet wraps the sink in a
+    mutex, so the caller serializes nothing.  [now] is the clock
+    (injectable for tests).  [log] attaches the write-ahead log:
+    existing records are replayed first, then every commit appends.
+    [wal_compact] (default 256) is the mutation-record count that
+    triggers snapshot compaction.  Fails with the base description's
+    diagnostics, or with the replay divergence report. *)
 
 val process_batch : t -> Protocol.envelope list -> Json.t list
 (** Responses in envelope order.  Must be called from the domain that
@@ -112,6 +110,5 @@ val count_error : t -> unit
     into the fleet aggregate). *)
 
 val shutdown : t -> unit
-(** Join every shard's worker pool (each from its own slot), then the
-    fleet's pool, then close the WAL.  The fleet must not be used
-    afterwards. *)
+(** Join the fleet's pool, then close the WAL.  The fleet must not be
+    used afterwards. *)

@@ -108,65 +108,64 @@ let merged ms =
     ms;
   a
 
-let fields t ~workers ~entries ~kernel_sessions ~fallback_count =
+let fields t ~entries ~kernel_sessions ~fallback_count =
   [
-    ("workers", Json.Int workers);
-      ( "requests",
-        Json.Obj
-          [
-            ("admit", Json.Int t.admits);
-            ("revoke", Json.Int t.revokes);
-            ("query", Json.Int t.queries);
-            ("what_if", Json.Int t.what_ifs);
-            ("region", Json.Int t.regions);
-            ("stats", Json.Int t.stats_reqs);
-            ("errors", Json.Int t.errors);
-          ] );
-      ("committed", Json.Int t.committed);
-      ("rejected", Json.Int t.rejected);
-      ( "shed",
-        Json.Obj
-          [
-            ("deadline", Json.Int t.shed_deadline);
-            ("overload", Json.Int t.shed_overload);
-          ] );
-      ( "cache",
-        Json.Obj
-          [
-            ("hits", Json.Int t.cache_hits);
-            ("misses", Json.Int t.cache_misses);
-            ("entries", Json.Int entries);
-          ] );
-      ( "sessions",
-        Json.Obj
-          [
-            ("created", Json.Int t.sessions_created);
-            ("rebound", Json.Int t.sessions_rebound);
-            ("ir_warm", Json.Int t.ir_warm);
-          ] );
-      ( "delta",
-        Json.Obj
-          [
-            ("warm", Json.Int t.delta_warm);
-            ("cold", Json.Int t.delta_cold);
-            ("dirty_tasks", Json.Int t.delta_dirty_tasks);
-            ("carried_tasks", Json.Int t.delta_carried_tasks);
-          ] );
-      ( "probe_ladder",
-        Json.Obj
-          [
-            ("probes", Json.Int t.probe_probes);
-            ("seeded", Json.Int t.probe_seeded);
-            ("cold", Json.Int t.probe_cold);
-            ("certified", Json.Int t.probe_certified);
-          ] );
-      ("kernel_sessions", Json.Int kernel_sessions);
-      ("fallback_count", Json.Int fallback_count);
-      ("batches", Json.Int t.batches);
-      ( "latency_ms",
-        Json.Obj
-          [
-            ("total", Json.Float t.latency_total_ms);
-            ("max", Json.Float t.latency_max_ms);
-          ] );
-    ]
+    ( "requests",
+      Json.Obj
+        [
+          ("admit", Json.Int t.admits);
+          ("revoke", Json.Int t.revokes);
+          ("query", Json.Int t.queries);
+          ("what_if", Json.Int t.what_ifs);
+          ("region", Json.Int t.regions);
+          ("stats", Json.Int t.stats_reqs);
+          ("errors", Json.Int t.errors);
+        ] );
+    ("committed", Json.Int t.committed);
+    ("rejected", Json.Int t.rejected);
+    ( "shed",
+      Json.Obj
+        [
+          ("deadline", Json.Int t.shed_deadline);
+          ("overload", Json.Int t.shed_overload);
+        ] );
+    ( "cache",
+      Json.Obj
+        [
+          ("hits", Json.Int t.cache_hits);
+          ("misses", Json.Int t.cache_misses);
+          ("entries", Json.Int entries);
+        ] );
+    ( "sessions",
+      Json.Obj
+        [
+          ("created", Json.Int t.sessions_created);
+          ("rebound", Json.Int t.sessions_rebound);
+          ("ir_warm", Json.Int t.ir_warm);
+        ] );
+    ( "delta",
+      Json.Obj
+        [
+          ("warm", Json.Int t.delta_warm);
+          ("cold", Json.Int t.delta_cold);
+          ("dirty_tasks", Json.Int t.delta_dirty_tasks);
+          ("carried_tasks", Json.Int t.delta_carried_tasks);
+        ] );
+    ( "probe_ladder",
+      Json.Obj
+        [
+          ("probes", Json.Int t.probe_probes);
+          ("seeded", Json.Int t.probe_seeded);
+          ("cold", Json.Int t.probe_cold);
+          ("certified", Json.Int t.probe_certified);
+        ] );
+    ("kernel_sessions", Json.Int kernel_sessions);
+    ("fallback_count", Json.Int fallback_count);
+    ("batches", Json.Int t.batches);
+    ( "latency_ms",
+      Json.Obj
+        [
+          ("total", Json.Float t.latency_total_ms);
+          ("max", Json.Float t.latency_max_ms);
+        ] );
+  ]

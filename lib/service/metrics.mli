@@ -1,9 +1,8 @@
 (** Service counters.
 
     One record per shard, updated from that shard's driving domain
-    only — worker domains report what happened and the batch finalizer
-    (which runs requests' bookkeeping in arrival order) does the
-    writes — so plain mutable fields suffice and a scripted session
+    only — the batch finalizer runs requests' bookkeeping in arrival
+    order — so plain mutable fields suffice and a scripted session
     always reproduces the same counts.  The [stats] barrier reads the
     records while every shard is quiescent and merges them with
     {!merged}. *)
@@ -66,16 +65,15 @@ val merged : t list -> t
 
 val fields :
   t ->
-  workers:int ->
   entries:int ->
   kernel_sessions:int ->
   fallback_count:int ->
   (string * Json.t) list
-(** The [stats] response body from ["workers"] through ["latency_ms"],
+(** The [stats] response body from ["requests"] through ["latency_ms"],
     in the stable wire order; the caller prepends the response head and
     the [admitted]/[hash] fields of the tenant being reported.
     [entries] is the result-cache size, [kernel_sessions] the live
-    worker sessions currently running on the integer timeline kernel,
+    shard sessions currently running on the integer timeline kernel,
     [fallback_count] the total kernel-overflow fallbacks those sessions
     recorded (both snapshots taken at the stats barrier, not counters
     of this record).  Used both for the fleet aggregate and for each

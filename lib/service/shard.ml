@@ -2,16 +2,7 @@ module P = Protocol
 
 type session_kind = Cold | Rebound | Warm
 
-(* One engine session per pool slot.  A slot's session is only ever
-   touched by the domain the pool statically assigns that slot to, so
-   the field needs no lock.  Sessions are shard resources shared across
-   the shard's tenants: rebinding between tenants' models is exactly
-   the [with_model] path, and the report is bit-identical regardless of
-   what the session analyzed before. *)
-type slot = { mutable session : Analysis.Engine.t option }
-
-(* Outcome of evaluating one read-only request on a worker, or of the
-   inline analysis a barrier request runs on slot 0. *)
+(* Outcome of evaluating one read-only request. *)
 type eval =
   | Not_run
   | Invalid of string list
@@ -39,8 +30,12 @@ type eval =
 type t = {
   id : int;
   params : Analysis.Params.t;
-  pool : Parallel.Pool.t;
-  slots : slot array;
+  mutable session : Analysis.Engine.t option;
+      (* the shard's one engine session, created on first use and only
+         touched by the driving domain.  It is shared across the
+         shard's tenants: rebinding between tenants' models is exactly
+         the [with_model] path, and the report is bit-identical
+         regardless of what the session analyzed before. *)
   boot : Store.t;  (* the snapshot a fresh tenant starts from *)
   tenants : (string, Tenant.t) Hashtbl.t;
       (* this shard's partition; written only by the driving domain *)
@@ -60,16 +55,13 @@ type t = {
    finished), so plain field reads are ordered by the pool's mutex. *)
 type view = {
   v_metrics : Metrics.t;
-  v_workers : int;
   v_entries : int;  (* result-cache entries summed over tenants *)
   v_kernel_sessions : int;
   v_fallback_count : int;
   v_tenants : (string * Store.t) list;  (* sorted by tenant id *)
 }
 
-let create ~id ~workers ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
-  let pool = Parallel.Pool.create ~jobs:workers in
-  let jobs = Parallel.Pool.jobs pool in
+let create ~id ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (tid, store) -> Hashtbl.replace tbl tid (Tenant.create ~id:tid store))
@@ -77,8 +69,7 @@ let create ~id ~workers ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
   {
     id;
     params;
-    pool;
-    slots = Array.init jobs (fun _ -> { session = None });
+    session = None;
     boot;
     tenants = tbl;
     metrics = Metrics.create ();
@@ -91,7 +82,6 @@ let create ~id ~workers ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
 
 let set_stats_view t f = t.stats_view <- Some f
 let metrics t = t.metrics
-let shutdown t = Parallel.Pool.shutdown t.pool
 
 (* Find or create (from the boot snapshot) the tenant. *)
 let tenant t tid =
@@ -109,26 +99,21 @@ let tenant_stores t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let view t =
-  let kernel_sessions = ref 0 and fallback_count = ref 0 in
-  Array.iter
-    (fun s ->
-      match s.session with
-      | None -> ()
-      | Some e ->
-          if Analysis.Engine.kernel_scale e <> None then incr kernel_sessions;
-          fallback_count :=
-            !fallback_count
-            + Analysis.Rta.kernel_fallbacks (Analysis.Engine.counters e))
-    t.slots;
+  let kernel_sessions, fallback_count =
+    match t.session with
+    | None -> (0, 0)
+    | Some e ->
+        ( (if Analysis.Engine.kernel_scale e <> None then 1 else 0),
+          Analysis.Rta.kernel_fallbacks (Analysis.Engine.counters e) )
+  in
   {
     v_metrics = t.metrics;
-    v_workers = Array.length t.slots;
     v_entries =
       Hashtbl.fold
         (fun _ ten acc -> acc + Tenant.cache_entries ten)
         t.tenants 0;
-    v_kernel_sessions = !kernel_sessions;
-    v_fallback_count = !fallback_count;
+    v_kernel_sessions = kernel_sessions;
+    v_fallback_count = fallback_count;
     v_tenants = tenant_stores t;
   }
 
@@ -139,12 +124,12 @@ let engine_sink t =
   | None -> None
   | Some _ -> Some (fun e -> emit t (Events.Engine_event e))
 
-(* Bind [slot]'s session to [model]: created cold on first use, else
+(* Bind the shard's session to [model]: created cold on first use, else
    rebound via [with_model], which keeps the IR — physically — exactly
    when the placement and priorities are unchanged ([Ir.compatible]). *)
-let rebind t slot model =
+let rebind t model =
   let session, kind =
-    match slot.session with
+    match t.session with
     | None ->
         ( Analysis.Engine.create ~params:t.params ?sink:(engine_sink t) model,
           Cold )
@@ -154,24 +139,24 @@ let rebind t slot model =
           if Analysis.Engine.ir s' == Analysis.Engine.ir s then Warm
           else Rebound )
   in
-  slot.session <- Some session;
+  t.session <- Some session;
   (session, kind)
 
-(* Analyze a snapshot on [slot]'s session for [ten]: the tenant's
-   result cache first, then the slot's session ([rebind]).  When the
+(* Analyze a snapshot on the shard's session for [ten]: the tenant's
+   result cache first, then the session ([rebind]).  When the
    tenant has a baseline, the analysis runs through
    [Engine.analyze_delta]: the previous converged responses are carried
    across the snapshot change and only the affected tasks iterate, with
    a transparent cold fallback.  Cache, baseline and therefore every
    wire-visible field depend only on the tenant's own request history,
-   which is what keeps per-tenant responses bit-identical across worker
-   counts AND shard counts. *)
-let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
+   which is what keeps per-tenant responses bit-identical across shard
+   counts. *)
+let analyze_snapshot t (ten : Tenant.t) (snap : Store.t) =
   match Tenant.cache_find ten snap.Store.hash with
   | Some s -> (s, true, None, None, None)
   | None ->
       let model = Analysis.Model.of_system snap.Store.sys in
-      let session, kind = rebind t slot model in
+      let session, kind = rebind t model in
       let report, delta =
         match ten.Tenant.baseline with
         | Some (prev_model, prev_report) ->
@@ -187,15 +172,14 @@ let analyze_snapshot t slot (ten : Tenant.t) (snap : Store.t) =
         delta,
         Some (model, report) )
 
-(* One region computation on [slot]'s session: the tenant's region
+(* One region computation on the shard's session: the tenant's region
    cache first (keyed by snapshot hash, platform and grid — several
    regions can coexist per snapshot), then a [Design.Param_search]
-   region build whose probe analyses all run through the slot session
-   exactly like the multisection searches.  The region's wire summary
+   region build whose probe analyses all run through that session
+   exactly like the bisection searches.  The region's wire summary
    reports membership of the platform's current (α, Δ) point, the cell
    statistics and the Pareto frontier. *)
-let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
-    ~precision =
+let region_snapshot t (ten : Tenant.t) (snap : Store.t) ~resource ~precision =
   match
     Tenant.region_find ten ~hash:snap.Store.hash ~resource ~precision
   with
@@ -213,10 +197,10 @@ let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
       match !idx with
       | -1 -> Invalid [ Printf.sprintf "no platform named %s" resource ]
       | idx ->
-          (* Rebind the slot session to this snapshot's model first —
+          (* Rebind the session to this snapshot's model first —
              [D.region] probes through the engine's current model, and
-             the slot may have last served another tenant. *)
-          let session, kind = rebind t slot (Analysis.Model.of_system sys) in
+             the session may have last served another tenant. *)
+          let session, kind = rebind t (Analysis.Model.of_system sys) in
           let module D = Design.Param_search in
           let rm = D.region ~engine:session ~precision sys ~resource:idx in
           let b = resources.(idx).Platform.Resource.bound in
@@ -257,14 +241,14 @@ let region_snapshot t slot (ten : Tenant.t) (snap : Store.t) ~resource
    nothing is committed or cached. *)
 let overflow_error = "arithmetic overflow: exact rationals exceed native ints"
 
-(* Evaluate one read-only request against the frozen [snap]; runs on a
-   worker domain. *)
-let evaluate t slot ten snap req =
+(* Evaluate one read-only request against the tenant's current store. *)
+let evaluate t (ten : Tenant.t) req =
+  let snap = ten.Tenant.store in
   try
     match req with
     | P.Query ->
         let summary, cache_hit, kind, delta, fresh =
-          analyze_snapshot t slot ten snap
+          analyze_snapshot t ten snap
         in
         Evaluated { candidate = None; summary; cache_hit; kind; delta; fresh }
     | P.What_if { uid; spec } -> (
@@ -272,12 +256,12 @@ let evaluate t slot ten snap req =
         | Error es -> Invalid es
         | Ok cand ->
             let summary, cache_hit, kind, delta, fresh =
-              analyze_snapshot t slot ten cand
+              analyze_snapshot t ten cand
             in
             Evaluated
               { candidate = Some cand; summary; cache_hit; kind; delta; fresh })
     | P.Region { resource; precision } ->
-        region_snapshot t slot ten snap ~resource ~precision
+        region_snapshot t ten snap ~resource ~precision
     | P.Admit _ | P.Revoke _ | P.Stats -> assert false
   with Rational.Overflow -> Invalid [ overflow_error ]
 
@@ -356,8 +340,7 @@ let process_batch t envs =
   let n = Array.length arr in
   (* Counted up front so a [stats] request in this very batch sees it. *)
   t.metrics.Metrics.batches <- t.metrics.Metrics.batches + 1;
-  (* Tenants are resolved (and created) on the driving domain before
-     any parallel work; workers only ever receive resolved records. *)
+  (* Tenants are resolved (and created) before any request runs. *)
   let tens =
     Array.map
       (fun env -> tenant t (Option.value env.P.tenant ~default:Tenant.default_id))
@@ -380,10 +363,9 @@ let process_batch t envs =
     shed_class (function P.Query -> true | _ -> false);
     shed_class (function P.Admit _ | P.Revoke _ -> true | _ -> false));
   let results = Array.make n Not_run in
-  let parallel_count = ref 0 in
   (* Requests are finalized (responses, cache inserts, metrics, trace)
-     on this domain in arrival order — that is what makes a scripted
-     session deterministic regardless of the worker count. *)
+     in arrival order — that is what makes a scripted session
+     deterministic. *)
   let finish i ~status ~cache_hit ~session response =
     let env = arr.(i) in
     responses.(i) <- response;
@@ -467,50 +449,30 @@ let process_batch t envs =
               ~session:(Option.map session_label kind)
               (P.region_ok ?tenant ~seq ~cached:cache_hit result))
   in
-  (* Pending read-only group: [to_run] are the indices to execute on the
-     workers, [pending] additionally carries the shed ones so they are
-     finalized in order with their neighbours.  Each item analyzes its
-     own tenant's store as of the group start — items from different
-     tenants share the parallel round. *)
+  (* Pending read-only run: [to_run] are the indices to evaluate,
+     [pending] additionally carries the shed ones so they are finalized
+     in order with their neighbours.  The whole run is evaluated before
+     any of it is finalized, so each item analyzes its own tenant's
+     store, cache and baseline as of the run's start. *)
   let pending = ref [] and to_run = ref [] in
   let flush () =
-    (match List.rev !to_run with
-    | [] -> ()
-    | [ i ] ->
-        (* A singleton is not worth a pool dispatch. *)
-        results.(i) <-
-          evaluate t t.slots.(0) tens.(i) tens.(i).Tenant.store arr.(i).P.req
-    | idxs ->
-        let idxs = Array.of_list idxs in
-        let m = Array.length idxs in
-        parallel_count := !parallel_count + m;
-        let snaps = Array.map (fun i -> tens.(i).Tenant.store) idxs in
-        (* One item is a whole analysis.  Slot [s] takes items s,
-           s + jobs, … on its own session, so each session is touched by
-           one domain only. *)
-        let jobs = Array.length t.slots in
-        Parallel.Pool.run t.pool (fun slot ->
-            let k = ref slot in
-            while !k < m do
-              let i = idxs.(!k) in
-              results.(i) <-
-                evaluate t t.slots.(slot) tens.(i) snaps.(!k) arr.(i).P.req;
-              k := !k + jobs
-            done));
+    List.iter
+      (fun i -> results.(i) <- evaluate t tens.(i) arr.(i).P.req)
+      (List.rev !to_run);
     List.iter finalize (List.rev !pending);
     pending := [];
     to_run := []
   in
-  (* A commit runs on the driving domain, on slot 0's session, against
-     the tenant's current store: admissions and revocations are barriers
-     in arrival order.  [build] makes the candidate from that store. *)
+  (* A commit runs against the tenant's current store: admissions and
+     revocations are barriers in arrival order.  [build] makes the
+     candidate from that store. *)
   let commit i uid ~op build =
     let seq = arr.(i).P.seq in
     let tenant = arr.(i).P.tenant in
     let ten = tens.(i) in
     match
       Result.map
-        (fun cand -> (cand, analyze_snapshot t t.slots.(0) ten cand))
+        (fun cand -> (cand, analyze_snapshot t ten cand))
         (build ten.Tenant.store)
     with
     | exception Rational.Overflow -> invalid i [ overflow_error ]
@@ -594,5 +556,5 @@ let process_batch t envs =
       (fun acc r -> if r = None then acc else acc + 1)
       0 shed_reason
   in
-  emit t (Events.Batch { size = n; parallel = !parallel_count; shed });
+  emit t (Events.Batch { size = n; shed });
   Array.to_list responses

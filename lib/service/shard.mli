@@ -1,29 +1,28 @@
 (** One shard of the fleet: a partition of tenants served by its own
-    {!Parallel.Pool}, engine sessions (with their memos and integer
-    kernels) and {!Metrics} record.
+    engine session (with its memo and integer kernel) and {!Metrics}
+    record.
 
     The batching core is the original single-store server generalized
-    over tenants: maximal runs of read-only requests execute in
-    parallel on the shard's workers against each item's own tenant
-    snapshot, while every admission, revocation and [stats] request is
-    a barrier run on the driving domain in arrival order ([stats] is
-    rendered by the fleet).  Committed mutations append to the WAL
-    inside the commit.
+    over tenants: a maximal run of read-only requests is evaluated in
+    arrival order, each item against its own tenant's store as of the
+    run's start, while every admission, revocation and [stats] request
+    is a barrier in arrival order ([stats] is rendered by the fleet).
+    Committed mutations append to the WAL inside the commit.
 
     A shard must only be driven from one domain (the fleet drives shard
     [s] from slot [s] of its pool, whose slot identity is static);
-    per-tenant responses are bit-identical for any worker count or
-    shard count.  A request whose exact arithmetic overflows native
-    ints ({!Rational.Overflow}) is answered as an invalid request. *)
+    per-tenant responses are bit-identical for any shard count.  A
+    request whose exact arithmetic overflows native ints
+    ({!Rational.Overflow}) is answered as an invalid request. *)
 
 type t
 
 type view = {
   v_metrics : Metrics.t;
-  v_workers : int;
   v_entries : int;  (** result-cache entries summed over tenants *)
   v_kernel_sessions : int;
-      (** live sessions currently on the integer timeline kernel *)
+      (** 1 when the shard's session is on the integer timeline kernel,
+          else 0 *)
   v_fallback_count : int;  (** kernel-overflow fallbacks recorded *)
   v_tenants : (string * Store.t) list;  (** sorted by tenant id *)
 }
@@ -32,7 +31,6 @@ type view = {
 
 val create :
   id:int ->
-  workers:int ->
   params:Analysis.Params.t ->
   max_batch:int ->
   emit:(Events.event -> unit) option ->
@@ -42,11 +40,9 @@ val create :
   tenants:(string * Store.t) list ->
   unit ->
   t
-(** Must be called on the domain that will drive the shard (the pool it
-    creates is owned by that domain).  [emit] is the fleet's already
-    serialized trace sink; [tenants] seeds the partition (typically
-    from WAL replay), every other tenant starts from [boot] on first
-    contact. *)
+(** [emit] is the fleet's already serialized trace sink; [tenants]
+    seeds the partition (typically from WAL replay), every other tenant
+    starts from [boot] on first contact. *)
 
 val set_stats_view : t -> (seq:int -> tenant:string option -> Json.t) -> unit
 (** Install the fleet's [stats] renderer (called back at the stats
@@ -65,6 +61,3 @@ val view : t -> view
 
 val metrics : t -> Metrics.t
 
-val shutdown : t -> unit
-(** Join the shard's worker domains.  The shard must not be used
-    afterwards. *)

@@ -31,9 +31,10 @@ let create ~id store =
     cache_mu = Mutex.create ();
   }
 
-(* The cache is read concurrently by worker domains during a parallel
-   group and written only by the shard domain between groups; the mutex
-   costs nothing and keeps the invariant local.  Caches are per tenant
+(* The cache is written only by the shard's driving domain, and read
+   by the fleet's stats barrier from another shard's domain while this
+   one is quiescent; the mutex costs nothing and keeps the invariant
+   local.  Caches are per tenant
    (not keyed fleet-wide) so the [cached] wire field of a tenant's
    session depends only on that tenant's own history — a requirement
    for bit-identical responses across shard counts. *)

@@ -1,13 +1,12 @@
 (** Per-tenant serving state: the committed {!Store.t} snapshot, the
     delta-analysis baseline and the result cache, all scoped to one
     tenant id so interleaved traffic from different assemblies cannot
-    disturb each other's warm fixed points or [cached] flags.  Engine
-    sessions, memos and worker pools remain per-shard resources shared
+    disturb each other's warm fixed points or [cached] flags.  The
+    engine session and its memo remain per-shard resources shared
     across the shard's tenants.
 
     Mutable fields are written only by the owning shard's driving
-    domain in request-arrival order; the cache additionally tolerates
-    concurrent reads from that shard's workers. *)
+    domain in request-arrival order. *)
 
 type t = {
   id : string;

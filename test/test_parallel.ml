@@ -1,8 +1,8 @@
 (* The domain pool: pool semantics, memoised interference, and the
-   bit-identical determinism guarantee for analyses and searches run on
-   pool workers.  Report.t and the design-search results are pure data
-   (exact rationals, ints, bools), so structural equality [=] is exactly
-   the "bit-identical" property the engine promises. *)
+   bit-identical determinism guarantee for analyses run on pool
+   workers, as a sharded fleet runs them.  Report.t is pure data (exact
+   rationals, ints, bools), so structural equality [=] is exactly the
+   "bit-identical" property the engine promises. *)
 
 module Q = Rational
 module P = Parallel.Pool
@@ -14,39 +14,30 @@ let check_q msg expected actual =
 
 (* --- pool --- *)
 
-let test_create_bounds () =
-  (try
-     ignore (P.create ~jobs:(-1));
-     Alcotest.fail "negative jobs accepted"
-   with Invalid_argument _ -> ());
-  P.with_pool ~jobs:0 @@ fun pool ->
-  Alcotest.(check bool) "jobs 0 = all cores (>= 1)" true (P.jobs pool >= 1)
+(* [create], apply, then [shutdown] (also on exceptions). *)
+let with_pool ~jobs f =
+  let pool = P.create ~jobs in
+  Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
 
-let test_tabulate_matches_init () =
+(* [f slot] of every slot, gathered by slot. *)
+let per_slot pool f =
+  let out = Array.make (P.jobs pool) None in
+  P.run pool (fun slot -> out.(slot) <- Some (f slot));
+  Array.map Option.get out
+
+let test_create_bounds () =
   List.iter
     (fun jobs ->
-      P.with_pool ~jobs @@ fun pool ->
-      List.iter
-        (fun n ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "jobs %d, n %d" jobs n)
-            (Array.init n (fun i -> (i * 7) mod 13))
-            (P.tabulate pool n (fun i -> (i * 7) mod 13)))
-        (* n below, equal to, and far above the slot count *)
-        [ 0; 1; 2; 3; 7; 64 ])
-    [ 1; 2; 4; 5 ]
-
-let test_map_order () =
-  P.with_pool ~jobs:3 @@ fun pool ->
-  Alcotest.(check (list int))
-    "map_list preserves order" [ 2; 4; 6; 8; 10 ]
-    (P.map_list pool (fun x -> 2 * x) [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check (array int))
-    "map_array preserves order" [| 1; 4; 9 |]
-    (P.map_array pool (fun x -> x * x) [| 1; 2; 3 |])
+      try
+        ignore (P.create ~jobs);
+        Alcotest.failf "jobs %d accepted" jobs
+      with Invalid_argument _ -> ())
+    [ -1; 0 ];
+  with_pool ~jobs:3 @@ fun pool ->
+  Alcotest.(check int) "jobs as asked" 3 (P.jobs pool)
 
 let test_run_covers_slots () =
-  P.with_pool ~jobs:4 @@ fun pool ->
+  with_pool ~jobs:4 @@ fun pool ->
   let hits = Array.make 4 0 in
   P.run pool (fun slot -> hits.(slot) <- hits.(slot) + 1);
   Alcotest.(check (array int)) "each slot exactly once" [| 1; 1; 1; 1 |] hits
@@ -54,28 +45,28 @@ let test_run_covers_slots () =
 exception Boom of int
 
 let test_exception_propagation () =
-  P.with_pool ~jobs:3 @@ fun pool ->
+  with_pool ~jobs:3 @@ fun pool ->
   (try
      P.run pool (fun slot -> if slot >= 1 then raise (Boom slot));
      Alcotest.fail "no exception propagated"
    with Boom s -> Alcotest.(check int) "lowest failing slot wins" 1 s);
   (* the pool survives a failed region *)
   Alcotest.(check (array int))
-    "usable after failure" [| 0; 1; 4; 9; 16 |]
-    (P.tabulate pool 5 (fun i -> i * i))
+    "usable after failure" [| 0; 1; 4 |]
+    (per_slot pool (fun slot -> slot * slot))
 
 let test_reentrant () =
-  P.with_pool ~jobs:3 @@ fun pool ->
-  let nested = Array.make 3 [||] in
+  with_pool ~jobs:3 @@ fun pool ->
   (* every slot re-enters the busy pool; the inner regions degrade to
      inline execution instead of deadlocking *)
-  P.run pool (fun slot ->
-      nested.(slot) <- P.tabulate pool 5 (fun i -> (10 * slot) + i));
+  let nested =
+    per_slot pool (fun slot -> per_slot pool (fun i -> (10 * slot) + i))
+  in
   Array.iteri
     (fun slot row ->
       Alcotest.(check (array int))
         (Printf.sprintf "nested region on slot %d" slot)
-        (Array.init 5 (fun i -> (10 * slot) + i))
+        (Array.init 3 (fun i -> (10 * slot) + i))
         row)
     nested
 
@@ -85,7 +76,7 @@ let test_shutdown () =
   P.shutdown pool;
   (* idempotent *)
   try
-    ignore (P.tabulate pool 3 Fun.id);
+    P.run pool ignore;
     Alcotest.fail "ran on a shut-down pool"
   with Invalid_argument _ -> ()
 
@@ -149,8 +140,9 @@ let test_memo_values_and_stats () =
 
 (* --- determinism across job counts --- *)
 
-(* One analysis per slot, all running at once on the pool's domains:
-   each must return the sequential report. *)
+(* One analysis per slot, all running at once on the pool's domains —
+   the way a sharded fleet runs its shards' analyses: each must return
+   the sequential report. *)
 let test_paper_example_determinism () =
   let m = Hsched.Paper_example.model () in
   List.iter
@@ -159,8 +151,8 @@ let test_paper_example_determinism () =
       List.iter
         (fun jobs ->
           let par =
-            P.with_pool ~jobs (fun pool ->
-                P.tabulate pool jobs (fun _ -> analyze ~params m))
+            with_pool ~jobs (fun pool ->
+                per_slot pool (fun _ -> analyze ~params m))
           in
           Array.iteri
             (fun slot r ->
@@ -171,30 +163,12 @@ let test_paper_example_determinism () =
         [ 2; 3; 4 ])
     [ Params.default; Params.exact ]
 
-let test_design_determinism () =
-  let sys = Hsched.Paper_example.system () in
-  let seq = Design.Param_search.breakdown_utilization ~precision:5 sys in
-  let par =
-    P.with_pool ~jobs:4 (fun pool ->
-        Design.Param_search.breakdown_utilization ~pool ~precision:5 sys)
-  in
-  check_q "breakdown utilization" seq par;
-  let mseq = Design.Sensitivity.all_task_margins ~precision:4 sys in
-  let mpar =
-    P.with_pool ~jobs:4 (fun pool ->
-        Design.Sensitivity.all_task_margins ~pool ~precision:4 sys)
-  in
-  Alcotest.(check bool) "task margins equal" true (mseq = mpar)
-
 let () =
   Alcotest.run "parallel"
     [
       ( "pool",
         [
           Alcotest.test_case "create bounds" `Quick test_create_bounds;
-          Alcotest.test_case "tabulate = Array.init" `Quick
-            test_tabulate_matches_init;
-          Alcotest.test_case "map order" `Quick test_map_order;
           Alcotest.test_case "run covers slots" `Quick test_run_covers_slots;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
@@ -209,6 +183,5 @@ let () =
         [
           Alcotest.test_case "paper example" `Quick
             test_paper_example_determinism;
-          Alcotest.test_case "design searches" `Quick test_design_determinism;
         ] );
     ]

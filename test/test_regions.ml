@@ -266,10 +266,10 @@ let region_identity_prop =
 
 (* The region build above probes sequentially, so every site of its
    sink-less probe engine is first built on the main domain.  Here the
-   first analyses of a fresh session run inside [Pool.map_list]: pool
-   workers rebind the one shared IR and race to build its sites.  Each
-   racer stores an equal site, so every probe's report must still be
-   the cold report of its model. *)
+   first analyses of a fresh session run on the slots of a 4-slot
+   [Pool.run]: pool workers rebind the one shared IR and race to build
+   its sites.  Each racer stores an equal site, so every probe's report
+   must still be the cold report of its model. *)
 let shared_ir_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
@@ -307,13 +307,23 @@ let shared_ir_prop =
                    Analysis.Engine.analyze (Analysis.Engine.create ~params p))
                  probes
              in
-             Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-                 let e = Analysis.Engine.create ~params m in
-                 Parallel.Pool.map_list pool
-                   (fun p ->
-                     Analysis.Engine.analyze (Analysis.Engine.with_model e p))
-                   probes)
-             = cold)
+             let e = Analysis.Engine.create ~params m in
+             let probes = Array.of_list probes in
+             let reports = Array.make (Array.length probes) None in
+             let pool = Parallel.Pool.create ~jobs:4 in
+             Fun.protect
+               ~finally:(fun () -> Parallel.Pool.shutdown pool)
+               (fun () ->
+                 (* slot s probes s, s + 4, … *)
+                 Parallel.Pool.run pool (fun slot ->
+                     for k = 0 to Array.length probes - 1 do
+                       if k mod 4 = slot then
+                         reports.(k) <-
+                           Some
+                             (Analysis.Engine.analyze
+                                (Analysis.Engine.with_model e probes.(k)))
+                     done));
+             Array.to_list (Array.map Option.get reports) = cold)
            [ P.exact; P.default ]))
 
 (* The probe ladder certifies and warm-seeds probes from earlier ones;

@@ -7,14 +7,14 @@
       processed.
    3. Scripted sessions: every [query] of a >= 50-request mixed session
       returns bounds bit-identical to a fresh one-shot analysis of the
-      system admitted at that point — for every worker count.
+      system admitted at that point.
    4. Overload: beyond max_batch, what_if probes are shed first.
    5. qcheck: interleaved what_if probes (valid or not) never mutate
       the store.
    6. Tenancy: per-tenant stores are isolated, default-tenant traffic
       keeps the pre-tenant wire bytes, stats reports the shard map.
-   7. Sharding: a scripted multi-tenant session is bit-identical at
-      every shard count.
+   7. Sharding: a scripted multi-tenant session, region builds
+      included, is bit-identical at every shard count.
    8. Durability: restarts replay the write-ahead log to the exact
       recorded hashes, tampered logs are refused, compaction keeps
       replay exact; qcheck kills a random session at a random commit
@@ -52,20 +52,17 @@ let unit_spec ?(wcet = "0.2") i =
 let params =
   { Analysis.Params.default with Analysis.Params.keep_history = false }
 
-let mk_server ?(workers = 1) ?shards ?max_batch ?trace ?now ?log ?wal_compact
+let mk_server ?shards ?max_batch ?trace ?now ?log ?wal_compact
     ?(base = base_items) () =
   match
-    Fleet.create ~workers ?shards ~params ?max_batch ?trace ?now ?log
-      ?wal_compact base
+    Fleet.create ?shards ~params ?max_batch ?trace ?now ?log ?wal_compact base
   with
   | Ok s -> s
   | Error es -> Alcotest.failf "server boot: %s" (String.concat "; " es)
 
-let with_server ?workers ?shards ?max_batch ?trace ?now ?log ?wal_compact
-    ?base f =
+let with_server ?shards ?max_batch ?trace ?now ?log ?wal_compact ?base f =
   let srv =
-    mk_server ?workers ?shards ?max_batch ?trace ?now ?log ?wal_compact ?base
-      ()
+    mk_server ?shards ?max_batch ?trace ?now ?log ?wal_compact ?base ()
   in
   Fun.protect ~finally:(fun () -> Fleet.shutdown srv) (fun () -> f srv)
 
@@ -187,8 +184,8 @@ let query_bounds resp =
         bs
   | _ -> Alcotest.failf "no bounds in %s" (Json.to_string resp)
 
-let mixed_session workers =
-  with_server ~workers @@ fun srv ->
+let test_mixed_session () =
+  with_server @@ fun srv ->
   let bounds_checked = ref 0 and sent = ref 0 in
   let send req =
     incr sent;
@@ -220,10 +217,6 @@ let mixed_session workers =
     true (!sent >= 50);
   Alcotest.(check bool) "several queries compared" true (!bounds_checked >= 16)
 
-let test_mixed_session_seq () = mixed_session 1
-
-let test_mixed_session_par () = mixed_session 4
-
 (* --- stats: integer-kernel telemetry --- *)
 
 let int_field name j =
@@ -232,8 +225,8 @@ let int_field name j =
   | None -> Alcotest.failf "missing %S in %s" name (Json.to_string j)
 
 let test_stats_kernel_fields () =
-  with_server ~workers:2 @@ fun srv ->
-  (* Before any analysis ran, no worker session exists yet. *)
+  with_server @@ fun srv ->
+  (* Before any analysis ran, no session exists yet. *)
   let s0 = Fleet.handle srv P.Stats in
   Alcotest.(check int) "no sessions yet" 0 (int_field "kernel_sessions" s0);
   Alcotest.(check int) "no fallbacks yet" 0 (int_field "fallback_count" s0);
@@ -271,7 +264,7 @@ let probes_arbitrary =
     ~print:(fun specs -> String.concat "\n---\n" specs)
 
 let prop_what_if_pure specs =
-  with_server ~workers:4 @@ fun srv ->
+  with_server @@ fun srv ->
   (* a real admitted system underneath, so probes analyze something *)
   ignore (Fleet.handle srv (P.Admit { uid = "seed"; spec = unit_spec 1 }));
   let before = Fleet.default_store srv in
@@ -650,7 +643,6 @@ let test_stats_shard_map () =
     (Fleet.handle srv ~tenant:"globex"
        (P.Admit { uid = "u"; spec = unit_spec 2 }));
   let s = Fleet.handle srv P.Stats in
-  Alcotest.(check int) "workers summed across shards" 2 (int_field "workers" s);
   (match Json.member "shards" s with
   | Some (Json.List l) -> Alcotest.(check int) "per-shard records" 2 (List.length l)
   | _ -> Alcotest.fail "stats lacks the shards array");
@@ -787,6 +779,7 @@ let scripted_envelopes () =
                    [
                      (tenant, P.Query);
                      (tenant, P.What_if { uid = "p"; spec = unit_spec (ti + 2) });
+                     (tenant, P.Region { resource = "P2"; precision = 4 });
                    ]
                | 2 -> [ (tenant, P.Admit { uid = "b"; spec = unit_spec (ti + 3) }) ]
                | _ -> [ (tenant, P.Revoke { uid = "a" }); (tenant, P.Query) ])
@@ -807,6 +800,19 @@ let run_envs srv envs =
 let test_shard_identity () =
   let envs = scripted_envelopes () in
   let base = with_server @@ fun srv -> run_envs srv envs in
+  (* every tenant's region build ran, so the batched run below builds
+     regions concurrently on the shard domains *)
+  Alcotest.(check int)
+    "region builds answered" 5
+    (List.length
+       (List.filter
+          (fun r ->
+            match Json.parse r with
+            | Ok j ->
+                Json.string_field "op" j = Some "region"
+                && Json.string_field "status" j = Some "ok"
+            | Error _ -> false)
+          base));
   List.iter
     (fun shards ->
       let got = with_server ~shards @@ fun srv -> run_envs srv envs in
@@ -841,31 +847,22 @@ let same_tenant_envelopes () =
 
 let test_same_tenant_commits () =
   let envs = same_tenant_envelopes () in
-  let run ~workers ~shards ~batched =
-    with_server ~workers ~shards @@ fun srv ->
+  let run ~shards ~batched =
+    with_server ~shards @@ fun srv ->
     let resps =
       if batched then List.map Json.to_string (Fleet.process_batch srv envs)
       else run_envs srv envs
     in
     (resps, List.map (tenant_hash srv) [ "acme"; "globex" ])
   in
-  let reference = run ~workers:1 ~shards:1 ~batched:false in
+  let reference = run ~shards:1 ~batched:false in
   List.iter
-    (fun (workers, shards, batched) ->
+    (fun (shards, batched) ->
       Alcotest.(check (pair (list string) (list string)))
-        (Printf.sprintf "workers %d, shards %d, %s" workers shards
+        (Printf.sprintf "shards %d, %s" shards
            (if batched then "one batch" else "one request per batch"))
-        reference
-        (run ~workers ~shards ~batched))
-    [
-      (1, 1, true);
-      (1, 2, false);
-      (1, 2, true);
-      (2, 1, false);
-      (2, 1, true);
-      (2, 2, false);
-      (2, 2, true);
-    ];
+        reference (run ~shards ~batched))
+    [ (1, true); (2, false); (2, true) ];
   let resps, _ = reference in
   Alcotest.(check (list string))
     "every commit lands"
@@ -1010,7 +1007,7 @@ let test_wal_tamper () =
           output_string oc l;
           output_char oc '\n')
         patched);
-  match Fleet.create ~workers:1 ~params ~log base_items with
+  match Fleet.create ~params ~log base_items with
   | Ok srv ->
       Fleet.shutdown srv;
       Alcotest.fail "tampered log accepted"
@@ -1295,10 +1292,8 @@ let () =
         ] );
       ( "scripted sessions",
         [
-          Alcotest.test_case "mixed session matches one-shot (1 worker)" `Quick
-            test_mixed_session_seq;
-          Alcotest.test_case "mixed session matches one-shot (4 workers)"
-            `Quick test_mixed_session_par;
+          Alcotest.test_case "mixed session matches one-shot" `Quick
+            test_mixed_session;
         ] );
       ( "stats",
         [
