@@ -395,10 +395,21 @@ let precision_arg =
     & info [ "precision" ] ~docv:"BITS"
         ~doc:"Rates are searched on the grid k/2^$(docv).")
 
+(* A server period must be a positive rational; anything else is a
+   parse error (exit 124), not an exception out of the design search. *)
+let period_conv =
+  let parse s =
+    match Q.of_decimal_string s with
+    | p when Q.(p > zero) -> Ok p
+    | _ | (exception (Invalid_argument _ | Rational.Overflow)) ->
+        Error (`Msg (Printf.sprintf "expected a positive rational, got %s" s))
+  in
+  Arg.conv ~docv:"P" (parse, Q.pp)
+
 let server_period_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some period_conv) None
     & info [ "server-period" ] ~docv:"P"
         ~doc:
           "Realise every platform as a periodic server of period $(docv) \
@@ -523,8 +534,7 @@ let design_cmd =
     | None -> (
         let families =
           match server_period with
-          | Some p ->
-              let period = Q.of_decimal_string p in
+          | Some period ->
               Array.map
                 (fun (_ : Platform.Resource.t) ->
                   Design.Param_search.periodic_server_family ~period)

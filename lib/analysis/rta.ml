@@ -13,9 +13,10 @@ let scenario_count m params ~a ~b =
 
 (* Scenario accounting for benchmarks: one unit is one remote scenario
    vector ν of the mixed-radix product, however many own-transaction
-   initiators the branch and bound evaluates in it.  Atomics because the
-   concurrent probes of a design search share one session's counters;
-   the counts are diagnostics, not part of any report. *)
+   initiators the branch and bound evaluates in it.  Atomics because
+   sessions derived with [Engine.with_model] share their counters and
+   may analyse concurrently on different domains (the engine's
+   contract); the counts are diagnostics, not part of any report. *)
 type counters = {
   total : int Atomic.t;
   visited : int Atomic.t;

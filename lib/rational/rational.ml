@@ -175,7 +175,9 @@ let of_decimal_string s =
   | Some i ->
       let num = String.sub s 0 i
       and den = String.sub s (i + 1) (String.length s - i - 1) in
-      make (int_of (String.trim num)) (int_of (String.trim den))
+      let den = int_of (String.trim den) in
+      if den = 0 then invalid_arg ("Rational.of_decimal_string: " ^ s);
+      make (int_of (String.trim num)) den
   | None -> (
       match String.index_opt s '.' with
       | None -> of_int (int_of s)

@@ -37,7 +37,8 @@ val minus_one : t
 
 val of_decimal_string : string -> t
 (** Parses ["12"], ["-3.25"], ["0.8"], or ["7/5"] into an exact rational.
-    @raise Invalid_argument on malformed input.
+    @raise Invalid_argument on malformed input, a zero denominator
+    included (["2/0"]).
     @raise Overflow when a part does not fit a native int, e.g. a
     fraction of more than 18 digits. *)
 

@@ -3,10 +3,10 @@
     [hsched serve --trace FILE] writes one JSON object per line, exactly
     like the analysis engine's [--trace]: the engine events of every
     shard's session pass through verbatim ({!Engine_event}), interleaved
-    with per-request and per-batch service events.  Requests are
-    evaluated and finalized in arrival order on their shard's driving
-    domain, so the events of one shard appear in a deterministic order;
-    those of different shards may interleave. *)
+    with per-request and per-batch service events.  Requests run one at
+    a time in arrival order on their shard's driving domain, so the
+    events of one shard appear in a deterministic order; those of
+    different shards may interleave. *)
 
 type event =
   | Engine_event of Analysis.Engine.event

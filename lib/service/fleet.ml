@@ -205,11 +205,11 @@ let create ?(shards = 1) ?(params = default_params) ?(max_batch = 64) ?trace
           replayed;
         let shards =
           Array.init nshards (fun i ->
-              Shard.create ~id:i ~params ~max_batch ~emit ~now ?wal ~boot
+              Shard.create ~params ~max_batch ~emit ~now ?wal ~boot
                 ~tenants:(List.rev parts.(i))
                 ())
         in
-        let t =
+        Ok
           {
             boot;
             pool = Parallel.Pool.create ~jobs:nshards;
@@ -221,14 +221,6 @@ let create ?(shards = 1) ?(params = default_params) ?(max_batch = 64) ?trace
             now;
             next_seq = 0;
           }
-        in
-        (* Published to each shard's domain by the next [Pool.run]. *)
-        Array.iter
-          (fun sh ->
-            Shard.set_stats_view sh (fun ~seq ~tenant ->
-                stats_json t ~seq ~tenant))
-          t.shards;
-        Ok t
       with Failed es -> Error es)
 
 (* ------------------------------------------------------------------ *)
@@ -270,7 +262,7 @@ let multi t envs =
           List.iter2
             (fun i r -> out.(i) <- r)
             per.(s)
-            (Shard.process_batch t.shards.(s)
+            (Shard.process_batch t.shards.(s) ~stats:(stats_json t)
                (List.map (fun i -> arr.(i)) per.(s))))
   in
   let run = ref [] in
@@ -293,7 +285,8 @@ let process_batch t envs =
   let responses =
     (* One shard: the whole batch, stats included, on the caller's
        domain — what the one-slot pool would run inline. *)
-    if Array.length t.shards = 1 then Shard.process_batch t.shards.(0) envs
+    if Array.length t.shards = 1 then
+      Shard.process_batch t.shards.(0) ~stats:(stats_json t) envs
     else multi t envs
   in
   maybe_compact t;

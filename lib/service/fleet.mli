@@ -18,11 +18,12 @@
     spawns at most one domain per core (the caller included), so shards
     beyond the core count share domains.
 
-    Within a shard, a drained batch sheds expired or overload-victim
-    requests, evaluates maximal runs of read-only requests ([query],
-    [what_if], [region]) in arrival order against each tenant's store
-    as of the run's start, and runs the mutating requests ([admit],
-    [revoke]) as barriers in arrival order.
+    Within a shard, a drained batch first picks its overload victims,
+    then serves its requests one at a time in arrival order: each one
+    (shed, [query], [what_if], [region], [admit], [revoke], [stats])
+    runs to completion against its tenant's current store before the
+    next one starts.  A request's [deadline_ms] is checked when its
+    turn comes.
 
     Admission is transactional: the candidate snapshot is built and
     analyzed {e beside} the tenant's current one, and the store
@@ -33,16 +34,16 @@
     ({!Rational.Overflow}) is rejected as invalid, commits nothing and
     caches nothing.
 
-    Every response is deterministic for a scripted session: requests
-    are evaluated and finalized in arrival order on each shard's
-    driving domain, per-tenant state (store, result cache, delta
-    baseline) evolves in that order, and the analysis itself is
+    Every response is deterministic for a scripted session, however
+    its requests are batched: they run in arrival order on each
+    shard's driving domain, per-tenant state (store, result cache,
+    delta baseline) evolves in that order, and the analysis itself is
     bit-identical across sessions and shard counts.  Only latency
-    values and the interleaving of different shards' trace events
-    vary.
+    values, the [batches] count and the interleaving of different
+    shards' trace events vary.
 
     With a log attached, committed admits/revokes append to it inside
-    the commit, before the response is finalized; startup replays it to
+    the commit, before the response is built; startup replays it to
     the exact recorded hashes (hard error on any divergence), and the
     fleet compacts it into per-tenant snapshot records once the
     mutation count passes the threshold. *)

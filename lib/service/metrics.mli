@@ -1,8 +1,8 @@
 (** Service counters.
 
     One record per shard, updated from that shard's driving domain
-    only — the batch finalizer runs requests' bookkeeping in arrival
-    order — so plain mutable fields suffice and a scripted session
+    only — each request does its bookkeeping when its turn comes, in
+    arrival order — so plain mutable fields suffice and a scripted session
     always reproduces the same counts.  The [stats] barrier reads the
     records while every shard is quiescent and merges them with
     {!merged}. *)

@@ -5,12 +5,12 @@
     cache and delta baseline to one tenant id, {!Wal} is the durable
     replay log of committed mutations, {!Protocol} defines the
     JSON-lines wire format (docs/SERVICE.md is the field-by-field
-    reference), {!Shard} batches a tenant partition onto one engine
-    session, {!Fleet} consistent-hashes tenants across shards run on
-    one domain pool and merges their [stats], {!Server} runs the
-    JSON-lines IO loops over a fleet, {!Metrics} and {!Events} are the
-    observability surface, and {!Json} is the dependency-free JSON
-    reader/writer underneath it all. *)
+    reference), {!Shard} serves a tenant partition on one engine
+    session, one request at a time, {!Fleet} consistent-hashes tenants
+    across shards run on one domain pool and merges their [stats],
+    {!Server} runs the JSON-lines IO loops over a fleet, {!Metrics} and
+    {!Events} are the observability surface, and {!Json} is the
+    dependency-free JSON reader/writer underneath it all. *)
 
 module Json = Json
 module Store = Store

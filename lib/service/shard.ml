@@ -2,33 +2,7 @@ module P = Protocol
 
 type session_kind = Cold | Rebound | Warm
 
-(* Outcome of evaluating one read-only request. *)
-type eval =
-  | Not_run
-  | Invalid of string list
-  | Evaluated of {
-      candidate : Store.t option;  (* what_if candidate snapshot *)
-      summary : P.summary;
-      cache_hit : bool;
-      kind : session_kind option;  (* None on a cache hit *)
-      delta : Analysis.Engine.delta_outcome option;
-          (* how the delta layer served the analysis (None: cache hit
-             or no baseline yet) *)
-      fresh : (Analysis.Model.t * Analysis.Report.t) option;
-          (* the analysis actually run, for the baseline update the
-             finalizer performs on the shard's driving domain *)
-    }
-  | Region_evaluated of {
-      result : P.region_summary;
-      cache_hit : bool;
-      kind : session_kind option;  (* None on a cache hit *)
-      ladder : Regions.Probe_ladder.stats option;
-          (* the build's probe-ladder counters, for the metrics the
-             finalizer records on the driving domain (None: cache hit) *)
-    }
-
 type t = {
-  id : int;
   params : Analysis.Params.t;
   mutable session : Analysis.Engine.t option;
       (* the shard's one engine session, created on first use and only
@@ -45,12 +19,9 @@ type t = {
   max_batch : int;
   now : unit -> float;
   wal : Wal.t option;
-  mutable stats_view : (seq:int -> tenant:string option -> Json.t) option;
-      (* the fleet's stats renderer, installed after every shard
-         exists; a [stats] barrier calls back into it *)
 }
 
-(* A snapshot of the shard for the fleet's stats barrier.  Only read
+(* A snapshot of the shard for the fleet's [stats] renderer.  Only read
    while the shard is quiescent (the fleet's previous pool region has
    finished), so plain field reads are ordered by the pool's mutex. *)
 type view = {
@@ -61,13 +32,12 @@ type view = {
   v_tenants : (string * Store.t) list;  (* sorted by tenant id *)
 }
 
-let create ~id ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
+let create ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (tid, store) -> Hashtbl.replace tbl tid (Tenant.create ~id:tid store))
     tenants;
   {
-    id;
     params;
     session = None;
     boot;
@@ -77,10 +47,8 @@ let create ~id ~params ~max_batch ~emit ~now ?wal ~boot ~tenants () =
     max_batch;
     now;
     wal;
-    stats_view = None;
   }
 
-let set_stats_view t f = t.stats_view <- Some f
 let metrics t = t.metrics
 
 (* Find or create (from the boot snapshot) the tenant. *)
@@ -142,18 +110,67 @@ let rebind t model =
   t.session <- Some session;
   (session, kind)
 
+let session_label = function
+  | Cold -> "cold"
+  | Rebound -> "rebound"
+  | Warm -> "warm-ir"
+
+let record_kind t = function
+  | Cold ->
+      t.metrics.Metrics.sessions_created <-
+        t.metrics.Metrics.sessions_created + 1
+  | Rebound ->
+      t.metrics.Metrics.sessions_rebound <-
+        t.metrics.Metrics.sessions_rebound + 1
+  | Warm ->
+      t.metrics.Metrics.sessions_rebound <-
+        t.metrics.Metrics.sessions_rebound + 1;
+      t.metrics.Metrics.ir_warm <- t.metrics.Metrics.ir_warm + 1
+
+let record_cache t hit =
+  if hit then t.metrics.Metrics.cache_hits <- t.metrics.Metrics.cache_hits + 1
+  else t.metrics.Metrics.cache_misses <- t.metrics.Metrics.cache_misses + 1
+
+let record_ladder t (s : Regions.Probe_ladder.stats) =
+  t.metrics.Metrics.probe_probes <-
+    t.metrics.Metrics.probe_probes + s.Regions.Probe_ladder.probes;
+  t.metrics.Metrics.probe_seeded <-
+    t.metrics.Metrics.probe_seeded + s.Regions.Probe_ladder.seeded;
+  t.metrics.Metrics.probe_cold <-
+    t.metrics.Metrics.probe_cold + s.Regions.Probe_ladder.cold;
+  t.metrics.Metrics.probe_certified <-
+    t.metrics.Metrics.probe_certified
+    + s.Regions.Probe_ladder.cert_feasible
+    + s.Regions.Probe_ladder.cert_infeasible
+
+let record_delta t = function
+  | Analysis.Engine.Delta_warm { dirty; total = _; carried } ->
+      t.metrics.Metrics.delta_warm <- t.metrics.Metrics.delta_warm + 1;
+      t.metrics.Metrics.delta_dirty_tasks <-
+        t.metrics.Metrics.delta_dirty_tasks + dirty;
+      t.metrics.Metrics.delta_carried_tasks <-
+        t.metrics.Metrics.delta_carried_tasks + carried
+  | Analysis.Engine.Delta_cold _ ->
+      t.metrics.Metrics.delta_cold <- t.metrics.Metrics.delta_cold + 1
+
 (* Analyze a snapshot on the shard's session for [ten]: the tenant's
    result cache first, then the session ([rebind]).  When the
    tenant has a baseline, the analysis runs through
    [Engine.analyze_delta]: the previous converged responses are carried
    across the snapshot change and only the affected tasks iterate, with
-   a transparent cold fallback.  Cache, baseline and therefore every
-   wire-visible field depend only on the tenant's own request history,
-   which is what keeps per-tenant responses bit-identical across shard
-   counts. *)
+   a transparent cold fallback.  The request's bookkeeping (metrics,
+   baseline, cache insert) is done here once nothing can raise any
+   more, so an overflowing analysis records nothing.  Cache, baseline
+   and therefore every wire-visible field depend only on the tenant's
+   own request history, which is what keeps per-tenant responses
+   bit-identical across shard counts and batch boundaries.  Returns the
+   summary, whether it was cached, and the label of the session that
+   ran. *)
 let analyze_snapshot t (ten : Tenant.t) (snap : Store.t) =
   match Tenant.cache_find ten snap.Store.hash with
-  | Some s -> (s, true, None, None, None)
+  | Some s ->
+      record_cache t true;
+      (s, true, None)
   | None ->
       let model = Analysis.Model.of_system snap.Store.sys in
       let session, kind = rebind t model in
@@ -166,11 +183,13 @@ let analyze_snapshot t (ten : Tenant.t) (snap : Store.t) =
             (report, Some outcome)
         | None -> (Analysis.Engine.analyze session, None)
       in
-      ( P.summarize ~store:snap ~model report,
-        false,
-        Some kind,
-        delta,
-        Some (model, report) )
+      let summary = P.summarize ~store:snap ~model report in
+      record_kind t kind;
+      record_cache t false;
+      Option.iter (record_delta t) delta;
+      Tenant.update_baseline ten (Some (model, report));
+      Tenant.cache_add ten summary;
+      (summary, false, Some (session_label kind))
 
 (* One region computation on the shard's session: the tenant's region
    cache first (keyed by snapshot hash, platform and grid — several
@@ -178,14 +197,15 @@ let analyze_snapshot t (ten : Tenant.t) (snap : Store.t) =
    region build whose probe analyses all run through that session
    exactly like the bisection searches.  The region's wire summary
    reports membership of the platform's current (α, Δ) point, the cell
-   statistics and the Pareto frontier. *)
+   statistics and the Pareto frontier.  Bookkeeping as in
+   [analyze_snapshot]. *)
 let region_snapshot t (ten : Tenant.t) (snap : Store.t) ~resource ~precision =
   match
     Tenant.region_find ten ~hash:snap.Store.hash ~resource ~precision
   with
   | Some r ->
-      Region_evaluated
-        { result = r; cache_hit = true; kind = None; ladder = None }
+      record_cache t true;
+      Ok (r, true, None)
   | None -> (
       let sys = snap.Store.sys in
       let resources = sys.Transaction.System.resources in
@@ -195,7 +215,7 @@ let region_snapshot t (ten : Tenant.t) (snap : Store.t) ~resource ~precision =
           if r.Platform.Resource.name = resource then idx := i)
         resources;
       match !idx with
-      | -1 -> Invalid [ Printf.sprintf "no platform named %s" resource ]
+      | -1 -> Error [ Printf.sprintf "no platform named %s" resource ]
       | idx ->
           (* Rebind the session to this snapshot's model first —
              [D.region] probes through the engine's current model, and
@@ -228,89 +248,16 @@ let region_snapshot t (ten : Tenant.t) (snap : Store.t) ~resource ~precision =
                   (Regions.Frontier.points rm.D.frontier);
             }
           in
-          Region_evaluated
-            {
-              result;
-              cache_hit = false;
-              kind = Some kind;
-              ladder = Some (Regions.Probe_ladder.stats rm.D.ladder);
-            })
+          record_kind t kind;
+          record_cache t false;
+          record_ladder t (Regions.Probe_ladder.stats rm.D.ladder);
+          Tenant.region_add ten result;
+          Ok (result, false, Some (session_label kind)))
 
 (* The one [errors] entry of a request whose exact arithmetic overflows
    native ints: it is rejected as invalid, like a malformed one, and
    nothing is committed or cached. *)
 let overflow_error = "arithmetic overflow: exact rationals exceed native ints"
-
-(* Evaluate one read-only request against the tenant's current store. *)
-let evaluate t (ten : Tenant.t) req =
-  let snap = ten.Tenant.store in
-  try
-    match req with
-    | P.Query ->
-        let summary, cache_hit, kind, delta, fresh =
-          analyze_snapshot t ten snap
-        in
-        Evaluated { candidate = None; summary; cache_hit; kind; delta; fresh }
-    | P.What_if { uid; spec } -> (
-        match Store.admit snap ~uid ~spec with
-        | Error es -> Invalid es
-        | Ok cand ->
-            let summary, cache_hit, kind, delta, fresh =
-              analyze_snapshot t ten cand
-            in
-            Evaluated
-              { candidate = Some cand; summary; cache_hit; kind; delta; fresh })
-    | P.Region { resource; precision } ->
-        region_snapshot t ten snap ~resource ~precision
-    | P.Admit _ | P.Revoke _ | P.Stats -> assert false
-  with Rational.Overflow -> Invalid [ overflow_error ]
-
-let session_label = function
-  | Cold -> "cold"
-  | Rebound -> "rebound"
-  | Warm -> "warm-ir"
-
-let record_kind t = function
-  | None -> ()
-  | Some Cold ->
-      t.metrics.Metrics.sessions_created <-
-        t.metrics.Metrics.sessions_created + 1
-  | Some Rebound ->
-      t.metrics.Metrics.sessions_rebound <-
-        t.metrics.Metrics.sessions_rebound + 1
-  | Some Warm ->
-      t.metrics.Metrics.sessions_rebound <-
-        t.metrics.Metrics.sessions_rebound + 1;
-      t.metrics.Metrics.ir_warm <- t.metrics.Metrics.ir_warm + 1
-
-let record_cache t hit =
-  if hit then t.metrics.Metrics.cache_hits <- t.metrics.Metrics.cache_hits + 1
-  else t.metrics.Metrics.cache_misses <- t.metrics.Metrics.cache_misses + 1
-
-let record_ladder t = function
-  | None -> ()
-  | Some (s : Regions.Probe_ladder.stats) ->
-      t.metrics.Metrics.probe_probes <-
-        t.metrics.Metrics.probe_probes + s.Regions.Probe_ladder.probes;
-      t.metrics.Metrics.probe_seeded <-
-        t.metrics.Metrics.probe_seeded + s.Regions.Probe_ladder.seeded;
-      t.metrics.Metrics.probe_cold <-
-        t.metrics.Metrics.probe_cold + s.Regions.Probe_ladder.cold;
-      t.metrics.Metrics.probe_certified <-
-        t.metrics.Metrics.probe_certified
-        + s.Regions.Probe_ladder.cert_feasible
-        + s.Regions.Probe_ladder.cert_infeasible
-
-let record_delta t = function
-  | None -> ()
-  | Some (Analysis.Engine.Delta_warm { dirty; total = _; carried }) ->
-      t.metrics.Metrics.delta_warm <- t.metrics.Metrics.delta_warm + 1;
-      t.metrics.Metrics.delta_dirty_tasks <-
-        t.metrics.Metrics.delta_dirty_tasks + dirty;
-      t.metrics.Metrics.delta_carried_tasks <-
-        t.metrics.Metrics.delta_carried_tasks + carried
-  | Some (Analysis.Engine.Delta_cold _) ->
-      t.metrics.Metrics.delta_cold <- t.metrics.Metrics.delta_cold + 1
 
 (* The WAL record for a commit, written inside the commit itself so a
    crash at any later point replays to this exact store. *)
@@ -335,58 +282,34 @@ let wal_append t (ten : Tenant.t) uid ~op (cand : Store.t) =
       in
       Wal.append w record
 
-let process_batch t envs =
-  let arr = Array.of_list envs in
-  let n = Array.length arr in
-  (* Counted up front so a [stats] request in this very batch sees it. *)
-  t.metrics.Metrics.batches <- t.metrics.Metrics.batches + 1;
-  (* Tenants are resolved (and created) before any request runs. *)
-  let tens =
-    Array.map
-      (fun env -> tenant t (Option.value env.P.tenant ~default:Tenant.default_id))
-      arr
-  in
-  let responses = Array.make n Json.Null in
-  let shed_reason = Array.make n None in
-  (* Overload policy: beyond [max_batch], shed the newest what_if probes
-     first, then queries, then admissions/revocations; stats never. *)
-  let over = ref (n - t.max_batch) in
-  let shed_class is_class =
-    for i = n - 1 downto 0 do
-      if !over > 0 && shed_reason.(i) = None && is_class arr.(i).P.req then (
-        shed_reason.(i) <- Some "overload";
-        decr over)
-    done
-  in
-  if !over > 0 then (
-    shed_class (function P.What_if _ | P.Region _ -> true | _ -> false);
-    shed_class (function P.Query -> true | _ -> false);
-    shed_class (function P.Admit _ | P.Revoke _ -> true | _ -> false));
-  let results = Array.make n Not_run in
-  (* Requests are finalized (responses, cache inserts, metrics, trace)
-     in arrival order — that is what makes a scripted session
-     deterministic. *)
-  let finish i ~status ~cache_hit ~session response =
-    let env = arr.(i) in
-    responses.(i) <- response;
+(* One request, run to completion: its shedding, analysis, commit,
+   metrics and trace record are all done before the next request of
+   the batch starts, each against the tenant's current store. *)
+let serve t ~stats ~overload (env : P.envelope) =
+  (* Resolved (and created) even when the request is shed, so [stats]
+     lists the same tenants however the requests were batched. *)
+  let ten = tenant t (Option.value env.P.tenant ~default:Tenant.default_id) in
+  let seq = env.P.seq and tenant = env.P.tenant in
+  let op = P.op_name env.P.req in
+  Metrics.count_request t.metrics env.P.req;
+  let finish ~status ?(cache_hit = false) ?session response =
     let ms = (t.now () -. env.P.arrival) *. 1000. in
     Metrics.record_latency t.metrics ms;
     emit t
       (Events.Request
-         {
-           seq = env.P.seq;
-           op = P.op_name env.P.req;
-           status;
-           latency_ms = ms;
-           cache_hit;
-           session;
-           tenant = env.P.tenant;
-         })
+         { seq; op; status; latency_ms = ms; cache_hit; session; tenant });
+    response
+  in
+  let shed reason =
+    if reason = "deadline" then
+      t.metrics.Metrics.shed_deadline <- t.metrics.Metrics.shed_deadline + 1
+    else
+      t.metrics.Metrics.shed_overload <- t.metrics.Metrics.shed_overload + 1;
+    finish ~status:"shed" (P.shed ?tenant ~seq ~op ~reason ())
   in
   (* Rejected as invalid: the tenant's store is untouched and nothing is
      cached. *)
-  let invalid i errors =
-    let env = arr.(i) in
+  let invalid errors =
     let uid =
       match env.P.req with
       | P.Admit { uid; _ } | P.What_if { uid; _ } | P.Revoke { uid } -> uid
@@ -394,103 +317,32 @@ let process_batch t envs =
       | P.Query | P.Stats -> "?"
     in
     t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-    finish i ~status:"rejected" ~cache_hit:false ~session:None
-      (P.rejected ?tenant:env.P.tenant ~seq:env.P.seq
-         ~op:(P.op_name env.P.req) ~uid ~reason:"invalid" ~errors
-         ~hash:tens.(i).Tenant.store.Store.hash ())
+    finish ~status:"rejected"
+      (P.rejected ?tenant ~seq ~op ~uid ~reason:"invalid" ~errors
+         ~hash:ten.Tenant.store.Store.hash ())
   in
-  let finalize i =
-    let env = arr.(i) in
-    let seq = env.P.seq in
-    let tenant = env.P.tenant in
-    let ten = tens.(i) in
-    Metrics.count_request t.metrics env.P.req;
-    match shed_reason.(i) with
-    | Some reason ->
-        (if reason = "deadline" then
-           t.metrics.Metrics.shed_deadline <-
-             t.metrics.Metrics.shed_deadline + 1
-         else
-           t.metrics.Metrics.shed_overload <-
-             t.metrics.Metrics.shed_overload + 1);
-        finish i ~status:"shed" ~cache_hit:false ~session:None
-          (P.shed ?tenant ~seq ~op:(P.op_name env.P.req) ~reason ())
-    | None -> (
-        match results.(i) with
-        | Not_run -> assert false
-        | Invalid errors -> invalid i errors
-        | Evaluated { candidate; summary; cache_hit; kind; delta; fresh } -> (
-            record_kind t kind;
-            record_cache t cache_hit;
-            record_delta t delta;
-            Tenant.update_baseline ten fresh;
-            Tenant.cache_add ten summary;
-            let session = Option.map session_label kind in
-            match env.P.req with
-            | P.Query ->
-                finish i ~status:"ok" ~cache_hit ~session
-                  (P.query_ok ?tenant ~seq ~cached:cache_hit summary)
-            | P.What_if { uid; _ } ->
-                let candidate_instances =
-                  match candidate with
-                  | Some c -> Store.unit_instances c uid
-                  | None -> []
-                in
-                finish i ~status:"ok" ~cache_hit ~session
-                  (P.what_if_ok ?tenant ~seq ~uid ~cached:cache_hit
-                     ~candidate_instances summary)
-            | P.Region _ | P.Admit _ | P.Revoke _ | P.Stats -> assert false)
-        | Region_evaluated { result; cache_hit; kind; ladder } ->
-            record_kind t kind;
-            record_cache t cache_hit;
-            record_ladder t ladder;
-            Tenant.region_add ten result;
-            finish i ~status:"ok" ~cache_hit
-              ~session:(Option.map session_label kind)
-              (P.region_ok ?tenant ~seq ~cached:cache_hit result))
+  let guarded f = try f () with Rational.Overflow -> Error [ overflow_error ] in
+  (* Build a candidate from the tenant's current store and analyze it;
+     a query's candidate is the store itself. *)
+  let analyze_candidate build =
+    guarded (fun () ->
+        Result.map
+          (fun cand -> (cand, analyze_snapshot t ten cand))
+          (build ten.Tenant.store))
   in
-  (* Pending read-only run: [to_run] are the indices to evaluate,
-     [pending] additionally carries the shed ones so they are finalized
-     in order with their neighbours.  The whole run is evaluated before
-     any of it is finalized, so each item analyzes its own tenant's
-     store, cache and baseline as of the run's start. *)
-  let pending = ref [] and to_run = ref [] in
-  let flush () =
-    List.iter
-      (fun i -> results.(i) <- evaluate t tens.(i) arr.(i).P.req)
-      (List.rev !to_run);
-    List.iter finalize (List.rev !pending);
-    pending := [];
-    to_run := []
-  in
-  (* A commit runs against the tenant's current store: admissions and
-     revocations are barriers in arrival order.  [build] makes the
-     candidate from that store. *)
-  let commit i uid ~op build =
-    let seq = arr.(i).P.seq in
-    let tenant = arr.(i).P.tenant in
-    let ten = tens.(i) in
-    match
-      Result.map
-        (fun cand -> (cand, analyze_snapshot t ten cand))
-        (build ten.Tenant.store)
-    with
-    | exception Rational.Overflow -> invalid i [ overflow_error ]
-    | Error errors -> invalid i errors
-    | Ok (cand, (summary, cache_hit, kind, delta, fresh)) -> (
-        record_kind t kind;
-        record_cache t cache_hit;
-        record_delta t delta;
-        Tenant.update_baseline ten fresh;
-        Tenant.cache_add ten summary;
-        let session = Option.map session_label kind in
+  (* A commit sees the store its tenant's previous commit left, however
+     the two were batched. *)
+  let commit uid ~op:kind build =
+    match analyze_candidate build with
+    | Error errors -> invalid errors
+    | Ok (cand, (summary, cache_hit, session)) -> (
         let apply status response =
           ten.Tenant.store <- cand;
-          wal_append t ten uid ~op cand;
+          wal_append t ten uid ~op:kind cand;
           t.metrics.Metrics.committed <- t.metrics.Metrics.committed + 1;
-          finish i ~status ~cache_hit ~session response
+          finish ~status ~cache_hit ?session response
         in
-        match op with
+        match kind with
         | `Admit ->
             if summary.P.s_schedulable then
               apply "admitted"
@@ -500,9 +352,9 @@ let process_batch t envs =
               (* Rollback: the candidate is dropped, the tenant's store was
                  never touched. *)
               t.metrics.Metrics.rejected <- t.metrics.Metrics.rejected + 1;
-              finish i ~status:"rejected" ~cache_hit ~session
-                (P.rejected ?tenant ~seq ~op:"admit" ~uid
-                   ~reason:"unschedulable" ~violations:summary.P.s_violations
+              finish ~status:"rejected" ~cache_hit ?session
+                (P.rejected ?tenant ~seq ~op ~uid ~reason:"unschedulable"
+                   ~violations:summary.P.s_violations
                    ~candidate_instances:(Store.unit_instances cand uid)
                    ~hash:ten.Tenant.store.Store.hash ()))
         | `Revoke ->
@@ -513,48 +365,74 @@ let process_batch t envs =
               (P.revoked ?tenant ~seq ~uid ~txns:(Store.n_transactions cand)
                  ~cached:cache_hit summary))
   in
-  let barrier i =
-    let env = arr.(i) in
-    Metrics.count_request t.metrics env.P.req;
+  let expired =
+    match env.P.deadline_ms with
+    | None -> false
+    | Some d -> (t.now () -. env.P.arrival) *. 1000. >= d
+  in
+  if overload then shed "overload"
+  else if expired then shed "deadline"
+  else
     match env.P.req with
     | P.Stats ->
-        (* The fleet renders stats: every shard is quiescent at this
-           barrier, so the renderer may read all of them and merge. *)
-        let render =
-          match t.stats_view with Some f -> f | None -> assert false
-        in
-        finish i ~status:"ok" ~cache_hit:false ~session:None
-          (render ~seq:env.P.seq ~tenant:env.P.tenant)
-    | P.Admit { uid; spec } -> commit i uid ~op:`Admit (Store.admit ~uid ~spec)
-    | P.Revoke { uid } -> commit i uid ~op:`Revoke (Store.revoke ~uid)
-    | P.Query | P.What_if _ | P.Region _ -> assert false
+        (* The fleet renders stats: every shard is quiescent while this
+           one serves a [stats], so the renderer may read all of them
+           and merge. *)
+        finish ~status:"ok" (stats ~seq ~tenant)
+    | P.Query -> (
+        match analyze_candidate Result.ok with
+        | Error errors -> invalid errors
+        | Ok (_, (summary, cache_hit, session)) ->
+            finish ~status:"ok" ~cache_hit ?session
+              (P.query_ok ?tenant ~seq ~cached:cache_hit summary))
+    | P.What_if { uid; spec } -> (
+        match analyze_candidate (Store.admit ~uid ~spec) with
+        | Error errors -> invalid errors
+        | Ok (cand, (summary, cache_hit, session)) ->
+            finish ~status:"ok" ~cache_hit ?session
+              (P.what_if_ok ?tenant ~seq ~uid ~cached:cache_hit
+                 ~candidate_instances:(Store.unit_instances cand uid)
+                 summary))
+    | P.Region { resource; precision } -> (
+        match
+          guarded (fun () ->
+              region_snapshot t ten ten.Tenant.store ~resource ~precision)
+        with
+        | Error errors -> invalid errors
+        | Ok (result, cache_hit, session) ->
+            finish ~status:"ok" ~cache_hit ?session
+              (P.region_ok ?tenant ~seq ~cached:cache_hit result))
+    | P.Admit { uid; spec } -> commit uid ~op:`Admit (Store.admit ~uid ~spec)
+    | P.Revoke { uid } -> commit uid ~op:`Revoke (Store.revoke ~uid)
+
+let process_batch t ~stats envs =
+  let arr = Array.of_list envs in
+  let n = Array.length arr in
+  (* Counted up front so a [stats] request in this very batch sees it. *)
+  t.metrics.Metrics.batches <- t.metrics.Metrics.batches + 1;
+  (* Overload policy: beyond [max_batch], shed the newest what_if probes
+     first, then queries, then admissions/revocations; stats never.
+     Chosen before any request runs. *)
+  let overload = Array.make n false in
+  let over = ref (n - t.max_batch) in
+  let shed_class is_class =
+    for i = n - 1 downto 0 do
+      if !over > 0 && (not overload.(i)) && is_class arr.(i).P.req then (
+        overload.(i) <- true;
+        decr over)
+    done
   in
-  for i = 0 to n - 1 do
-    let env = arr.(i) in
-    if shed_reason.(i) <> None then pending := i :: !pending
-    else
-      let expired =
-        match env.P.deadline_ms with
-        | None -> false
-        | Some d -> (t.now () -. env.P.arrival) *. 1000. >= d
-      in
-      if expired then (
-        shed_reason.(i) <- Some "deadline";
-        pending := i :: !pending)
-      else
-        match env.P.req with
-        | P.Query | P.What_if _ | P.Region _ ->
-            pending := i :: !pending;
-            to_run := i :: !to_run
-        | P.Admit _ | P.Revoke _ | P.Stats ->
-            flush ();
-            barrier i
-  done;
-  flush ();
-  let shed =
-    Array.fold_left
-      (fun acc r -> if r = None then acc else acc + 1)
-      0 shed_reason
+  if !over > 0 then (
+    shed_class (function P.What_if _ | P.Region _ -> true | _ -> false);
+    shed_class (function P.Query -> true | _ -> false);
+    shed_class (function P.Admit _ | P.Revoke _ -> true | _ -> false));
+  let shed_count () =
+    t.metrics.Metrics.shed_deadline + t.metrics.Metrics.shed_overload
   in
-  emit t (Events.Batch { size = n; shed });
+  let shed_before = shed_count () in
+  (* [Array.mapi] applies [serve] in index order: arrival order. *)
+  let responses =
+    Array.mapi (fun i env -> serve t ~stats ~overload:overload.(i) env) arr
+  in
+  emit t (Events.Batch { size = n; shed = shed_count () - shed_before });
   Array.to_list responses

@@ -2,11 +2,15 @@
     engine session (with its memo and integer kernel) and {!Metrics}
     record.
 
-    The batching core is the original single-store server generalized
-    over tenants: a maximal run of read-only requests is evaluated in
-    arrival order, each item against its own tenant's store as of the
-    run's start, while every admission, revocation and [stats] request
-    is a barrier in arrival order ([stats] is rendered by the fleet).
+    A batch is served one request at a time, in arrival order: each
+    request ([query], [what_if], [region], [admit], [revoke], [stats],
+    or a shed one) runs to completion, cache insert, delta baseline,
+    commit, metrics and trace record included, before the next one
+    starts, against its tenant's current store.  A response therefore
+    does not depend on where the batch boundaries fell, except through
+    overload shedding: the victims are chosen for the whole batch
+    before anything runs.  A request's [deadline_ms] is checked when
+    its turn comes.
     Committed mutations append to the WAL inside the commit.
 
     A shard must only be driven from one domain (the fleet drives shard
@@ -30,7 +34,6 @@ type view = {
     is quiescent. *)
 
 val create :
-  id:int ->
   params:Analysis.Params.t ->
   max_batch:int ->
   emit:(Events.event -> unit) option ->
@@ -44,13 +47,16 @@ val create :
     seeds the partition (typically from WAL replay), every other tenant
     starts from [boot] on first contact. *)
 
-val set_stats_view : t -> (seq:int -> tenant:string option -> Json.t) -> unit
-(** Install the fleet's [stats] renderer (called back at the stats
-    barrier, when every shard is quiescent). *)
-
-val process_batch : t -> Protocol.envelope list -> Json.t list
-(** Responses in envelope order.  Must be called from the shard's
-    driving domain. *)
+val process_batch :
+  t ->
+  stats:(seq:int -> tenant:string option -> Json.t) ->
+  Protocol.envelope list ->
+  Json.t list
+(** Responses in envelope order.  [stats] renders the response to a
+    [stats] request and may read every shard, so a batch holding a
+    [stats] must run while the other shards are quiescent (with several
+    shards, the fleet gives each [stats] a pool region of its own).
+    Must be called from the shard's driving domain. *)
 
 val tenant_find : t -> string -> Tenant.t option
 

@@ -1,10 +1,11 @@
 (* Per-tenant serving state.  A tenant owns its committed store
-   snapshot, its delta baseline and its result cache; engine sessions,
-   memos and pools stay per-shard and are shared across the shard's
-   tenants.  All mutable fields are written only by the owning shard's
-   driving domain, in request-arrival order — that is what keeps a
-   tenant's responses bit-identical regardless of how the other tenants
-   interleave or how many shards the fleet runs. *)
+   snapshot, its delta baseline and its result cache; the engine
+   session and its memo stay per-shard and are shared across the
+   shard's tenants.  All mutable fields are written only by the owning
+   shard's driving domain, one request at a time in arrival order —
+   that is what keeps a tenant's responses bit-identical regardless of
+   how the other tenants interleave, how the requests were batched or
+   how many shards the fleet runs. *)
 
 type t = {
   id : string;

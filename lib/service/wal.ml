@@ -14,8 +14,8 @@
    boundary replays to exactly the committed prefix, and one killed
    mid-append leaves a torn final line that the next open cuts off.  The
    channel is mutex-guarded: shards append concurrently, and replay only
-   needs per-tenant order, which each shard's in-order finalization
-   already guarantees. *)
+   needs per-tenant order, which each shard's in-order commits already
+   guarantee. *)
 
 type record =
   | Admit of { tenant : string; uid : string; spec : string; hash : string }

@@ -33,7 +33,7 @@ val path : t -> string
 val append : t -> record -> unit
 (** Write one record and flush.  Thread-safe: shards append
     concurrently, and replay only needs per-tenant order, which each
-    shard's in-order finalization guarantees. *)
+    shard's in-order commits guarantee. *)
 
 val mutations : t -> int
 (** Admit/revoke records currently on disk — the replay cost that

@@ -32,7 +32,7 @@ let test_of_decimal_string () =
       match q s with
       | _ -> Alcotest.failf "%S should not parse" s
       | exception Invalid_argument _ -> ())
-    [ ""; "abc"; "1/"; "/2"; "1.2.3"; "--3" ]
+    [ ""; "abc"; "1/"; "/2"; "1.2.3"; "--3"; "2/0" ]
 
 let test_to_string () =
   Alcotest.(check string) "int" "5" (Q.to_string (Q.of_int 5));

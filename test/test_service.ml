@@ -14,7 +14,8 @@
    6. Tenancy: per-tenant stores are isolated, default-tenant traffic
       keeps the pre-tenant wire bytes, stats reports the shard map.
    7. Sharding: a scripted multi-tenant session, region builds
-      included, is bit-identical at every shard count.
+      included, is bit-identical at every shard count and however it
+      is cut into batches.
    8. Durability: restarts replay the write-ahead log to the exact
       recorded hashes, tampered logs are refused, compaction keeps
       replay exact; qcheck kills a random session at a random commit
@@ -685,6 +686,13 @@ let tiny_spec =
    periodic(period = 10, deadline = 10) priority 1 { task a(wcet = \
    0.0000000000000000000001, bcet = 0); } } instance X : Tiny on Pa;"
 
+(* A fraction with a zero denominator: a lexer error, not an exception
+   that takes the whole fleet down. *)
+let zero_den_spec =
+  "component Zero { implementation: scheduler fixed_priority; thread T \
+   periodic(period = 10, deadline = 2/0) priority 1 { task a(wcet = 1, \
+   bcet = 1); } } instance Z : Zero on Pa;"
+
 (* A valid transaction whose analysis overflows native-int rationals.
    At two shards it is sent from "globex" (shard 0) and from the default
    tenant (shard 1). *)
@@ -712,11 +720,12 @@ let test_overflow_rejected () =
                (None, P.Admit { uid = "big"; spec = overflow_spec });
                (Some "globex", P.Query);
                (None, P.Stats);
+               (None, P.What_if { uid = "zero"; spec = zero_den_spec });
              ])
       in
       let label what = Printf.sprintf "%d shards: %s" shards what in
       (match resps with
-      | [ tiny; big_globex; probe; big; query; stats ] ->
+      | [ tiny; big_globex; probe; big; query; stats; zero ] ->
           let errors r =
             match Json.member "errors" r with
             | Some (Json.List [ Json.String e ]) -> e
@@ -740,6 +749,7 @@ let test_overflow_rejected () =
               ("overflowing admit", big_globex, "overflow");
               ("overflowing what_if", probe, "overflow");
               ("overflowing admit again", big, "overflow");
+              ("zero denominator", zero, "bad number");
             ];
           Alcotest.(check string) (label "query answered") "ok"
             (status query);
@@ -774,12 +784,21 @@ let scripted_envelopes () =
           (List.mapi
              (fun ti tenant ->
                match round with
-               | 0 -> [ (tenant, P.Admit { uid = "a"; spec = unit_spec (ti + 1) }) ]
+               | 0 ->
+                   [
+                     (tenant, P.Admit { uid = "a"; spec = unit_spec (ti + 1) });
+                     (tenant, P.Query);
+                   ]
                | 1 ->
+                   let probe =
+                     P.What_if { uid = "p"; spec = unit_spec (ti + 2) }
+                   and region = P.Region { resource = "P2"; precision = 4 } in
                    [
                      (tenant, P.Query);
-                     (tenant, P.What_if { uid = "p"; spec = unit_spec (ti + 2) });
-                     (tenant, P.Region { resource = "P2"; precision = 4 });
+                     (tenant, probe);
+                     (tenant, probe);
+                     (tenant, region);
+                     (tenant, region);
                    ]
                | 2 -> [ (tenant, P.Admit { uid = "b"; spec = unit_spec (ti + 3) }) ]
                | _ -> [ (tenant, P.Revoke { uid = "a" }); (tenant, P.Query) ])
@@ -800,8 +819,8 @@ let run_envs srv envs =
 let test_shard_identity () =
   let envs = scripted_envelopes () in
   let base = with_server @@ fun srv -> run_envs srv envs in
-  (* every tenant's region build ran, so the batched run below builds
-     regions concurrently on the shard domains *)
+  (* every tenant's region build ran (its repeat is a cache hit), so the
+     batched run below builds regions concurrently on the shard domains *)
   Alcotest.(check int)
     "region builds answered" 5
     (List.length
@@ -811,6 +830,7 @@ let test_shard_identity () =
             | Ok j ->
                 Json.string_field "op" j = Some "region"
                 && Json.string_field "status" j = Some "ok"
+                && Json.member "cached" j = Some (Json.Bool false)
             | Error _ -> false)
           base));
   List.iter
@@ -826,6 +846,46 @@ let test_shard_identity () =
     List.map Json.to_string (Fleet.process_batch srv envs)
   in
   Alcotest.(check (list string)) "one batch, 2 shards" base batched
+
+(* Batch boundaries are not part of the answer: the scripted session cut
+   into consecutive batches at random points answers byte for byte like
+   one request per batch, at every shard count.  The script repeats
+   requests of one tenant back to back (the same what_if and region
+   twice, a query right after an admit), so a batch that served a
+   repeat from a stale cache or baseline shows up in [cached]. *)
+let one_per_batch =
+  lazy (with_server @@ fun srv -> run_envs srv (scripted_envelopes ()))
+
+let cuts_arbitrary =
+  let n = List.length (scripted_envelopes ()) in
+  QCheck.(list_of_size Gen.(int_range 0 10) (int_range 1 (n - 1)))
+
+let prop_batch_boundaries cuts =
+  let envs = scripted_envelopes () in
+  (* a cut at [c] starts a new batch at envelope [c] *)
+  let cuts = List.sort_uniq compare cuts in
+  let batch_of i = List.length (List.filter (fun c -> c <= i) cuts) in
+  let batches =
+    List.init
+      (List.length cuts + 1)
+      (fun b -> List.filteri (fun i _ -> batch_of i = b) envs)
+  in
+  List.for_all
+    (fun shards ->
+      let got =
+        with_server ~shards @@ fun srv ->
+        List.concat_map
+          (fun b -> List.map Json.to_string (Fleet.process_batch srv b))
+          batches
+      in
+      got = Lazy.force one_per_batch)
+    [ 1; 2; 4 ]
+
+let test_batch_boundaries =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"batch boundaries are not part of the answer, shards 1 2 4"
+       ~count:20 cuts_arbitrary prop_batch_boundaries)
 
 (* Back-to-back commits of one tenant inside one batch: each one must
    see the store its predecessor committed, whatever other tenants'
@@ -1332,6 +1392,7 @@ let () =
             test_same_tenant_commits;
           Alcotest.test_case "a failing shard leaves the fleet usable" `Quick
             test_failing_shard;
+          test_batch_boundaries;
         ] );
       ( "durability",
         [

@@ -60,6 +60,7 @@ let test_lexer_out_of_range () =
         "line 2, column 3: bad number 0.0000000000000000000001" );
       ( "x = 12345678901234567890",
         "line 1, column 5: bad number 12345678901234567890" );
+      ("deadline = 2/0;", "line 1, column 12: bad number 2/0");
     ]
 
 let test_lexer_positions () =
