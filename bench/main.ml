@@ -1158,7 +1158,72 @@ let delta_admit () =
      right reason *)
   if not !quick then
     check "x13/warm admit at least 2x faster than cold re-analysis"
-      (cold_batch_ms >= 2. *. warm_batch_ms)
+      (cold_batch_ms >= 2. *. warm_batch_ms);
+  (* Revokes of the mid-priority third of the units: by the reads rule
+     a survivor re-iterates iff it has a task on a platform the revoked
+     unit used, at a priority no higher than the revoked task's.  Every
+     unit is one transaction of one task on one platform, so the closure
+     adds nothing to that seed and the count is exact. *)
+  let revoked = List.init (n_units / 3) (fun k -> (n_units / 3) + k) in
+  let revoke_warm = ref true
+  and revoke_identical = ref true
+  and revoke_reads_rule = ref true
+  and revoke_dirty = ref 0 in
+  List.iter
+    (fun i ->
+      let model =
+        match Service.Store.revoke store ~uid:(Printf.sprintf "u%d" i) with
+        | Error es -> failwith (String.concat "; " es)
+        | Ok cand -> Model.of_system cand.Service.Store.sys
+      in
+      let top = Array.make (Array.length prev_model.Model.bounds) min_int in
+      Array.iter
+        (fun (tx : Model.txn) ->
+          if Model.find_txn model tx.Model.tname = None then
+            Array.iter
+              (fun (tk : Model.task) ->
+                top.(tk.Model.res) <- Int.max top.(tk.Model.res) tk.Model.prio)
+              tx.Model.tasks)
+        prev_model.Model.txns;
+      let expected =
+        Array.fold_left
+          (fun acc (tx : Model.txn) ->
+            if
+              Array.exists
+                (fun (tk : Model.task) -> tk.Model.prio <= top.(tk.Model.res))
+                tx.Model.tasks
+            then acc + Array.length tx.Model.tasks
+            else acc)
+          0 model.Model.txns
+      in
+      session := Analysis.Engine.with_model !session model;
+      let warm, outcome =
+        Analysis.Engine.analyze_delta !session ~prev_model ~prev_report
+      in
+      let cold =
+        Analysis.Engine.analyze (Analysis.Engine.create ~params model)
+      in
+      (match outcome with
+      | Analysis.Engine.Delta_warm { dirty; _ } ->
+          revoke_dirty := !revoke_dirty + dirty;
+          if dirty <> expected then revoke_reads_rule := false
+      | Analysis.Engine.Delta_cold _ -> revoke_warm := false);
+      if
+        not
+          (warm.Report.results = cold.Report.results
+          && warm.Report.converged = cold.Report.converged
+          && warm.Report.schedulable = cold.Report.schedulable)
+      then revoke_identical := false)
+    revoked;
+  let revoke_dirty_mean =
+    float_of_int !revoke_dirty /. float_of_int (List.length revoked)
+  in
+  Format.printf "%d mid-priority revokes: mean dirty set %.1f of %d tasks@."
+    (List.length revoked) revoke_dirty_mean (n_units - 1);
+  check "x13/every revoke analyzed warm" !revoke_warm;
+  check "x13/revoke warm results bit-identical to cold" !revoke_identical;
+  check "x13/revoke dirty set = reads-rule count" !revoke_reads_rule;
+  metric "x13/revoke_dirty_mean" revoke_dirty_mean
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings: one Test.make per paper artefact                  *)

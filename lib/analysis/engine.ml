@@ -334,22 +334,27 @@ module Delta = struct
       if Array.for_all Fun.id seed then Error "all-dirty"
       else begin
         (* A removed transaction's interference is gone from equations
-           the new model's reads rule cannot see any more; conservatively
-           seed every survivor that shares a platform with it.  Clean
-           survivors keep their resource indices (the task chains
-           compared equal), so the overlap test in the old model's
-           indexing is exact.  Transaction names are unique, so every
-           previous transaction survived iff each one matched some new
-           transaction above — the admission-heavy common case, which
-           skips this scan entirely. *)
+           the new model's reads rule cannot see any more.  By that rule
+           (Eq. 17) a survivor's site on platform r at priority p read
+           the removed row iff the removed transaction had a task on r
+           at priority >= p, so seed exactly those survivors: the
+           closure's test, started from each platform's highest
+           removed-task priority.  Clean survivors keep their resource
+           indices (the task chains compared equal), so the test in the
+           old model's indexing is exact.  Transaction names are unique,
+           so every previous transaction survived iff each one matched
+           some new transaction above — the admission-heavy common case,
+           which skips this scan entirely. *)
         if !matched < Array.length prev_model.Model.txns then begin
           let index = by_name m.Model.txns in
-          let vacated = Array.make (Array.length prev_model.Model.bounds) false in
+          let top = Array.make (Array.length prev_model.Model.bounds) min_int in
           Array.iter
             (fun (ot : Model.txn) ->
               if not (Hashtbl.mem index ot.Model.tname) then
                 Array.iter
-                  (fun (otk : Model.task) -> vacated.(otk.Model.res) <- true)
+                  (fun (otk : Model.task) ->
+                    let r = otk.Model.res in
+                    if otk.Model.prio > top.(r) then top.(r) <- otk.Model.prio)
                   ot.Model.tasks)
             prev_model.Model.txns;
           Array.iteri
@@ -357,7 +362,8 @@ module Delta = struct
               if
                 Array.exists
                   (fun (tk : Model.task) ->
-                    tk.Model.res < Array.length vacated && vacated.(tk.Model.res))
+                    tk.Model.res < Array.length top
+                    && top.(tk.Model.res) >= tk.Model.prio)
                   tx.Model.tasks
               then seed.(a) <- true)
             m.Model.txns

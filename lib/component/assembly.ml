@@ -39,54 +39,128 @@ let concat parts =
     allocation = all (fun p -> p.allocation);
   }
 
-(* Name-indexed lookups over one assembly, built once per pass.  The
-   first occurrence of a name wins, as a scan of the lists would find
-   it; binding groups keep binding order. *)
+module Names = Map.Make (String)
+
+module Pairs = Map.Make (struct
+  type t = string * string
+
+  let compare (a, b) (c, d) =
+    match String.compare a c with 0 -> String.compare b d | n -> n
+end)
+
+type namespace = Class | Instance | Platform
+
+module Refs = Map.Make (struct
+  type t = namespace * string
+
+  let compare (a, x) (b, y) =
+    match Stdlib.compare a b with 0 -> String.compare x y | n -> n
+end)
+
+(* Name-indexed lookups, persistent: an index extended by one part
+   shares everything else with the index it extends, so a candidate
+   never copies it.  The first occurrence of a name wins, as a scan of
+   the lists would find it; binding groups are kept latest first and
+   read back in binding order. *)
 type index = {
-  assembly : t;
-  classes_by_name : (string, Comp.t) Hashtbl.t;
-  instances_by_name : (string, instance) Hashtbl.t;
-  resources_by_name : (string, int * Resource.t) Hashtbl.t;
-  allocated : (string, string * string) Hashtbl.t;
-  by_requirer : (string * string, binding) Hashtbl.t;
-  by_provider : (string * string, binding) Hashtbl.t;
+  classes : Comp.t Names.t;
+  instances : instance Names.t;
+  allocated : string Names.t;
+  platforms : (int * Resource.t) Names.t;
+  n_platforms : int;
+  by_requirer : binding list Pairs.t;
+  by_provider : binding list Pairs.t;
+  refs : int Refs.t;
+      (* how often later parts use a name an earlier part declares *)
 }
 
-let index t =
-  (* adding in reverse, so the first occurrence is the one that stays *)
-  let table key l =
-    let tbl = Hashtbl.create (List.length l) in
-    List.iter (fun x -> Hashtbl.replace tbl (key x) x) (List.rev l);
-    tbl
-  in
-  (* [Hashtbl.find_all] returns the latest addition first *)
-  let group key =
-    let tbl = Hashtbl.create (List.length t.bindings) in
-    List.iter (fun b -> Hashtbl.add tbl (key b) b) (List.rev t.bindings);
-    tbl
-  in
+let empty =
   {
-    assembly = t;
-    classes_by_name = table (fun (c : Comp.t) -> c.Comp.name) t.classes;
-    instances_by_name = table (fun i -> i.iname) t.instances;
-    resources_by_name =
-      table
-        (fun (_, (r : Resource.t)) -> r.Resource.name)
-        (List.mapi (fun k r -> (k, r)) t.resources);
-    allocated = table fst t.allocation;
-    by_requirer = group (fun b -> (b.caller, b.required));
-    by_provider = group (fun b -> (b.callee, b.provided));
+    classes = Names.empty;
+    instances = Names.empty;
+    allocated = Names.empty;
+    platforms = Names.empty;
+    n_platforms = 0;
+    by_requirer = Pairs.empty;
+    by_provider = Pairs.empty;
+    refs = Refs.empty;
   }
 
-let find_class idx name = Hashtbl.find_opt idx.classes_by_name name
+(* Every name [p] uses, once per use; a binding's caller is [p]'s own in
+   every valid assembly (see "one part at a time" below). *)
+let fold_uses f (p : t) acc =
+  let acc =
+    List.fold_left (fun acc i -> f (Class, i.cls) acc) acc p.instances
+  in
+  let acc =
+    List.fold_left
+      (fun acc (i, r) -> f (Platform, r) (f (Instance, i) acc))
+      acc p.allocation
+  in
+  List.fold_left
+    (fun acc b ->
+      let acc = f (Instance, b.callee) acc in
+      match b.via with None -> acc | Some l -> f (Platform, l.network) acc)
+    acc p.bindings
 
-let find_instance idx name = Hashtbl.find_opt idx.instances_by_name name
+let declares idx (ns, name) =
+  match ns with
+  | Class -> Names.mem name idx.classes
+  | Instance -> Names.mem name idx.instances
+  | Platform -> Names.mem name idx.platforms
 
-let find_resource idx name =
-  Option.map snd (Hashtbl.find_opt idx.resources_by_name name)
+let count by key refs =
+  Refs.update key
+    (fun n ->
+      match Option.value n ~default:0 + by with 0 -> None | n -> Some n)
+    refs
 
-let allocation_of idx iname =
-  Option.map snd (Hashtbl.find_opt idx.allocated iname)
+let extend idx (p : t) =
+  let first key v m =
+    Names.update key (function None -> Some v | seen -> seen) m
+  in
+  let push key b m =
+    Pairs.update key (fun l -> Some (b :: Option.value l ~default:[])) m
+  in
+  let platforms, n_platforms =
+    List.fold_left
+      (fun (m, k) (r : Resource.t) -> (first r.Resource.name (k, r) m, k + 1))
+      (idx.platforms, idx.n_platforms) p.resources
+  in
+  {
+    classes =
+      List.fold_left
+        (fun m (c : Comp.t) -> first c.Comp.name c m)
+        idx.classes p.classes;
+    instances =
+      List.fold_left (fun m i -> first i.iname i m) idx.instances p.instances;
+    allocated =
+      List.fold_left (fun m (i, r) -> first i r m) idx.allocated p.allocation;
+    platforms;
+    n_platforms;
+    by_requirer =
+      List.fold_left
+        (fun m b -> push (b.caller, b.required) b m)
+        idx.by_requirer p.bindings;
+    by_provider =
+      List.fold_left
+        (fun m b -> push (b.callee, b.provided) b m)
+        idx.by_provider p.bindings;
+    refs =
+      fold_uses
+        (fun key refs -> if declares idx key then count 1 key refs else refs)
+        p idx.refs;
+  }
+
+let index t = extend empty t
+
+let find_class idx name = Names.find_opt name idx.classes
+
+let find_instance idx name = Names.find_opt name idx.instances
+
+let find_resource idx name = Option.map snd (Names.find_opt name idx.platforms)
+
+let allocation_of idx iname = Names.find_opt iname idx.allocated
 
 let class_of idx iname =
   match find_instance idx iname with
@@ -100,18 +174,21 @@ let resource_of idx iname =
   | Some rname -> (
       match find_resource idx rname with None -> raise Not_found | Some r -> r)
 
-let resource_index idx rname = fst (Hashtbl.find idx.resources_by_name rname)
+let resource_index idx rname = fst (Names.find rname idx.platforms)
 
-let bindings_of idx ~caller ~required =
-  Hashtbl.find_all idx.by_requirer (caller, required)
+let group m key =
+  match Pairs.find_opt key m with None -> [] | Some l -> List.rev l
+
+let bindings_of idx ~caller ~required = group idx.by_requirer (caller, required)
 
 let binding_for idx ~caller ~required =
   match bindings_of idx ~caller ~required with [] -> None | b :: _ -> Some b
 
-let callers idx ~callee ~provided =
-  Hashtbl.find_all idx.by_provider (callee, provided)
+let callers idx ~callee ~provided = group idx.by_provider (callee, provided)
 
-let call_graph t =
+let called idx ~callee ~provided = Pairs.mem (callee, provided) idx.by_provider
+
+let call_graph (t : t) =
   List.map (fun b -> (b.caller, b.callee)) t.bindings
 
 (* Depth-first cycle detection over the instance call graph. *)
@@ -138,9 +215,10 @@ let find_cycle edges nodes =
   | () -> None
   | exception Cycle c -> Some c
 
-(* [tbl] indexes [names]: it is smaller exactly when a name repeats *)
-let check_unique what tbl names errs =
-  if Hashtbl.length tbl = List.length names then errs
+(* [indexed] of the [names] are indexed: fewer exactly when a name
+   repeats *)
+let check_unique what indexed names errs =
+  if indexed = List.length names then errs
   else
     let sorted = List.sort String.compare names in
     let rec dups acc = function
@@ -152,21 +230,32 @@ let check_unique what tbl names errs =
     in
     dups [] sorted @ errs
 
-let validate_indexed idx =
-  let t = idx.assembly in
+(* The aggregate invocation rate of a provided method: the sum over its
+   callers, in binding order, of 1/caller_mit.  Callers of unknown
+   instances, classes or required methods are reported elsewhere. *)
+let caller_rate idx ~callee ~provided =
+  List.fold_left
+    (fun acc b ->
+      match find_instance idx b.caller with
+      | None -> acc
+      | Some ci -> (
+          match find_class idx ci.cls with
+          | None -> acc
+          | Some ccls -> (
+              match Comp.find_required ccls b.required with
+              | None -> acc
+              | Some r -> Q.(acc + inv r.Method_sig.mit))))
+    Q.zero
+    (callers idx ~callee ~provided)
+
+(* Every check of [validate] but name uniqueness, over the elements of
+   [t] alone, with lookups in [idx], an index of an assembly that
+   contains [t]; the diagnostics are added to [errs], latest first. *)
+let check_elements idx (t : t) errs =
   let find_class = find_class idx and find_instance = find_instance idx in
   let find_resource = find_resource idx and allocation_of = allocation_of idx in
-  let errs = ref [] in
+  let errs = ref errs in
   let error msg = errs := msg :: !errs in
-  !errs
-  |> check_unique "class" idx.classes_by_name
-       (List.map (fun (c : Comp.t) -> c.Comp.name) t.classes)
-  |> check_unique "instance" idx.instances_by_name
-       (List.map (fun i -> i.iname) t.instances)
-  |> check_unique "resource" idx.resources_by_name
-       (List.map (fun (r : Resource.t) -> r.Resource.name) t.resources)
-  |> fun base ->
-  errs := base;
   (* Instances: known class, allocated on an existing CPU platform. *)
   List.iter
     (fun i ->
@@ -297,22 +386,8 @@ let validate_indexed idx =
     (fun (i, cls) ->
       List.iter
         (fun (p : Method_sig.t) ->
-          let callers =
-            callers idx ~callee:i.iname ~provided:p.Method_sig.name
-          in
           let rate =
-            List.fold_left
-              (fun acc b ->
-                match find_instance b.caller with
-                | None -> acc
-                | Some ci -> (
-                    match find_class ci.cls with
-                    | None -> acc
-                    | Some ccls -> (
-                        match Comp.find_required ccls b.required with
-                        | None -> acc
-                        | Some r -> Q.(acc + inv r.Method_sig.mit))))
-              Q.zero callers
+            caller_rate idx ~callee:i.iname ~provided:p.Method_sig.name
           in
           if Q.(rate > inv p.Method_sig.mit) then
             error
@@ -348,11 +423,140 @@ let validate_indexed idx =
    with
   | None -> ()
   | Some cycle -> error ("RPC cycle: " ^ String.concat " -> " cycle));
-  match List.rev !errs with [] -> Ok () | errors -> Error errors
+  !errs
 
-let validate t = validate_indexed (index t)
+let validate_indexed idx (t : t) =
+  []
+  |> check_unique "class" (Names.cardinal idx.classes)
+       (List.map (fun (c : Comp.t) -> c.Comp.name) t.classes)
+  |> check_unique "instance" (Names.cardinal idx.instances)
+       (List.map (fun i -> i.iname) t.instances)
+  |> check_unique "resource" (Names.cardinal idx.platforms)
+       (List.map (fun (r : Resource.t) -> r.Resource.name) t.resources)
+  |> check_elements idx t
+  |> List.rev
+  |> function
+  | [] -> Ok ()
+  | errors -> Error errors
 
-let pp ppf t =
+let validate t = validate_indexed (index t) t
+
+(* --- one part at a time ------------------------------------------- *)
+
+(* A valid assembly built from elaborated parts has three properties:
+   a part allocates exactly its own instances, a binding's caller
+   belongs to the binding's part (any other caller's required method is
+   bound already, or not required), and a part uses only its own names
+   and those of earlier parts.  So adding a part leaves every check on
+   the earlier parts' elements as it was, except the call rates of the
+   methods the part calls there, and a new cycle can only run through
+   the part's own instances; removing a part can break only the parts
+   that use its names, and changes only the rates of the methods it
+   called. *)
+
+exception Invalid
+
+let need c = if not c then raise Invalid
+
+let rate_fits idx ~callee ~provided =
+  match Comp.find_provided (class_of idx callee) provided with
+  | None -> raise Invalid
+  | Some p ->
+      need (not Q.(caller_rate idx ~callee ~provided > inv p.Method_sig.mit))
+
+let checked f = try Some (f ()) with Invalid | Not_found | Q.Overflow -> None
+
+let admit idx (u : t) =
+  checked (fun () ->
+      let own = index u in
+      let fresh taken mine declared =
+        need (Names.cardinal mine = List.length declared);
+        need (Names.for_all (fun name _ -> not (Names.mem name taken)) mine)
+      in
+      fresh idx.classes own.classes u.classes;
+      fresh idx.instances own.instances u.instances;
+      fresh idx.platforms own.platforms u.resources;
+      need
+        (List.compare_lengths u.allocation u.instances = 0
+        && List.for_all2
+             (fun (a, _) i -> String.equal a i.iname)
+             u.allocation u.instances);
+      let mine name = Names.mem name own.instances in
+      need (List.for_all (fun b -> mine b.caller) u.bindings);
+      let idx = extend idx u in
+      need (check_elements idx u [] = []);
+      (* the methods it calls in earlier parts *)
+      Pairs.iter
+        (fun (callee, provided) _ ->
+          if not (mine callee) then rate_fits idx ~callee ~provided)
+        own.by_provider;
+      idx)
+
+let revoke idx (k : t) =
+  checked (fun () ->
+      let own = index k in
+      let mine name = Names.mem name own.instances in
+      let unused ns names =
+        Names.iter (fun n _ -> need (not (Refs.mem (ns, n) idx.refs))) names
+      in
+      unused Class own.classes;
+      unused Instance own.instances;
+      unused Platform own.platforms;
+      let remove names m =
+        Names.fold (fun name _ m -> Names.remove name m) names m
+      in
+      let n = List.length k.resources in
+      let platforms =
+        match k.resources with
+        | [] -> idx.platforms
+        | r :: _ ->
+            (* later parts' platforms move down *)
+            let start = resource_index idx r.Resource.name in
+            Names.map
+              (fun (i, r) -> ((if i > start then i - n else i), r))
+              (remove own.platforms idx.platforms)
+      in
+      let idx =
+        {
+          classes = remove own.classes idx.classes;
+          instances = remove own.instances idx.instances;
+          allocated = remove own.instances idx.allocated;
+          platforms;
+          n_platforms = idx.n_platforms - n;
+          by_requirer =
+            List.fold_left
+              (fun m b -> Pairs.remove (b.caller, b.required) m)
+              idx.by_requirer k.bindings;
+          by_provider =
+            List.fold_left
+              (fun m b ->
+                Pairs.update (b.callee, b.provided)
+                  (fun l ->
+                    match
+                      List.filter
+                        (fun b -> not (mine b.caller))
+                        (Option.value l ~default:[])
+                    with
+                    | [] -> None
+                    | l -> Some l)
+                  m)
+              idx.by_provider k.bindings;
+          refs =
+            fold_uses
+              (fun key refs ->
+                if declares own key then refs else count (-1) key refs)
+              k idx.refs;
+        }
+      in
+      (* the methods it called elsewhere, over the callers left *)
+      List.iter
+        (fun b ->
+          if not (mine b.callee) then
+            rate_fits idx ~callee:b.callee ~provided:b.provided)
+        k.bindings;
+      idx)
+
+let pp ppf (t : t) =
   let idx = index t in
   Format.fprintf ppf "@[<v>";
   List.iter (fun r -> Format.fprintf ppf "platform %a@ " Resource.pp r) t.resources;

@@ -52,11 +52,20 @@ val concat : t list -> t
     of a system described in several independently elaborated pieces. *)
 
 type index
-(** Name-indexed lookups over one assembly.  Build it once per pass: a
-    lookup is O(1) where a scan of the lists is O(n).  The first
-    occurrence of a name wins, as a scan would find it. *)
+(** Name-indexed lookups over an assembly, persistent: {!extend} and
+    the per-part checks below return a new index that shares all but
+    O(part · log n) of its nodes with the old one, which stays valid.
+    The first occurrence of a name wins, as a scan would find it. *)
+
+val empty : index
 
 val index : t -> index
+(** [extend empty t]. *)
+
+val extend : index -> t -> index
+(** The index of the concatenation of the indexed assembly and the
+    given part, without any check.  The resource indices of the part's
+    platforms follow those already indexed. *)
 
 val class_of : index -> string -> Comp.t
 (** Class of the named instance.  @raise Not_found if unknown. *)
@@ -74,6 +83,9 @@ val binding_for : index -> caller:string -> required:string -> binding option
 val callers : index -> callee:string -> provided:string -> binding list
 (** The bindings into the given provided method of the given instance,
     in binding order. *)
+
+val called : index -> callee:string -> provided:string -> bool
+(** [callers] is not empty; O(log n). *)
 
 val validate : t -> (unit, string list) result
 (** Full static validation.  Checks, among others:
@@ -93,8 +105,33 @@ val validate : t -> (unit, string list) result
 
     Returns all diagnostics, not just the first. *)
 
-val validate_indexed : index -> (unit, string list) result
-(** {!validate} of the indexed assembly, reusing the index. *)
+val validate_indexed : index -> t -> (unit, string list) result
+(** [validate_indexed (index t) t] is {!validate} [t], reusing the
+    index. *)
+
+(** {2 One part at a time}
+
+    An assembly grown and shrunk one part at a time (the admitted units
+    of {!Service.Store}), checked at the cost of the part alone.  Both
+    functions take the index of a {e valid} assembly whose parts each
+    allocate exactly their own instances, in declaration order (as
+    {!Spec.Elaborate.assembly} builds them), and return [Some] index of
+    the changed assembly only when that assembly is valid too.  [None]
+    means it may not be: {!validate} of the changed assembly gives the
+    diagnostics (or, should a check here be stricter than {!validate},
+    accepts it). *)
+
+val admit : index -> t -> index option
+(** Appends the part after checking only what it can break: its own
+    names, allocations, bindings, MITs and threads, the aggregate call
+    rate of every method it calls, and cycles through its own
+    instances. *)
+
+val revoke : index -> t -> index option
+(** Removes one of the indexed parts after checking that no other part
+    uses its classes, instances or platforms (and recomputing the call
+    rates of the methods it called).  The platforms of later parts move
+    down by the part's platform count. *)
 
 val call_graph : t -> (string * string) list
 (** Instance-level call edges (caller instance, callee instance). *)

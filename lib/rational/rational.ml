@@ -140,9 +140,38 @@ let lcm_q x y =
 
 let to_float x = float_of_int x.num /. float_of_int x.den
 
+(* Decimal text without [Printf]: the width of each integer first, then
+   its digits written right to left from its non-positive magnitude, so
+   [min_int] needs no special case. *)
+let width n =
+  let rec digits k v = if v = 0 then k else digits (k + 1) (v / 10) in
+  if n = 0 then 1 else digits (if n < 0 then 1 else 0) n
+
+let write_int b ~stop n =
+  let v = ref (if n > 0 then -n else n) and i = ref (stop - 1) in
+  if !v = 0 then Bytes.unsafe_set b !i '0';
+  while !v <> 0 do
+    Bytes.unsafe_set b !i (Char.unsafe_chr (48 - (!v mod 10)));
+    v := !v / 10;
+    decr i
+  done;
+  if n < 0 then Bytes.unsafe_set b !i '-'
+
 let to_string x =
-  if is_integer x then string_of_int x.num
-  else Printf.sprintf "%d/%d" x.num x.den
+  let wn = width x.num in
+  if is_integer x then begin
+    let b = Bytes.create wn in
+    write_int b ~stop:wn x.num;
+    Bytes.unsafe_to_string b
+  end
+  else begin
+    let n = wn + 1 + width x.den in
+    let b = Bytes.create n in
+    write_int b ~stop:wn x.num;
+    Bytes.unsafe_set b wn '/';
+    write_int b ~stop:n x.den;
+    Bytes.unsafe_to_string b
+  end
 
 let pp ppf x = Format.pp_print_string ppf (to_string x)
 
@@ -164,32 +193,54 @@ let pp_decimal ppf x =
     else Format.fprintf ppf "%s%d.%s" sign int_part (String.sub frac_str 0 n)
   end
 
+(* [s] as [int_of_string] reads a run of ASCII decimal digits, after a
+   leading sign when [signed]; anything else — other bases, underscores,
+   a sign elsewhere, a value outside the native ints — is malformed.
+   The negated magnitude accumulates, so [min_int] is reachable. *)
+let int_of_digits ~signed s =
+  let bad () = invalid_arg ("Rational.of_decimal_string: " ^ s) in
+  let n = String.length s in
+  let start =
+    if signed && n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0
+  in
+  if start = n then bad ();
+  let acc = ref 0 in
+  for i = start to n - 1 do
+    let c = s.[i] in
+    if c < '0' || c > '9' then bad ();
+    let d = Char.code c - 48 in
+    if !acc < min_int / 10 || (!acc = min_int / 10 && d > -(min_int mod 10))
+    then bad ();
+    acc := (!acc * 10) - d
+  done;
+  if start = 1 && s.[0] = '-' then !acc
+  else if !acc = min_int then bad ()
+  else - !acc
+
 let of_decimal_string s =
   let s = String.trim s in
   if String.length s = 0 then invalid_arg "Rational.of_decimal_string: empty";
-  let int_of s =
-    try int_of_string s
-    with Failure _ -> invalid_arg ("Rational.of_decimal_string: " ^ s)
-  in
   match String.index_opt s '/' with
   | Some i ->
       let num = String.sub s 0 i
       and den = String.sub s (i + 1) (String.length s - i - 1) in
-      let den = int_of (String.trim den) in
+      let den = int_of_digits ~signed:false (String.trim den) in
       if den = 0 then invalid_arg ("Rational.of_decimal_string: " ^ s);
-      make (int_of (String.trim num)) den
+      make (int_of_digits ~signed:true (String.trim num)) den
   | None -> (
       match String.index_opt s '.' with
-      | None -> of_int (int_of s)
+      | None -> of_int (int_of_digits ~signed:true s)
       | Some i ->
           let whole = String.sub s 0 i
           and frac = String.sub s (i + 1) (String.length s - i - 1) in
           let negative = String.length whole > 0 && whole.[0] = '-' in
           let whole_n =
-            if whole = "" || whole = "-" then 0 else int_of whole
+            if whole = "" || whole = "-" then 0
+            else int_of_digits ~signed:true whole
           in
-          let frac_n = if frac = "" then 0 else int_of frac in
-          if frac_n < 0 then invalid_arg ("Rational.of_decimal_string: " ^ s);
+          let frac_n =
+            if frac = "" then 0 else int_of_digits ~signed:false frac
+          in
           let scale =
             let rec pow acc k = if k = 0 then acc else pow (mul_exn acc 10) (k - 1) in
             pow 1 (String.length frac)

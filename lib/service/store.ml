@@ -1,6 +1,14 @@
+module A = Component.Assembly
+module Derive = Transaction.Derive
+
 (* A piece of the assembly — the base or one admitted unit — elaborated
-   and printed once, when it enters the store. *)
-type part = { asm : Component.Assembly.t; text : Spec.Printer.sections }
+   and printed once, when it enters the store, and derived once, against
+   the index of the assembly it joins. *)
+type part = {
+  asm : A.t;
+  text : Spec.Printer.sections;
+  txns : Derive.derived list;
+}
 
 type unit_ = {
   uid : string;
@@ -13,7 +21,7 @@ type t = {
   base : Spec.Ast.item list;
   base_part : part;
   units : unit_ list;
-  asm : Component.Assembly.t;
+  index : A.index;
   sys : Transaction.System.t;
   origins : (string * string) list;
   hash : string;
@@ -22,33 +30,54 @@ type t = {
 let part items =
   match Spec.Elaborate.assembly items with
   | Error e -> Error [ e ]
-  | Ok asm -> Ok { asm; text = Spec.Printer.sections asm }
+  | Ok asm -> Ok { asm; text = Spec.Printer.sections asm; txns = [] }
 
-(* The candidate snapshot over the given pieces: their elaborations
-   concatenated, validated and derived.  The hash is the digest of the
-   canonical printed assembly, assembled from the pieces' texts:
-   admissions that differ only in whitespace or fragmentation of their
-   source text collapse to the same snapshot identity, which is what the
-   result cache keys on. *)
-let candidate base base_part units =
-  let parts = base_part :: List.map (fun u -> u.part) units in
-  let asm =
-    Component.Assembly.concat (List.map (fun (p : part) -> p.asm) parts)
+let parts base_part units = base_part :: List.map (fun u -> u.part) units
+
+let derived index p = { p with txns = Derive.part index p.asm }
+
+let rederived index u = { u with part = derived index u.part }
+
+(* The snapshot over the given pieces, each derived: their live
+   transactions in part order.  The hash is the digest of the canonical
+   printed assembly, assembled from the pieces' texts: admissions that
+   differ only in whitespace or fragmentation of their source text
+   collapse to the same snapshot identity, which is what the result
+   cache keys on. *)
+let snapshot base base_part units index =
+  let parts = parts base_part units in
+  let sys, origins =
+    Derive.system
+      ~resources:(List.concat_map (fun p -> p.asm.A.resources) parts)
+      (List.concat_map (fun p -> List.filter (Derive.live index) p.txns) parts)
   in
-  match Transaction.Derive.derive_with_origins asm with
+  let text = Spec.Printer.concat (List.map (fun p -> p.text) parts) in
+  let hash = Digest.to_hex (Digest.string text) in
+  { base; base_part; units; index; sys; origins; hash }
+
+(* The whole assembly validated, then indexed and derived part by part:
+   the boot snapshot, and the diagnostics of a candidate the per-part
+   checks turn down. *)
+let rebuild base base_part units =
+  let parts = parts base_part units in
+  match A.validate (A.concat (List.map (fun p -> p.asm) parts)) with
   | Error es -> Error es
-  | Ok (sys, origins) ->
-      let text =
-        Spec.Printer.concat (List.map (fun (p : part) -> p.text) parts)
+  | Ok () ->
+      let index =
+        List.fold_left (fun idx p -> A.extend idx p.asm) A.empty parts
       in
-      let hash = Digest.to_hex (Digest.string text) in
-      Ok { base; base_part; units; asm; sys; origins; hash }
+      Ok
+        (snapshot base (derived index base_part)
+           (List.map (rederived index) units)
+           index)
 
 let boot base =
-  Result.bind (part base) (fun base_part -> candidate base base_part [])
+  Result.bind (part base) (fun base_part -> rebuild base base_part [])
 
 let mem t uid = List.exists (fun u -> String.equal u.uid uid) t.units
 
+(* The candidate checks and derives the new unit alone; every other
+   part's transactions are reused. *)
 let admit t ~uid ~spec =
   if mem t uid then
     Error [ Printf.sprintf "unit %S is already admitted (revoke it first)" uid ]
@@ -57,14 +86,39 @@ let admit t ~uid ~spec =
     | Error e -> Error [ e ]
     | Ok items ->
         Result.bind (part items) (fun part ->
-            candidate t.base t.base_part
-              (t.units @ [ { uid; spec; items; part } ]))
+            let units part = t.units @ [ { uid; spec; items; part } ] in
+            match A.admit t.index part.asm with
+            | None -> rebuild t.base t.base_part (units part)
+            | Some index ->
+                Ok
+                  (snapshot t.base t.base_part
+                     (units (derived index part))
+                     index))
 
+(* The candidate drops the unit's transactions; the transactions of
+   the methods it was the last to call come back in place. *)
 let revoke t ~uid =
-  if not (mem t uid) then Error [ Printf.sprintf "no admitted unit %S" uid ]
-  else
-    candidate t.base t.base_part
-      (List.filter (fun u -> not (String.equal u.uid uid)) t.units)
+  let rec split before = function
+    | [] -> None
+    | u :: after when String.equal u.uid uid -> Some (List.rev before, u, after)
+    | u :: after -> split (u :: before) after
+  in
+  match split [] t.units with
+  | None -> Error [ Printf.sprintf "no admitted unit %S" uid ]
+  | Some (before, gone, after) -> (
+      match A.revoke t.index gone.part.asm with
+      | None -> rebuild t.base t.base_part (before @ after)
+      | Some index ->
+          let after =
+            if gone.part.asm.A.resources = [] then after
+            else
+              (* later units' platforms moved down: derive them again *)
+              List.map (rederived index) after
+          in
+          Ok (snapshot t.base t.base_part (before @ after) index))
+
+let assembly t =
+  A.concat (List.map (fun p -> p.asm) (parts t.base_part t.units))
 
 let unit_instances t uid =
   match List.find_opt (fun u -> String.equal u.uid uid) t.units with

@@ -3,16 +3,25 @@
     A snapshot holds the base [.hsc] items the server booted with
     (typically the platform declarations) plus the fragments admitted so
     far, each under a client-chosen unit id, {e together with} everything
-    derived from them: the elaborated {!Component.Assembly.t}, the
+    derived from them: the name index of the whole assembly, the
     validated {!Transaction.System.t}, the transaction→instance origin
     map and the content hash of the canonical printed assembly.
 
-    The base and every admitted unit are elaborated and printed once,
-    when they enter the store.  A candidate concatenates those pieces,
-    validates and derives the whole assembly with name-indexed lookups
-    (linear in its size), and digests the concatenated texts: no unit is
-    re-parsed, re-elaborated or re-printed.  The hash is the digest of
-    exactly [Spec.to_string asm].
+    The base and every admitted unit are elaborated, printed and
+    derived once, when they enter the store.  A snapshot keeps a
+    persistent name index of the whole assembly
+    ({!Component.Assembly.index}) next to each part's derived
+    transactions, and a candidate shares both with the snapshot it
+    comes from: {!admit} checks only what the new unit can break and
+    derives only its threads, {!revoke} checks only that no other unit
+    uses the revoked one, and both reuse every other part's
+    transactions.  Besides the digest of the concatenated texts and the
+    flat transaction array handed to the analysis, a candidate costs
+    O(unit · log size) — but for the revoke of a unit that declared
+    platforms, after which later units are derived again.  A candidate
+    the per-unit checks turn down is validated whole, so its
+    diagnostics are those of {!Transaction.Derive.derive_with_origins}.
+    The hash is the digest of exactly [Spec.to_string (assembly t)].
 
     Snapshots are pure values: {!admit} and {!revoke} build {e
     candidate} snapshots without touching the original, so the server's
@@ -21,8 +30,8 @@
     bit-identical (asserted by the test suite). *)
 
 type part
-(** One piece of the assembly, elaborated and printed once when it
-    enters the store. *)
+(** One piece of the assembly, elaborated, printed and derived once when
+    it enters the store. *)
 
 type unit_ = private {
   uid : string;  (** client-chosen admission id *)
@@ -35,7 +44,7 @@ type t = private {
   base : Spec.Ast.item list;
   base_part : part;
   units : unit_ list;  (** admission order *)
-  asm : Component.Assembly.t;
+  index : Component.Assembly.index;  (** of the whole assembly *)
   sys : Transaction.System.t;
   origins : (string * string) list;
       (** transaction name → originating instance *)
@@ -55,7 +64,12 @@ val admit : t -> uid:string -> spec:string -> (t, string list) result
 val revoke : t -> uid:string -> (t, string list) result
 (** Candidate snapshot with the unit removed.  Fails on an unknown id
     or when the removal invalidates the remaining assembly (another
-    admitted unit binds into the revoked one). *)
+    admitted unit binds into the revoked one, instantiates one of its
+    classes or runs on one of its platforms). *)
+
+val assembly : t -> Component.Assembly.t
+(** The whole assembly: the base and the units, concatenated in
+    admission order.  Built on demand, in time linear in its size. *)
 
 val mem : t -> string -> bool
 (** Is a unit admitted under this id? *)

@@ -93,61 +93,78 @@ let transaction_of_thread idx ~instance ~(thread : Thread.t) ~period ~deadline
     ~period ~deadline
     (List.rev st.rev_tasks)
 
+type derived = {
+  txn : Txn.t;
+  origin : string;
+  sporadic : (string * string) option;
+}
+
+let part idx (asm : A.t) =
+  List.concat_map
+    (fun (i : A.instance) ->
+      let instance = i.A.iname in
+      let cls = A.class_of idx instance in
+      (* Periodic threads each originate a transaction. *)
+      let periodic =
+        List.filter_map
+          (fun (th : Thread.t) ->
+            match th.Thread.activation with
+            | Thread.Periodic { period; deadline; jitter } ->
+                Some
+                  {
+                    txn =
+                      transaction_of_thread idx ~instance ~thread:th ~period
+                        ~deadline ~release_jitter:jitter;
+                    origin = instance;
+                    sporadic = None;
+                  }
+            | Thread.Realizes _ -> None)
+          cls.Comp.threads
+      in
+      (* Environment-driven provided methods originate sporadic
+         transactions at their MIT. *)
+      let sporadic =
+        List.filter_map
+          (fun (p : Method_sig.t) ->
+            Option.map
+              (fun (th : Thread.t) ->
+                let deadline =
+                  match th.Thread.activation with
+                  | Thread.Realizes { deadline = Some d; _ } -> d
+                  | Thread.Realizes { deadline = None; _ } | Thread.Periodic _
+                    ->
+                      p.Method_sig.mit
+                in
+                {
+                  txn =
+                    transaction_of_thread idx ~instance ~thread:th
+                      ~period:p.Method_sig.mit ~deadline ~release_jitter:Q.zero;
+                  origin = instance;
+                  sporadic = Some (instance, p.Method_sig.name);
+                })
+              (Comp.realizer cls p.Method_sig.name))
+          cls.Comp.provided
+      in
+      periodic @ sporadic)
+    asm.A.instances
+
+let live idx d =
+  match d.sporadic with
+  | None -> true
+  | Some (callee, provided) -> not (A.called idx ~callee ~provided)
+
+let system ~resources derived =
+  ( System.make ~resources (List.map (fun d -> d.txn) derived),
+    List.map (fun d -> (d.txn.Txn.name, d.origin)) derived )
+
 let derive_with_origins asm =
   let idx = A.index asm in
-  match A.validate_indexed idx with
+  match A.validate_indexed idx asm with
   | Error errs -> Error errs
   | Ok () ->
-      (* Transactions are accumulated with the instance whose thread
-         originates them; the alist lets admission-control services
-         attribute analysis verdicts back to architecture units. *)
-      let txns = ref [] in
-      List.iter
-        (fun (i : A.instance) ->
-          let cls = A.class_of idx i.A.iname in
-          (* Periodic threads each originate a transaction. *)
-          List.iter
-            (fun (th : Thread.t) ->
-              match th.Thread.activation with
-              | Thread.Periodic { period; deadline; jitter } ->
-                  txns :=
-                    ( transaction_of_thread idx ~instance:i.A.iname ~thread:th
-                        ~period ~deadline ~release_jitter:jitter,
-                      i.A.iname )
-                    :: !txns
-              | Thread.Realizes _ -> ())
-            cls.Comp.threads;
-          (* Environment-driven provided methods originate sporadic
-             transactions at their MIT. *)
-          List.iter
-            (fun (p : Method_sig.t) ->
-              if
-                A.callers idx ~callee:i.A.iname ~provided:p.Method_sig.name
-                = []
-              then
-                match Comp.realizer cls p.Method_sig.name with
-                | None -> () (* excluded by class construction *)
-                | Some th ->
-                    let deadline =
-                      match th.Thread.activation with
-                      | Thread.Realizes { deadline = Some d; _ } -> d
-                      | Thread.Realizes { deadline = None; _ }
-                      | Thread.Periodic _ ->
-                          p.Method_sig.mit
-                    in
-                    txns :=
-                      ( transaction_of_thread idx ~instance:i.A.iname ~thread:th
-                          ~period:p.Method_sig.mit ~deadline
-                          ~release_jitter:Q.zero,
-                        i.A.iname )
-                      :: !txns)
-            cls.Comp.provided)
-        asm.A.instances;
-      let txns = List.rev !txns in
-      let origins =
-        List.map (fun (t, inst) -> ((t : Txn.t).Txn.name, inst)) txns
-      in
-      Ok (System.make ~resources:asm.A.resources (List.map fst txns), origins)
+      Ok
+        (system ~resources:asm.A.resources
+           (List.filter (live idx) (part idx asm)))
 
 let derive asm = Result.map fst (derive_with_origins asm)
 

@@ -29,3 +29,36 @@ val derive_with_origins :
 
 val derive_exn : Component.Assembly.t -> System.t
 (** @raise Invalid_argument with the concatenated diagnostics. *)
+
+(** {2 One part at a time}
+
+    A part's transactions depend only on its own instances and on what
+    they call, so an assembly grown one part at a time (the admitted
+    units of {!Service.Store}) derives each part once, against the
+    index of the assembly it joins, and keeps the result. *)
+
+type derived = {
+  txn : Txn.t;
+  origin : string;  (** the instance whose thread originates it *)
+  sporadic : (string * string) option;
+      (** [Some (instance, method)] for the transaction a provided
+          method originates: it exists only while no instance calls the
+          method ({!live}) *)
+}
+
+val part : Component.Assembly.index -> Component.Assembly.t -> derived list
+(** Every transaction the instances of the part can originate, called
+    or not, in derivation order: per instance, its periodic threads,
+    then its provided methods.  The index must index a valid assembly
+    that contains the part. *)
+
+val live : Component.Assembly.index -> derived -> bool
+(** Is the transaction part of the derived system: periodic, or a
+    provided method nobody calls? *)
+
+val system :
+  resources:Platform.Resource.t list ->
+  derived list ->
+  System.t * (string * string) list
+(** The system of the given transactions, in order, and its provenance
+    alist, as {!derive_with_origins} returns them. *)

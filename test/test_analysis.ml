@@ -1291,7 +1291,7 @@ let test_delta_localized_admit () =
 let test_delta_revoke () =
   (* revoking C must re-iterate B (its interference shrank — responses
      can decrease, which is exactly why the plan seeds every survivor
-     sharing a platform with the removed transaction) and carry A *)
+     whose site read the removed row) and carry A *)
   let prev = two_platform_model ~extra:true () in
   let next = two_platform_model () in
   let prev_report = analyze ~params:delta_params prev in
@@ -1302,6 +1302,35 @@ let test_delta_revoke () =
       Alcotest.(check int) "dirty" 1 dirty;
       Alcotest.(check int) "total" 2 total;
       Alcotest.(check int) "carried" 1 carried
+  | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
+  Alcotest.(check bool) "bit-identical results" true
+    (same_verdict r (analyze ~params:delta_params next))
+
+let test_delta_revoke_reads_rule () =
+  (* R (priority 3) leaves platform 1: L below it read R's row and
+     re-iterates, H above it never did and stays carried with A *)
+  let model ~with_r =
+    Model.make
+      ~bounds:[ LB.full; LB.full ]
+      ([
+         txn "A" "10" [ task "A.t" "2" "1" 0 2 ];
+         txn "H" "12" [ task "H.t" "2" "1" 1 5 ];
+         txn "L" "30" [ task "L.t" "3" "2" 1 1 ];
+       ]
+      @ if with_r then [ txn "R" "15" [ task "R.t" "2" "1" 1 3 ] ] else [])
+  in
+  let prev = model ~with_r:true and next = model ~with_r:false in
+  let prev_report = analyze ~params:delta_params prev in
+  let e = Engine.create ~params:delta_params next in
+  (match Engine.Delta.plan e ~prev_model:prev ~prev_report with
+  | Error r -> Alcotest.failf "expected a warm plan, got %s" r
+  | Ok p -> Alcotest.(check int) "dirty tasks" 1 (Engine.Delta.dirty_tasks p));
+  let r, outcome = Engine.analyze_delta e ~prev_model:prev ~prev_report in
+  (match outcome with
+  | Engine.Delta_warm { dirty; total; carried } ->
+      Alcotest.(check int) "dirty" 1 dirty;
+      Alcotest.(check int) "total" 3 total;
+      Alcotest.(check int) "carried" 2 carried
   | Engine.Delta_cold { reason } -> Alcotest.failf "fell back cold: %s" reason);
   Alcotest.(check bool) "bit-identical results" true
     (same_verdict r (analyze ~params:delta_params next))
@@ -1719,6 +1748,8 @@ let () =
             test_delta_localized_admit;
           Alcotest.test_case "revoke re-iterates the survivors" `Quick
             test_delta_revoke;
+          Alcotest.test_case "revoke carries the survivors above it" `Quick
+            test_delta_revoke_reads_rule;
           Alcotest.test_case "plan gates" `Quick test_delta_plan_gates;
         ] );
       ( "seeded",

@@ -32,7 +32,31 @@ let test_of_decimal_string () =
       match q s with
       | _ -> Alcotest.failf "%S should not parse" s
       | exception Invalid_argument _ -> ())
-    [ ""; "abc"; "1/"; "/2"; "1.2.3"; "--3"; "2/0" ]
+    [
+      "";
+      "abc";
+      "1/";
+      "/2";
+      "1.2.3";
+      "--3";
+      "2/0";
+      (* decimal digits only: no other base, underscore or inner sign *)
+      "0x10";
+      "1_6";
+      "0b10000";
+      "0o20";
+      "1.+5";
+      "1.-5";
+      "1/+2";
+      "1/-2";
+      "4611686018427387904";
+    ];
+  check_q "leading plus" (Q.of_int 16) (q "+16");
+  check_q "trimmed" (Q.make 3 2) (q " 3 / 2 ");
+  check_q "no fractional digit" (Q.of_int 5) (q "5.");
+  check_q "negative, no leading digit" (Q.make (-1) 2) (q "-.5");
+  check_q "min_int" (Q.of_int min_int) (q "-4611686018427387904");
+  check_q "max_int" (Q.of_int max_int) (q "4611686018427387903")
 
 let test_to_string () =
   Alcotest.(check string) "int" "5" (Q.to_string (Q.of_int 5));
@@ -209,6 +233,33 @@ let laws =
         Q.equal x (Q.add (Q.mul y (Q.of_int k)) m));
     prop "to_string round-trips" 500 arb_rational (fun x ->
         Q.equal x (Q.of_decimal_string (Q.to_string x)));
+    prop "to_string = the Printf rendering" 1000
+      (QCheck.make
+         ~print:(fun (x : Q.t) ->
+           Printf.sprintf "{num = %d; den = %d}" x.Q.num x.Q.den)
+         QCheck.Gen.(
+           oneof
+             [
+               map2 Q.make int (map (fun d -> 1 + abs (d / 2)) int);
+               map (fun n -> Q.make n 1) int;
+               oneofl
+                 [
+                   Q.of_int min_int;
+                   Q.of_int max_int;
+                   Q.make 1 max_int;
+                   Q.make (-1) max_int;
+                   Q.make max_int 2;
+                   Q.make min_int 3;
+                   Q.make (min_int + 1) max_int;
+                   Q.zero;
+                   Q.minus_one;
+                   Q.make (-9) 10;
+                 ];
+             ]))
+      (fun x ->
+        Q.to_string x
+        = if Q.is_integer x then string_of_int x.Q.num
+          else Printf.sprintf "%d/%d" x.Q.num x.Q.den);
     prop "mul_int matches mul" 500
       (QCheck.pair arb_rational QCheck.small_int)
       (fun (x, n) -> Q.equal (Q.mul_int x n) (Q.mul x (Q.of_int n)));

@@ -352,6 +352,22 @@ let client_spec k target (mit, period) =
      bind J%d.go -> I%d.serve;"
     k mit period period k k ((k mod 3) + 1) k target
 
+(* A unit with a platform of its own, so revoking it moves the
+   platforms of later units down. *)
+let platform_spec k =
+  Printf.sprintf
+    "platform Q%d { alpha = 0.5; delta = 1; beta = 1; host = \"n\"; } \
+     component D%d { implementation: scheduler fixed_priority; thread T \
+     periodic(period = 40, deadline = 40) priority %d { task w(wcet = 1, \
+     bcet = 1); } } instance K%d : D%d on Q%d;"
+    k k (k + 1) k k k
+
+(* An instance of a class another unit declares, on that unit's
+   platform or a base one: the other unit cannot be revoked under it. *)
+let tenant_spec k c on_q =
+  Printf.sprintf "instance L%d : D%d on %s;" k c
+    (if on_q then Printf.sprintf "Q%d" c else "P1")
+
 let store_op_gen =
   let open QCheck.Gen in
   let uid = map (Printf.sprintf "u%d") (int_bound 7) and k = int_bound 4 in
@@ -367,6 +383,8 @@ let store_op_gen =
           (map3 client_spec k server
              (oneofl [ (10, 20); (20, 40); (40, 40); (10, 5); (5, 10) ])) );
       (2, admit (map unit_spec k));
+      (2, admit (map platform_spec (int_bound 2)));
+      (2, admit (map3 tenant_spec k (int_bound 2) bool));
       ( 1,
         admit
           (oneofl
@@ -381,7 +399,7 @@ let store_op_gen =
 
 let store_ops_arbitrary =
   QCheck.make
-    QCheck.Gen.(list_size (int_range 1 20) store_op_gen)
+    QCheck.Gen.(list_size (int_range 1 30) store_op_gen)
     ~print:(fun ops ->
       String.concat "\n"
         (List.map
@@ -409,12 +427,29 @@ let rebuild committed =
         (fun (sys, origins) -> (asm, sys, origins))
         (Transaction.Derive.derive_with_origins asm)
 
+(* The per-unit checks accept every candidate the whole assembly's
+   validation accepts, so valid traffic never takes the rebuild path. *)
+let per_unit_accepts (store : Store.t) op committed expected =
+  let asm spec =
+    match Result.map Spec.Elaborate.assembly (Spec.Parser.parse spec) with
+    | Ok (Ok asm) -> asm
+    | _ -> Alcotest.failf "unit does not elaborate: %s" spec
+  in
+  match (expected, op) with
+  | Error _, _ -> true
+  | Ok _, Admit_unit (_, spec) ->
+      Component.Assembly.admit store.Store.index (asm spec) <> None
+  | Ok _, Revoke_unit uid ->
+      Component.Assembly.revoke store.Store.index
+        (asm (List.assoc uid committed))
+      <> None
+
 let prop_store_identity ops =
   let same (got : (Store.t, string list) result) committed expected =
     match (got, expected) with
     | Error es, Error es' -> es = es'
     | Ok s, Ok (asm, sys, origins) ->
-        s.Store.asm = asm && s.Store.sys = sys && s.Store.origins = origins
+        Store.assembly s = asm && s.Store.sys = sys && s.Store.origins = origins
         && s.Store.hash = Digest.to_hex (Digest.string (Spec.to_string asm))
         && List.map (fun (u : Store.unit_) -> u.Store.uid) s.Store.units
            = List.map fst committed
@@ -446,7 +481,10 @@ let prop_store_identity ops =
           in
           (Store.admit store ~uid ~spec, next, expected)
     in
-    let ok = ok && same got next expected in
+    let ok =
+      ok && same got next expected
+      && per_unit_accepts store op committed expected
+    in
     match got with
     | Ok s -> (s, next, ok)
     | Error _ -> (store, committed, ok)
