@@ -55,6 +55,103 @@ let event_to_json = function
 module Exact = Fixpoint.Exact
 module Scaled = Fixpoint.Scaled
 
+(* How a model's transactions line up with those of the model before
+   it: by position when both share one transaction array (design probes
+   rebind [{m with bounds}]), by name otherwise — admission changes the
+   transaction count, so positions do not transfer.  A transaction is
+   clean when everything its own response equations read is unchanged:
+   period, deadline, release jitter, blocking, the task chain (demands,
+   placement, priorities) and the linear bounds of every platform its
+   tasks run on.  Interference *from other* transactions is not part of
+   this check — changes there are other transactions' dirtiness,
+   propagated by the closure under the rows each site reads. *)
+type align = {
+  from : Model.t;  (* the earlier model *)
+  old_of : int array;
+      (* per transaction: the index of its clean counterpart in [from],
+         or -1 when it is new or changed *)
+  gone : int list;  (* [from]'s transactions no name matches *)
+}
+
+let task_eq (o : Model.task) (n : Model.task) =
+  o == n
+  || String.equal o.Model.name n.Model.name
+     && Q.equal o.Model.c n.Model.c
+     && Q.equal o.Model.cb n.Model.cb
+     && o.Model.res = n.Model.res
+     && o.Model.prio = n.Model.prio
+
+let rows_eq eq x y =
+  x == y
+  || Array.length x = Array.length y
+     &&
+     let rec go i = i < 0 || (eq x.(i) y.(i) && go (i - 1)) in
+     go (Array.length x - 1)
+
+let txn_clean ~prev_model ~model ~prev_a ~a =
+  let om = prev_model and nm = model in
+  let ot = om.Model.txns.(prev_a) and nt = nm.Model.txns.(a) in
+  (ot == nt
+  || Q.equal ot.Model.period nt.Model.period
+     && Q.equal ot.Model.deadline nt.Model.deadline
+     && rows_eq task_eq ot.Model.tasks nt.Model.tasks)
+  && Q.equal om.Model.release_jitter.(prev_a) nm.Model.release_jitter.(a)
+  && rows_eq Q.equal om.Model.blocking.(prev_a) nm.Model.blocking.(a)
+  && Array.for_all
+       (fun (tk : Model.task) ->
+         let r = tk.Model.res in
+         r < Array.length om.Model.bounds
+         &&
+         let ob = om.Model.bounds.(r) and nb = nm.Model.bounds.(r) in
+         ob == nb || Platform.Linear_bound.equal ob nb)
+       nt.Model.tasks
+
+module Names = Hashtbl.Make (String)
+
+let align ~prev (m : Model.t) =
+  let clean ~prev_a ~a =
+    if txn_clean ~prev_model:prev ~model:m ~prev_a ~a then prev_a else -1
+  in
+  if prev.Model.txns == m.Model.txns then
+    {
+      from = prev;
+      old_of = Array.init (Model.n_txns m) (fun a -> clean ~prev_a:a ~a);
+      gone = [];
+    }
+  else begin
+    (* A name aligns with its first index in [prev], as [Model.find_txn]
+       would find it; [first] maps each of [prev]'s transactions to the
+       first index of its name. *)
+    let n_old = Model.n_txns prev in
+    let index = Names.create (2 * n_old) in
+    let first =
+      Array.mapi
+        (fun oa (tx : Model.txn) ->
+          match Names.find_opt index tx.Model.tname with
+          | Some f -> f
+          | None ->
+              Names.add index tx.Model.tname oa;
+              oa)
+        prev.Model.txns
+    in
+    let hit = Array.make n_old false in
+    let old_of =
+      Array.mapi
+        (fun a (tx : Model.txn) ->
+          match Names.find_opt index tx.Model.tname with
+          | Some oa ->
+              hit.(oa) <- true;
+              clean ~prev_a:oa ~a
+          | None -> -1)
+        m.Model.txns
+    in
+    let gone = ref [] in
+    for oa = n_old - 1 downto 0 do
+      if not hit.(first.(oa)) then gone := oa :: !gone
+    done;
+    { from = prev; old_of; gone = !gone }
+  end
+
 (* One interference memo per numeric instance, each created the first
    time its instance memoises a curve — the integer instance never
    does (Timeline.S.memo_min_terms). *)
@@ -74,6 +171,9 @@ type t = {
       (* the same constants as rationals, built only when the exact
          instance runs (fallbacks, [int_kernel = false]) *)
   memos : memos;
+  align : align option;
+      (* how [model] lines up with the model this session was rebound
+         from; [None] for a created session *)
   kernel_poisoned : bool ref;
       (* set after a mid-analysis overflow: this model will overflow
          again, so later analyze calls skip straight to the exact
@@ -85,14 +185,15 @@ let emit t e = match t.sink with None -> () | Some f -> f e
 let memos_for model =
   { scaled_memo = lazy (Scaled.memo model); exact_memo = lazy (Exact.memo model) }
 
-(* The C/α quotients are shared between the two tables. *)
-let tables_for model ir params =
+(* The C/α quotients are shared between the two tables.  [carry] keeps
+   rows of an earlier scaled timebase built under the same params. *)
+let tables_for ?carry model ir params =
   let horizon_factor = params.Params.horizon_factor in
   let quotients = Timebase.quotients model in
   let scaled =
     if params.Params.int_kernel then
       Option.map (Scaled.tables ir)
-        (Timebase.of_model ~quotients model ~horizon_factor)
+        (Timebase.of_model ~quotients ?carry model ~horizon_factor)
     else None
   in
   ( scaled,
@@ -119,6 +220,7 @@ let create ?(params = Params.default) ?counters ?sink m =
       scaled;
       exact;
       memos = memos_for m;
+      align = None;
       kernel_poisoned = ref false;
     }
   in
@@ -191,11 +293,17 @@ let with_overrides ?params ?keep_history ?counters ?sink t =
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
   (* Memoised interference values embed the model's demands and platform
-     rates; a rebound model always starts from fresh memos.  Likewise
-     the tables embed every numeric constant, so they are recompiled and
-     the overflow verdict reset.  The rebind therefore only ever saves
-     the IR compilation. *)
-  let scaled, exact = tables_for m ir t.params in
+     rates; a rebound model always starts from fresh memos, and the
+     overflow verdict is reset.  The scaled tables keep the rows of the
+     transactions the alignment found clean — their constants are the
+     old ones, moved exactly onto the new lattice when it changed — and
+     convert only new or changed rows.  The alignment is kept for the
+     delta planner, whose baseline is usually the model rebound from. *)
+  let al = align ~prev:t.model m in
+  let carry =
+    Option.map (fun s -> (Scaled.timebase s, al.old_of)) t.scaled
+  in
+  let scaled, exact = tables_for ?carry m ir t.params in
   {
     t with
     ir;
@@ -203,12 +311,15 @@ let with_model t m =
     memos = memos_for m;
     scaled;
     exact;
+    align = Some al;
     kernel_poisoned = ref false;
   }
 
 let kernel_scale t =
   if !(t.kernel_poisoned) then None
   else Option.map (fun s -> Timebase.scale (Scaled.timebase s)) t.scaled
+
+let timebase t = Option.map Scaled.timebase t.scaled
 
 (* ------------------------------------------------------------------ *)
 (* The holistic outer fixed point (Section 3.2)                        *)
@@ -270,31 +381,10 @@ type delta_outcome =
 module Delta = struct
   type plan = { warm : Fixpoint.warm; dirty_tasks : int; total_tasks : int }
 
-  (* The transactions of two models are aligned by name — admission
-     changes the transaction count, so positional indices never
-     transfer.  A transaction is clean when everything its own response
-     equations read is unchanged: period, deadline, release jitter,
-     blocking, the task chain (demands, placement, priorities) and the
-     linear bounds of every platform its tasks run on.  Interference
-     *from other* transactions is not part of this check — changes
-     there are other transactions' dirtiness, propagated by the
-     closure under the rows each site reads. *)
-  let txn_clean ~prev_model ~model ~prev_a ~a =
-    let om = prev_model and nm = model in
-    let ot = om.Model.txns.(prev_a) and nt = nm.Model.txns.(a) in
-    Q.equal ot.Model.period nt.Model.period
-    && Q.equal ot.Model.deadline nt.Model.deadline
-    && Q.equal om.Model.release_jitter.(prev_a) nm.Model.release_jitter.(a)
-    && ot.Model.tasks = nt.Model.tasks
-    && om.Model.blocking.(prev_a) = nm.Model.blocking.(a)
-    && Array.for_all
-         (fun (tk : Model.task) ->
-           tk.Model.res < Array.length om.Model.bounds
-           && Platform.Linear_bound.equal
-                om.Model.bounds.(tk.Model.res)
-                nm.Model.bounds.(tk.Model.res))
-         nt.Model.tasks
-
+  (* The alignment is the session's own when [prev_model] is the model
+     the session was rebound from — the serving path, where a tenant's
+     baseline is the previous request's model — and is computed by the
+     same function otherwise. *)
   let plan t ~prev_model ~prev_report =
     let params = t.params in
     if not prev_report.Report.converged then Error "previous-not-converged"
@@ -303,30 +393,12 @@ module Delta = struct
     else if params.Params.keep_history then Error "history-requested"
     else begin
       let m = t.model in
-      let n = Model.n_txns m in
-      let seed = Array.make n false in
-      let old_of = Array.make n (-1) in
-      let matched = ref 0 in
-      (* name -> first index, as [Model.find_txn] would find it *)
-      let by_name (txns : Model.txn array) =
-        let tbl = Hashtbl.create (Array.length txns) in
-        Array.iteri
-          (fun a (tx : Model.txn) ->
-            if not (Hashtbl.mem tbl tx.Model.tname) then
-              Hashtbl.add tbl tx.Model.tname a)
-          txns;
-        tbl
+      let al =
+        match t.align with
+        | Some al when al.from == prev_model -> al
+        | _ -> align ~prev:prev_model m
       in
-      let prev_index = by_name prev_model.Model.txns in
-      for a = 0 to n - 1 do
-        match Hashtbl.find_opt prev_index m.Model.txns.(a).Model.tname with
-        | Some oa ->
-            incr matched;
-            if txn_clean ~prev_model ~model:m ~prev_a:oa ~a then
-              old_of.(a) <- oa
-            else seed.(a) <- true
-        | None -> seed.(a) <- true
-      done;
+      let seed = Array.map (fun oa -> oa < 0) al.old_of in
       (* dirty = total already: every row restarts from bottom and the
          remaining diff bookkeeping has nothing left to mark, so skip
          straight to the cold path — this is where the planning overhead
@@ -341,22 +413,18 @@ module Delta = struct
            closure's test, started from each platform's highest
            removed-task priority.  Clean survivors keep their resource
            indices (the task chains compared equal), so the test in the
-           old model's indexing is exact.  Transaction names are unique,
-           so every previous transaction survived iff each one matched
-           some new transaction above — the admission-heavy common case,
-           which skips this scan entirely. *)
-        if !matched < Array.length prev_model.Model.txns then begin
-          let index = by_name m.Model.txns in
+           old model's indexing is exact.  With no removal — the
+           admission-heavy common case — the scan is skipped. *)
+        if al.gone <> [] then begin
           let top = Array.make (Array.length prev_model.Model.bounds) min_int in
-          Array.iter
-            (fun (ot : Model.txn) ->
-              if not (Hashtbl.mem index ot.Model.tname) then
-                Array.iter
-                  (fun (otk : Model.task) ->
-                    let r = otk.Model.res in
-                    if otk.Model.prio > top.(r) then top.(r) <- otk.Model.prio)
-                  ot.Model.tasks)
-            prev_model.Model.txns;
+          List.iter
+            (fun oa ->
+              Array.iter
+                (fun (otk : Model.task) ->
+                  let r = otk.Model.res in
+                  if otk.Model.prio > top.(r) then top.(r) <- otk.Model.prio)
+                prev_model.Model.txns.(oa).Model.tasks)
+            al.gone;
           Array.iteri
             (fun a (tx : Model.txn) ->
               if
@@ -369,41 +437,47 @@ module Delta = struct
             m.Model.txns
         end;
         let dirty = Ir.dirty_closure t.ir ~seed in
-      if Array.for_all Fun.id dirty then Error "all-dirty"
-      else begin
-        let jit =
-          Array.init n (fun a ->
-              let nt = Model.n_tasks m a in
-              if dirty.(a) then begin
-                let row = Array.make nt Q.zero in
-                row.(0) <- m.Model.release_jitter.(a);
-                row
-              end
-              else
-                Array.init nt (fun b ->
-                    prev_report.Report.results.(old_of.(a)).(b).Report.jitter))
-        in
-        let resp =
-          Array.init n (fun a ->
-              let nt = Model.n_tasks m a in
-              if dirty.(a) then Array.make nt Report.Divergent
-              else
-                Array.init nt (fun b ->
-                    prev_report.Report.results.(old_of.(a)).(b).Report.response))
-        in
-        let dirty_tasks = ref 0 in
-        Array.iteri
-          (fun a d -> if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
-          dirty;
-        Ok
-          {
-            warm = { Fixpoint.dirty; jit; resp; floor = false };
-            dirty_tasks = !dirty_tasks;
-            total_tasks = Ir.n_tasks t.ir;
-          }
-      end
+        if Array.for_all Fun.id dirty then Error "all-dirty"
+        else begin
+          let n = Model.n_txns m in
+          (* A clean row carries its previous report row whole. *)
+          let rows =
+            Array.init n (fun a ->
+                if dirty.(a) then [||]
+                else prev_report.Report.results.(al.old_of.(a)))
+          in
+          let carried f a = Array.map f rows.(a) in
+          let jit =
+            Array.init n (fun a ->
+                if dirty.(a) then begin
+                  let row = Array.make (Model.n_tasks m a) Q.zero in
+                  row.(0) <- m.Model.release_jitter.(a);
+                  row
+                end
+                else carried (fun r -> r.Report.jitter) a)
+          in
+          let resp =
+            Array.init n (fun a ->
+                if dirty.(a) then
+                  Array.make (Model.n_tasks m a) Report.Divergent
+                else carried (fun r -> r.Report.response) a)
+          in
+          let dirty_tasks = ref 0 in
+          Array.iteri
+            (fun a d ->
+              if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
+            dirty;
+          Ok
+            {
+              warm = { Fixpoint.dirty; jit; resp; rows; floor = false };
+              dirty_tasks = !dirty_tasks;
+              total_tasks = Ir.n_tasks t.ir;
+            }
+        end
       end
     end
+
+  let warm p = p.warm
 
   let dirty_tasks p = p.dirty_tasks
 
@@ -567,7 +641,13 @@ module Seeded = struct
         Array.init n (fun a -> Array.make (Model.n_tasks m a) Report.Divergent)
       in
       Ok
-        ( { Fixpoint.dirty = Array.make n true; jit; resp; floor = true },
+        ( {
+            Fixpoint.dirty = Array.make n true;
+            jit;
+            resp;
+            rows = Array.make n [||];
+            floor = true;
+          },
           gap ~seed:seed_model m )
     end
 end

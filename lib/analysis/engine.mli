@@ -11,7 +11,9 @@
     Sessions are cheap persistent values: {!with_overrides} and
     {!with_model} derive new sessions sharing whatever remains valid
     (the IR survives any model with the same placement and priorities;
-    the memo survives parameter changes but never a model change).
+    a transaction's scaled constants survive any model where its own
+    constants are unchanged; the memo survives parameter changes but
+    never a model change).
     An analysis runs on the domain that calls it; independent analyses
     may run concurrently on sessions derived with {!with_model}.
 
@@ -121,8 +123,18 @@ val with_model : t -> Model.t -> t
 (** Re-bind the session to another model.  The compiled IR is reused
     when [m] is {!Ir.compatible} — same task placement and priorities,
     the design-space case where only demands or platform bounds moved —
-    and recompiled otherwise.  The memos and constant tables are always
-    re-created: they embed the old model's demands and rates. *)
+    and recompiled otherwise.  The memos are always re-created: they
+    embed the old model's demands and rates.
+
+    The rebind aligns [m]'s transactions with the session's current
+    model — by position when both share one transaction array, by name
+    (first index) otherwise — and finds the clean ones: same period,
+    deadline, release jitter, blocking, task chain and platform bounds.
+    The scaled tables keep each clean transaction's row, moved exactly
+    onto the new lattice when the scale changed, and convert only new
+    or changed rows ({!Timebase.of_model} [~carry]), so they equal a
+    fresh build.  The session keeps the alignment for
+    {!Delta.plan}. *)
 
 (** {1 Accessors} *)
 
@@ -151,6 +163,12 @@ val kernel_scale : t -> int option
     on, or [None] when they run on rationals — because the kernel is
     disabled, the model has no representable timebase, or a previous
     analysis overflowed and poisoned the kernel for this session. *)
+
+val timebase : t -> int Timebase.t option
+(** The scaled tables the integer timeline reads: {!Timebase.of_model}
+    of the session's model under its horizon factor, whether built
+    fresh or carried across {!with_model}.  [None] when the kernel is
+    disabled or the model has no representable timebase. *)
 
 (** {1 Holistic analysis} *)
 
@@ -204,13 +222,21 @@ module Delta : sig
 
   val plan :
     t -> prev_model:Model.t -> prev_report:Report.t -> (plan, string) result
-  (** Align [prev_model]'s transactions with the session's by name,
-      seed the changed ones (different period, deadline, jitter,
-      blocking, task chain or platform bounds — plus every survivor
-      sharing a platform with a removed transaction), and close the
-      seed with {!Ir.dirty_closure}.  [Error reason] when
-      warm analysis is unsound or pointless — the [Delta_cold] reasons
-      above, except ["warm-not-converged"]. *)
+  (** Align [prev_model]'s transactions with the session's — with the
+      alignment {!with_model} made when [prev_model] is the model the
+      session was rebound from, computed the same way otherwise — seed
+      the changed ones (different period, deadline, jitter, blocking,
+      task chain or platform bounds — plus every survivor whose sites
+      read a removed transaction's row), and close the seed with
+      {!Ir.dirty_closure}.  Clean transactions carry their
+      [prev_report] rows.  [Error reason] when warm analysis is
+      unsound or pointless — the [Delta_cold] reasons above, except
+      ["warm-not-converged"]. *)
+
+  val warm : plan -> Fixpoint.warm
+  (** The warm start the plan runs: the dirty rows, the seed jitters
+      and responses, and the previous report's rows of the clean
+      transactions. *)
 
   val dirty_tasks : plan -> int
   (** Tasks on the dirty frontier (to be iterated). *)

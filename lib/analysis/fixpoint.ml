@@ -11,6 +11,7 @@ type warm = {
   dirty : bool array;
   jit : Q.t array array;
   resp : Report.bound array array;
+  rows : Report.task_result array array;
   floor : bool;
 }
 
@@ -40,14 +41,16 @@ module Make (N : Timeline.S) = struct
     costs : N.t array;
   }
 
-  let skeleton (tb : N.t Timebase.t) ~i ~hp_list =
-    let js = Array.of_list hp_list in
+  let skeleton_of (tb : N.t Timebase.t) ~i ~js =
+    let c = tb.Timebase.c.(i) in
     {
       txn = i;
       js;
       period = tb.Timebase.period.(i);
-      costs = Array.map (fun j -> tb.Timebase.c.(i).(j)) js;
+      costs = Array.map (Array.get c) js;
     }
+
+  let skeleton tb ~i ~hp_list = skeleton_of tb ~i ~js:(Array.of_list hp_list)
 
   (* ϕ^k_{i,j} (Eq. 10) for [lead] = (φ_{i,k} mod T) + J_{i,k}: the
      first activation of τ_{i,j} after a busy period initiated by τ_{i,k}
@@ -311,7 +314,7 @@ module Make (N : Timeline.S) = struct
             remote_sks =
               Array.map
                 (fun (r : Ir.remote) ->
-                  skeleton t.tb ~i:r.Ir.txn ~hp_list:r.Ir.hp_list)
+                  skeleton_of t.tb ~i:r.Ir.txn ~js:r.Ir.choices)
                 s.Ir.remotes;
           }
         in
@@ -564,11 +567,13 @@ module Make (N : Timeline.S) = struct
     l_dirty : bool array;
     l_jit : N.t array array;
     l_resp : bound array array;
+    l_rows : Report.task_result array array;
   }
 
   (* A warm start planned on rationals, moved onto this timeline: exact
      conversions raise [Rational.Overflow] off the lattice; seeded
-     starts round jitters down instead (sound, nothing is pinned). *)
+     starts round jitters down instead (sound, nothing is pinned).  The
+     jitter rows are fresh, so [analyze] owns them. *)
   let lift t (w : warm) =
     let scale = t.tb.Timebase.scale in
     let jit = if w.floor then N.floor_of_q ~scale else N.of_q ~scale in
@@ -581,9 +586,8 @@ module Make (N : Timeline.S) = struct
             | Report.Finite r -> Finite (N.of_q ~scale r)
             | Report.Divergent -> Divergent))
           w.resp;
+      l_rows = w.rows;
     }
-
-  let copy_matrix m = Array.map Array.copy m
 
   (* The cap on outer sweeps.  Converging systems settle in a handful;
      the cap only stops a system whose jitters keep creeping up without
@@ -601,7 +605,7 @@ module Make (N : Timeline.S) = struct
     in
     let jit =
       match warm with
-      | Some w -> copy_matrix w.l_jit
+      | Some w -> w.l_jit
       | None ->
           Array.mapi
             (fun a row ->
@@ -649,7 +653,7 @@ module Make (N : Timeline.S) = struct
       match warm with Some w -> Array.copy w.l_dirty | None -> Array.make n true
     in
     let phi_dirty = Array.make n (Option.is_none warm) in
-    let prev = ref (Option.map (fun w -> copy_matrix w.l_resp) warm) in
+    let prev = ref (Option.map (fun w -> w.l_resp) warm) in
     let history = ref [] in
     let responses = ref (Array.map (Array.map (fun _ -> Divergent)) jit) in
     let diverged = ref false and converged = ref false in
@@ -742,18 +746,25 @@ module Make (N : Timeline.S) = struct
               !phi
           end
     done;
+    (* A row the warm start pinned is never recomputed, and under the
+       Simple best case its offsets and best cases read only its own
+       constants: its entries are the previous report's row, bit for
+       bit. *)
     let results =
       Array.mapi
         (fun a row ->
-          Array.mapi
-            (fun b r ->
-              {
-                Report.offset = to_q !phi.(a).(b);
-                jitter = to_q jit.(a).(b);
-                rbest = to_q !rbest.(a).(b);
-                response = to_bound r;
-              })
-            row)
+          match warm with
+          | Some w when not w.l_dirty.(a) -> w.l_rows.(a)
+          | _ ->
+              Array.mapi
+                (fun b r ->
+                  {
+                    Report.offset = to_q !phi.(a).(b);
+                    jitter = to_q jit.(a).(b);
+                    rbest = to_q !rbest.(a).(b);
+                    response = to_bound r;
+                  })
+                row)
         !responses
     in
     {

@@ -18,6 +18,9 @@ type warm = {
       (** per transaction; clean rows are pinned at [jit]/[resp] *)
   jit : Rational.t array array;  (** seed jitters *)
   resp : Report.bound array array;  (** carried responses (clean rows) *)
+  rows : Report.task_result array array;
+      (** the previous report's rows of the clean transactions, which
+          the warm run returns as they are (never read on dirty rows) *)
   floor : bool;
       (** round the seed jitters down onto a scaled lattice ([true] for
           seeded starts, which pin nothing) instead of requiring them on
@@ -102,7 +105,8 @@ module Make (N : Timeline.S) : sig
   type lifted
 
   val lift : tables -> warm -> lifted
-  (** The warm start on this timeline.
+  (** The warm start on this timeline, in fresh arrays that {!analyze}
+      takes over (a [lifted] value serves one run).
       @raise Rational.Overflow when a value is off the lattice. *)
 
   val analyze :
@@ -122,7 +126,12 @@ module Make (N : Timeline.S) : sig
       256 sweeps have run.  [sweep] is called after each sweep;
       [counters] is bumped with the scenario accounting; the memo is
       forced only by a curve long enough for this timeline's memo
-      ([N.memo_min_terms]).  Runs on the calling domain.
+      ([N.memo_min_terms]).  A warm start's clean rows are never
+      recomputed, and their report entries are the warm start's [rows]
+      as given: such a row keeps its carried responses and jitters, and
+      under the Simple best case its offsets and best cases read only
+      its own constants.  Runs on the calling
+      domain.
       @raise Rational.Overflow when an operation leaves the domain. *)
 end
 

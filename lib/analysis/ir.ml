@@ -25,8 +25,8 @@ type site = {
 type t = {
   shape : (int * int) array array;  (* (res, prio) per task: the only
                                        model inputs the IR reads *)
-  on : (int * int) list array;  (* per platform: its tasks (a, b), in
-                                   (txn, task) order *)
+  on : (int * int) array array;  (* per platform: its tasks (a, b), in
+                                    (txn, task) order *)
   sites : site option array array;
       (* built on first use.  Sessions sharing the IR may race to build
          a slot from several domains; every racer stores an equal
@@ -48,35 +48,37 @@ let hp m ~i ~a ~b =
     m.Model.txns.(i).Model.tasks;
   List.rev !out
 
-(* Consecutive tasks of one transaction, grouped: the platform lists are
-   in (txn, task) order, so each group is one remote's interferers in
-   ascending position. *)
-let rec by_txn = function
-  | [] -> []
-  | (i, j) :: rest -> (
-      match by_txn rest with
-      | (i', js) :: groups when i' = i -> (i, j :: js) :: groups
-      | groups -> (i, [ j ]) :: groups)
-
+(* One pass over the site's platform, from its last task back, so every
+   list comes out in ascending order: the own transaction's interferers
+   and, grouped per transaction, the remote ones.  The remotes come out
+   in ascending transaction order — the digit order of the site
+   analysis's mixed-radix scenario index. *)
 let build t ~a ~b =
   let res, prio = t.shape.(a).(b) in
-  let hp =
-    List.filter
-      (fun (i, j) -> snd t.shape.(i).(j) >= prio && not (i = a && j = b))
-      t.on.(res)
+  let tasks = t.on.(res) in
+  let own_hp = ref [] and own = ref [ b ] and remotes = ref [] in
+  let txn = ref (-1) and js = ref [] in
+  let close () =
+    if !txn >= 0 then
+      remotes :=
+        { txn = !txn; choices = Array.of_list !js; hp_list = !js } :: !remotes
   in
-  let own, rem = List.partition (fun (i, _) -> i = a) hp in
-  let own_hp = List.map snd own in
-  (* Remote transactions with interfering tasks, ascending index — the
-     digit order of the site analysis's mixed-radix scenario index, so
-     every chunk boundary and reduction order follows from it. *)
-  let remotes =
-    Array.of_list
-      (List.map
-         (fun (txn, hp_list) ->
-           { txn; choices = Array.of_list hp_list; hp_list })
-         (by_txn rem))
-  in
+  for k = Array.length tasks - 1 downto 0 do
+    let i, j = tasks.(k) in
+    if snd t.shape.(i).(j) >= prio && not (i = a && j = b) then
+      if i = a then begin
+        own_hp := j :: !own_hp;
+        own := j :: !own
+      end
+      else if i = !txn then js := j :: !js
+      else begin
+        close ();
+        txn := i;
+        js := [ j ]
+      end
+  done;
+  close ();
+  let remotes = Array.of_list !remotes in
   let n_rem = Array.length remotes in
   let stride = Array.make (n_rem + 1) 1 in
   for ri = 0 to n_rem - 1 do
@@ -85,8 +87,8 @@ let build t ~a ~b =
   {
     a;
     b;
-    own_hp;
-    own = own_hp @ [ b ];
+    own_hp = !own_hp;
+    own = !own;
     remotes;
     stride;
     total = stride.(n_rem);
@@ -114,7 +116,7 @@ let compile m =
   done;
   {
     shape;
-    on;
+    on = Array.map Array.of_list on;
     sites = Array.map (fun row -> Array.make (Array.length row) None) shape;
   }
 

@@ -71,6 +71,8 @@ val scaled_wcet : t -> task -> Rational.t
 val find_task : t -> string -> (int * int) option
 
 val find_txn : t -> string -> int option
-(** Index of the named transaction.  {!Engine.analyze_delta} aligns the
-    transactions of two models by name through this — admission changes
-    the transaction count, so positional indices do not transfer. *)
+(** Index of the first transaction with this name — the index
+    {!Engine.with_model} and {!Engine.Delta.plan} align a transaction
+    with when two models do not share their transaction array
+    (admission changes the transaction count, so positional indices do
+    not transfer). *)

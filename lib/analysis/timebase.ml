@@ -13,6 +13,7 @@ module Q = Rational
 
 type 'v t = {
   scale : int;
+  row_scale : int array;  (* per transaction: lcm of its row's denominators *)
   period : 'v array;  (* per transaction *)
   deadline : 'v array;
   release_jitter : 'v array;
@@ -23,52 +24,75 @@ type 'v t = {
   cb : 'v array array;  (* Cb/α *)
 }
 
-type quotients = (Q.t array array * Q.t array array) Lazy.t
-
 (* The platform-transformed demands are the only *derived* rationals on
    the lattice — normalising each quotient is the expensive part of a
-   table build (engine rebinds pay it per probe), so they are computed
-   once and shared by the scale scan and both tables. *)
-let quotients m =
-  let quot f =
-    Array.init (Model.n_txns m) (fun a ->
-        Array.init (Model.n_tasks m a) (fun b ->
-            let tk = Model.task m a b in
-            Q.(f tk / Model.alpha m tk)))
-  in
-  lazy (quot (fun tk -> tk.Model.c), quot (fun tk -> tk.Model.cb))
+   table build, so a row's quotients are computed once, on first use,
+   and shared by the scale scan and both tables.  A rebuild that keeps a
+   transaction's scaled row never asks for its quotients.  Racing
+   first uses from several domains store equal immutable rows. *)
+type quotients = {
+  model : Model.t;
+  rows : (Q.t array * Q.t array) option array;
+}
 
-(* One table build for both domains: [conv] maps each rational constant
-   into the domain, [horizon] combines a converted period and deadline. *)
-let build m q ~scale ~conv ~horizon =
-  let qc, qcb = Lazy.force q in
-  let n = Model.n_txns m in
-  let per_txn f = Array.init n (fun a -> conv (f a m.Model.txns.(a))) in
-  let per_site f =
-    Array.init n (fun a ->
-        Array.init (Model.n_tasks m a) (fun b ->
-            conv (f a b (Model.task m a b))))
-  in
-  let period = per_txn (fun _ tx -> tx.Model.period) in
-  let deadline = per_txn (fun _ tx -> tx.Model.deadline) in
-  {
-    scale;
-    period;
-    deadline;
-    release_jitter = per_txn (fun a _ -> m.Model.release_jitter.(a));
-    horizon = Array.init n (fun a -> horizon period.(a) deadline.(a));
-    base =
-      per_site (fun a b tk -> Q.(Model.delta m tk + m.Model.blocking.(a).(b)));
-    beta = per_site (fun _ _ tk -> Model.beta m tk);
-    c = per_site (fun a b _ -> qc.(a).(b));
-    cb = per_site (fun a b _ -> qcb.(a).(b));
-  }
+let quotients m = { model = m; rows = Array.make (Model.n_txns m) None }
+
+let quotient_row q a =
+  match q.rows.(a) with
+  | Some r -> r
+  | None ->
+      let m = q.model in
+      let quot f =
+        Array.map
+          (fun tk -> Q.(f tk / Model.alpha m tk))
+          m.Model.txns.(a).Model.tasks
+      in
+      let r = (quot (fun tk -> tk.Model.c), quot (fun tk -> tk.Model.cb)) in
+      q.rows.(a) <- Some r;
+      r
 
 let or_quotients q m = match q with Some q -> q | None -> quotients m
 
+(* Tables for [n] transactions, to be filled row by row. *)
+let alloc n zero ~scale ~row_scale =
+  let row () = Array.make n zero and rows () = Array.make n [||] in
+  {
+    scale;
+    row_scale;
+    period = row ();
+    deadline = row ();
+    release_jitter = row ();
+    horizon = row ();
+    base = rows ();
+    beta = rows ();
+    c = rows ();
+    cb = rows ();
+  }
+
+(* Row [a] of [m] into [t]: each constant through [conv], the horizon
+   from the converted period and deadline through [horizon]. *)
+let fill t m q a ~conv ~horizon =
+  let tx = m.Model.txns.(a) and qc, qcb = quotient_row q a in
+  t.period.(a) <- conv tx.Model.period;
+  t.deadline.(a) <- conv tx.Model.deadline;
+  t.release_jitter.(a) <- conv m.Model.release_jitter.(a);
+  t.horizon.(a) <- horizon t.period.(a) t.deadline.(a);
+  t.base.(a) <-
+    Array.mapi
+      (fun b tk -> conv Q.(Model.delta m tk + m.Model.blocking.(a).(b)))
+      tx.Model.tasks;
+  t.beta.(a) <- Array.map (fun tk -> conv (Model.beta m tk)) tx.Model.tasks;
+  t.c.(a) <- Array.map conv qc;
+  t.cb.(a) <- Array.map conv qcb
+
 let exact ?quotients:q m ~horizon_factor =
-  build m (or_quotients q m) ~scale:1 ~conv:Fun.id ~horizon:(fun p d ->
-      Q.(of_int horizon_factor * max p d))
+  let q = or_quotients q m and n = Model.n_txns m in
+  let t = alloc n Q.zero ~scale:1 ~row_scale:(Array.make n 1) in
+  for a = 0 to n - 1 do
+    fill t m q a ~conv:Fun.id ~horizon:(fun p d ->
+        Q.(of_int horizon_factor * max p d))
+  done;
+  t
 
 (* Headroom rule: every scaled constant — including the busy-period
    horizon, the largest value the fixed points are allowed to reach —
@@ -81,34 +105,86 @@ let headroom_bits = 10
 
 let fits v = abs v <= max_int asr headroom_bits
 
-let of_model ?quotients:q (m : Model.t) ~horizon_factor =
-  let quotients = or_quotients q m in
-  try
-    let qc, qcb = Lazy.force quotients in
-    let scale = ref 1 in
-    let see v = scale := Q.lcm_den !scale v in
-    for a = 0 to Model.n_txns m - 1 do
-      let tx = m.Model.txns.(a) in
-      see tx.Model.period;
-      see tx.Model.deadline;
-      see m.Model.release_jitter.(a);
-      for b = 0 to Model.n_tasks m a - 1 do
-        let tk = Model.task m a b in
-        see m.Model.blocking.(a).(b);
-        see (Model.delta m tk);
-        see (Model.beta m tk);
-        see qc.(a).(b);
-        see qcb.(a).(b)
-      done
-    done;
-    let scale = !scale in
-    let checked v = if fits v then v else raise Q.Overflow in
-    Some
-      (build m quotients ~scale
-         ~conv:(fun v -> checked (Q.to_scaled ~scale v))
-         ~horizon:(fun p d ->
-           checked Q.Checked.(horizon_factor * Stdlib.max p d)))
-  with Q.Overflow -> None
+let checked v = if fits v then v else raise Q.Overflow
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Overflow-checked, like [Q.lcm_den]: a partial lcm divides the whole,
+   so it overflows exactly when the whole does, in any order. *)
+let lcm a b = Q.Checked.(a / gcd a b * b)
+
+(* The lcm of the denominators of transaction [a]'s constants. *)
+let row_scale m q a =
+  let qc, qcb = quotient_row q a in
+  let tx = m.Model.txns.(a) in
+  let s = ref (Q.lcm_den 1 tx.Model.period) in
+  let see v = s := Q.lcm_den !s v in
+  see tx.Model.deadline;
+  see m.Model.release_jitter.(a);
+  Array.iteri
+    (fun b tk ->
+      see m.Model.blocking.(a).(b);
+      see (Model.delta m tk);
+      see (Model.beta m tk);
+      see qc.(b);
+      see qcb.(b))
+    tx.Model.tasks;
+  !s
+
+(* One build for fresh and carried rows.  Row [a] is kept from [prev]'s
+   row [kept.(a)] when that index is >= 0 — the caller guarantees its
+   constants are equal — and converted from the model otherwise, so a
+   build with nothing kept is [of_model] itself.  A kept row's values
+   lie on its own lattice (1/row_scale)·Z, which divides both the old
+   scale L and the new L′; with g = gcd(L, L′) each scaled value moves
+   exactly as v·L′ = (v·L / (L/g))·(L′/g), and passes the same overflow
+   and headroom checks a fresh conversion of the same number would.  So
+   scale, tables and the [None] verdict are those of a fresh build.  At
+   an unchanged scale a kept row's arrays are shared, not copied. *)
+let build ?carry m q ~horizon_factor =
+  let n = Model.n_txns m in
+  let kept a =
+    match carry with
+    | Some (prev, kept) when kept.(a) >= 0 -> Some (prev, kept.(a))
+    | _ -> None
+  in
+  let row_scale =
+    Array.init n (fun a ->
+        match kept a with
+        | Some (prev, oa) -> prev.row_scale.(oa)
+        | None -> row_scale m q a)
+  in
+  let scale = Array.fold_left lcm 1 row_scale in
+  let move, move_row =
+    match carry with
+    | Some (prev, _) when prev.scale <> scale ->
+        let g = gcd prev.scale scale in
+        let down = prev.scale / g and up = scale / g in
+        let move v = checked Q.Checked.(v / down * up) in
+        (move, Array.map move)
+    | _ -> (Fun.id, Fun.id)
+  in
+  let conv v = checked (Q.to_scaled ~scale v) in
+  let horizon p d = checked Q.Checked.(horizon_factor * Stdlib.max p d) in
+  let t = alloc n 0 ~scale ~row_scale in
+  for a = 0 to n - 1 do
+    match kept a with
+    | Some (prev, oa) ->
+        t.period.(a) <- move prev.period.(oa);
+        t.deadline.(a) <- move prev.deadline.(oa);
+        t.release_jitter.(a) <- move prev.release_jitter.(oa);
+        t.horizon.(a) <- move prev.horizon.(oa);
+        t.base.(a) <- move_row prev.base.(oa);
+        t.beta.(a) <- move_row prev.beta.(oa);
+        t.c.(a) <- move_row prev.c.(oa);
+        t.cb.(a) <- move_row prev.cb.(oa)
+    | None -> fill t m q a ~conv ~horizon
+  done;
+  t
+
+let of_model ?quotients:q ?carry (m : Model.t) ~horizon_factor =
+  let q = or_quotients q m in
+  try Some (build ?carry m q ~horizon_factor) with Q.Overflow -> None
 
 let scale t = t.scale
 

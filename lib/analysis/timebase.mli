@@ -17,6 +17,9 @@
 
 type 'v t = {
   scale : int;  (** the common denominator lcm [L]; [1] for exact tables *)
+  row_scale : int array;
+      (** per transaction, the lcm of its own row's denominators — a
+          divisor of [scale]; [1]s in exact tables *)
   period : 'v array;  (** per transaction *)
   deadline : 'v array;
   release_jitter : 'v array;
@@ -30,15 +33,20 @@ type 'v t = {
 }
 
 type quotients
-(** The rational C/α and Cb/α tables of a model, computed on first use.
-    Normalising these quotients is the costly part of a table build, so
-    an {!Engine} session computes them once and shares them between the
-    scaled and the exact tables. *)
+(** The rational C/α and Cb/α rows of a model, each computed on first
+    use.  Normalising these quotients is the costly part of a table
+    build, so an {!Engine} session computes them once and shares them
+    between the scaled and the exact tables; a row {!of_model} carries
+    over is never computed. *)
 
 val quotients : Model.t -> quotients
 
 val of_model :
-  ?quotients:quotients -> Model.t -> horizon_factor:int -> int t option
+  ?quotients:quotients ->
+  ?carry:int t * int array ->
+  Model.t ->
+  horizon_factor:int ->
+  int t option
 (** The scaled tables, or [None] when the model has no usable integer
     timeline: the denominator lcm overflows, or some scaled constant
     (including the horizon) exceeds [max_int / 2{^10}].  The 10-bit
@@ -46,7 +54,20 @@ val of_model :
     busy-period evaluations; the {!Timeline.Scaled} operations are
     overflow-checked regardless, so [Some] is a fast-path eligibility
     verdict, not a guarantee ({!Engine} falls back to {!Timeline.Exact}
-    on a mid-analysis overflow). *)
+    on a mid-analysis overflow).
+
+    [carry = (prev, kept)] builds from earlier tables: transaction [a]
+    keeps [prev]'s row [kept.(a)] when that index is [>= 0] and is
+    converted from the model otherwise.  The caller guarantees that a
+    kept row's constants — period, deadline, release jitter, blocking,
+    demands and its platforms' (α, Δ, β) — are those [prev] was built
+    from, under the same [horizon_factor] ({!Engine.with_model} keeps
+    exactly the rows its alignment found clean).  A kept row keeps its
+    [row_scale] and its scaled values; when the scale moves from [L] to
+    [L′], each value moves exactly as v·L′ = (v·L / (L/g))·(L′/g) with
+    g = gcd(L, L′) — the row's denominators divide both — under the
+    same overflow and headroom checks.  The result, [None] included,
+    is [of_model m] without [carry]. *)
 
 val exact :
   ?quotients:quotients -> Model.t -> horizon_factor:int -> Rational.t t

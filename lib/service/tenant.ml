@@ -7,6 +7,70 @@
    how the other tenants interleave, how the requests were batched or
    how many shards the fleet runs. *)
 
+(* A string-keyed map holding at most [cache_capacity] entries: a hit
+   makes its entry the newest, and adding to a full map first drops the
+   oldest, the least recently used.  The recency order is a doubly
+   linked list threaded through the table's nodes, so every operation
+   is O(1). *)
+type 'v node = {
+  key : string;
+  value : 'v;
+  mutable older : 'v node option;
+  mutable newer : 'v node option;
+}
+
+type 'v lru = {
+  nodes : (string, 'v node) Hashtbl.t;
+  mutable newest : 'v node option;
+  mutable oldest : 'v node option;
+}
+
+(* Sized so a long-running [serve] keeps bounded memory while every
+   tenant's recent snapshots stay cached. *)
+let cache_capacity = 256
+
+let lru () = { nodes = Hashtbl.create 16; newest = None; oldest = None }
+
+let unlink l n =
+  (match n.older with
+  | Some o -> o.newer <- n.newer
+  | None -> l.oldest <- n.newer);
+  (match n.newer with
+  | Some w -> w.older <- n.older
+  | None -> l.newest <- n.older);
+  n.older <- None;
+  n.newer <- None
+
+let push l n =
+  n.older <- l.newest;
+  (match l.newest with
+  | Some w -> w.newer <- Some n
+  | None -> l.oldest <- Some n);
+  l.newest <- Some n
+
+let lru_find l key =
+  match Hashtbl.find_opt l.nodes key with
+  | None -> None
+  | Some n ->
+      unlink l n;
+      push l n;
+      Some n.value
+
+(* Adding a present key keeps the entry it has: the shard adds only
+   after a miss, so this never happens on the serving path. *)
+let lru_add l key value =
+  if not (Hashtbl.mem l.nodes key) then begin
+    (if Hashtbl.length l.nodes >= cache_capacity then
+       match l.oldest with
+       | Some o ->
+           unlink l o;
+           Hashtbl.remove l.nodes o.key
+       | None -> ());
+    let n = { key; value; older = None; newer = None } in
+    Hashtbl.add l.nodes key n;
+    push l n
+  end
+
 type t = {
   id : string;
   mutable store : Store.t;
@@ -15,8 +79,8 @@ type t = {
          order — the warm start [Engine.analyze_delta] carries clean
          rows from.  Per tenant, so interleaved traffic from other
          assemblies cannot evict a tenant's warm fixed point. *)
-  cache : (string, Protocol.summary) Hashtbl.t;
-  region_cache : (string, Protocol.region_summary) Hashtbl.t;
+  cache : Protocol.summary lru;
+  region_cache : Protocol.region_summary lru;
   cache_mu : Mutex.t;
 }
 
@@ -27,8 +91,8 @@ let create ~id store =
     id;
     store;
     baseline = None;
-    cache = Hashtbl.create 16;
-    region_cache = Hashtbl.create 4;
+    cache = lru ();
+    region_cache = lru ();
     cache_mu = Mutex.create ();
   }
 
@@ -38,20 +102,21 @@ let create ~id store =
    local.  Caches are per tenant
    (not keyed fleet-wide) so the [cached] wire field of a tenant's
    session depends only on that tenant's own history — a requirement
-   for bit-identical responses across shard counts. *)
+   for bit-identical responses across shard counts.  The recency order
+   is part of that history too: only the owning shard looks entries up
+   or adds them, in the tenant's own request order. *)
 let cache_find t hash =
   Mutex.lock t.cache_mu;
-  let r = Hashtbl.find_opt t.cache hash in
+  let r = lru_find t.cache hash in
   Mutex.unlock t.cache_mu;
   r
 
 let cache_add t (s : Protocol.summary) =
   Mutex.lock t.cache_mu;
-  if not (Hashtbl.mem t.cache s.Protocol.s_hash) then
-    Hashtbl.add t.cache s.Protocol.s_hash s;
+  lru_add t.cache s.Protocol.s_hash s;
   Mutex.unlock t.cache_mu
 
-let cache_entries t = Hashtbl.length t.cache
+let cache_entries t = Hashtbl.length t.cache.nodes
 
 (* Regions are cached like summaries, but the key must also pin the
    platform and the grid: one store hash can carry several regions. *)
@@ -60,7 +125,7 @@ let region_key ~hash ~resource ~precision =
 
 let region_find t ~hash ~resource ~precision =
   Mutex.lock t.cache_mu;
-  let r = Hashtbl.find_opt t.region_cache (region_key ~hash ~resource ~precision) in
+  let r = lru_find t.region_cache (region_key ~hash ~resource ~precision) in
   Mutex.unlock t.cache_mu;
   r
 
@@ -70,7 +135,7 @@ let region_add t (r : Protocol.region_summary) =
       ~precision:r.Protocol.r_precision
   in
   Mutex.lock t.cache_mu;
-  if not (Hashtbl.mem t.region_cache key) then Hashtbl.add t.region_cache key r;
+  lru_add t.region_cache key r;
   Mutex.unlock t.cache_mu
 
 (* Any converged (model, report) pair of this tenant is a valid

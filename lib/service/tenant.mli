@@ -8,13 +8,21 @@
     Mutable fields are written only by the owning shard's driving
     domain in request-arrival order. *)
 
+type 'v lru
+(** A string-keyed cache of at most {!cache_capacity} entries that
+    drops the least recently used one to make room. *)
+
+val cache_capacity : int
+(** Entries kept per cache: a tenant's result cache and its region
+    cache each hold at most this many. *)
+
 type t = {
   id : string;
   mutable store : Store.t;  (** current committed snapshot *)
   mutable baseline : (Analysis.Model.t * Analysis.Report.t) option;
       (** warm-start source for {!Analysis.Engine.analyze_delta} *)
-  cache : (string, Protocol.summary) Hashtbl.t;
-  region_cache : (string, Protocol.region_summary) Hashtbl.t;
+  cache : Protocol.summary lru;  (** keyed by snapshot hash *)
+  region_cache : Protocol.region_summary lru;
       (** keyed [hash#platform#precision] — one store snapshot can
           carry several regions *)
   cache_mu : Mutex.t;

@@ -622,6 +622,7 @@ let carry_forward_prop =
                      Array.map
                        (Array.map (fun _ -> Report.Divergent))
                        h.Report.jitters;
+                   rows = Array.make (Model.n_txns m) [||];
                    floor = false;
                  }
                in
@@ -1371,6 +1372,259 @@ let test_delta_plan_gates () =
     (Engine.Delta.plan (Engine.create ~params:delta_params far)
        ~prev_model:m ~prev_report:converged)
 
+(* --- rebinds that carry --- *)
+
+let append_txn ?(jitter = Q.zero) (m : Model.t) (tx : Model.txn) =
+  {
+    m with
+    Model.txns = Array.append m.Model.txns [| tx |];
+    blocking =
+      Array.append m.Model.blocking
+        [| Array.make (Array.length tx.Model.tasks) Q.zero |];
+    release_jitter = Array.append m.Model.release_jitter [| jitter |];
+  }
+
+let drop_txn (m : Model.t) i =
+  let drop a =
+    Array.append (Array.sub a 0 i)
+      (Array.sub a (i + 1) (Array.length a - i - 1))
+  in
+  {
+    m with
+    Model.txns = drop m.Model.txns;
+    blocking = drop m.Model.blocking;
+    release_jitter = drop m.Model.release_jitter;
+  }
+
+let map_txn (m : Model.t) i f =
+  {
+    m with
+    Model.txns =
+      Array.mapi (fun a tx -> if a = i then f tx else tx) m.Model.txns;
+  }
+
+let set_bound (m : Model.t) r lb =
+  {
+    m with
+    Model.bounds =
+      Array.mapi (fun r' b -> if r' = r then lb else b) m.Model.bounds;
+  }
+
+(* One model edit of each kind a rebind meets: an admitted or revoked
+   transaction (front or middle), a renamed one, new demands, one
+   platform's (α, Δ) moved so the lcm grows or shrinks, the platforms
+   renumbered with their tasks, and the platforms rotated under tasks
+   that stay put. *)
+let rebind_edit (m : Model.t) ~kind ~k =
+  let n = Model.n_txns m and n_res = Array.length m.Model.bounds in
+  let i = k mod n and r = k mod n_res in
+  match kind with
+  | 0 ->
+      let name = Printf.sprintf "rebind.new%d" k in
+      append_txn m
+        (qtxn name
+           (Q.of_int (50 + (10 * (k mod 7))))
+           [
+             qtask (name ^ ".t")
+               (Q.make (1 + (k mod 5)) (3 + (k mod 4)))
+               (Q.make 1 (3 + (k mod 4)))
+               r
+               (1 + (k mod 4));
+           ])
+  | 1 -> drop_txn m 0
+  | 2 -> drop_txn m (n / 2)
+  | 3 -> map_txn m i (fun tx -> { tx with Model.tname = tx.Model.tname ^ "'" })
+  | 4 ->
+      map_txn m i (fun tx ->
+          {
+            tx with
+            Model.tasks =
+              Array.map
+                (fun (tk : Model.task) ->
+                  {
+                    tk with
+                    Model.c = Q.(tk.Model.c * make 2 3);
+                    cb = Q.(tk.Model.cb * make 2 3);
+                  })
+                tx.Model.tasks;
+          })
+  | 5 ->
+      let lb = m.Model.bounds.(r) in
+      let alpha, delta =
+        match k mod 3 with
+        | 0 -> (Q.make 3 7, Q.(lb.LB.delta + make 1 3))
+        | 1 -> (Q.one, Q.zero)
+        | _ -> (Q.(lb.LB.alpha * make 9 10), Q.(lb.LB.delta / of_int 2))
+      in
+      set_bound m r (LB.make ~alpha ~delta ~beta:lb.LB.beta)
+  | 6 ->
+      {
+        Model.bounds =
+          Array.init n_res (fun r' ->
+              m.Model.bounds.((r' + n_res - 1) mod n_res));
+        txns =
+          Array.map
+            (fun (tx : Model.txn) ->
+              {
+                tx with
+                Model.tasks =
+                  Array.map
+                    (fun (tk : Model.task) ->
+                      { tk with Model.res = (tk.Model.res + 1) mod n_res })
+                    tx.Model.tasks;
+              })
+            m.Model.txns;
+        blocking = m.Model.blocking;
+        release_jitter = m.Model.release_jitter;
+      }
+  | _ ->
+      {
+        m with
+        Model.bounds =
+          Array.init n_res (fun r' -> m.Model.bounds.((r' + 1) mod n_res));
+      }
+
+(* Near the 10-bit headroom: [prev] gains, on the last platform, a
+   transaction whose release jitter fills half the headroom at its scale;
+   [next] admits a demand with a new prime denominator on the first
+   platform, so the carried jitter no longer fits once rescaled.  Both
+   sides must answer [None]. *)
+let headroom_pair (m : Model.t) ~horizon_factor =
+  let n_res = Array.length m.Model.bounds in
+  let big =
+    qtxn "rebind.big" Q.one
+      [ qtask "rebind.big.t" (Q.make 1 100) Q.zero (n_res - 1) 1 ]
+  in
+  match Analysis.Timebase.of_model (append_txn m big) ~horizon_factor with
+  | None -> None
+  | Some tb ->
+      let jitter = (max_int asr 11) / Analysis.Timebase.scale tb in
+      let prev = append_txn ~jitter:(Q.of_int jitter) m big in
+      let prime =
+        qtxn "rebind.prime" (Q.of_int 100)
+          [ qtask "rebind.prime.t" (Q.make 1 1009) Q.zero 0 1 ]
+      in
+      Some (prev, append_txn prev prime)
+
+(* A placeholder baseline for walks that compare tables only. *)
+let prev_report_none =
+  {
+    Report.results = [||];
+    history = [];
+    outer_iterations = 0;
+    converged = false;
+    schedulable = false;
+  }
+
+(* A rebound session's scaled tables — rows carried from the previous
+   session's, moved onto the new lattice when it changed — equal a
+   fresh [Timebase.of_model] of the new model, scale and [None]
+   included, over two chained edits; and each warm delta report equals
+   the cold one. *)
+let carried_timebase_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"carried timebase = fresh Timebase.of_model"
+       ~count:300
+       QCheck.(
+         quad (int_range 1 1000) (int_range 0 8) (int_range 0 8) small_nat)
+       (fun (seed, kind1, kind2, k) ->
+         let spec =
+           {
+             Workload.Gen.default_spec with
+             Workload.Gen.n_txns = 5;
+             max_tasks_per_txn = 3;
+           }
+         in
+         let m = Model.of_system (Workload.Gen.system ~seed spec) in
+         let horizon_factor = delta_params.P.horizon_factor in
+         let fresh next = Analysis.Timebase.of_model next ~horizon_factor in
+         (* The headroom pair's jitters would overflow the analysis
+             itself, so only its tables are compared. *)
+         let models, reports =
+           match (kind1, headroom_pair m ~horizon_factor) with
+           | 8, Some (prev, next) ->
+               if fresh prev = None || fresh next <> None then
+                 QCheck.Test.fail_reportf
+                   "seed %d: headroom pair not at the edge" seed;
+               ([ prev; next ], false)
+           | _ ->
+               let m1 = rebind_edit m ~kind:kind1 ~k in
+               ([ m; m1; rebind_edit m1 ~kind:kind2 ~k:(k + 1) ], true)
+         in
+         let rec walk session prev = function
+           | [] -> true
+           | next :: rest ->
+               let session = Engine.with_model session next in
+               if Engine.timebase session <> fresh next then
+                 QCheck.Test.fail_reportf
+                   "seed %d: carried tables differ (edits %d, %d, k %d)" seed
+                   kind1 kind2 k;
+               if reports then begin
+                 let prev_model, prev_report = prev in
+                 let report, _ =
+                   Engine.analyze_delta session ~prev_model ~prev_report
+                 in
+                 let cold = analyze ~params:delta_params next in
+                 if not (same_verdict report cold) then
+                   QCheck.Test.fail_reportf
+                     "seed %d: delta report differs (edits %d, %d, k %d)" seed
+                     kind1 kind2 k;
+                 walk session (next, report) rest
+               end
+               else walk session prev rest
+         in
+         match models with
+         | first :: rest ->
+             let session = Engine.create ~params:delta_params first in
+             let report =
+               if reports then Engine.analyze session else prev_report_none
+             in
+             Engine.timebase session = fresh first
+             && walk session (first, report) rest
+         | [] -> true))
+
+(* The delta plan takes the session's alignment when the previous model
+   is the one the session was rebound from, and computes it otherwise;
+   either way it is the plan a fresh session computes from scratch. *)
+let test_plan_alignment () =
+  let base = two_platform_model ~extra:true () in
+  let admitted =
+    append_txn base
+      (txn "D" "25" [ task "D.t" "1" "1" 1 1 ])
+  in
+  let revoked = drop_txn admitted 1 in
+  let prev_report = analyze ~params:delta_params base in
+  let admitted_report = analyze ~params:delta_params admitted in
+  let same_plan name ~session ~prev_model ~prev_report =
+    let fresh = Engine.create ~params:delta_params (Engine.model session) in
+    match
+      ( Engine.Delta.plan session ~prev_model ~prev_report,
+        Engine.Delta.plan fresh ~prev_model ~prev_report )
+    with
+    | Ok p, Ok q ->
+        Alcotest.(check int)
+          (name ^ ": dirty tasks")
+          (Engine.Delta.dirty_tasks q)
+          (Engine.Delta.dirty_tasks p);
+        Alcotest.(check bool) (name ^ ": same warm start") true
+          (Engine.Delta.warm p = Engine.Delta.warm q)
+    | Error e, Error f -> Alcotest.(check string) (name ^ ": same reason") f e
+    | _ -> Alcotest.failf "%s: one plan is warm, the other cold" name
+  in
+  let s0 = Engine.create ~params:delta_params base in
+  let s1 = Engine.with_model s0 admitted in
+  (* rebound from [base]: the session's own alignment *)
+  same_plan "admit" ~session:s1 ~prev_model:base ~prev_report;
+  let s2 = Engine.with_model s1 revoked in
+  same_plan "revoke" ~session:s2 ~prev_model:admitted
+    ~prev_report:admitted_report;
+  (* a baseline the session was not rebound from *)
+  same_plan "older baseline" ~session:s2 ~prev_model:base ~prev_report;
+  (* an equal model that is not the one rebound from *)
+  same_plan "equal copy" ~session:s2
+    ~prev_model:{ admitted with Model.txns = Array.copy admitted.Model.txns }
+    ~prev_report:admitted_report
+
 (* --- seeded analysis --- *)
 
 (* A strictly dominating parameter point for [m]: every platform gains
@@ -1751,6 +2005,9 @@ let () =
           Alcotest.test_case "revoke carries the survivors above it" `Quick
             test_delta_revoke_reads_rule;
           Alcotest.test_case "plan gates" `Quick test_delta_plan_gates;
+          carried_timebase_prop;
+          Alcotest.test_case "plan through the session's alignment" `Quick
+            test_plan_alignment;
         ] );
       ( "seeded",
         [

@@ -218,6 +218,45 @@ let test_mixed_session () =
     true (!sent >= 50);
   Alcotest.(check bool) "several queries compared" true (!bounds_checked >= 16)
 
+(* --- bounded result caches --- *)
+
+let cached r =
+  match Json.member "cached" r with
+  | Some (Json.Bool b) -> b
+  | _ -> Alcotest.failf "no cached field in %s" (Json.to_string r)
+
+(* More distinct what_ifs than a cache holds: the least recently used
+   entries go, the cache stays at its capacity, and a repeated query is
+   answered from it. *)
+let test_cache_bounded () =
+  with_server @@ fun srv ->
+  ignore (Fleet.handle srv (P.Admit { uid = "a"; spec = unit_spec 1 }));
+  (* the admit's analysis cached the committed snapshot *)
+  Alcotest.(check bool) "query after admit cached" true
+    (cached (Fleet.handle srv P.Query));
+  let capacity = Service.Tenant.cache_capacity in
+  for k = 1 to capacity + 10 do
+    let spec = unit_spec ~wcet:(Printf.sprintf "0.%04d" (1000 + k)) 2 in
+    Alcotest.(check bool)
+      (Printf.sprintf "what_if %d computed" k)
+      false
+      (cached (Fleet.handle srv (P.What_if { uid = "probe"; spec })))
+  done;
+  let entries () =
+    Option.bind
+      (Json.member "cache" (Fleet.handle srv P.Stats))
+      (Json.int_field "entries")
+  in
+  Alcotest.(check (option int)) "entries at capacity" (Some capacity)
+    (entries ());
+  (* the query's entry was the least recently used: it was evicted *)
+  Alcotest.(check bool) "evicted query recomputed" false
+    (cached (Fleet.handle srv P.Query));
+  Alcotest.(check bool) "repeated query cached" true
+    (cached (Fleet.handle srv P.Query));
+  Alcotest.(check (option int)) "entries still at capacity" (Some capacity)
+    (entries ())
+
 (* --- stats: integer-kernel telemetry --- *)
 
 let int_field name j =
@@ -1398,6 +1437,8 @@ let () =
           Alcotest.test_case "kernel telemetry fields" `Quick
             test_stats_kernel_fields;
           Alcotest.test_case "delta counters" `Quick test_delta_metrics;
+          Alcotest.test_case "result cache is bounded" `Quick
+            test_cache_bounded;
         ] );
       ( "diffs",
         [
