@@ -1632,31 +1632,32 @@ let warm_probes_bench () =
      deterministic and the ladder never changes a verdict, so the two
      sides probe the same points in the same order; only the fixed-point
      work behind each verdict changes. *)
-  let measure sys ~resource ~precision ~n_queries =
+  let spread n_queries =
+    List.init n_queries (fun i ->
+        Q.add (Q.make 1 2) (Q.make (15 * i) (2 * n_queries)))
+  in
+  let run ?rate_precision ?sink sys ~resource ~precision ~deltas ~enabled () =
     let beta =
       sys.Transaction.System.resources.(resource).Platform.Resource.bound
         .LB.beta
     in
-    let deltas =
-      List.init n_queries (fun i ->
-          Q.add (Q.make 1 2) (Q.make (15 * i) (2 * n_queries)))
+    let ladder = PL.create ~enabled () in
+    let engine =
+      Analysis.Engine.create ?sink ~params:Analysis.Params.default
+        (Model.of_system sys)
     in
-    let run ~enabled () =
-      let ladder = PL.create ~enabled () in
-      let engine =
-        Analysis.Engine.create ~params:Analysis.Params.default
-          (Model.of_system sys)
-      in
-      let rm = D.region ~engine ~ladder ~precision sys ~resource in
-      let answers =
-        List.map
-          (fun delta ->
-            D.min_rate ~engine ~ladder sys ~resource
-              ~family:(D.fixed_latency_family ~delta ~beta))
-          deltas
-      in
-      ((rm, answers), PL.stats ladder)
+    let rm = D.region ~engine ~ladder ~precision sys ~resource in
+    let answers =
+      List.map
+        (fun delta ->
+          D.min_rate ~engine ~ladder ?precision:rate_precision sys ~resource
+            ~family:(D.fixed_latency_family ~delta ~beta))
+        deltas
     in
+    ((rm, answers), PL.stats ladder)
+  in
+  let measure ?rate_precision sys ~resource ~precision ~deltas =
+    let run = run ?rate_precision sys ~resource ~precision ~deltas in
     (* one untimed run of each side supplies the answers and ladder
        counts checked below; the times are medians of rounds that run a
        cold then a warm side, each on a fresh session and ladder, so
@@ -1701,7 +1702,7 @@ let warm_probes_bench () =
   let sys = Hsched.Paper_example.system () in
   let resource = 2 in
   let cold_ms, warm_ms, cold_run, warm_run, cs, ws =
-    measure sys ~resource ~precision:5 ~n_queries:100
+    measure sys ~resource ~precision:5 ~deltas:(spread 100)
   in
   let certified = ws.PL.cert_feasible + ws.PL.cert_infeasible in
   let warm_analyses = ws.PL.seeded + ws.PL.cold in
@@ -1743,7 +1744,7 @@ let warm_probes_bench () =
       }
   in
   let h_cold_ms, h_warm_ms, h_cold_run, h_warm_run, hcs, hws =
-    measure heavy ~resource:0 ~precision:4 ~n_queries:20
+    measure heavy ~resource:0 ~precision:4 ~deltas:(spread 20)
   in
   let h_certified = hws.PL.cert_feasible + hws.PL.cert_infeasible in
   metric "x17/heavy_cold_ms" h_cold_ms;
@@ -1766,7 +1767,85 @@ let warm_probes_bench () =
     ~skip_reason:"--quick run too short to time" ~prefix:"x17"
     ~speedup_name:"x17/speedup_warm"
     ~check_name:"x17/warm probe ladder at least 2x faster than cold probes"
-    ~factor:2. ~baseline_ms:h_cold_ms ~faster_ms:h_warm_ms
+    ~factor:2. ~baseline_ms:h_cold_ms ~faster_ms:h_warm_ms;
+  (* Part 3: design_region's shape — 16 single-task transactions over 2
+     platforms at 40% load, per platform a region build at p = 5 and 5
+     min-rate questions on the 2^-8 grid at Δ spread over (0, D/2), D
+     the smallest deadline.  A probe moves one platform, so a pinned
+     run re-iterates only that platform's transactions; the gate counts
+     the task responses the sweeps recomputed on each side, which no
+     host load moves, so --quick keeps it.  Certificates and seeds alone
+     leave the warm side at 0.75 of the cold count; pinning brings it to
+     0.37. *)
+  let generated =
+    Workload.Gen.system ~seed:8020
+      {
+        Workload.Gen.default_spec with
+        Workload.Gen.n_txns = 16;
+        n_resources = 2;
+        max_tasks_per_txn = 1;
+        utilization = Q.make 2 5;
+      }
+  in
+  let dmin =
+    Array.fold_left
+      (fun acc (tx : Transaction.Txn.t) -> Q.min acc tx.Transaction.Txn.deadline)
+      generated.Transaction.System.transactions.(0).Transaction.Txn.deadline
+      generated.Transaction.System.transactions
+  in
+  let deltas = List.init 5 (fun i -> Q.mul dmin (Q.make (i + 1) 12)) in
+  (* The task responses the sweeps of one untimed run recompute. *)
+  let recomputed ~resource ~enabled =
+    let n = ref 0 in
+    let sink : Analysis.Engine.sink = function
+      | Analysis.Engine.Sweep { recomputed; _ } -> n := !n + recomputed
+      | _ -> ()
+    in
+    ignore
+      (run ~rate_precision:8 ~sink generated ~resource ~precision:5 ~deltas
+         ~enabled ());
+    !n
+  in
+  let g_cold_ms = ref 0. and g_warm_ms = ref 0. and g_probes = ref 0 in
+  let g_certified = ref 0 and g_seeded = ref 0 and same_probes = ref true in
+  let g_identical = ref true and g_cold_tasks = ref 0 and g_warm_tasks = ref 0 in
+  for resource = 0 to Transaction.System.n_resources generated - 1 do
+    let cold_ms, warm_ms, cold_run, warm_run, cs, ws =
+      measure generated ~resource ~precision:5 ~rate_precision:8 ~deltas
+    in
+    g_cold_ms := !g_cold_ms +. cold_ms;
+    g_warm_ms := !g_warm_ms +. warm_ms;
+    g_probes := !g_probes + ws.PL.probes;
+    g_certified := !g_certified + ws.PL.cert_feasible + ws.PL.cert_infeasible;
+    g_seeded := !g_seeded + ws.PL.seeded;
+    same_probes := !same_probes && ws.PL.probes = cs.PL.probes;
+    g_identical := !g_identical && identical cold_run warm_run;
+    g_cold_tasks := !g_cold_tasks + recomputed ~resource ~enabled:false;
+    g_warm_tasks := !g_warm_tasks + recomputed ~resource ~enabled:true
+  done;
+  let ratio = float_of_int !g_warm_tasks /. float_of_int (max 1 !g_cold_tasks) in
+  metric "x17/generated_cold_ms" !g_cold_ms;
+  metric "x17/generated_warm_ms" !g_warm_ms;
+  metric "x17/generated_probes" (float_of_int !g_probes);
+  metric "x17/generated_certified" (float_of_int !g_certified);
+  metric "x17/generated_seeded" (float_of_int !g_seeded);
+  metric "x17/generated_cold_recomputed" (float_of_int !g_cold_tasks);
+  metric "x17/generated_warm_recomputed" (float_of_int !g_warm_tasks);
+  metric "x17/generated_recomputed_ratio" ratio;
+  Format.printf
+    "generated workload: %d probes each side (%d certified, %d seeded); \
+     task responses recomputed warm %d vs cold %d (%.2f); wall warm %.1f \
+     ms vs cold %.1f ms (medians of 5 rounds per platform, summed)@."
+    !g_probes !g_certified !g_seeded !g_warm_tasks !g_cold_tasks ratio
+    !g_warm_ms !g_cold_ms;
+  check "x17/generated warm and cold runs probed the same points" !same_probes;
+  check
+    "x17/generated warm answers bit-identical to cold (multisection + region)"
+    !g_identical;
+  check
+    "x17/generated warm probes recompute at most half the task responses \
+     cold probes do"
+    (2 * !g_warm_tasks <= !g_cold_tasks)
 
 (* ------------------------------------------------------------------ *)
 

@@ -378,8 +378,45 @@ type delta_outcome =
   | Delta_warm of { dirty : int; total : int; carried : int }
   | Delta_cold of { reason : string }
 
+(* The bottom of a row: the release jitter on the first task, 0 on the
+   others — where a cold run starts it. *)
+let bottom (m : Model.t) a =
+  let row = Array.make (Model.n_tasks m a) Q.zero in
+  row.(0) <- m.Model.release_jitter.(a);
+  row
+
 module Delta = struct
   type plan = { warm : Fixpoint.warm; dirty_tasks : int; total_tasks : int }
+
+  (* A warm start over a closed dirty set: a clean row carries [base]'s
+     report row [old_of a] whole, a dirty row starts from [start a] with
+     its responses at bottom. *)
+  let assemble t ~dirty ~(base : Report.t) ~old_of ~start ~floor =
+    let m = t.model in
+    let n = Model.n_txns m in
+    let rows =
+      Array.init n (fun a ->
+          if dirty.(a) then [||] else base.Report.results.(old_of a))
+    in
+    let carried f a = Array.map f rows.(a) in
+    let jit =
+      Array.init n (fun a ->
+          if dirty.(a) then start a else carried (fun r -> r.Report.jitter) a)
+    in
+    let resp =
+      Array.init n (fun a ->
+          if dirty.(a) then Array.make (Model.n_tasks m a) Report.Divergent
+          else carried (fun r -> r.Report.response) a)
+    in
+    let dirty_tasks = ref 0 in
+    Array.iteri
+      (fun a d -> if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
+      dirty;
+    {
+      warm = { Fixpoint.dirty; jit; resp; rows; floor };
+      dirty_tasks = !dirty_tasks;
+      total_tasks = Ir.n_tasks t.ir;
+    }
 
   (* The alignment is the session's own when [prev_model] is the model
      the session was rebound from — the serving path, where a tenant's
@@ -438,42 +475,11 @@ module Delta = struct
         end;
         let dirty = Ir.dirty_closure t.ir ~seed in
         if Array.for_all Fun.id dirty then Error "all-dirty"
-        else begin
-          let n = Model.n_txns m in
-          (* A clean row carries its previous report row whole. *)
-          let rows =
-            Array.init n (fun a ->
-                if dirty.(a) then [||]
-                else prev_report.Report.results.(al.old_of.(a)))
-          in
-          let carried f a = Array.map f rows.(a) in
-          let jit =
-            Array.init n (fun a ->
-                if dirty.(a) then begin
-                  let row = Array.make (Model.n_tasks m a) Q.zero in
-                  row.(0) <- m.Model.release_jitter.(a);
-                  row
-                end
-                else carried (fun r -> r.Report.jitter) a)
-          in
-          let resp =
-            Array.init n (fun a ->
-                if dirty.(a) then
-                  Array.make (Model.n_tasks m a) Report.Divergent
-                else carried (fun r -> r.Report.response) a)
-          in
-          let dirty_tasks = ref 0 in
-          Array.iteri
-            (fun a d ->
-              if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
-            dirty;
+        else
           Ok
-            {
-              warm = { Fixpoint.dirty; jit; resp; rows; floor = false };
-              dirty_tasks = !dirty_tasks;
-              total_tasks = Ir.n_tasks t.ir;
-            }
-        end
+            (assemble t ~dirty ~base:prev_report
+               ~old_of:(fun a -> al.old_of.(a))
+               ~start:(bottom m) ~floor:false)
       end
     end
 
@@ -484,15 +490,19 @@ module Delta = struct
   let total_tasks p = p.total_tasks
 end
 
+(* A planned warm run, announced by its carry. *)
+let run_plan t (p : Delta.plan) =
+  let dirty = p.Delta.dirty_tasks and total = p.Delta.total_tasks in
+  let carried = total - dirty in
+  Rta.record_delta_run t.counters;
+  emit t (Delta { dirty; total; carried });
+  (dispatch t (Some p.Delta.warm), Delta_warm { dirty; total; carried })
+
 let analyze_delta t ~prev_model ~prev_report =
   match Delta.plan t ~prev_model ~prev_report with
   | Error reason -> (analyze t, Delta_cold { reason })
   | Ok p ->
-      let dirty = p.Delta.dirty_tasks and total = p.Delta.total_tasks in
-      let carried = total - dirty in
-      Rta.record_delta_run t.counters;
-      emit t (Delta { dirty; total; carried });
-      let report = dispatch t (Some p.Delta.warm) in
+      let report, outcome = run_plan t p in
       (* A warm run that converged reached the system's least fixed
          point (the seed is below it coordinatewise and the clean block
          is pinned at it — docs/INCREMENTAL.md), and under early exit a
@@ -500,15 +510,14 @@ let analyze_delta t ~prev_model ~prev_report =
          the cold report bit for bit.  Anything else — early exit on
          the dirty frontier, iteration cap — is rerun cold so the
          non-converged report matches the cold iterates exactly. *)
-      if report.Report.converged then
-        (report, Delta_warm { dirty; total; carried })
+      if report.Report.converged then (report, outcome)
       else begin
         Rta.record_delta_fallback t.counters;
         (analyze t, Delta_cold { reason = "warm-not-converged" })
       end
 
 (* ------------------------------------------------------------------ *)
-(* Seeded analysis: warm fixed points across parameter points          *)
+(* Probe analysis: warm fixed points across parameter points           *)
 (* ------------------------------------------------------------------ *)
 
 module Seeded = struct
@@ -518,7 +527,9 @@ module Seeded = struct
      the linear supply bounds and the task demands.  Alignment is
      positional (probe models are [{m with bounds}] rebinds or demand
      rescalings of one base model), with physical-equality fast paths
-     for the arrays such rebinds share. *)
+     for the arrays such rebinds share: polymorphic [=] walks even a
+     physically equal array, and the ladder's scans test dominance
+     against every frontier entry. *)
   let task_structure_eq (o : Model.task) (n : Model.task) =
     o == n
     || String.equal o.Model.name n.Model.name
@@ -536,8 +547,10 @@ module Seeded = struct
     sm == tm
     || Array.length sm.Model.txns = Array.length tm.Model.txns
        && Array.length sm.Model.bounds = Array.length tm.Model.bounds
-       && sm.Model.release_jitter = tm.Model.release_jitter
-       && sm.Model.blocking = tm.Model.blocking
+       && (sm.Model.release_jitter == tm.Model.release_jitter
+          || sm.Model.release_jitter = tm.Model.release_jitter)
+       && (sm.Model.blocking == tm.Model.blocking
+          || sm.Model.blocking = tm.Model.blocking)
        && (sm.Model.txns == tm.Model.txns
           || Array.for_all2 txn_structure_eq sm.Model.txns tm.Model.txns)
 
@@ -612,61 +625,90 @@ module Seeded = struct
       !d
     end
 
-  let plan t ~seed_model ~seed_report =
+  (* A converged row is stable when its jitters are the ones a cold run
+     starts it from. *)
+  let stable (m : Model.t) (r : Report.t) a =
+    let row = r.Report.results.(a) in
+    Q.equal row.(0).Report.jitter m.Model.release_jitter.(a)
+    &&
+    let rec zero b =
+      b >= Array.length row
+      || (Q.equal row.(b).Report.jitter Q.zero && zero (b + 1))
+    in
+    zero 1
+
+  (* The one planner of probe runs, against a converged [base] of the
+     same structure: the reference (start the dirty rows from bottom) or
+     a dominating seed (start them from its jitters, rounded down onto
+     the lattice, which keeps the start below the least fixed point;
+     pinned rows hold bottom values, already on it).  Positional: a row is dirty when its own constants
+     changed or its converged jitters are not bottom, and the set is
+     closed under the reads rule.  A pinned row is then clean, stable
+     and reads only pinned rows, so a cold run computes its base
+     responses from the first sweep on and never moves its jitters: the
+     unseeded warm run *is* the cold run, sweep for sweep
+     (docs/THEORY.md), and a seeded one is the run that iterates every
+     row from the seed. *)
+  let plan t ~base_model ~base_report ~seeded =
     let params = t.params in
-    if not seed_report.Report.converged then Error "seed-not-converged"
+    let what = if seeded then "seed" else "reference" in
+    if not base_report.Report.converged then Error (what ^ "-not-converged")
     else if params.Params.best_case <> Params.Simple then
       Error "refined-best-case"
     else if params.Params.keep_history then Error "history-requested"
-    else if not (same_structure seed_model t.model) then
-      Error "seed-structure-mismatch"
-    else if not (dominates ~seed:seed_model t.model) then
+    else if not (same_structure base_model t.model) then
+      Error (what ^ "-structure-mismatch")
+    else if seeded && not (dominates ~seed:base_model t.model) then
       Error "seed-not-dominating"
     else begin
       let m = t.model in
-      let n = Model.n_txns m in
-      (* Everything is dirty — the parameter point changed under every
-         transaction — so only the jitters seed the sweep; the seeded
-         responses are never read and stay at bottom.  The seed jitters
-         rarely lie on this session's integer lattice; with nothing
-         pinned, rounding them *down* onto it ([floor]) keeps the start
-         below the least fixed point, so the run stays sound.  Row 0
-         (the release jitter) is a model constant, already exact. *)
-      let jit =
-        Array.init n (fun a ->
-            Array.init (Model.n_tasks m a) (fun b ->
-                seed_report.Report.results.(a).(b).Report.jitter))
+      let seed =
+        Array.init (Model.n_txns m) (fun a ->
+            not
+              (txn_clean ~prev_model:base_model ~model:m ~prev_a:a ~a
+              && stable m base_report a))
       in
-      let resp =
-        Array.init n (fun a -> Array.make (Model.n_tasks m a) Report.Divergent)
-      in
-      Ok
-        ( {
-            Fixpoint.dirty = Array.make n true;
-            jit;
-            resp;
-            rows = Array.make n [||];
-            floor = true;
-          },
-          gap ~seed:seed_model m )
+      let dirty = Ir.dirty_closure t.ir ~seed in
+      if (not seeded) && Array.for_all Fun.id dirty then Error "all-dirty"
+      else
+        let start =
+          if seeded then fun a ->
+            Array.map (fun r -> r.Report.jitter) base_report.Report.results.(a)
+          else bottom m
+        in
+        Ok
+          (Delta.assemble t ~dirty ~base:base_report ~old_of:Fun.id ~start
+             ~floor:seeded)
     end
 end
 
-let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
-  match Seeded.plan t ~seed_model ~seed_report with
+(* Pinned rows sit at their fixed point from the first sweep, and the
+   dirty rows start where a cold run starts them: the report is the cold
+   report bit for bit — converged or not, iteration count included — so
+   nothing is ever rerun. *)
+let analyze_pinned t ~reference_model ~reference_report =
+  match
+    Seeded.plan t ~base_model:reference_model ~base_report:reference_report
+      ~seeded:false
+  with
   | Error reason -> (analyze t, Delta_cold { reason })
-  | Ok (warm, distance) ->
-      Rta.record_delta_run t.counters;
-      let report = dispatch t (Some warm) in
+  | Ok p -> run_plan t p
+
+let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
+  match
+    Seeded.plan t ~base_model:seed_model ~base_report:seed_report ~seeded:true
+  with
+  | Error reason -> (analyze t, Delta_cold { reason })
+  | Ok p ->
+      let report, outcome = run_plan t p in
       let iterations = report.Report.outer_iterations in
       emit t
         (Seeded
            {
-             distance;
+             distance = Seeded.gap ~seed:seed_model t.model;
              iterations;
              saved = max 0 (seed_report.Report.outer_iterations - iterations);
            });
-      let total = Ir.n_tasks t.ir in
       (* The seed jitters sit between bottom and the least fixed point,
          so the warm iterates are squeezed between the cold iterates
          and the fixed point (docs/THEORY.md): a converged warm run
@@ -677,8 +719,7 @@ let analyze_seeded ?(verdict_only = false) t ~seed_model ~seed_report =
          [verdict_only] callers accept the warm numbers as-is (they
          only read [schedulable]); otherwise a non-converged run is
          rerun cold so the reported iterates match cold exactly. *)
-      if report.Report.converged || verdict_only then
-        (report, Delta_warm { dirty = total; total; carried = 0 })
+      if report.Report.converged || verdict_only then (report, outcome)
       else begin
         Rta.record_delta_fallback t.counters;
         (analyze t, Delta_cold { reason = "warm-not-converged" })

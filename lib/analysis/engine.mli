@@ -55,13 +55,14 @@ type event =
           path and the session stops attempting the kernel. *)
   | Analysis_started of { variant : Params.variant }
   | Delta of { dirty : int; total : int; carried : int }
-      (** Emitted by {!analyze_delta} when a warm plan is executed:
-          [dirty] tasks sit on the dirty frontier and will be iterated,
-          [carried] tasks ride on their previously converged responses,
-          [total = dirty + carried] is the task count of the model.
-          Followed by the warm run's ordinary [Analysis_started] /
-          [Sweep] / [Finished] stream (and, on a warm fallback, by a
-          second full cold stream). *)
+      (** Emitted before every warm plan's run — by {!analyze_delta},
+          {!analyze_pinned} and {!analyze_seeded}: [dirty] tasks sit on
+          the dirty frontier and will be iterated, [carried] tasks ride
+          on their previously converged responses, [total = dirty +
+          carried] is the task count of the model.  Followed by the warm
+          run's ordinary [Analysis_started] / [Sweep] / [Finished]
+          stream (and, on a warm fallback, by a second full cold
+          stream). *)
   | Seeded of { distance : Rational.t; iterations : int; saved : int }
       (** Emitted by {!analyze_seeded} after a warm run: the outer fixed
           point was seeded from a converged report at a dominating
@@ -261,21 +262,34 @@ val analyze_delta :
     values lie on its lattice, and runs on exact rationals otherwise.
     @raise Rational.Overflow like {!analyze}. *)
 
-(** {1 Seeded analysis}
+(** {1 Probe analysis}
 
     {!analyze_delta} warms the fixed point across *model edits* at a
-    fixed parameter point; {!analyze_seeded} warms it across *parameter
-    points* of the same structure — the design-space case, where probe
-    models differ only in platform bounds and demands.  A converged
-    report at a point that *dominates* the target (per-resource rate ≥,
-    delay ≤, burstiness equal; per-task demands no larger, the worst
-    case shrinking at least as much as the best case) lies pointwise
-    below the target's least fixed point, so its jitters are a sound
-    Kleene seed: the warm iterates are squeezed between the cold
-    iterates and the fixed point.  Lemma and proof: docs/THEORY.md. *)
+    fixed parameter point; design probes move the *parameter point* of
+    one structure — platform bounds and demands — and have two warm
+    starts, both planned by {!Seeded.plan}:
 
-(** The dominance tests and planning half of {!analyze_seeded}, exposed
-    for the {!Regions.Probe_ladder} (which indexes converged probes by
+    - {b pinned} ({!analyze_pinned}): against any converged report of
+      the same structure, every transaction whose own constants are
+      unchanged, whose converged jitters are its cold starting ones
+      (the release jitter on the first task, 0 on the others) and whose
+      sites read only such transactions keeps its report row; the rest
+      iterate from bottom.  A pinned row sits at its fixed point from a
+      cold run's first sweep on, so the run {e is} the cold run —
+      results, convergence, verdict and iteration count — and never
+      reruns.  A probe that moves one platform re-iterates only what
+      that platform's change can reach.
+    - {b seeded} ({!analyze_seeded}): a converged report at a point
+      that {e dominates} the target (per-resource rate ≥, delay ≤,
+      burstiness equal; per-task demands no larger, the worst case
+      shrinking at least as much as the best case) lies pointwise below
+      the target's least fixed point, so its jitters are a sound Kleene
+      seed for the rows the pinned rule does not keep: the warm
+      iterates are squeezed between the cold iterates and the fixed
+      point.  Lemma and proof: docs/THEORY.md. *)
+
+(** The dominance tests and the probe planner, exposed for the
+    {!Regions.Probe_ladder} (which indexes converged probes by
     dominance) and for tests. *)
 module Seeded : sig
   val dominates : seed:Model.t -> Model.t -> bool
@@ -291,7 +305,45 @@ module Seeded : sig
       assuming [dominates ~seed] already holds (meaningless otherwise).
       The ladder picks the nearest dominating seed — fewest warm sweeps
       to close the gap. *)
+
+  val plan :
+    t ->
+    base_model:Model.t ->
+    base_report:Report.t ->
+    seeded:bool ->
+    (Delta.plan, string) result
+  (** The warm start of a probe of the session's model against a
+      converged analysis of [base_model], aligned by position: a
+      transaction is dirty when its own constants differ from
+      [base_model]'s (period, deadline, release jitter, blocking, task
+      chain or the bounds of its platforms) or its [base_report]
+      jitters are not its cold starting ones, and the set is closed
+      with {!Ir.dirty_closure}; every other row is pinned at its
+      [base_report] row.  Unseeded, the dirty rows start from bottom;
+      [seeded], from [base_report]'s jitters rounded down onto the
+      integer lattice ([base_model] must dominate the session's
+      model).  [Error reason] when the plan would be unsound or
+      pointless: ["reference-not-converged"] / ["seed-not-converged"],
+      ["refined-best-case"], ["history-requested"],
+      ["reference-structure-mismatch"] /
+      ["seed-structure-mismatch"], ["seed-not-dominating"], and
+      ["all-dirty"] for an unseeded plan that pins nothing. *)
 end
+
+val analyze_pinned :
+  t ->
+  reference_model:Model.t ->
+  reference_report:Report.t ->
+  Report.t * delta_outcome
+(** {!analyze} with the rows the change from a converged reference
+    cannot reach pinned ({!Seeded.plan} unseeded).  The report is
+    [analyze t]'s bit for bit — [results], [converged], [schedulable]
+    and [outer_iterations], whether or not the run converges — so a
+    warm run is never rerun cold; only the [Delta] event, the [Sweep]
+    counts and the scenario counters show the carry.  A plan that
+    refuses runs cold ([Delta_cold] with the plan's reason).  Counted by
+    {!Rta.delta_runs}.
+    @raise Rational.Overflow like {!analyze}. *)
 
 val analyze_seeded :
   ?verdict_only:bool ->
@@ -305,14 +357,16 @@ val analyze_seeded :
     ["seed-not-converged"], ["refined-best-case"],
     ["history-requested"], ["seed-structure-mismatch"] or
     ["seed-not-dominating"] — whenever the squeeze argument does not
-    apply; a non-dominating seed is never silently used.  On a warm run
-    every transaction is dirty (the parameter point changed under all
-    of them): only the seed's jitters carry over, rounded *down* onto
-    the integer lattice on a kernel session (sound because nothing is
-    pinned), and the [Seeded] event reports the seed distance and
-    iterations saved.  A converged warm run returns the cold report bit
-    for bit ([Delta_warm] with [carried = 0]).  A warm run that does
-    not converge is rerun cold ([Delta_cold "warm-not-converged"]) —
+    apply; a non-dominating seed is never silently used.  A warm run
+    pins what {!Seeded.plan} pins and starts every other row from the
+    seed's jitters, rounded *down* onto the integer lattice on a kernel
+    session (pinned rows hold their cold starting values, already on
+    it); it emits [Delta] before the run and [Seeded] after it (the
+    seed distance and iterations saved).  Pinned rows are at their
+    fixed point from the first sweep, so the run is the one that
+    iterates every row from the seed.  A converged warm run returns the
+    cold report bit for bit ([Delta_warm]).  A warm run that does not
+    converge is rerun cold ([Delta_cold "warm-not-converged"]) —
     unless [verdict_only] is set, in which case the warm report is
     returned as-is: its [schedulable] verdict is provably the cold
     verdict (a warm early exit overran a deadline the fixed point also

@@ -572,7 +572,8 @@ module Make (N : Timeline.S) = struct
 
   (* A warm start planned on rationals, moved onto this timeline: exact
      conversions raise [Rational.Overflow] off the lattice; seeded
-     starts round jitters down instead (sound, nothing is pinned).  The
+     starts round jitters down instead (sound: the rows they pin hold
+     their cold starting values, already on the lattice).  The
      jitter rows are fresh, so [analyze] owns them. *)
   let lift t (w : warm) =
     let scale = t.tb.Timebase.scale in

@@ -23,8 +23,9 @@ type warm = {
           the warm run returns as they are (never read on dirty rows) *)
   floor : bool;
       (** round the seed jitters down onto a scaled lattice ([true] for
-          seeded starts, which pin nothing) instead of requiring them on
-          it ([false], delta starts) *)
+          seeded starts, whose pinned rows hold their cold starting
+          values, already on it) instead of requiring them on it
+          ([false], delta and pinned starts) *)
 }
 (** A warm start for the outer fixed point, as {!Engine.Delta} and
     {!Engine.Seeded} plan it (docs/INCREMENTAL.md, docs/THEORY.md). *)
@@ -101,6 +102,21 @@ module Make (N : Timeline.S) : sig
   val tables : Ir.t -> num Timebase.t -> tables
 
   val timebase : tables -> num Timebase.t
+
+  type bound = Finite of num | Divergent
+
+  val response_time :
+    memo:memo Lazy.t ->
+    counters:Rta.counters ->
+    tables ->
+    Ir.site ->
+    Params.t ->
+    phi:num array array ->
+    jit:num array array ->
+    bound
+  (** The response bound of one site under the given offsets and
+      jitters (Eqs. 12–16, under [params]' variant and pruning): what a
+      sweep of {!analyze} computes for each site it does not carry. *)
 
   type lifted
 

@@ -43,6 +43,10 @@ type t = {
      dominance test short-circuits the scan. *)
   mutable mru_feas : entry option;
   mutable mru_hard : Model.t option;
+  (* The most recent converged probe: every converged report of the
+     same structure is an exact reference for a pinned run, so which
+     probe wrote it last only changes how much a later probe pins. *)
+  mutable reference : entry option;
   mutable probes : int;
   mutable seeded : int;
   mutable cold : int;
@@ -58,6 +62,7 @@ let create ?(enabled = true) () =
     hard = [];
     mru_feas = None;
     mru_hard = None;
+    reference = None;
     probes = 0;
     seeded = 0;
     cold = 0;
@@ -225,10 +230,44 @@ let cold_probe t engine m =
       t.cold <- t.cold + 1);
   report
 
+(* A seeded run, and whether the seed's warm run answered it. *)
+let seeded ?verdict_only session ~seed_model ~seed_report =
+  match
+    Engine.analyze_seeded ?verdict_only session ~seed_model ~seed_report
+  with
+  | report, Engine.Delta_warm _ -> (report, true)
+  | report, Engine.Delta_cold _ -> (report, false)
+
+(* A probe without a seed runs against the reference: the rows its
+   change cannot reach are pinned and the rest start from bottom, which
+   is the cold run bit for bit ([Engine.analyze_pinned]). *)
+let unseeded t session =
+  match record t (fun t -> t.reference) with
+  | Some { e_model; e_report } ->
+      ( fst
+          (Engine.analyze_pinned session ~reference_model:e_model
+             ~reference_report:e_report),
+        false )
+  | None -> (Engine.analyze session, false)
+
+(* Count a probe that ran an analysis — seeded when a seed's warm run
+   answered it, cold otherwise (a pinned run is the cold run) — and file
+   its report: on the frontiers, and as the reference when converged. *)
+let finish t m (report, seeded) =
+  record t (fun t ->
+      t.probes <- t.probes + 1;
+      if seeded then t.seeded <- t.seeded + 1 else t.cold <- t.cold + 1;
+      if report.Report.converged then
+        t.reference <- Some { e_model = m; e_report = report });
+  store_feasible t m report;
+  if not report.Report.schedulable then store_hard t m;
+  report
+
 (* Boolean probe: certificates first, then a verdict-only seeded run
    (sound even when the warm iterate has not converged — see
-   [Engine.analyze_seeded]), cold as the last resort.  The answer is
-   always the cold verdict; only the work to reach it changes. *)
+   [Engine.analyze_seeded]), a pinned run as the last resort.  The
+   answer is always the cold verdict; only the work to reach it
+   changes. *)
 let schedulable t engine m =
   if not t.enabled then (cold_probe t engine m).Report.schedulable
   else
@@ -245,48 +284,28 @@ let schedulable t engine m =
         true
     | (Seed _ | Miss) as found ->
         let session = Engine.with_model engine m in
-        let report, outcome =
-          match found with
-          | Seed (_, seed_model, seed_report) ->
-              Engine.analyze_seeded ~verdict_only:true session ~seed_model
-                ~seed_report
-          | _ ->
-              ( Engine.analyze session,
-                Engine.Delta_cold { reason = "no-seed" } )
+        let report =
+          finish t m
+            (match found with
+            | Seed (_, seed_model, seed_report) ->
+                seeded ~verdict_only:true session ~seed_model ~seed_report
+            | _ -> unseeded t session)
         in
-        record t (fun t ->
-            t.probes <- t.probes + 1;
-            match outcome with
-            | Engine.Delta_warm _ -> t.seeded <- t.seeded + 1
-            | Engine.Delta_cold _ -> t.cold <- t.cold + 1);
-        store_feasible t m report;
-        if not report.Report.schedulable then store_hard t m;
         report.Report.schedulable
 
 (* Report-returning probe: callers read iterate values (region corner
    slacks), so the result must be the cold report bit for bit —
    default-mode seeding reruns cold whenever the warm run does not
    converge, and a stored infeasibility certificate routes the probe
-   straight to cold instead of through a warm attempt that would only
-   end in that rerun. *)
+   to the pinned run instead of through a warm attempt that would only
+   end in that rerun.  No certificate answers here: a verdict is not a
+   report. *)
 let analyze t engine m =
   if not t.enabled then cold_probe t engine m
-  else begin
-    let seed = lookup_seed t m in
+  else
     let session = Engine.with_model engine m in
-    let report, outcome =
-      match seed with
+    finish t m
+      (match lookup_seed t m with
       | Some (_, seed_model, seed_report) ->
-          Engine.analyze_seeded session ~seed_model ~seed_report
-      | None ->
-          (Engine.analyze session, Engine.Delta_cold { reason = "no-seed" })
-    in
-    record t (fun t ->
-        t.probes <- t.probes + 1;
-        match outcome with
-        | Engine.Delta_warm _ -> t.seeded <- t.seeded + 1
-        | Engine.Delta_cold _ -> t.cold <- t.cold + 1);
-    store_feasible t m report;
-    if not report.Report.schedulable then store_hard t m;
-    report
-  end
+          seeded session ~seed_model ~seed_report
+      | None -> unseeded t session)

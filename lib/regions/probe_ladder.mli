@@ -15,11 +15,21 @@
     - {b seeding}: otherwise the nearest stored report at a dominating
       (easier) point warms the probe's outer fixed point through
       {!Engine.analyze_seeded};
-    - {b cold}: no usable neighbour, plain {!Engine.analyze}.
+    - {b pinned}: no usable neighbour — the probe runs against the
+      ladder's {e reference}, the most recent converged probe, through
+      {!Engine.analyze_pinned}: every transaction the platform change
+      cannot reach keeps the reference's row and the rest iterate from
+      bottom, which is the cold run bit for bit.  Only the first probe
+      of a ladder (or one after a run of non-converged probes, or of
+      another structure) runs plain {!Engine.analyze}.  Seeded runs
+      pin the same rows against their seed.
 
     Verdicts and converged reports are bit-identical to cold probes in
     every case (asserted by the test suite and bench X17); only the
-    work to reach them changes.  Callers order their probe batches
+    work to reach them changes.  The reference is one model and one
+    report, replaced under the ladder's lock: any converged report of
+    the same structure is an exact reference, so which probe wrote it
+    last only changes how much a later probe pins.  Callers order their probe batches
     easiest-first (dominance order) so each probe finds its
     predecessors already stored.
 
@@ -45,7 +55,9 @@ type t
 type stats = {
   probes : int;  (** Probes answered, by any path. *)
   seeded : int;  (** Probes answered by a warm seeded run. *)
-  cold : int;  (** Probes that ran a cold analysis. *)
+  cold : int;
+      (** Probes answered by an unseeded analysis: cold, or pinned
+          against the reference — the cold run bit for bit. *)
   cert_feasible : int;  (** Feasibility certificates (zero analyses). *)
   cert_infeasible : int;  (** Infeasibility certificates. *)
   entries : int;
@@ -61,12 +73,15 @@ val create : ?enabled:bool -> unit -> t
 val schedulable : t -> Analysis.Engine.t -> Analysis.Model.t -> bool
 (** Boolean probe: the verdict of analysing [m] on a session derived
     from [engine] ({!Analysis.Engine.with_model}).  Certificates first,
-    then verdict-only seeding, then cold.  Always the cold verdict. *)
+    then verdict-only seeding, then a pinned run against the reference.
+    Always the cold verdict. *)
 
 val analyze : t -> Analysis.Engine.t -> Analysis.Model.t -> Analysis.Report.t
 (** Report probe: the full report of analysing [m], bit-identical to
     cold ({!Analysis.Engine.analyze_seeded} in default mode reruns cold
-    whenever the warm run does not converge).  Used where iterate
-    values are consumed — region corner slacks. *)
+    whenever the warm run does not converge; a pinned run is the cold
+    run).  Never answered by certificate: a feasibility-certified probe
+    is seeded, any other runs pinned against the reference.  Used where
+    iterate values are consumed — region corner slacks. *)
 
 val stats : t -> stats

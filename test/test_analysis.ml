@@ -581,10 +581,10 @@ let site_oracle_prop =
         (!multi_job_windows > 0) )
 
 (* Between sweeps the outer fixed point carries forward the response of
-   every task none of whose dependency rows changed.  Replaying a sweep
-   of a cold run from the all-dirty warm start at that sweep's jitters
-   recomputes every task, so each response the cold run carried is
-   checked against a recomputation. *)
+   every task none of whose dependency rows changed.  Each sweep of a
+   cold run is checked against a recomputation of every site at that
+   sweep's jitters and offsets, so each response the run carried is
+   checked against the site response it stands for. *)
 let carry_forward_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"carried responses = recomputed" ~count:10
@@ -602,34 +602,53 @@ let carry_forward_prop =
          let module X = Analysis.Fixpoint.Exact in
          let ir = Analysis.Ir.compile m in
          let agrees params =
-           let tables =
-             X.tables ir
-               (Analysis.Timebase.exact m
-                  ~horizon_factor:params.P.horizon_factor)
+           let tb =
+             Analysis.Timebase.exact m ~horizon_factor:params.P.horizon_factor
            in
-           let run warm =
-             X.analyze ~params ~counters:(Rta.counters ())
+           let tables = X.tables ir tb in
+           let counters = Rta.counters () in
+           let report =
+             X.analyze ~params ~counters
                ~sweep:(fun ~iteration:_ ~recomputed:_ ~carried:_ -> ())
-               tables (lazy (X.memo m)) ~warm
+               tables (lazy (X.memo m)) ~warm:None
            in
+           let memo = lazy (X.memo m) in
            List.for_all
              (fun (h : Report.iteration) ->
-               let warm =
-                 {
-                   Analysis.Fixpoint.dirty = Array.make (Model.n_txns m) true;
-                   jit = h.Report.jitters;
-                   resp =
-                     Array.map
-                       (Array.map (fun _ -> Report.Divergent))
-                       h.Report.jitters;
-                   rows = Array.make (Model.n_txns m) [||];
-                   floor = false;
-                 }
+               let jit = h.Report.jitters in
+               (* The offsets a sweep reads: each task's predecessor's
+                  best case, from the jitters under the refined one. *)
+               let rbest =
+                 match params.P.best_case with
+                 | P.Simple -> X.best_simple tb
+                 | P.Refined -> X.best_refined tb ir ~jit
                in
-               match (run (Some (X.lift tables warm))).Report.history with
-               | replay :: _ -> replay.Report.responses = h.Report.responses
-               | [] -> false)
-             (run None).Report.history
+               let phi =
+                 Array.map
+                   (fun row ->
+                     Array.mapi
+                       (fun b _ -> if b = 0 then Q.zero else row.(b - 1))
+                       row)
+                   rbest
+               in
+               Array.for_all Fun.id
+                 (Array.mapi
+                    (fun a row ->
+                      Array.for_all Fun.id
+                        (Array.mapi
+                           (fun b carried ->
+                             let fresh =
+                               match
+                                 X.response_time ~memo ~counters tables
+                                   (Analysis.Ir.site ir ~a ~b) params ~phi ~jit
+                               with
+                               | X.Finite v -> Report.Finite v
+                               | X.Divergent -> Report.Divergent
+                             in
+                             Report.equal_bound fresh carried)
+                           row))
+                    h.Report.responses))
+             report.Report.history
          in
          List.for_all agrees
            [
@@ -1786,6 +1805,180 @@ let test_seeded_rejects_non_dominating () =
           Alcotest.fail "structure mismatch was not rejected")
   | [] -> Alcotest.fail "no perturbations"
 
+(* --- platform-local probes --- *)
+
+(* A random system with chains (3–8 transactions, up to 3 tasks, 2–3
+   platforms) and a sequence of 3–5 probes, each moving the bounds of
+   one or two platforms: α by 3/4, 1 or 5/4 (at most 1), Δ halved,
+   kept or raised by 1/2 — so a probe is often neither easier nor
+   harder than the one before it. *)
+let probe_sequence seed =
+  let st = Random.State.make [| seed; 26 |] in
+  let spec =
+    {
+      Workload.Gen.default_spec with
+      Workload.Gen.n_txns = 3 + Random.State.int st 6;
+      max_tasks_per_txn = 3;
+      n_resources = 2 + Random.State.int st 2;
+    }
+  in
+  let m0 = Model.of_system (Workload.Gen.system ~seed spec) in
+  let n_res = Array.length m0.Model.bounds in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let move bounds r =
+    let lb = bounds.(r) in
+    let alpha =
+      Q.min Q.one Q.(lb.LB.alpha * pick [ make 3 4; one; make 5 4 ])
+    and delta =
+      pick Q.[ lb.LB.delta / of_int 2; lb.LB.delta; lb.LB.delta + make 1 2 ]
+    in
+    bounds.(r) <- LB.make ~alpha ~delta ~beta:lb.LB.beta
+  in
+  let rec probes k bounds acc =
+    if k = 0 then List.rev acc
+    else begin
+      let bounds = Array.copy bounds in
+      let r = Random.State.int st n_res in
+      move bounds r;
+      if Random.State.bool st then
+        move bounds ((r + 1 + Random.State.int st (n_res - 1)) mod n_res);
+      probes (k - 1) bounds ({ m0 with Model.bounds } :: acc)
+    end
+  in
+  (m0, probes (3 + Random.State.int st 3) m0.Model.bounds [])
+
+(* A probe planned against the last converged report of the sequence
+   before it is the cold analysis of a fresh session, bit for bit,
+   iteration count included — converged or not — for both variants,
+   kernel on and off; a seeded run from that report, where it
+   dominates the probe, gives the cold report whenever it converges. *)
+let pinned_identity_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"platform-local probe = cold analysis, exact and reduced, kernel \
+              on and off"
+       ~count:20 (QCheck.int_range 1 1000)
+       (fun seed ->
+         let m0, probes = probe_sequence seed in
+         QCheck.assume (scenario_total m0 < 20_000);
+         let agrees base =
+           let params = { base with P.keep_history = false } in
+           let session = Engine.create ~params m0 in
+           let cold m = analyze ~params m in
+           let newer reference m (c : Report.t) =
+             if c.Report.converged then Some (m, c) else reference
+           in
+           let rec walk reference = function
+             | [] -> true
+             | m :: rest ->
+                 let c = cold m in
+                 let ok =
+                   match reference with
+                   | None -> true
+                   | Some (rm, rr) ->
+                       let probe = Engine.with_model session m in
+                       let p, _ =
+                         Engine.analyze_pinned probe ~reference_model:rm
+                           ~reference_report:rr
+                       in
+                       same_verdict p c
+                       && p.Report.outer_iterations = c.Report.outer_iterations
+                       && ((not (Engine.Seeded.dominates ~seed:rm m))
+                          ||
+                          let s, _ =
+                            Engine.analyze_seeded probe ~seed_model:rm
+                              ~seed_report:rr
+                          in
+                          (not s.Report.converged) || same_verdict s c)
+                 in
+                 ok && walk (newer reference m c) rest
+           in
+           walk (newer None m0 (cold m0)) probes
+         in
+         List.for_all
+           (fun kernel ->
+             agrees { P.exact with P.int_kernel = kernel }
+             && agrees { P.default with P.int_kernel = kernel })
+           [ true; false ]))
+
+(* Three platforms at α = 1/2, Δ = 1: A alone on P0; single-task B and
+   C on P1; the chain D on P2, whose second task inherits the first's
+   response jitter (R − Rbest = 5 − 2). *)
+let local_probe_model () =
+  let half = LB.make ~alpha:(q "0.5") ~delta:Q.one ~beta:Q.zero in
+  Model.make ~bounds:[ half; half; half ]
+    [
+      txn "A" "20" [ task "A.t" "2" "1" 0 1 ];
+      txn "B" "10" [ task "B.t" "1" "1" 1 2 ];
+      txn "C" "20" [ task "C.t" "2" "1" 1 1 ];
+      txn "D" "40" [ task "D.0" "2" "1" 2 2; task "D.1" "2" "1" 2 1 ];
+    ]
+
+(* A probe that halves P0's rate, planned against the base report. *)
+let local_probe () =
+  let m = local_probe_model () in
+  let reference = analyze ~params:delta_params m in
+  let bounds = Array.copy m.Model.bounds in
+  bounds.(0) <- LB.make ~alpha:(q "0.25") ~delta:Q.one ~beta:Q.zero;
+  let events = ref [] in
+  let session =
+    Engine.with_model
+      (Engine.create ~params:delta_params
+         ~sink:(fun e -> events := e :: !events)
+         m)
+      { m with Model.bounds }
+  in
+  (m, reference, session, events)
+
+let test_pinned_single_tasks () =
+  let m, reference, session, events = local_probe () in
+  (match
+     Engine.Seeded.plan session ~base_model:m ~base_report:reference
+       ~seeded:false
+   with
+  | Ok p ->
+      Alcotest.(check (array bool))
+        "A moved, D is a chain; B and C are pinned"
+        [| true; false; false; true |]
+        (Engine.Delta.warm p).Analysis.Fixpoint.dirty;
+      Alcotest.(check int) "dirty tasks" 3 (Engine.Delta.dirty_tasks p)
+  | Error e -> Alcotest.failf "plan refused: %s" e);
+  let r, outcome =
+    Engine.analyze_pinned session ~reference_model:m
+      ~reference_report:reference
+  in
+  (match outcome with
+  | Engine.Delta_warm { dirty; total; carried } ->
+      Alcotest.(check (list int)) "outcome" [ 3; 5; 2 ] [ dirty; total; carried ]
+  | Engine.Delta_cold { reason } -> Alcotest.failf "ran cold: %s" reason);
+  Alcotest.(check bool)
+    "the probe said what it carried" true
+    (List.exists
+       (function
+         | Engine.Delta { dirty = 3; total = 5; carried = 2 } -> true
+         | _ -> false)
+       !events);
+  let cold = analyze ~params:delta_params (Engine.model session) in
+  Alcotest.(check bool) "cold report" true (same_verdict r cold);
+  Alcotest.(check int) "cold iteration count" cold.Report.outer_iterations
+    r.Report.outer_iterations
+
+let test_unstable_chain_iterated () =
+  let m, reference, session, _ = local_probe () in
+  check_q "D.1 converged at a non-zero jitter" (q "3")
+    reference.Report.results.(3).(1).Report.jitter;
+  (* D's constants are the reference's, but a cold run starts D.1 at 0:
+     pinned at 3 it would skip the sweep that moves it there *)
+  match
+    Engine.Seeded.plan session ~base_model:m ~base_report:reference
+      ~seeded:false
+  with
+  | Ok p ->
+      Alcotest.(check bool)
+        "D is iterated" true
+        (Engine.Delta.warm p).Analysis.Fixpoint.dirty.(3)
+  | Error e -> Alcotest.failf "plan refused: %s" e
+
 (* --- the IR against Eq. 17 --- *)
 
 (* Placement shapes the IR must get right: three to five platforms,
@@ -2015,6 +2208,11 @@ let () =
           Alcotest.test_case "dominance order" `Quick test_seeded_dominance;
           Alcotest.test_case "non-dominating seed runs cold" `Quick
             test_seeded_rejects_non_dominating;
+          pinned_identity_prop;
+          Alcotest.test_case "untouched single-task platform is pinned" `Quick
+            test_pinned_single_tasks;
+          Alcotest.test_case "unstable chain on an untouched platform iterates"
+            `Quick test_unstable_chain_iterated;
         ] );
       ("ir", [ ir_sites_prop; ir_closure_prop ]);
     ]

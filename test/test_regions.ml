@@ -326,47 +326,38 @@ let shared_ir_prop =
              Array.to_list (Array.map Option.get reports) = cold)
            [ P.exact; P.default ]))
 
-(* The probe ladder certifies and warm-seeds probes from earlier ones;
-   what it answers must still be what cold probes answer.  On the
-   sensor-fusion example's P3 (the platform `hsched design --region P3`
-   reports on) the region build — frontier, refined vertices, cell
-   statistics — and then min-rate questions on the same ladder must
-   come out as through a disabled ladder. *)
-let test_ladder_equals_cold () =
-  let path =
-    match
-      List.find_opt Sys.file_exists
-        [ "../examples/sensor_fusion.hsc"; "examples/sensor_fusion.hsc" ]
-    with
-    | Some p -> p
-    | None -> Alcotest.failf "cannot find sensor_fusion.hsc"
+(* The probe ladder certifies, warm-seeds and pins probes from earlier
+   ones; what it answers must still be what cold probes answer: the
+   region build of [resource] — frontier, refined vertices, cell
+   statistics — and then min-rate questions at [deltas] on the same
+   ladder must come out as through a disabled ladder.  Returns the
+   warm ladder's statistics, the analyses the warm side ran and how
+   many of them pinned rows. *)
+let ladder_equals_cold ?(precision = 3) ?(rate_precision = 10) sys ~resource
+    ~deltas =
+  let beta =
+    sys.Transaction.System.resources.(resource).Platform.Resource.bound.LB.beta
   in
-  let sys =
-    match Spec.load_file path with
-    | Ok asm -> Transaction.Derive.derive_exn asm
-    | Error es -> Alcotest.failf "%s: %s" path (String.concat " | " es)
+  let runs = ref 0 and pinned = ref 0 in
+  let count : Analysis.Engine.sink = function
+    | Analysis.Engine.Analysis_started _ -> incr runs
+    | Analysis.Engine.Delta { carried; _ } -> if carried > 0 then incr pinned
+    | _ -> ()
   in
-  let resources = sys.Transaction.System.resources in
-  let resource =
-    Option.get
-      (Array.find_index
-         (fun (r : Platform.Resource.t) -> r.Platform.Resource.name = "P3")
-         resources)
-  in
-  let beta = resources.(resource).Platform.Resource.bound.LB.beta in
-  let run ladder =
-    let rm = D.region ~ladder ~precision:3 sys ~resource in
+  let run ?sink ladder =
+    let engine = Analysis.Engine.create ?sink (Model.of_system sys) in
+    let rm = D.region ~engine ~ladder ~precision sys ~resource in
     let answers =
       List.map
         (fun delta ->
-          D.min_rate ~ladder sys ~resource
-            ~family:(D.fixed_latency_family ~delta:(q delta) ~beta))
-        [ "0.5"; "1"; "2"; "4" ]
+          D.min_rate ~engine ~ladder ~precision:rate_precision sys ~resource
+            ~family:(D.fixed_latency_family ~delta ~beta))
+        deltas
     in
     (rm, answers)
   in
   let warm_ladder = Regions.Probe_ladder.create () in
-  let warm, warm_answers = run warm_ladder in
+  let warm, warm_answers = run ~sink:count warm_ladder in
   let cold, cold_answers = run (Regions.Probe_ladder.create ~enabled:false ()) in
   let points pts =
     List.map
@@ -388,12 +379,66 @@ let test_ladder_equals_cold () =
     "min rates"
     (List.map (Option.map Q.to_string) cold_answers)
     (List.map (Option.map Q.to_string) warm_answers);
-  let s = Regions.Probe_ladder.stats warm_ladder in
+  (Regions.Probe_ladder.stats warm_ladder, !runs, !pinned)
+
+(* The sensor-fusion example's P3, the platform `hsched design --region
+   P3` reports on. *)
+let test_ladder_equals_cold () =
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "../examples/sensor_fusion.hsc"; "examples/sensor_fusion.hsc" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.failf "cannot find sensor_fusion.hsc"
+  in
+  let sys =
+    match Spec.load_file path with
+    | Ok asm -> Transaction.Derive.derive_exn asm
+    | Error es -> Alcotest.failf "%s: %s" path (String.concat " | " es)
+  in
+  let resource =
+    Option.get
+      (Array.find_index
+         (fun (r : Platform.Resource.t) -> r.Platform.Resource.name = "P3")
+         sys.Transaction.System.resources)
+  in
+  let s, _, _ =
+    ladder_equals_cold sys ~resource
+      ~deltas:(List.map q [ "0.5"; "1"; "2"; "4" ])
+  in
   Alcotest.(check bool)
     "the warm ladder answered some probes without a cold analysis" true
     (s.Regions.Probe_ladder.seeded + s.Regions.Probe_ladder.cert_feasible
      + s.Regions.Probe_ladder.cert_infeasible
     > 0)
+
+(* A design_region-shaped generated system — 16 single-task
+   transactions over 2 platforms at 40% load — on both platforms: a
+   probe there moves one platform, so most probes pin the other
+   platform's transactions. *)
+let test_ladder_equals_cold_generated () =
+  let sys =
+    Workload.Gen.system ~seed:8020
+      {
+        Workload.Gen.default_spec with
+        Workload.Gen.n_txns = 16;
+        n_resources = 2;
+        max_tasks_per_txn = 1;
+        utilization = Q.make 2 5;
+      }
+  in
+  for resource = 0 to 1 do
+    let _, runs, pinned =
+      ladder_equals_cold ~precision:4 ~rate_precision:8 sys ~resource
+        ~deltas:(List.map q [ "0.5"; "2"; "5" ])
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "most analyses on platform %d pinned rows (%d of %d)"
+         resource pinned runs)
+      true
+      (2 * pinned > runs)
+  done
 
 let () =
   Alcotest.run "regions"
@@ -417,5 +462,11 @@ let () =
           Alcotest.test_case "ladder = cold probes on P3" `Quick
             test_ladder_equals_cold;
         ] );
-      ("identity", [ region_identity_prop; shared_ir_prop ]);
+      ( "identity",
+        [
+          region_identity_prop;
+          shared_ir_prop;
+          Alcotest.test_case "ladder = cold probes on a generated system"
+            `Quick test_ladder_equals_cold_generated;
+        ] );
     ]
