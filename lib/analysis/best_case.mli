@@ -3,8 +3,8 @@
     [Rbest]{_i,j} is a lower bound on the completion of τ{_i,j}, measured
     from the activation of Γ{_i}.  It seeds the offsets (φ{_i,j} =
     Rbest{_i,j−1}) and keeps the jitters J{_i,j} = R{_i,j−1} −
-    Rbest{_i,j−1} finite.  Views of {!Fixpoint.Make.best_simple} and
-    {!Fixpoint.Make.best_refined}, which every analysis runs. *)
+    Rbest{_i,j−1} finite.  Views of {!Fixpoint.Exact.best_simple} and
+    {!Fixpoint.Exact.best_refined}, which every analysis runs. *)
 
 val simple : Model.t -> Rational.t array array
 (** The paper's bound: the cumulative best-case computation times of the

@@ -5,7 +5,7 @@
     points, so iterating from below either reaches the least fixed point
     exactly (exact arithmetic: equality is decidable) or grows past any
     bound when the platform is overloaded.  A view of
-    {!Fixpoint.Make.fixpoint} on exact rationals. *)
+    {!Fixpoint.Exact.fixpoint}, on exact rationals. *)
 
 val fixpoint :
   horizon:Rational.t -> (Rational.t -> Rational.t) -> Rational.t ->

@@ -386,7 +386,7 @@ let bottom (m : Model.t) a =
   row
 
 module Delta = struct
-  type plan = { warm : Fixpoint.warm; dirty_tasks : int; total_tasks : int }
+  type plan = { warm : Timeline.warm; dirty_tasks : int; total_tasks : int }
 
   (* A warm start over a closed dirty set: a clean row carries [base]'s
      report row [old_of a] whole, a dirty row starts from [start a] with
@@ -413,7 +413,7 @@ module Delta = struct
       (fun a d -> if d then dirty_tasks := !dirty_tasks + Model.n_tasks m a)
       dirty;
     {
-      warm = { Fixpoint.dirty; jit; resp; rows; floor };
+      warm = { Timeline.dirty; jit; resp; rows; floor };
       dirty_tasks = !dirty_tasks;
       total_tasks = Ir.n_tasks t.ir;
     }

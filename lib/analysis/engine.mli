@@ -181,7 +181,7 @@ val analyze : t -> Report.t
     and [Finished].  The report is the same for every [prune] and
     [int_kernel] setting.
 
-    The fixed point is {!Fixpoint.Make}, run on {!Fixpoint.Scaled} when
+    The fixed point is the core of {!Fixpoint}, run on {!Fixpoint.Scaled} when
     the session carries an integer timebase (see {!kernel_scale}) —
     scaled native ints, converted back to rationals at the report
     boundary — and on {!Fixpoint.Exact} otherwise: same sweeps, same
@@ -234,7 +234,7 @@ module Delta : sig
       unsound or pointless — the [Delta_cold] reasons above, except
       ["warm-not-converged"]. *)
 
-  val warm : plan -> Fixpoint.warm
+  val warm : plan -> Timeline.warm
   (** The warm start the plan runs: the dirty rows, the seed jitters
       and responses, and the previous report's rows of the clean
       transactions. *)

@@ -1,156 +1,27 @@
 (** The fixed-point core of the holistic analysis (Section 3), written
-    once over a numeric timeline ({!Timeline.S}).
+    once and compiled once per numeric domain.
 
-    {!Make} holds every recurrence: the compiled demand kernels of
+    The core holds every recurrence: the compiled demand kernels of
     Eqs. 7–11 and their memo entries, the busy-period fixed point of
     Eqs. 13–16, the simple and refined best cases, the response time of
     one site (reduced, exhaustive exact, and branch-and-bound exact),
     and the outer Jacobi iteration on the dynamic offsets with
-    incremental sweeps and warm starts.  It is instantiated twice:
+    incremental sweeps and warm starts.  Its source (fixpoint_core.ml
+    and .mli, written over a module [N : Timeline.S]) is not a module of
+    its own: the build writes it into one compilation unit per domain,
+    with that domain's arithmetic defined as [N] in front of it
+    (lib/analysis/dune), so each instance calls its arithmetic directly
+    instead of through a functor argument.  The two instances are
     {!Exact} on rationals and {!Scaled} on overflow-checked scaled ints.
     Every step of one is the image of the other's under v ↦ v·scale, so
     both return the same report bit for bit; {!Engine} runs {!Scaled}
     and falls back to {!Exact} when the model leaves native-int
     range. *)
 
-type warm = {
-  dirty : bool array;
-      (** per transaction; clean rows are pinned at [jit]/[resp] *)
-  jit : Rational.t array array;  (** seed jitters *)
-  resp : Report.bound array array;  (** carried responses (clean rows) *)
-  rows : Report.task_result array array;
-      (** the previous report's rows of the clean transactions, which
-          the warm run returns as they are (never read on dirty rows) *)
-  floor : bool;
-      (** round the seed jitters down onto a scaled lattice ([true] for
-          seeded starts, whose pinned rows hold their cold starting
-          values, already on it) instead of requiring them on it
-          ([false], delta and pinned starts) *)
-}
-(** A warm start for the outer fixed point, as {!Engine.Delta} and
-    {!Engine.Seeded} plan it (docs/INCREMENTAL.md, docs/THEORY.md). *)
+module Exact = Fixpoint_exact
+(** The core on exact rationals; [Exact.N] is timeline_exact.ml. *)
 
-type memo_stats = { hits : int; misses : int; invalidations : int }
-
-module Make (N : Timeline.S) : sig
-  type num = N.t
-
-  (** {1 Demand kernels} *)
-
-  type skeleton
-  (** The value-independent half of the demand curves of one
-      interfering transaction: task indices, period and costs. *)
-
-  val skeleton : num Timebase.t -> i:int -> hp_list:int list -> skeleton
-
-  val lead :
-    num -> phi_row:num array -> jit_row:num array -> int -> num
-  (** [lead period ~phi_row ~jit_row k] is (φ{_i,k} mod T) + J{_i,k}. *)
-
-  val phase : num -> lead:num -> num -> num
-  (** [phase period ~lead φ{_i,j}] is ϕ{^k}{_i,j} (Eq. 10). *)
-
-  val delayed : num -> jitter:num -> phase:num -> int
-  (** [delayed period ~jitter ~phase] is ⌊(J + ϕ)/T⌋ (Eq. 8). *)
-
-  val compile :
-    skeleton -> phi:num array array -> jit:num array array -> k:int ->
-    num Timeline.kernel
-  (** The curve of the scenario where τ{_i,k} initiates, against the
-      current offsets and jitters. *)
-
-  (** {1 Memo} *)
-
-  type cache
-
-  type memo
-
-  val memo : Model.t -> memo
-
-  val cache : memo -> a:int -> b:int -> cache
-
-  val memo_stats : memo -> memo_stats
-
-  type curve
-  (** A demand curve ready to evaluate at any t: its compiled kernel,
-      or its memo entry for curves of at least [N.memo_min_terms]
-      terms. *)
-
-  val memoised :
-    cache -> skeleton -> phi:num array array -> jit:num array array ->
-    k:int -> curve
-  (** The curve's memo entry, resolved (and recompiled if a row changed)
-      once; evaluations only look up. *)
-
-  val eval_curve : curve -> num -> num
-  (** [Timeline.eval (compile …) t], from the memo when it holds t. *)
-
-  (** {1 Fixed points} *)
-
-  val fixpoint : horizon:num -> (num -> num) -> num -> num option
-  (** Least fixed point from [w0], [None] past [horizon]. *)
-
-  val best_simple : num Timebase.t -> num array array
-
-  val best_refined :
-    num Timebase.t -> Ir.t -> jit:num array array -> num array array
-
-  type tables
-  (** A session's timebase plus its per-site skeletons, flattened on
-      first use. *)
-
-  val tables : Ir.t -> num Timebase.t -> tables
-
-  val timebase : tables -> num Timebase.t
-
-  type bound = Finite of num | Divergent
-
-  val response_time :
-    memo:memo Lazy.t ->
-    counters:Rta.counters ->
-    tables ->
-    Ir.site ->
-    Params.t ->
-    phi:num array array ->
-    jit:num array array ->
-    bound
-  (** The response bound of one site under the given offsets and
-      jitters (Eqs. 12–16, under [params]' variant and pruning): what a
-      sweep of {!analyze} computes for each site it does not carry. *)
-
-  type lifted
-
-  val lift : tables -> warm -> lifted
-  (** The warm start on this timeline, in fresh arrays that {!analyze}
-      takes over (a [lifted] value serves one run).
-      @raise Rational.Overflow when a value is off the lattice. *)
-
-  val analyze :
-    params:Params.t ->
-    counters:Rta.counters ->
-    sweep:(iteration:int -> recomputed:int -> carried:int -> unit) ->
-    tables ->
-    memo Lazy.t ->
-    warm:lifted option ->
-    Report.t
-  (** The holistic analysis: outer Jacobi sweeps on the jitters, each
-      recomputing the response of every task that reads a changed row
-      ({!Ir.stale}) and carrying the others forward, until the jitters
-      repeat, a response diverges, some transaction misses its deadline
-      (under the simple best case, whose responses grow monotonically:
-      the verdict is settled, the report has [converged = false]) or
-      256 sweeps have run.  [sweep] is called after each sweep;
-      [counters] is bumped with the scenario accounting; the memo is
-      forced only by a curve long enough for this timeline's memo
-      ([N.memo_min_terms]).  A warm start's clean rows are never
-      recomputed, and their report entries are the warm start's [rows]
-      as given: such a row keeps its carried responses and jitters, and
-      under the Simple best case its offsets and best cases read only
-      its own constants.  Runs on the calling
-      domain.
-      @raise Rational.Overflow when an operation leaves the domain. *)
-end
-
-module Exact : module type of Make (Timeline.Exact)
-
-module Scaled : module type of Make (Timeline.Scaled)
+module Scaled = Fixpoint_scaled
+(** The core on scaled ints; [Scaled.N] is timeline_scaled.ml, whose
+    [add], [sub], [mul_int] and [eval] raise [Rational.Overflow] on
+    exactly the inputs where [Rational.Checked] would. *)

@@ -15,7 +15,7 @@ let phase m ~phi ~jit ~i ~k ~j =
 let jobs ~jitter ~phase ~period ~t =
   let delayed = [| E.delayed period ~jitter ~phase |] in
   Q.floor
-    (Timeline.Exact.eval
+    (E.N.eval
        { Timeline.period; phase = [| phase |]; delayed; cost = [| Q.one |] }
        t)
 
@@ -24,7 +24,7 @@ let contribution ?hp_list m ~phi ~jit ~i ~k ~a ~b ~t =
   let tb =
     Timebase.exact m ~horizon_factor:Params.default.Params.horizon_factor
   in
-  Timeline.Exact.eval (E.compile (E.skeleton tb ~i ~hp_list) ~phi ~jit ~k) t
+  E.N.eval (E.compile (E.skeleton tb ~i ~hp_list) ~phi ~jit ~k) t
 
 let w_star ?hp_list m ~phi ~jit ~i ~a ~b ~t =
   let hp_list = match hp_list with Some l -> l | None -> hp m ~i ~a ~b in

@@ -41,7 +41,7 @@ type site = {
           size of the remote scenario space *)
   total : int;  (** the remote scenario count [Π |choices|] *)
 }
-(** Everything the site response-time analysis ({!Fixpoint.Make}) needs
+(** Everything the site response-time analysis ({!Fixpoint}) needs
     about one task under analysis.  The response of [(a, b)] reads the
     offset and jitter rows of [a] and of every transaction in
     [remotes], and no others. *)
@@ -70,7 +70,7 @@ val exact_scenarios : t -> int
 
 val timebase : Model.t -> horizon_factor:int -> int Timebase.t option
 (** The value-dependent half of session compilation: the scaled-int
-    constant tables of the {!Timeline.Scaled} instance
+    constant tables of the {!Fixpoint.Scaled} instance
     ({!Timebase.of_model}).
     Kept outside {!t} on purpose — the IR is shared across every
     {!compatible} model precisely because it never reads the numeric

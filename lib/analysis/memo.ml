@@ -4,7 +4,7 @@ type t = E.memo
 
 type cache = E.cache
 
-type stats = Fixpoint.memo_stats = {
+type stats = Timeline.memo_stats = {
   hits : int;
   misses : int;
   invalidations : int;
@@ -16,7 +16,7 @@ let cache = E.cache
 
 let stats = E.memo_stats
 
-let min_terms = Timeline.Exact.memo_min_terms
+let min_terms = E.N.memo_min_terms
 
 let w_star c m ~phi ~jit ~i ~hp_list ~t =
   let tb =

@@ -40,7 +40,7 @@ val cache : t -> a:int -> b:int -> cache
 
 val min_terms : int
 (** Smallest interfering-set size worth memoising on exact rationals
-    ([Timeline.Exact.memo_min_terms]).  Kernels with fewer terms are
+    ([Fixpoint.Exact.N.memo_min_terms]).  Kernels with fewer terms are
     evaluated directly: a cache probe costs about as much as the
     evaluation itself. *)
 
@@ -57,7 +57,7 @@ val w_star :
     analysis: identical value, each W{^k}{_i} computed at most once per
     (jitter/offset row state of transaction [i], [t]). *)
 
-type stats = Fixpoint.memo_stats = {
+type stats = Timeline.memo_stats = {
   hits : int;
   misses : int;
   invalidations : int;

@@ -3,7 +3,7 @@
     There are no other switches: the outer fixed point always carries
     clean tasks forward between sweeps, stops at the first deadline miss
     under the [Simple] best case and gives up after a fixed number of
-    sweeps ({!Fixpoint.Make.analyze}); an analysis always runs on the
+    sweeps ({!Fixpoint.Scaled.analyze}); an analysis always runs on the
     domain that calls it; design-space probes always go through a
     {!Regions.Probe_ladder}. *)
 
@@ -36,7 +36,7 @@ type t = {
           of the transaction under analysis are declared divergent. *)
   prune : bool;
       (** Branch-and-bound pruning of the exact scenario enumeration
-          ({!Fixpoint.Make}): sub-spaces of the mixed-radix scenario
+          ({!Fixpoint}): sub-spaces of the mixed-radix scenario
           product whose optimistic bound (fixed digits at their actual
           demand, free digits at the scenario maximum W{^*}) cannot beat
           the best response found so far are skipped.  Pruning only discards

@@ -2,7 +2,7 @@
     one task under static offsets and jitters (Sections 3.1.1 and 3.1.2,
     extended to abstract platforms by Section 3.2).
 
-    The analysis itself is {!Fixpoint.Make.analyze}: it examines the
+    The analysis itself is {!Fixpoint.Scaled.analyze}: it examines the
     busy periods started by every scenario —
 
     - {!Params.Exact}: one scenario per combination of initiating tasks
@@ -51,11 +51,11 @@ val record : counters -> scenario_counter -> int -> unit
 
 val kernel_runs : counters -> int
 (** Analyses the engine started on the integer timeline
-    ({!Timeline.Scaled}), whether or not they completed there. *)
+    ({!Fixpoint.Scaled}), whether or not they completed there. *)
 
 val kernel_fallbacks : counters -> int
 (** Kernel analyses aborted by a mid-analysis overflow and rerun on
-    {!Timeline.Exact}.  Always [<= kernel_runs]. *)
+    {!Fixpoint.Exact}.  Always [<= kernel_runs]. *)
 
 val record_kernel_run : counters -> unit
 (** Bumped by {!Engine.analyze} when it enters the kernel path. *)

@@ -9,9 +9,9 @@
     holistic analysis (sums, differences, integer multiples, and floors
     and ceilings of quotients — which are plain integers).  Representing
     each value by its scaled numerator [v·scale] therefore lets the
-    fixed points run on native ints ({!Timeline.Scaled}), bit-exactly:
+    fixed points run on native ints ({!Fixpoint.Scaled}), bit-exactly:
     {!Rational.of_scaled} at the report boundary recovers the very
-    rationals the exact computation ({!Timeline.Exact}) would have
+    rationals the exact computation ({!Fixpoint.Exact}) would have
     produced.  See docs/THEORY.md for the closure argument and
     docs/PERFORMANCE.md for the headroom and fallback rules. *)
 
@@ -51,9 +51,9 @@ val of_model :
     timeline: the denominator lcm overflows, or some scaled constant
     (including the horizon) exceeds [max_int / 2{^10}].  The 10-bit
     headroom absorbs the sums and job-count products of ordinary
-    busy-period evaluations; the {!Timeline.Scaled} operations are
+    busy-period evaluations; the {!Fixpoint.Scaled} operations are
     overflow-checked regardless, so [Some] is a fast-path eligibility
-    verdict, not a guarantee ({!Engine} falls back to {!Timeline.Exact}
+    verdict, not a guarantee ({!Engine} falls back to {!Fixpoint.Exact}
     on a mid-analysis overflow).
 
     [carry = (prev, kept)] builds from earlier tables: transaction [a]

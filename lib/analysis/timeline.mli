@@ -1,18 +1,25 @@
-(** Numeric timelines: the two domains the fixed-point core runs on.
+(** Numeric timelines: the two domains the fixed-point core runs on,
+    and the types its two instances share.
 
     Every recurrence of the holistic analysis (Section 3) adds,
     subtracts and integer-multiplies time values, compares them, and
     takes floors and ceilings of quotients by a period — plain job
     counts.  {!S} is exactly that vocabulary, plus conversions to and
-    from {!Rational} and the per-term loop of the demand kernel.
-    {!Fixpoint.Make} is written once over it and instantiated twice:
+    from {!Rational} and the per-term loop of the demand kernel.  The
+    fixed-point core is written once over a module [N : S]
+    (fixpoint_core.ml), and the build compiles it once per domain, with
+    that domain's [N] defined in front of it in the same compilation
+    unit (lib/analysis/dune):
 
-    - {!Exact}: exact rationals — the reference, and the fallback;
-    - {!Scaled}: native ints on the lattice (1/L)·Z of a {!Timebase.t},
-      every operation overflow-checked (raising [Rational.Overflow]).
+    - {!Fixpoint.Exact}: exact rationals (timeline_exact.ml) — the
+      reference, and the fallback;
+    - {!Fixpoint.Scaled}: native ints on the lattice (1/L)·Z of a
+      {!Timebase.t} (timeline_scaled.ml), every operation
+      overflow-checked (raising [Rational.Overflow]).
 
     Lattice values are exact, so both instances compute the same
-    rationals bit for bit — see docs/THEORY.md. *)
+    rationals bit for bit — see docs/THEORY.md.  This module has no
+    implementation: it holds types only. *)
 
 type 'v kernel = {
   period : 'v;  (** period T{_i} of the interfering transaction *)
@@ -26,6 +33,8 @@ type 'v kernel = {
     division per term.  Valid while the jitter and offset rows of
     transaction [i] it was compiled from are unchanged. *)
 
+(** The arithmetic of one domain.  [Fixpoint.Exact.N] and
+    [Fixpoint.Scaled.N] are its two implementations. *)
 module type S = sig
   type t
 
@@ -74,12 +83,22 @@ module type S = sig
       never. *)
 end
 
-module Exact : S with type t = Rational.t
-(** Exact rationals; conversions ignore [scale].  Curves of
-    [memo_min_terms = 4] terms or more are memoised. *)
+type warm = {
+  dirty : bool array;
+      (** per transaction; clean rows are pinned at [jit]/[resp] *)
+  jit : Rational.t array array;  (** seed jitters *)
+  resp : Report.bound array array;  (** carried responses (clean rows) *)
+  rows : Report.task_result array array;
+      (** the previous report's rows of the clean transactions, which
+          the warm run returns as they are (never read on dirty rows) *)
+  floor : bool;
+      (** round the seed jitters down onto a scaled lattice ([true] for
+          seeded starts, whose pinned rows hold their cold starting
+          values, already on it) instead of requiring them on it
+          ([false], delta and pinned starts) *)
+}
+(** A warm start for the outer fixed point, as {!Engine.Delta} and
+    {!Engine.Seeded} plan it (docs/INCREMENTAL.md, docs/THEORY.md), in
+    rationals: each instance lifts it onto its own timeline. *)
 
-module Scaled : S with type t = int
-(** Scaled numerators on native ints; [add], [sub], [mul_int] and
-    [eval] raise [Rational.Overflow] instead of wrapping, on exactly the
-    inputs where [Rational.Checked] would.  Never memoised: its [eval]
-    is cheaper than a cache probe. *)
+type memo_stats = { hits : int; misses : int; invalidations : int }

@@ -429,7 +429,7 @@ let ablation_identity_prop =
 (* --- the site response against the paper's recurrences --- *)
 
 module X = Analysis.Fixpoint.Exact
-module TE = Analysis.Timeline.Exact
+module TE = Analysis.Fixpoint.Exact.N
 
 (* Busy windows of two or more jobs of the task under analysis that
    [reference_response] has walked. *)
@@ -957,6 +957,7 @@ let test_kernel_runtime_fallback () =
 (* --- the scaled demand kernel on its own --- *)
 
 module TL = Analysis.Timeline
+module SN = Analysis.Fixpoint.Scaled.N
 
 (* The per-term loop as first written over [Stdlib.max] and
    [Rational.Checked]: the reference for the values and for exactly
@@ -1030,14 +1031,64 @@ let kernel_eval_prop =
        (QCheck.make kernel_case_gen)
        (fun (k, t) ->
          let reference = outcome (fun () -> reference_eval k t) in
-         outcome (fun () -> TL.Scaled.eval k t) = reference
+         outcome (fun () -> SN.eval k t) = reference
          &&
          match reference with
          | None -> true
          | Some v ->
              Q.equal
-               (TL.Exact.eval (exact_kernel k) (Q.of_int t))
+               (TE.eval (exact_kernel k) (Q.of_int t))
                (Q.of_int v)))
+
+(* The int instance writes its own [add], [sub] and [mul_int] in line
+   with the core; they must answer like [Rational.Checked] on every
+   pair, raising included, or [Kernel_fallback] would fire elsewhere.
+   The edges: [Checked.( - )] negates first, so it rejects b = min_int
+   even when a − b fits, and [mul_exn] special-cases (min_int, −1). *)
+let arith_edges =
+  [ 0; 1; -1; 2; -2; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1; (1 lsl 31) + 1 ]
+  @ [ max_int; max_int - 1; min_int; min_int + 1 ]
+
+let arith_operand =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, oneofl arith_edges);
+      (2, int);
+      (2, int_range (-(1 lsl 33)) (1 lsl 33));
+      (1, map2 (fun k d -> (1 lsl k) + d) (int_range 0 61) (int_range (-2) 2));
+      (1, map2 (fun k d -> -(1 lsl k) + d) (int_range 0 61) (int_range (-2) 2));
+    ]
+
+let arith_agrees (a, b) =
+  outcome (fun () -> SN.add a b) = outcome (fun () -> Q.Checked.(a + b))
+  && outcome (fun () -> SN.sub a b) = outcome (fun () -> Q.Checked.(a - b))
+  && outcome (fun () -> SN.mul_int a b)
+     = outcome (fun () -> Q.Checked.(a * b))
+
+let arith_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"int add, sub, mul_int = Rational.Checked, overflow included"
+       ~count:5000
+       (QCheck.make ~print:QCheck.Print.(pair int int)
+          QCheck.Gen.(pair arith_operand arith_operand))
+       arith_agrees)
+
+let test_arith_edges () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if not (arith_agrees (a, b)) then
+            Alcotest.failf "int arithmetic differs from Checked at (%d, %d)" a
+              b)
+        arith_edges)
+    arith_edges;
+  Alcotest.check_raises "sub a min_int, a − b fits" Q.Overflow (fun () ->
+      ignore (SN.sub (-1) min_int));
+  Alcotest.check_raises "mul_int min_int (−1)" Q.Overflow (fun () ->
+      ignore (SN.mul_int min_int (-1)))
 
 (* max_int = (2^31 − 1)·(2^31 + 1): that many jobs of that cost fill an
    int exactly, one more job overflows the product; two terms summing
@@ -1053,9 +1104,9 @@ let test_kernel_overflow_boundary () =
   in
   let c = (1 lsl 31) - 1 and jobs = (1 lsl 31) + 1 in
   Alcotest.(check int) "jobs × cost = max_int" max_int
-    (TL.Scaled.eval (one_term ~delayed:jobs ~cost:c) 0);
+    (SN.eval (one_term ~delayed:jobs ~cost:c) 0);
   Alcotest.check_raises "one more job" Q.Overflow (fun () ->
-      ignore (TL.Scaled.eval (one_term ~delayed:(jobs + 1) ~cost:c) 0));
+      ignore (SN.eval (one_term ~delayed:(jobs + 1) ~cost:c) 0));
   let two_terms last =
     {
       TL.period = 1;
@@ -1064,9 +1115,9 @@ let test_kernel_overflow_boundary () =
       cost = [| 1; 1 |];
     }
   in
-  Alcotest.(check int) "sum = max_int" max_int (TL.Scaled.eval (two_terms 1) 0);
+  Alcotest.(check int) "sum = max_int" max_int (SN.eval (two_terms 1) 0);
   Alcotest.check_raises "one more unit" Q.Overflow (fun () ->
-      ignore (TL.Scaled.eval (two_terms 2) 0))
+      ignore (SN.eval (two_terms 2) 0))
 
 (* Long chains on one platform: interfering sets reach Memo.min_terms
    terms, so the memo engages inside the analysis — the short-chain
@@ -1940,7 +1991,7 @@ let test_pinned_single_tasks () =
       Alcotest.(check (array bool))
         "A moved, D is a chain; B and C are pinned"
         [| true; false; false; true |]
-        (Engine.Delta.warm p).Analysis.Fixpoint.dirty;
+        (Engine.Delta.warm p).Analysis.Timeline.dirty;
       Alcotest.(check int) "dirty tasks" 3 (Engine.Delta.dirty_tasks p)
   | Error e -> Alcotest.failf "plan refused: %s" e);
   let r, outcome =
@@ -1976,7 +2027,7 @@ let test_unstable_chain_iterated () =
   | Ok p ->
       Alcotest.(check bool)
         "D is iterated" true
-        (Engine.Delta.warm p).Analysis.Fixpoint.dirty.(3)
+        (Engine.Delta.warm p).Analysis.Timeline.dirty.(3)
   | Error e -> Alcotest.failf "plan refused: %s" e
 
 (* --- the IR against Eq. 17 --- *)
@@ -2179,6 +2230,8 @@ let () =
         [
           kernel_identity_prop;
           kernel_eval_prop;
+          arith_prop;
+          Alcotest.test_case "int arithmetic edges" `Quick test_arith_edges;
           Alcotest.test_case "kernel overflow boundary" `Quick
             test_kernel_overflow_boundary;
           Alcotest.test_case "timebase of the paper model" `Quick

@@ -20,7 +20,10 @@
       recorded hashes, tampered logs are refused, compaction keeps
       replay exact; qcheck kills a random session at a random commit
       boundary and checks the restart against the uninterrupted run.
-   9. qcheck: Json print-then-parse is the identity. *)
+   9. qcheck: Json print-then-parse is the identity.
+   10. Hostile input: byte-flipped and truncated request lines get a
+       parse error or a response with a status, never an exception, and
+       a log cut at any byte offset reopens to its complete records. *)
 
 module Q = Rational
 module Store = Service.Store
@@ -848,6 +851,90 @@ let test_overflow_rejected () =
         (tenant_hash fleet "globex"))
     [ 1; 2 ]
 
+(* --- hostile input: mutated request lines --- *)
+
+let wire_tenants = [ None; Some "acme"; Some "globex" ]
+
+(* Valid request lines of every op, per tenant, as a client writes
+   them. *)
+let wire_lines =
+  List.concat_map
+    (fun tenant ->
+      let line op fields =
+        let tenant =
+          Option.fold ~none:[] ~some:(fun t -> [ ("tenant", Json.String t) ])
+            tenant
+        in
+        Json.to_string (Json.Obj ((("op", Json.String op) :: fields) @ tenant))
+      in
+      let unit_fields i =
+        [
+          ("id", Json.String (Printf.sprintf "u%d" i));
+          ("spec", Json.String (unit_spec i));
+        ]
+      in
+      [
+        line "admit" (unit_fields 1);
+        line "admit" (unit_fields 2);
+        line "what_if" (unit_fields 3);
+        line "revoke" [ ("id", Json.String "u1") ];
+        line "query" [];
+        line "region"
+          [ ("resource", Json.String "P2"); ("precision", Json.Int 1) ];
+        line "stats" [];
+      ])
+    wire_tenants
+
+(* A valid line with up to three bytes flipped (one bit, or the whole
+   byte at random) and, one time in four, cut short. *)
+let mutated_line_gen =
+  let open QCheck.Gen in
+  let* line = oneofl wire_lines in
+  let n = String.length line in
+  let flip =
+    let* i = int_range 0 (n - 1) in
+    let+ c =
+      oneof
+        [
+          map (fun bit -> Char.code line.[i] lxor (1 lsl bit)) (int_range 0 7);
+          int_range 0 255;
+        ]
+    in
+    (i, Char.chr c)
+  in
+  let* flips = list_size (int_range 0 3) flip in
+  let+ cut = frequency [ (3, return n); (1, int_range 0 n) ] in
+  let b = Bytes.of_string line in
+  List.iter (fun (i, c) -> Bytes.set b i c) flips;
+  Bytes.sub_string b 0 cut
+
+(* Each line is a parse error or gets a response with a status, and the
+   tenants still answer queries afterwards. *)
+let prop_wire_fuzz lines =
+  with_server @@ fun srv ->
+  List.for_all
+    (fun line ->
+      match P.parse line with
+      | Error _ -> true
+      | Ok (req, deadline_ms, tenant) ->
+          Json.string_field "status" (Fleet.handle srv ?deadline_ms ?tenant req)
+          <> None)
+    lines
+  && List.for_all
+       (fun tenant ->
+         Json.string_field "status" (Fleet.handle srv ?tenant P.Query)
+         = Some "ok")
+       wire_tenants
+
+let test_wire_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"mutated request lines answer an error or a status" ~count:1000
+       (QCheck.make
+          ~print:QCheck.Print.(list string)
+          QCheck.Gen.(list_size (int_range 1 12) mutated_line_gen))
+       prop_wire_fuzz)
+
 (* --- sharding: bit-identical responses at every shard count --- *)
 
 let scripted_envelopes () =
@@ -1243,60 +1330,132 @@ let test_wal_compact_crash () =
       Wal.close wal3
 
 (* A process killed mid-append leaves the log's last record without its
-   newline.  Cut the log at every byte offset inside its last record:
-   each cut opens to the previously committed hash, with the torn bytes
-   truncated away so the next append starts on a record boundary. *)
+   newline.  Cut a log holding a compaction snapshot per tenant and then
+   two tenants' admits and revokes at every byte offset: each cut opens
+   to the records completed before it, which replay to the hashes they
+   committed; its torn bytes are truncated away, and a further append
+   lands on a record boundary.  A cut inside the header leaves an empty
+   log under a fresh header. *)
 let test_wal_torn_tail () =
   with_wal @@ fun log ->
   let module Wal = Service.Wal in
-  let hashes =
-    with_server ~log @@ fun srv ->
-    List.map
-      (fun i ->
-        ignore
-          (Fleet.handle srv
-             (P.Admit { uid = Printf.sprintf "u%d" i; spec = unit_spec i }));
-        (Fleet.default_store srv).Store.hash)
-      [ 1; 2 ]
+  let boot = boot_store () in
+  let step what = function
+    | Ok s -> s
+    | Error es -> Alcotest.failf "%s: %s" what (String.concat "; " es)
+  in
+  let admit store ~uid i =
+    step ("admit " ^ uid) (Store.admit store ~uid ~spec:(unit_spec i))
+  in
+  let revoke store ~uid = step ("revoke " ^ uid) (Store.revoke store ~uid) in
+  let open_log () = step "open" (Wal.open_ ~path:log) in
+  (* genuine store transitions, so every recorded hash replays *)
+  let a1 = admit boot ~uid:"a1" 1 and b1 = admit boot ~uid:"b1" 3 in
+  let a2 = admit a1 ~uid:"a2" 2 and b2 = admit b1 ~uid:"b2" 4 in
+  let a3 = revoke a2 ~uid:"a1" and b3 = revoke b2 ~uid:"b1" in
+  let admit_rec tenant uid i (s : Store.t) =
+    Wal.Admit { tenant; uid; spec = unit_spec i; hash = s.Store.hash }
+  and revoke_rec tenant uid (s : Store.t) =
+    Wal.Revoke { tenant; uid; hash = s.Store.hash }
+  in
+  let wal, _ = open_log () in
+  Wal.append wal (admit_rec "acme" "a1" 1 a1);
+  Wal.append wal (admit_rec "bulk" "b1" 3 b1);
+  Alcotest.(check int) "one snapshot per tenant" 2
+    (Wal.compact wal ~tenants:[ ("acme", a1); ("bulk", b1) ]);
+  List.iter (Wal.append wal)
+    [
+      admit_rec "acme" "a2" 2 a2;
+      admit_rec "bulk" "b2" 4 b2;
+      revoke_rec "acme" "a1" a3;
+      revoke_rec "bulk" "b1" b3;
+    ];
+  Wal.close wal;
+  (* the hashes committed after each complete record, in log order *)
+  let committed =
+    [|
+      [];
+      [ ("acme", a1) ];
+      [ ("acme", a1); ("bulk", b1) ];
+      [ ("acme", a2); ("bulk", b1) ];
+      [ ("acme", a2); ("bulk", b2) ];
+      [ ("acme", a3); ("bulk", b2) ];
+      [ ("acme", a3); ("bulk", b3) ];
+    |]
+    |> Array.map (List.map (fun (id, (s : Store.t)) -> (id, s.Store.hash)))
   in
   let full = In_channel.with_open_bin log In_channel.input_all in
   let len = String.length full in
-  let last_start = String.rindex_from full (len - 2) '\n' + 1 in
-  let write bytes = Out_channel.with_open_bin log (fun oc -> output_string oc bytes) in
-  let open_hash () =
-    match Wal.open_ ~path:log with
-    | Error es -> Alcotest.failf "open: %s" (String.concat "; " es)
-    | Ok (w, records) ->
-        Wal.close w;
-        (match Wal.replay ~boot:(boot_store ()) records with
-        | Ok [ (_, s) ] -> s.Store.hash
-        | Ok _ -> Alcotest.fail "expected one tenant"
-        | Error es -> Alcotest.failf "replay: %s" (String.concat "; " es))
+  let ends =
+    List.filter_map
+      (fun i -> if full.[i] = '\n' then Some (i + 1) else None)
+      (List.init len Fun.id)
   in
-  for cut = last_start to len - 1 do
+  let header_end = List.hd ends in
+  let write bytes =
+    Out_channel.with_open_bin log (fun oc -> output_string oc bytes)
+  in
+  let all_records = snd (open_log ()) in
+  Alcotest.(check int) "records" (Array.length committed - 1)
+    (List.length all_records);
+  let prefix k = List.filteri (fun i _ -> i < k) all_records in
+  let late = admit boot ~uid:"l" 5 in
+  let late_rec = admit_rec "late" "l" 5 late in
+  (* Replay is a function of the records alone, so each of the few
+     distinct prefixes replays once; every cut below checks that it
+     reads exactly one of them. *)
+  let hashes records =
+    step "replay" (Wal.replay ~boot records)
+    |> List.map (fun (id, (s : Store.t)) -> (id, s.Store.hash))
+    |> List.sort compare
+  in
+  Array.iteri
+    (fun k expected ->
+      let label = Printf.sprintf "replay of %d records" k in
+      Alcotest.(check (list (pair string string))) label expected
+        (hashes (prefix k));
+      Alcotest.(check (list (pair string string)))
+        (label ^ " and an append")
+        (List.sort compare (("late", late.Store.hash) :: expected))
+        (hashes (prefix k @ [ late_rec ])))
+    committed;
+  for cut = 0 to len do
     write (String.sub full 0 cut);
+    let complete =
+      List.fold_left (fun c e -> if e <= cut then e else c) 0 ends
+    in
+    let k = max 0 (List.length (List.filter (fun e -> e <= cut) ends) - 1) in
+    let label what = Printf.sprintf "cut at %d: %s" cut what in
+    let wal, records = open_log () in
+    Alcotest.(check bool) (label "complete records") true (records = prefix k);
     Alcotest.(check string)
-      (Printf.sprintf "cut at %d" cut)
-      (List.nth hashes 0) (open_hash ());
-    Alcotest.(check int) "torn bytes truncated" last_start
-      (In_channel.with_open_bin log In_channel.length |> Int64.to_int)
+      (label "torn bytes truncated")
+      (String.sub full 0 (max complete header_end))
+      (In_channel.with_open_bin log In_channel.input_all);
+    Wal.append wal late_rec;
+    Wal.close wal;
+    let wal, records = open_log () in
+    Wal.close wal;
+    Alcotest.(check bool)
+      (label "append on a record boundary")
+      true
+      (records = prefix k @ [ late_rec ])
   done;
-  write full;
-  Alcotest.(check string) "uncut log" (List.nth hashes 1) (open_hash ());
-  (* a torn header leaves no record: the log restarts empty *)
-  write (String.sub full 0 5);
-  Alcotest.(check string) "torn header" (boot_store ()).Store.hash
-    (with_server ~log @@ fun srv -> (Fleet.default_store srv).Store.hash);
-  (* a server appends after the truncation and replays what it wrote *)
+  (* a server restarts from a torn log, appends, and replays what it
+     wrote *)
   write (String.sub full 0 (len - 7));
   let after =
     with_server ~log @@ fun srv ->
+    Alcotest.(check string) "server replays the complete records"
+      (List.assoc "bulk" committed.(5))
+      (tenant_hash srv "bulk");
     ignore (Fleet.handle srv (P.Admit { uid = "u3"; spec = unit_spec 3 }));
     (Fleet.default_store srv).Store.hash
   in
   Alcotest.(check string) "appended after truncation" after
     (with_server ~log @@ fun srv -> (Fleet.default_store srv).Store.hash);
   (* a malformed line that is complete, last or not, is still refused *)
+  let last_start = String.rindex_from full (len - 2) '\n' + 1 in
   List.iter
     (fun bytes ->
       write bytes;
@@ -1307,7 +1466,8 @@ let test_wal_torn_tail () =
       | Error _ -> ())
     [
       String.sub full 0 (len - 7) ^ "\n";
-      String.sub full 0 last_start ^ "garbage\n" ^ String.sub full last_start (len - last_start);
+      String.sub full 0 last_start ^ "garbage\n"
+      ^ String.sub full last_start (len - last_start);
     ]
 
 (* --- qcheck: kill at a commit boundary, restart, compare --- *)
@@ -1420,6 +1580,7 @@ let () =
           Alcotest.test_case "store candidates" `Quick test_store_candidates;
           Alcotest.test_case "overflowing numbers are rejected" `Quick
             test_overflow_rejected;
+          test_wire_fuzz;
         ] );
       ( "shedding",
         [

@@ -1,5 +1,6 @@
 (* The .hsc language: lexing, parsing, elaboration, validation wiring,
-   and the print/parse round-trip. *)
+   the print/parse round-trip, and mutated sources that must fail
+   cleanly. *)
 
 module Q = Rational
 module L = Spec.Lexer
@@ -409,6 +410,83 @@ let test_load_file () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected IO error"
 
+(* --- hostile input: mutated sources --- *)
+
+(* The shipped examples; `dune runtest` runs from the test directory,
+   `dune exec` from the workspace root. *)
+let example_sources =
+  lazy
+    (List.map
+       (fun file ->
+         match
+           List.find_opt Sys.file_exists
+             [ "../examples/" ^ file; "examples/" ^ file ]
+         with
+         | Some path -> In_channel.with_open_bin path In_channel.input_all
+         | None -> Alcotest.failf "cannot find %s" file)
+       [ "sensor_fusion.hsc"; "cruise_control.hsc" ])
+
+(* Fragments that steer a mutation into the grammar's corners: braces,
+   separators, keywords, and numbers that are zero, negative, a zero
+   denominator or too long for an int. *)
+let source_fragments =
+  [ "{"; "}"; "("; ")"; ";"; ","; "="; "."; "->"; "\""; "//"; "/*" ]
+  @ [ "0"; "-1"; "1/0"; "2/3"; "0.0000001"; "99999999999999999999" ]
+  @ [ "priority"; "period"; "deadline"; "task"; "call"; "bind"; "via" ]
+  @ [ "instance"; "platform"; "component"; "thread"; "realizes"; "network" ]
+
+(* One edit: a byte replaced, a span deleted or duplicated, a fragment
+   inserted, or the tail cut off. *)
+let source_edit src =
+  let open QCheck.Gen in
+  let n = String.length src in
+  if n = 0 then return src
+  else
+    let* i = int_range 0 (n - 1) in
+    let* l = int_range 1 (min 40 (n - i)) in
+    oneof
+      [
+        map
+          (fun c ->
+            String.mapi (fun j x -> if j = i then Char.chr c else x) src)
+          (int_range 0 255);
+        return (String.sub src 0 i ^ String.sub src (i + l) (n - i - l));
+        return (String.sub src 0 (i + l) ^ String.sub src i (n - i));
+        map
+          (fun f -> String.sub src 0 i ^ f ^ String.sub src i (n - i))
+          (oneofl source_fragments);
+        return (String.sub src 0 i);
+      ]
+
+let mutated_source_gen st =
+  let open QCheck.Gen in
+  let src = oneofl (Lazy.force example_sources) st in
+  let rec edit src k =
+    if k = 0 then return src else source_edit src >>= fun s -> edit s (k - 1)
+  in
+  (int_range 1 4 >>= edit src) st
+
+(* Parsing, elaborating and deriving a mutated example each answer [Ok]
+   or an error message, never an exception. *)
+let prop_source_fuzz src =
+  match Spec.Parser.parse src with
+  | Error e -> e <> ""
+  | Ok ast -> (
+      match Spec.Elaborate.assembly ast with
+      | Error e -> e <> ""
+      | Ok asm -> (
+          match Transaction.Derive.derive asm with
+          | Ok _ -> true
+          | Error es -> es <> [] && List.for_all (( <> ) "") es))
+
+let test_source_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"mutated examples parse, elaborate and derive or fail cleanly"
+       ~count:2000
+       (QCheck.make ~print:Fun.id mutated_source_gen)
+       prop_source_fuzz)
+
 let () =
   Alcotest.run "spec"
     [
@@ -442,4 +520,5 @@ let () =
           Alcotest.test_case "generated assemblies" `Quick test_round_trip_generated;
           Alcotest.test_case "load_file" `Quick test_load_file;
         ] );
+      ("hostile input", [ test_source_fuzz ]);
     ]
