@@ -793,6 +793,8 @@ let prune_incremental () =
       (float_of_int (Analysis.Rta.total_scenarios c));
     metric (Printf.sprintf "x10/%s_visited" name)
       (float_of_int (Analysis.Rta.visited_scenarios c));
+    metric (Printf.sprintf "x10/%s_bounds" name)
+      (float_of_int (Analysis.Rta.bound_evaluations c));
     r
   in
   let naive = show "naive" (cell ~prune:false) in
@@ -805,6 +807,14 @@ let prune_incremental () =
   check "x10/naive visits everything" (visited naive = Analysis.Rta.total_scenarios (let _, _, c = naive in c));
   check "x10/pruning visits strictly fewer scenarios"
     (visited pruned < visited naive);
+  (* Every visited scenario and every block bound is one busy-period
+     evaluation per own initiator at most: the search, bounds included,
+     must cost no more of them than enumerating every scenario. *)
+  let bounds (_, _, c) = Analysis.Rta.bound_evaluations c in
+  check
+    "x10/pruned search evaluates no more busy periods than the naive \
+     enumeration"
+    (visited pruned + bounds pruned <= visited naive);
   if not !quick then begin
     let ms (t, _, _) = t in
     Format.printf "speedup vs naive: prune %.2fx@." (ms naive /. ms pruned);

@@ -356,7 +356,16 @@ let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c ~own ~remote =
         !best
       end
 
-let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
+(* What a site's previous computation in one run of [analyze] found
+   (docs/THEORY.md, "Branch-and-bound pruning"): [floor], a lower bound
+   of the site's current response that the branch and bound takes as
+   its initial incumbent (zero: none), and [hint], the scenario it
+   evaluates first (-1: none yet, the W{^*} seed instead).  The search
+   leaves its argmax scenario in [hint]. *)
+type start = { mutable floor : num; mutable hint : int }
+
+let response_time ~memo ~counters ?start tables (site : Ir.site) params ~phi
+    ~jit =
   let tb = tables.tb in
   let a = site.Ir.a and b = site.Ir.b in
   let { own_sk; remote_sks } = skeletons tables site in
@@ -449,36 +458,18 @@ let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
       end
       else begin
         (* Branch and bound over the mixed-radix digit tree.  The
-           incumbent is the best response of any fully evaluated
-           scenario so far; a subtree is discarded when an optimistic
-           bound (fixed digits at their actual demand, free digits at
-           the scenario maximum W{^*}) cannot beat it.  Pruning only
-           drops scenarios provably ≤ the running maximum, so the
-           returned bound is the exhaustive path's (see
-           docs/THEORY.md). *)
-        let horizon = tb.Timebase.horizon.(a) in
-        (* Seed: per remote transaction, the initiator of maximal
-           demand over the horizon — the argmax realising the Reduced
-           variant's W* there.  An ordinary scenario, so a sound
-           incumbent, and usually a near-maximal one. *)
-        let seed_index = ref 0 in
-        for ri = 0 to n_remotes - 1 do
-          let curves = remotes.(ri) in
-          let best_ci = ref 0
-          and best_w = ref (eval_curve curves.(0) horizon) in
-          for ci = 1 to Array.length curves - 1 do
-            let w = eval_curve curves.(ci) horizon in
-            if N.compare w !best_w > 0 then begin
-              best_w := w;
-              best_ci := ci
-            end
-          done;
-          digit.(ri) <- !best_ci;
-          seed_index := !seed_index + (!best_ci * stride.(ri))
-        done;
-        let seed_index = !seed_index in
-        Rta.record counters Rta.Visited 1;
-        let incumbent = ref (evaluate 0) in
+           incumbent is a lower bound of the site's response: the
+           [start]'s floor, raised to the best response of every
+           scenario evaluated so far; a subtree is discarded when an
+           optimistic bound (fixed digits at their actual demand, free
+           digits at the scenario maximum W{^*}) cannot beat it.
+           Pruning only drops scenarios provably ≤ the incumbent, so
+           the returned bound is the exhaustive path's as long as the
+           floor is ≤ it (see docs/THEORY.md). *)
+        let floor, hint =
+          match start with Some s -> (s.floor, s.hint) | None -> (N.zero, -1)
+        in
+        let incumbent = ref (Finite floor) and argmax = ref hint in
         let prune_le ub inc =
           match (ub, inc) with
           | _, Divergent -> true
@@ -519,13 +510,54 @@ let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
           done;
           !best
         in
+        (* Scenario [v], its digits in the slots. *)
+        let leaf enclosing v =
+          Rta.record counters Rta.Visited 1;
+          let r = evaluate_within enclosing 0 in
+          if not (prune_le r !incumbent) then begin
+            incumbent := r;
+            argmax := v
+          end
+        in
+        (* The scenario evaluated first: the previous computation's
+           argmax [hint], or the seed — per remote transaction, the
+           initiator of maximal demand over the horizon, the argmax
+           realising the Reduced variant's W{^*} there.  Either is an
+           ordinary scenario, so a sound incumbent, and usually a
+           near-maximal one. *)
+        let first = ref (-1) in
+        let evaluate_first enclosing ~hint =
+          let v =
+            if hint >= 0 then hint
+            else begin
+              let horizon = tb.Timebase.horizon.(a) in
+              let seed = ref 0 in
+              for ri = 0 to n_remotes - 1 do
+                let curves = remotes.(ri) in
+                let best_ci = ref 0
+                and best_w = ref (eval_curve curves.(0) horizon) in
+                for ci = 1 to Array.length curves - 1 do
+                  let w = eval_curve curves.(ci) horizon in
+                  if N.compare w !best_w > 0 then begin
+                    best_w := w;
+                    best_ci := ci
+                  end
+                done;
+                seed := !seed + (!best_ci * stride.(ri))
+              done;
+              !seed
+            end
+          in
+          for ri = 0 to n_remotes - 1 do
+            digit.(ri) <- v / stride.(ri) mod Array.length remotes.(ri)
+          done;
+          first := v;
+          leaf enclosing v
+        in
         (* The block [v_base, v_base + stride.(lvl)). *)
         let rec visit lvl v_base enclosing =
           if lvl = 0 then begin
-            if v_base <> seed_index then begin
-              Rta.record counters Rta.Visited 1;
-              incumbent := bound_max !incumbent (evaluate_within enclosing 0)
-            end
+            if v_base <> !first then leaf enclosing v_base
           end
           else
             let size = stride.(lvl) in
@@ -546,7 +578,22 @@ let response_time ~memo ~counters tables (site : Ir.site) params ~phi ~jit =
             visit ri (v_base + (ci * sub)) enclosing
           done
         in
-        visit n_remotes 0 None;
+        if total <= 1 then evaluate_first None ~hint
+        else begin
+          (* The root block, every remote free, dominates every
+             scenario.  The hint runs only under a converged root
+             bound, so that it reads no point beyond the bound's busy
+             periods; under a divergent one the seed runs, as it does
+             in a site's first computation (docs/THEORY.md). *)
+          Rta.record counters Rta.Bounds 1;
+          let root = evaluate_within None n_remotes in
+          let enclosing = Some values.(n_remotes) in
+          evaluate_first enclosing
+            ~hint:(match root with Finite _ -> hint | Divergent -> -1);
+          if prune_le root !incumbent then Rta.record counters Rta.Pruned total
+          else descend n_remotes 0 enclosing
+        end;
+        (match start with Some s -> s.hint <- !argmax | None -> ());
         !incumbent
       end
 
@@ -559,6 +606,7 @@ type lifted = {
   l_jit : N.t array array;
   l_resp : bound array array;
   l_rows : Report.task_result array array;
+  l_seeded : bool;
 }
 
 (* A warm start planned on rationals, moved onto this timeline: exact
@@ -579,6 +627,7 @@ let lift t (w : Timeline.warm) =
           | Report.Divergent -> Divergent))
         w.resp;
     l_rows = w.rows;
+    l_seeded = w.floor;
   }
 
 (* The cap on outer sweeps.  Converging systems settle in a handful;
@@ -646,6 +695,20 @@ let analyze ~params ~counters ~sweep t memo ~warm =
   in
   let phi_dirty = Array.make n (Option.is_none warm) in
   let prev = ref (Option.map (fun w -> w.l_resp) warm) in
+  (* Per site, what its previous computation in this run found, for the
+     exact branch and bound to start from (docs/THEORY.md,
+     "Branch-and-bound pruning").  The hint holds in every run; the
+     floor, the previous response, only where the rows iterate up from
+     bottom under the Simple best case, so that it is ≤ the response
+     being computed: cold runs and the dirty rows of delta and pinned
+     plans, not seeded runs. *)
+  let starts =
+    if params.Params.variant = Params.Exact && params.Params.prune then
+      Some (Array.map (Array.map (fun _ -> { floor = N.zero; hint = -1 })) jit)
+    else None
+  in
+  let seeded = match warm with Some w -> w.l_seeded | None -> false in
+  let floored = params.Params.best_case = Params.Simple && not seeded in
   let history = ref [] in
   let responses = ref (Array.map (Array.map (fun _ -> Divergent)) jit) in
   let diverged = ref false and converged = ref false in
@@ -672,8 +735,17 @@ let analyze ~params ~counters ~sweep t memo ~warm =
                   pr.(a).(b)
               | _ ->
                   incr recomputed;
-                  response_time ~memo ~counters t (Ir.site ir ~a ~b) params
-                    ~phi:!phi ~jit)
+                  let start = Option.map (fun s -> s.(a).(b)) starts in
+                  let r =
+                    response_time ~memo ~counters ?start t (Ir.site ir ~a ~b)
+                      params ~phi:!phi ~jit
+                  in
+                  (match start with
+                  | Some s when floored ->
+                      s.floor <-
+                        (match r with Finite v -> v | Divergent -> N.zero)
+                  | _ -> ());
+                  r)
             row)
         jit
     in

@@ -76,9 +76,18 @@ val timebase : tables -> num Timebase.t
 
 type bound = Finite of num | Divergent
 
+type start = { mutable floor : num; mutable hint : int }
+(** Where the exact branch and bound of one site starts: [floor], its
+    initial incumbent ([N.zero]: none), and [hint], the scenario index
+    it evaluates first (in [\[0, site.total)]; [-1]: none, the search
+    then seeds with the scenario of maximal demand at the horizon).
+    The search leaves the scenario that attained its result in [hint]
+    (unchanged when none beat the floor). *)
+
 val response_time :
   memo:memo Lazy.t ->
   counters:Rta.counters ->
+  ?start:start ->
   tables ->
   Ir.site ->
   Params.t ->
@@ -87,7 +96,13 @@ val response_time :
   bound
 (** The response bound of one site under the given offsets and
     jitters (Eqs. 12–16, under [params]' variant and pruning): what a
-    sweep of {!analyze} computes for each site it does not carry. *)
+    sweep of {!analyze} computes for each site it does not carry.
+    [start] is read by the exact branch and bound only (the [Reduced]
+    variant and the [prune = false] enumeration ignore it).  Its hint
+    is evaluated after the root block's bound, and only when that bound
+    converged; the result is the exhaustive maximum whatever the hint,
+    and whenever [start.floor] is at most that maximum — a larger floor
+    would be returned as is. *)
 
 type lifted
 
@@ -110,7 +125,14 @@ val analyze :
     repeat, a response diverges, some transaction misses its deadline
     (under the simple best case, whose responses grow monotonically:
     the verdict is settled, the report has [converged = false]) or
-    256 sweeps have run.  [sweep] is called after each sweep;
+    256 sweeps have run.  Under the exact variant with pruning, a
+    site's recomputation starts its branch and bound from its previous
+    computation in the same run ({!start}): the scenario that attained
+    it as hint, in every run, and its response as floor under the
+    Simple best case, except in seeded runs ([Timeline.warm.floor]),
+    whose iterates are not shown to grow.  Nothing of this state
+    outlives the run, and reports are the cold search's bit for bit
+    (docs/THEORY.md).  [sweep] is called after each sweep;
     [counters] is bumped with the scenario accounting; the memo is
     forced only by a curve long enough for this timeline's memo
     ([N.memo_min_terms]).  A warm start's clean rows are never

@@ -37,8 +37,9 @@ val visited_scenarios : counters -> int
 
 val pruned_scenarios : counters -> int
 (** Scenario units discarded by a bound test.  Every unit of a pruned
-    enumeration is visited or pruned (the seed scenario is counted
-    visited even when its block is pruned afterwards). *)
+    enumeration is visited or pruned (the scenario a search evaluates
+    first, its seed or hint, is counted visited even when its block is
+    pruned afterwards). *)
 
 val bound_evaluations : counters -> int
 (** Optimistic block bounds computed (the overhead side of pruning). *)

@@ -28,6 +28,13 @@ let expect st want msg =
   let t = next st in
   if t.token <> want then fail_at t msg
 
+(* [expect], returning the token: where to report a fault that only
+   the end of a construct shows. *)
+let expect_at st want msg =
+  let t = peek st in
+  expect st want msg;
+  t
+
 let ident st =
   let t = next st in
   match t.token with IDENT s -> s | _ -> fail_at t "expected an identifier"
@@ -84,12 +91,13 @@ let keyword_args st ~mandatory ~optional =
   while accept st COMMA do
     parse_one ()
   done;
-  expect st RPAREN "expected ')'";
+  let close = expect_at st RPAREN "expected ')'" in
   if not (Hashtbl.mem seen mandatory) then
-    raise (Parse_error (Printf.sprintf "missing argument '%s'" mandatory));
+    fail_at close (Printf.sprintf "missing argument '%s'" mandatory);
   fun key -> Hashtbl.find_opt seen key
 
-(* "( key = NUM [, key2 = NUM] )" with the second field optional. *)
+(* "( key = NUM [, key2 = NUM] )" with the second field optional, and
+   the closing parenthesis. *)
 let pair_args st ~first ~second =
   expect st LPAREN "expected '('";
   keyword st first;
@@ -103,8 +111,7 @@ let pair_args st ~first ~second =
     end
     else None
   in
-  expect st RPAREN "expected ')'";
-  (a, b)
+  (a, b, expect_at st RPAREN "expected ')'")
 
 (* one supply mechanism: server(...), slots(...), pfair(...), full, or
    bounded(alpha = ..[, delta = ..][, beta = ..]) *)
@@ -116,11 +123,13 @@ let supply_atom st =
       Ast.S_full
   | IDENT "server" ->
       advance st;
-      let budget, period = pair_args st ~first:"budget" ~second:"period" in
+      let budget, period, close =
+        pair_args st ~first:"budget" ~second:"period"
+      in
       let period =
         match period with
         | Some p -> p
-        | None -> raise (Parse_error "server needs a period")
+        | None -> fail_at close "server needs a period"
       in
       Ast.S_server { budget; period }
   | IDENT "pfair" ->
@@ -174,16 +183,17 @@ let platform_decl st =
   expect st LBRACE "expected '{'";
   let host = ref None in
   let supply = ref None in
-  let set_supply s =
+  let set_supply t s =
     match !supply with
     | None -> supply := Some s
-    | Some _ -> raise (Parse_error ("platform " ^ p_name ^ ": two supply models"))
+    | Some _ -> fail_at t ("platform " ^ p_name ^ ": two supply models")
   in
   let alpha = ref None and delta = ref None and beta = ref None in
+  (* The attributes, up to the closing brace, which is returned. *)
   let rec body () =
-    if accept st RBRACE then ()
+    let t = peek st in
+    if accept st RBRACE then t
     else begin
-      let t = peek st in
       (match t.token with
       | IDENT "host" ->
           advance st;
@@ -205,13 +215,13 @@ let platform_decl st =
           expect st EQUALS "expected '='";
           beta := Some (number st)
       | IDENT ("full" | "server" | "pfair" | "slots" | "bounded") ->
-          set_supply (supply_expr st)
+          set_supply t (supply_expr st)
       | _ -> fail_at t "expected a platform attribute");
       expect st SEMI "expected ';'";
       body ()
     end
   in
-  body ();
+  let close = body () in
   let p_supply =
     match (!supply, !alpha) with
     | Some s, None -> s
@@ -223,11 +233,11 @@ let platform_decl st =
             beta = Option.value !beta ~default:Q.zero;
           }
     | Some _, Some _ ->
-        raise
-          (Parse_error
-             ("platform " ^ p_name ^ ": give either alpha/delta/beta or a supply model"))
+        fail_at close
+          ("platform " ^ p_name
+         ^ ": give either alpha/delta/beta or a supply model")
     | None, None ->
-        raise (Parse_error ("platform " ^ p_name ^ ": no supply specified"))
+        fail_at close ("platform " ^ p_name ^ ": no supply specified")
   in
   Ast.I_platform { p_name; p_network; p_host = !host; p_supply }
 
@@ -394,11 +404,11 @@ let binding_decl st =
       keyword st "priority";
       let l_prio = integer st in
       keyword st "request";
-      let w, b = pair_args st ~first:"wcet" ~second:"bcet" in
+      let w, b, _ = pair_args st ~first:"wcet" ~second:"bcet" in
       let l_request = (w, Option.value b ~default:w) in
       let l_reply =
         if accept_kw st "reply" then begin
-          let w, b = pair_args st ~first:"wcet" ~second:"bcet" in
+          let w, b, _ = pair_args st ~first:"wcet" ~second:"bcet" in
           Some (w, Option.value b ~default:w)
         end
         else None

@@ -13,6 +13,15 @@ let tokens src =
   | Ok ts -> List.map (fun (t : L.located) -> t.L.token) ts
   | Error e -> Alcotest.fail e
 
+let contains hay needle =
+  let ln = String.length needle and lh = String.length hay in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  ln = 0 || go 0
+
+(* A parse error starts with the line and column of its token. *)
+let located e =
+  Scanf.sscanf_opt e "line %u, column %u: " (fun _ _ -> ()) <> None
+
 (* --- lexer --- *)
 
 let test_lexer_basics () =
@@ -182,15 +191,21 @@ let test_parse_errors () =
     match Spec.load src with
     | Ok _ -> Alcotest.failf "expected failure for %s" fragment
     | Error es ->
-        let contains hay needle =
-          let ln = String.length needle and lh = String.length hay in
-          let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-          ln = 0 || go 0
-        in
         if not (List.exists (fun e -> contains e fragment) es) then
           Alcotest.failf "diagnostics %s lack %S" (String.concat " | " es) fragment
   in
-  expect_error "platform P1 { }" "no supply";
+  (* Faults only the end of a platform shows point at its brace; a
+     second supply model at its keyword; a server without a period at
+     its closing parenthesis. *)
+  expect_error "platform P1 { }"
+    "line 1, column 15: platform P1: no supply specified";
+  expect_error "platform P1 { alpha = 0.4; full; }"
+    "line 1, column 34: platform P1: give either alpha/delta/beta or a \
+     supply model";
+  expect_error "platform P1 { full;\n  server(budget = 1, period = 2); }"
+    "line 2, column 3: platform P1: two supply models";
+  expect_error "platform P1 { server(budget = 1); }"
+    "line 1, column 32: server needs a period";
   expect_error "garbage" "expected 'platform'";
   expect_error "platform P1 { alpha = 0.4; } instance x : C on P1;" "unknown class";
   expect_error
@@ -226,17 +241,7 @@ instance c : C on P1;
   | Ok _ -> Alcotest.fail "expected validation error"
   | Error es ->
       Alcotest.(check bool) "mentions unbound" true
-        (List.exists
-           (fun e ->
-             let contains hay needle =
-               let ln = String.length needle and lh = String.length hay in
-               let rec go i =
-                 i + ln <= lh && (String.sub hay i ln = needle || go (i + 1))
-               in
-               ln = 0 || go 0
-             in
-             contains e "unbound")
-           es)
+        (List.exists (fun e -> contains e "unbound") es)
 
 let test_jitter_and_blocking_annotations () =
   (* jitter/blocking written in .hsc flow into the analysis model and
@@ -356,10 +361,12 @@ instance c : C on P1;
   Alcotest.(check string) "round trip" printed (Spec.to_string asm2)
 
 let test_keyword_args_errors () =
-  let expect_parse_error src =
+  let expect_parse_error ?(says = "") src =
     match Spec.load src with
     | Ok _ -> Alcotest.failf "expected parse error for %s" src
-    | Error _ -> ()
+    | Error es ->
+        if not (List.exists (fun e -> contains e says) es) then
+          Alcotest.failf "diagnostics %s lack %S" (String.concat " | " es) says
   in
   let wrap body =
     {|platform P1 { alpha = 1; }
@@ -367,8 +374,9 @@ component C { implementation: scheduler fixed_priority;
   thread T periodic(period = 10) priority 1 { |} ^ body
     ^ {| } } instance c : C on P1;|}
   in
-  expect_parse_error (wrap "task w(bcet = 1);");
-  (* missing mandatory wcet *)
+  (* missing mandatory wcet, reported at the closing parenthesis *)
+  expect_parse_error (wrap "task w(bcet = 1);")
+    ~says:"line 3, column 62: missing argument 'wcet'";
   expect_parse_error (wrap "task w(wcet = 1, wcet = 2);");
   (* duplicate *)
   expect_parse_error (wrap "task w(wcet = 1, nonsense = 2);")
@@ -467,10 +475,11 @@ let mutated_source_gen st =
   (int_range 1 4 >>= edit src) st
 
 (* Parsing, elaborating and deriving a mutated example each answer [Ok]
-   or an error message, never an exception. *)
+   or an error message, never an exception; a parse error locates its
+   token. *)
 let prop_source_fuzz src =
   match Spec.Parser.parse src with
-  | Error e -> e <> ""
+  | Error e -> located e
   | Ok ast -> (
       match Spec.Elaborate.assembly ast with
       | Error e -> e <> ""
