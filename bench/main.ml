@@ -703,8 +703,9 @@ let parallel_scaling () =
     Fun.protect
       ~finally:(fun () -> Parallel.Pool.shutdown pool)
       (fun () ->
-        (* with_model: share the IR but start from a cold memo, so the
-           wall clocks of the cells stay comparable *)
+        (* with_model: share the IR but rebuild the session's tables
+           in every cell, so the wall clocks of the cells stay
+           comparable *)
         let session = Analysis.Engine.with_model base m in
         wall (fun () -> Analysis.Engine.analyze session))
   in
@@ -766,8 +767,8 @@ let prune_incremental () =
   let sys = Workload.Gen.system ~seed:3 spec in
   let m = Model.of_system sys in
   (* one base session for the whole matrix; each cell re-derives it with
-     its own params and counters, and takes a fresh memo (with_model) so
-     the wall clocks stay comparable *)
+     its own params and counters, and rebuilds its tables (with_model)
+     so the wall clocks stay comparable *)
   let base = Analysis.Engine.create ~params:Analysis.Params.exact m in
   let cell ~prune =
     let params = { Analysis.Params.exact with Analysis.Params.prune } in
@@ -1014,9 +1015,8 @@ let service_throughput () =
   metric "x11/cold_create_batch_ms" cold_batch_ms;
   (* profiled ([Engine.with_model]): the rebind keeps the IR and the
      scaled rows of every transaction the probe leaves unchanged, and
-     converts only the probe's own row; both sides still pay fresh
-     memos and first-use sites, and the fixed point itself dominates
-     both.  The check bounds the regression (rebind must never cost
+     converts only the probe's own row; both sides still pay
+     first-use sites, and the fixed point itself dominates both.  The check bounds the regression (rebind must never cost
      materially more than a fresh create) instead of asserting a win,
      and runs under --quick too. *)
   check "x11/warm rebind no slower than cold create (within 10%)"
@@ -1165,10 +1165,10 @@ let delta_admit () =
      plus a cheap plan.  This regression bound stays on under --quick *)
   check "x13/warm admit no slower than cold re-analysis (within 10%)"
     (warm_batch_ms <= 1.1 *. cold_batch_ms);
-  (* 2x, not the historical 3x: the SoA skeleton tables and the memo
-     size cutoff sped the cold baseline up by ~40% while the warm
-     path's absolute time stayed put, so the ratio shrank for the
-     right reason *)
+  (* 2x, not the historical 3x: the SoA skeleton tables and the direct
+     evaluation of short demand curves sped the cold baseline up by
+     ~40% while the warm path's absolute time stayed put, so the ratio
+     shrank for the right reason *)
   if not !quick then
     check "x13/warm admit at least 2x faster than cold re-analysis"
       (cold_batch_ms >= 2. *. warm_batch_ms);
@@ -1256,7 +1256,7 @@ let timings () =
   in
   let big_m = Model.of_system big_sys in
   (* sessions created outside the timed thunks: these benchmarks measure
-     the steady state of a reused session (compiled IR, warm memo) *)
+     the steady state of a reused session (compiled IR and tables) *)
   let session_red = Analysis.Engine.create m in
   let session_ex = Analysis.Engine.create ~params:Analysis.Params.exact m in
   let session_big = Analysis.Engine.create big_m in

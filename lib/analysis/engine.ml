@@ -152,11 +152,6 @@ let align ~prev (m : Model.t) =
     { from = prev; old_of; gone = !gone }
   end
 
-(* One interference memo per numeric instance, each created the first
-   time its instance memoises a curve — the integer instance never
-   does (Timeline.S.memo_min_terms). *)
-type memos = { scaled_memo : Scaled.memo Lazy.t; exact_memo : Exact.memo Lazy.t }
-
 type t = {
   ir : Ir.t;
   model : Model.t;
@@ -170,7 +165,6 @@ type t = {
   exact : Exact.tables Lazy.t;
       (* the same constants as rationals, built only when the exact
          instance runs (fallbacks, [int_kernel = false]) *)
-  memos : memos;
   align : align option;
       (* how [model] lines up with the model this session was rebound
          from; [None] for a created session *)
@@ -181,9 +175,6 @@ type t = {
 }
 
 let emit t e = match t.sink with None -> () | Some f -> f e
-
-let memos_for model =
-  { scaled_memo = lazy (Scaled.memo model); exact_memo = lazy (Exact.memo model) }
 
 (* The C/α quotients are shared between the two tables.  [carry] keeps
    rows of an earlier scaled timebase built under the same params. *)
@@ -219,7 +210,6 @@ let create ?(params = Params.default) ?counters ?sink m =
       sink;
       scaled;
       exact;
-      memos = memos_for m;
       align = None;
       kernel_poisoned = ref false;
     }
@@ -248,22 +238,7 @@ let params t = t.params
 
 let counters t = t.counters
 
-let memo_stats t =
-  let add (acc : Memo.stats) memo stats =
-    if not (Lazy.is_val memo) then acc
-    else
-      let (s : Memo.stats) = stats (Lazy.force memo) in
-      {
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        invalidations = acc.invalidations + s.invalidations;
-      }
-  in
-  let none = { Memo.hits = 0; misses = 0; invalidations = 0 } in
-  Some
-    (add
-       (add none t.memos.scaled_memo Scaled.memo_stats)
-       t.memos.exact_memo Exact.memo_stats)
+let memo_stats _ = None
 
 let with_overrides ?params ?keep_history ?counters ?sink t =
   let params = Option.value params ~default:t.params in
@@ -286,19 +261,16 @@ let with_overrides ?params ?keep_history ?counters ?sink t =
       let scaled, exact = tables_for t.model t.ir params in
       (scaled, exact, ref false)
   in
-  (* The memos are kept: cached values depend on the model alone
-     (identical here), never on params. *)
   { t with params; counters; sink; scaled; exact; kernel_poisoned }
 
 let with_model t m =
   let ir = if Ir.compatible t.ir m then t.ir else Ir.compile m in
-  (* Memoised interference values embed the model's demands and platform
-     rates; a rebound model always starts from fresh memos, and the
-     overflow verdict is reset.  The scaled tables keep the rows of the
-     transactions the alignment found clean — their constants are the
-     old ones, moved exactly onto the new lattice when it changed — and
-     convert only new or changed rows.  The alignment is kept for the
-     delta planner, whose baseline is usually the model rebound from. *)
+  (* A rebound model resets the overflow verdict.  The scaled tables
+     keep the rows of the transactions the alignment found clean — their
+     constants are the old ones, moved exactly onto the new lattice when
+     it changed — and convert only new or changed rows.  The alignment
+     is kept for the delta planner, whose baseline is usually the model
+     rebound from. *)
   let al = align ~prev:t.model m in
   let carry =
     Option.map (fun s -> (Scaled.timebase s, al.old_of)) t.scaled
@@ -308,7 +280,6 @@ let with_model t m =
     t with
     ir;
     model = m;
-    memos = memos_for m;
     scaled;
     exact;
     align = Some al;
@@ -345,8 +316,7 @@ let run t analyze =
 let run_exact t warm =
   let tables = Lazy.force t.exact in
   run t
-    (Exact.analyze tables t.memos.exact_memo
-       ~warm:(Option.map (Exact.lift tables) warm))
+    (Exact.analyze tables ~warm:(Option.map (Exact.lift tables) warm))
 
 (* The integer timeline when the session has one, else exact rationals.
    A warm start whose values are off the lattice runs exact for this
@@ -360,7 +330,7 @@ let dispatch t warm =
       | exception Q.Overflow -> run_exact t warm
       | lifted -> (
           Rta.record_kernel_run t.counters;
-          try run t (Scaled.analyze tables t.memos.scaled_memo ~warm:lifted)
+          try run t (Scaled.analyze tables ~warm:lifted)
           with Q.Overflow ->
             Rta.record_kernel_fallback t.counters;
             t.kernel_poisoned := true;

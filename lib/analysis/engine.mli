@@ -3,8 +3,8 @@
     An engine session binds together everything one analysis run needs —
     the {!Model.t}, the compiled {!Ir.t} (participant sets and
     mixed-radix scenario layouts, built per site on first use), the
-    {!Params.t}, the interference {!Memo.t} and the scenario
-    {!Rta.counters} — as one immutable value.  Creating the session pays the per-model compilation cost
+    {!Params.t} and the scenario {!Rta.counters} — as one immutable
+    value.  Creating the session pays the per-model compilation cost
     once; every subsequent {!analyze} or design-space probe reuses the
     compiled state.
 
@@ -12,8 +12,7 @@
     {!with_model} derive new sessions sharing whatever remains valid
     (the IR survives any model with the same placement and priorities;
     a transaction's scaled constants survive any model where its own
-    constants are unchanged; the memo survives parameter changes but
-    never a model change).
+    constants are unchanged).
     An analysis runs on the domain that calls it; independent analyses
     may run concurrently on sessions derived with {!with_model}.
 
@@ -24,11 +23,9 @@
     asserts this over random workloads. *)
 
 type t
-(** One analysis session.  Immutable apart from the memo and counters it
-    carries, both of which are transparent: the memo replays exact
-    values a recomputation would reproduce, and the counters are
-    diagnostics.  Analysing the same session twice yields identical
-    reports. *)
+(** One analysis session.  Immutable apart from the counters it
+    carries, which are diagnostics.  Analysing the same session twice
+    yields identical reports. *)
 
 (** {1 Events}
 
@@ -116,16 +113,14 @@ val with_overrides :
 (** Derived session over the same model: absent arguments keep the
     original's values, [keep_history] patches just that field of the
     effective params (the common verdict-only probe:
-    [with_overrides e ~keep_history:false]).  The compiled IR and the
-    memos are always shared: the model is the same by construction, and
-    memoised values depend on the model alone. *)
+    [with_overrides e ~keep_history:false]).  The compiled IR is always
+    shared: the model is the same by construction. *)
 
 val with_model : t -> Model.t -> t
 (** Re-bind the session to another model.  The compiled IR is reused
     when [m] is {!Ir.compatible} — same task placement and priorities,
     the design-space case where only demands or platform bounds moved —
-    and recompiled otherwise.  The memos are always re-created: they
-    embed the old model's demands and rates.
+    and recompiled otherwise.
 
     The rebind aligns [m]'s transactions with the session's current
     model — by position when both share one transaction array, by name
@@ -154,10 +149,7 @@ val counters : t -> Rta.counters
     (and sessions derived from it) ran. *)
 
 val memo_stats : t -> Memo.stats option
-(** Lookup statistics summed over the session's memos (one per numeric
-    instance).  Only the exact-rational instance memoises ({!Memo}), so
-    a session whose analyses all ran on the integer timeline reports
-    zeros.  Always [Some]. *)
+(** Always [None]: the analysis keeps no interference memo ({!Memo}). *)
 
 val kernel_scale : t -> int option
 (** The denominator of the integer timeline this session's analyses run
@@ -176,9 +168,9 @@ val timebase : t -> int Timebase.t option
 val analyze : t -> Report.t
 (** The holistic offset-based analysis (Section 3.2): outer Jacobi
     fixed point on the jitters, inner busy-period recurrences per
-    scenario, under the session's params and memo, on the calling
-    domain.  Emits [Analysis_started], one [Sweep] per outer iteration
-    and [Finished].  The report is the same for every [prune] and
+    scenario, under the session's params, on the calling domain.
+    Emits [Analysis_started], one [Sweep] per outer iteration and
+    [Finished].  The report is the same for every [prune] and
     [int_kernel] setting.
 
     The fixed point is the core of {!Fixpoint}, run on {!Fixpoint.Scaled} when

@@ -2,7 +2,7 @@
     once and compiled once per numeric domain.
 
     The core holds every recurrence: the compiled demand kernels of
-    Eqs. 7–11 and their memo entries, the busy-period fixed point of
+    Eqs. 7–11, the busy-period fixed point of
     Eqs. 13–16, the simple and refined best cases, the response time of
     one site (reduced, exhaustive exact, and branch-and-bound exact),
     and the outer Jacobi iteration on the dynamic offsets with

@@ -70,124 +70,6 @@ let compile sk ~phi ~jit ~k : N.t Timeline.kernel =
   { Timeline.period; phase = phases; delayed = delays; cost = sk.costs }
 
 (* ---------------------------------------------------------------- *)
-(* The interference memo                                            *)
-(* ---------------------------------------------------------------- *)
-
-(* One entry caches the demand curve of transaction [i] initiated by
-   τ_{i,k} against a fixed task under analysis: (t -> W^k_i) samples,
-   valid as long as the jitter and offset rows of [i] still hold the
-   values the samples were computed under.  Only curves of at least
-   [N.memo_min_terms] terms are memoised: exact rationals from 4 on,
-   scaled ints never (a probe would cost more than the kernel). *)
-module Tbl = Hashtbl.Make (N)
-
-type entry = {
-  mutable jit_sig : N.t array;
-  mutable phi_sig : N.t array;
-  mutable kernel : N.t Timeline.kernel;
-  values : N.t Tbl.t;
-}
-
-type cache = {
-  entries : (int * int, entry) Hashtbl.t;  (* keyed by (i, k) *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-}
-
-(* Caches are partitioned per task under analysis and allocated on
-   first touch: a delta-warm analysis recomputes only the dirty
-   frontier, so most cells of a large memo are never consulted. *)
-type memo = cache option array array
-
-let memo m =
-  Array.init (Model.n_txns m) (fun a -> Array.make (Model.n_tasks m a) None)
-
-let cache t ~a ~b =
-  match t.(a).(b) with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          entries = Hashtbl.create 16;
-          hits = 0;
-          misses = 0;
-          invalidations = 0;
-        }
-      in
-      t.(a).(b) <- Some c;
-      c
-
-let memo_stats t =
-  let acc = ref { Timeline.hits = 0; misses = 0; invalidations = 0 } in
-  Array.iter
-    (Array.iter (function
-      | None -> ()
-      | Some (c : cache) ->
-          acc :=
-            {
-              Timeline.hits = !acc.hits + c.hits;
-              misses = !acc.misses + c.misses;
-              invalidations = !acc.invalidations + c.invalidations;
-            }))
-    t;
-  !acc
-
-let rows_equal x y =
-  Array.length x = Array.length y
-  &&
-  let rec go i = i < 0 || (N.equal x.(i) y.(i) && go (i - 1)) in
-  go (Array.length x - 1)
-
-(* A demand curve ready to evaluate: its kernel, or — for curves long
-   enough for this timeline's memo — its cache entry, resolved and
-   recompiled if a row changed. *)
-type curve = Direct of N.t Timeline.kernel | Memoised of cache * entry
-
-let memoised c sk ~phi ~jit ~k =
-  let i = sk.txn in
-  let jit_row = jit.(i) and phi_row = phi.(i) in
-  let e =
-    match Hashtbl.find_opt c.entries (i, k) with
-    | Some e ->
-        if not (rows_equal e.jit_sig jit_row && rows_equal e.phi_sig phi_row)
-        then begin
-          Tbl.reset e.values;
-          e.jit_sig <- Array.copy jit_row;
-          e.phi_sig <- Array.copy phi_row;
-          e.kernel <- compile sk ~phi ~jit ~k;
-          c.invalidations <- c.invalidations + 1
-        end;
-        e
-    | None ->
-        let e =
-          {
-            jit_sig = Array.copy jit_row;
-            phi_sig = Array.copy phi_row;
-            kernel = compile sk ~phi ~jit ~k;
-            values = Tbl.create 32;
-          }
-        in
-        Hashtbl.add c.entries (i, k) e;
-        e
-  in
-  Memoised (c, e)
-
-let eval_curve curve t =
-  match curve with
-  | Direct kernel -> N.eval kernel t
-  | Memoised (c, e) -> (
-      match Tbl.find_opt e.values t with
-      | Some v ->
-          c.hits <- c.hits + 1;
-          v
-      | None ->
-          c.misses <- c.misses + 1;
-          let v = N.eval e.kernel t in
-          Tbl.add e.values t v;
-          v)
-
-(* ---------------------------------------------------------------- *)
 (* Busy-period fixed point                                          *)
 (* ---------------------------------------------------------------- *)
 
@@ -328,7 +210,7 @@ let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c ~own ~remote =
   let inside l = at_least_0 (N.ceil_div (N.sub l ph) ta) in
   let demand self_jobs w =
     N.add
-      (N.add (N.add base (N.mul_int self_jobs cost)) (eval_curve own w))
+      (N.add (N.add base (N.mul_int self_jobs cost)) (N.eval own w))
       (remote w)
   in
   let busy_length l = demand (at_least_0 (inside l - p0 + 1)) l in
@@ -364,29 +246,21 @@ let scenario_response (tb : N.t Timebase.t) ~phi ~jit ~a ~b ~c ~own ~remote =
    leaves its argmax scenario in [hint]. *)
 type start = { mutable floor : num; mutable hint : int }
 
-let response_time ~memo ~counters ?start tables (site : Ir.site) params ~phi
-    ~jit =
+let response_time ~counters ?start tables (site : Ir.site) params ~phi ~jit =
   let tb = tables.tb in
   let a = site.Ir.a and b = site.Ir.b in
   let { own_sk; remote_sks } = skeletons tables site in
-  (* Every demand curve is compiled — or its memo entry resolved — once
-     per response-time computation.  Only curves long enough for this
-     timeline's memo touch it, so a timeline that never memoises
-     allocates no cache. *)
-  let cache = lazy (cache (Lazy.force memo) ~a ~b) in
-  let curve sk ~k =
-    if Array.length sk.js >= N.memo_min_terms then
-      memoised (Lazy.force cache) sk ~phi ~jit ~k
-    else Direct (compile sk ~phi ~jit ~k)
-  in
+  (* Every demand curve is compiled once per response-time
+     computation. *)
   let own =
-    Array.of_list (List.map (fun c -> (c, curve own_sk ~k:c)) site.Ir.own)
+    Array.of_list
+      (List.map (fun c -> (c, compile own_sk ~phi ~jit ~k:c)) site.Ir.own)
   in
   (* The curves of every remote choice, per remote transaction. *)
   let remotes =
     Array.mapi
       (fun ri (r : Ir.remote) ->
-        Array.map (fun k -> curve remote_sks.(ri) ~k) r.Ir.choices)
+        Array.map (fun k -> compile remote_sks.(ri) ~phi ~jit ~k) r.Ir.choices)
       site.Ir.remotes
   in
   let n_remotes = Array.length remotes in
@@ -402,11 +276,11 @@ let response_time ~memo ~counters ?start tables (site : Ir.site) params ~phi
         if ri < !level then begin
           let w = ref N.zero in
           for ci = 0 to Array.length curves - 1 do
-            w := max !w (eval_curve curves.(ci) t)
+            w := max !w (N.eval curves.(ci) t)
           done;
           !w
         end
-        else eval_curve curves.(digit.(ri)) t
+        else N.eval curves.(digit.(ri)) t
       in
       acc := N.add !acc w
     done;
@@ -535,9 +409,9 @@ let response_time ~memo ~counters ?start tables (site : Ir.site) params ~phi
               for ri = 0 to n_remotes - 1 do
                 let curves = remotes.(ri) in
                 let best_ci = ref 0
-                and best_w = ref (eval_curve curves.(0) horizon) in
+                and best_w = ref (N.eval curves.(0) horizon) in
                 for ci = 1 to Array.length curves - 1 do
-                  let w = eval_curve curves.(ci) horizon in
+                  let w = N.eval curves.(ci) horizon in
                   if N.compare w !best_w > 0 then begin
                     best_w := w;
                     best_ci := ci
@@ -635,7 +509,13 @@ let lift t (w : Timeline.warm) =
    diverging or missing a deadline. *)
 let max_sweeps = 256
 
-let analyze ~params ~counters ~sweep t memo ~warm =
+let rows_equal x y =
+  Array.length x = Array.length y
+  &&
+  let rec go i = i < 0 || (N.equal x.(i) y.(i) && go (i - 1)) in
+  go (Array.length x - 1)
+
+let analyze ~params ~counters ~sweep t ~warm =
   let tb = t.tb and ir = t.ir in
   let scale = tb.Timebase.scale in
   let n = Array.length tb.Timebase.period in
@@ -737,8 +617,8 @@ let analyze ~params ~counters ~sweep t memo ~warm =
                   incr recomputed;
                   let start = Option.map (fun s -> s.(a).(b)) starts in
                   let r =
-                    response_time ~memo ~counters ?start t (Ir.site ir ~a ~b)
-                      params ~phi:!phi ~jit
+                    response_time ~counters ?start t (Ir.site ir ~a ~b) params
+                      ~phi:!phi ~jit
                   in
                   (match start with
                   | Some s when floored ->

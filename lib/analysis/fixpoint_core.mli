@@ -30,32 +30,6 @@ val compile :
 (** The curve of the scenario where τ{_i,k} initiates, against the
     current offsets and jitters. *)
 
-(** {1 Memo} *)
-
-type cache
-
-type memo
-
-val memo : Model.t -> memo
-
-val cache : memo -> a:int -> b:int -> cache
-
-val memo_stats : memo -> Timeline.memo_stats
-
-type curve
-(** A demand curve ready to evaluate at any t: its compiled kernel,
-    or its memo entry for curves of at least [N.memo_min_terms]
-    terms. *)
-
-val memoised :
-  cache -> skeleton -> phi:num array array -> jit:num array array ->
-  k:int -> curve
-(** The curve's memo entry, resolved (and recompiled if a row changed)
-    once; evaluations only look up. *)
-
-val eval_curve : curve -> num -> num
-(** [Timeline.eval (compile …) t], from the memo when it holds t. *)
-
 (** {1 Fixed points} *)
 
 val fixpoint : horizon:num -> (num -> num) -> num -> num option
@@ -85,7 +59,6 @@ type start = { mutable floor : num; mutable hint : int }
     (unchanged when none beat the floor). *)
 
 val response_time :
-  memo:memo Lazy.t ->
   counters:Rta.counters ->
   ?start:start ->
   tables ->
@@ -116,7 +89,6 @@ val analyze :
   counters:Rta.counters ->
   sweep:(iteration:int -> recomputed:int -> carried:int -> unit) ->
   tables ->
-  memo Lazy.t ->
   warm:lifted option ->
   Report.t
 (** The holistic analysis: outer Jacobi sweeps on the jitters, each
@@ -133,12 +105,10 @@ val analyze :
     whose iterates are not shown to grow.  Nothing of this state
     outlives the run, and reports are the cold search's bit for bit
     (docs/THEORY.md).  [sweep] is called after each sweep;
-    [counters] is bumped with the scenario accounting; the memo is
-    forced only by a curve long enough for this timeline's memo
-    ([N.memo_min_terms]).  A warm start's clean rows are never
-    recomputed, and their report entries are the warm start's [rows]
-    as given: such a row keeps its carried responses and jitters, and
-    under the Simple best case its offsets and best cases read only
-    its own constants.  Runs on the calling
+    [counters] is bumped with the scenario accounting.  A warm start's
+    clean rows are never recomputed, and their report entries are the
+    warm start's [rows] as given: such a row keeps its carried
+    responses and jitters, and under the Simple best case its offsets
+    and best cases read only its own constants.  Runs on the calling
     domain.
     @raise Rational.Overflow when an operation leaves the domain. *)

@@ -51,8 +51,6 @@ module type S = sig
 
   val equal : t -> t -> bool
 
-  val hash : t -> int
-
   val floor_div : t -> t -> int
   (** [floor_div x y] is ⌊x/y⌋ for [y > 0]. *)
 
@@ -76,11 +74,6 @@ module type S = sig
       curve: per term, ⌊(J + ϕ)/T⌋ delayed jobs plus ⌈(t − ϕ)/T⌉
       jobs released inside the window, clamped at 0, times the
       cost. *)
-
-  val memo_min_terms : int
-  (** Smallest demand curve, in terms, that the fixed-point core
-      memoises across sweeps on this timeline ({!Memo}); [max_int]:
-      never. *)
 end
 
 type warm = {
@@ -100,5 +93,3 @@ type warm = {
 (** A warm start for the outer fixed point, as {!Engine.Delta} and
     {!Engine.Seeded} plan it (docs/INCREMENTAL.md, docs/THEORY.md), in
     rationals: each instance lifts it onto its own timeline. *)
-
-type memo_stats = { hits : int; misses : int; invalidations : int }

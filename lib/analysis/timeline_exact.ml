@@ -21,7 +21,6 @@ let sub = Q.sub
 let mul_int n v = Q.mul_int v n
 let compare = Q.compare
 let equal = Q.equal
-let hash = Q.hash
 let floor_div x y = Q.floor (Q.div x y)
 let ceil_div x y = Q.ceil (Q.div x y)
 let modulo = Q.fmod
@@ -37,8 +36,3 @@ let eval (k : t Timeline.kernel) t =
     if jobs > 0 then acc := Q.(!acc + mul_int k.cost.(idx) jobs)
   done;
   !acc
-
-(* A hit replays an exact rational sum of several terms, each a
-   division and a product on fractions: worth a hashtable probe from a
-   handful of terms on. *)
-let memo_min_terms = 4

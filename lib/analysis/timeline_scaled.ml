@@ -42,7 +42,6 @@ let[@inline] mul_int a b =
 
 let[@inline] compare (x : int) y = if x < y then -1 else if x > y then 1 else 0
 let[@inline] equal (x : int) y = x = y
-let hash (x : int) = Hashtbl.hash x
 
 let[@inline] floor_div x y =
   let q = x / y in
@@ -80,7 +79,3 @@ let eval (k : t Timeline.kernel) t =
     end
   done;
   !acc
-
-(* With the loop above, a hashtable probe costs more than the terms it
-   would skip: the integer timeline never memoises. *)
-let memo_min_terms = max_int

@@ -273,8 +273,6 @@ module Checked = struct
   let ( * ) = mul_exn
 end
 
-let hash x = Hashtbl.hash (x.num, x.den)
-
 (* Exported names that shadow Stdlib: defined last so the implementations
    above keep integer semantics. *)
 

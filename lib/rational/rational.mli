@@ -178,5 +178,3 @@ val pp : Format.formatter -> t -> unit
 val pp_decimal : Format.formatter -> t -> unit
 (** Decimal rendering with up to 4 fractional digits (rounded to
     nearest), for table output. *)
-
-val hash : t -> int

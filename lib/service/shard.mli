@@ -1,6 +1,5 @@
 (** One shard of the fleet: a partition of tenants served by its own
-    engine session (with its memo and integer kernel) and {!Metrics}
-    record.
+    engine session (with its integer kernel) and {!Metrics} record.
 
     A batch is served one request at a time, in arrival order: each
     request ([query], [what_if], [region], [admit], [revoke], [stats],

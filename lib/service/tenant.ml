@@ -1,7 +1,7 @@
 (* Per-tenant serving state.  A tenant owns its committed store
    snapshot, its delta baseline and its result cache; the engine
-   session and its memo stay per-shard and are shared across the
-   shard's tenants.  All mutable fields are written only by the owning
+   session stays per-shard and is shared across the shard's
+   tenants.  All mutable fields are written only by the owning
    shard's driving domain, one request at a time in arrival order —
    that is what keeps a tenant's responses bit-identical regardless of
    how the other tenants interleave, how the requests were batched or

@@ -2,8 +2,8 @@
     delta-analysis baseline and the result cache, all scoped to one
     tenant id so interleaved traffic from different assemblies cannot
     disturb each other's warm fixed points or [cached] flags.  The
-    engine session and its memo remain per-shard resources shared
-    across the shard's tenants.
+    engine session remains a per-shard resource shared across the
+    shard's tenants.
 
     Mutable fields are written only by the owning shard's driving
     domain in request-arrival order. *)

@@ -610,7 +610,7 @@ let site_oracle_prop =
                  Analysis.Timebase.exact m
                    ~horizon_factor:params.P.horizon_factor
                in
-               let tables = X.tables ir tb and memo = lazy (X.memo m) in
+               let tables = X.tables ir tb in
                let counters = Rta.counters () in
                let field f =
                  Array.map (Array.map f) report.Report.results
@@ -651,8 +651,8 @@ let site_oracle_prop =
                              in
                              let warm =
                                match
-                                 X.response_time ~memo ~counters ~start tables
-                                   site params ~phi ~jit
+                                 X.response_time ~counters ~start tables site
+                                   params ~phi ~jit
                                with
                                | X.Finite v -> Report.Finite v
                                | X.Divergent -> Report.Divergent
@@ -701,9 +701,8 @@ let carry_forward_prop =
            let report =
              X.analyze ~params ~counters
                ~sweep:(fun ~iteration:_ ~recomputed:_ ~carried:_ -> ())
-               tables (lazy (X.memo m)) ~warm:None
+               tables ~warm:None
            in
-           let memo = lazy (X.memo m) in
            List.for_all
              (fun (h : Report.iteration) ->
                let jit = h.Report.jitters in
@@ -730,7 +729,7 @@ let carry_forward_prop =
                            (fun b carried ->
                              let fresh =
                                match
-                                 X.response_time ~memo ~counters tables
+                                 X.response_time ~counters tables
                                    (Analysis.Ir.site ir ~a ~b) params ~phi ~jit
                                with
                                | X.Finite v -> Report.Finite v
@@ -776,9 +775,9 @@ let test_scenario_counters () =
 (* --- engine sessions --- *)
 
 (* Reports do not depend on how a session was obtained: a one-shot
-   session must agree with a reused one (the second run reads warm
-   memos) and with one rebound onto the model from another session
-   (shared IR, fresh memos and tables). *)
+   session must agree with a reused one (the second run on the same
+   tables) and with one rebound onto the model from another session
+   (shared IR, fresh tables). *)
 let engine_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
@@ -825,9 +824,10 @@ let test_engine_overrides () =
   Alcotest.(check bool)
     "rest of the report identical" true
     ({ full with Report.history = [] } = probe);
-  (* an override keeps the memos, which depend on the model only *)
+  (* an override with the same params keeps the analysed session's
+     tables, which depend on the model only *)
   Alcotest.(check bool)
-    "override on warm memos identical" true
+    "override on an analysed session identical" true
     (Engine.analyze (Engine.with_overrides e ~params:P.exact) = full)
 
 let test_engine_with_model () =
@@ -1210,9 +1210,9 @@ let test_kernel_overflow_boundary () =
   Alcotest.check_raises "one more unit" Q.Overflow (fun () ->
       ignore (SN.eval (two_terms 2) 0))
 
-(* Long chains on one platform: interfering sets reach Memo.min_terms
-   terms, so the memo engages inside the analysis — the short-chain
-   workloads of the other properties never reach it. *)
+(* Long chains on one platform: interfering sets reach four and more
+   terms, which the short-chain workloads of the other properties never
+   reach. *)
 let long_chain_spec =
   {
     Workload.Gen.default_spec with
@@ -1221,11 +1221,11 @@ let long_chain_spec =
     max_tasks_per_txn = 6;
   }
 
-(* Some site's own or remote interfering set is long enough for the
-   memo (Memo.min_terms). *)
-let memo_engages (m : Model.t) =
+(* Some site's own or remote interfering set holds four or more
+   tasks. *)
+let has_long_interfering_set (m : Model.t) =
   let ir = Analysis.Ir.compile m in
-  let long l = List.length l >= Analysis.Memo.min_terms in
+  let long l = List.length l >= 4 in
   Array.exists Fun.id
     (Array.mapi
        (fun a (tx : Model.txn) ->
@@ -1241,28 +1241,22 @@ let memo_engages (m : Model.t) =
               tx.Model.tasks))
        m.Model.txns)
 
-(* The tentpole identity: the scaled-int kernels reproduce the rational
+(* The kernel identity: the scaled-int kernels reproduce the rational
    reports bit for bit — same bounds, history, sweep counts and verdict —
    under both variants and both best cases, with zero overflow
-   fallbacks on these workloads; a model the
-   kernel cannot represent (gadget transaction appended) silently falls
-   back to the identical rational result; and on a long-chain system
-   the rational reference's memo engages without changing a bit, while
-   a clean scaled run never touches a memo.  The exact chain run is
-   made whenever the memo engages and must hit it (hits > 0): its
-   scenarios re-evaluate the same curves under the same rows at the
-   same points.  The reduced chain run is compared bit for bit but may
-   miss every time: with one scenario, a site whose own row changes
-   every sweep evaluates each own curve along one rising busy-period
-   iteration per sweep.  Refined stays
-   off the long chains: it has no early exit, and a long chain can
-   take minutes to converge. *)
+   fallbacks on these workloads; a model the kernel cannot represent
+   (gadget transaction appended) silently falls back to the identical
+   rational result; and a long-chain system agrees too.  Its reduced
+   run is always compared, its exact run whenever some interfering set
+   holds four or more tasks or the scenario space is small.  Refined
+   stays off the long chains: it has no early exit, and a long chain
+   can take minutes to converge. *)
 let kernel_identity_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
        ~name:
          "int kernel = rational path, exact and reduced, simple and refined, \
-          memo on long chains"
+          long chains"
        ~count:10
        (QCheck.int_range 1 1000)
        (fun seed ->
@@ -1301,31 +1295,20 @@ let kernel_identity_prop =
              release_jitter = Array.append m.Model.release_jitter [| Q.zero |];
            }
          in
-         let agrees ?(memo_hits = false) model base =
-           let rational =
-             Engine.create ~params:{ base with P.int_kernel = false } model
+         let agrees model base =
+           let reference =
+             Engine.analyze
+               (Engine.create ~params:{ base with P.int_kernel = false } model)
            in
-           let reference = Engine.analyze rational in
            let counters = Rta.counters () in
            let e = Engine.create ~params:base ~counters model in
-           Engine.analyze e = reference
-           && Rta.kernel_fallbacks counters = 0
-           && (Engine.kernel_scale e = None
-              ||
-              match Engine.memo_stats e with
-              | Some s -> s.Analysis.Memo.hits = 0 && s.Analysis.Memo.misses = 0
-              | None -> false)
-           && ((not memo_hits)
-              ||
-              match Engine.memo_stats rational with
-              | Some s -> s.Analysis.Memo.hits > 0
-              | None -> false)
+           Engine.analyze e = reference && Rta.kernel_fallbacks counters = 0
          in
          let refined base = { base with P.best_case = P.Refined } in
          let chain =
            Model.of_system (Workload.Gen.system ~seed long_chain_spec)
          in
-         let memo_hits = memo_engages chain in
+         let long = has_long_interfering_set chain in
          engaged
          && List.for_all
               (fun model ->
@@ -1333,8 +1316,8 @@ let kernel_identity_prop =
                   [ P.exact; P.default; refined P.exact; refined P.default ])
               [ m; with_gadget ]
          && agrees chain P.default
-         && ((scenario_total chain > 2_000 && not memo_hits)
-            || agrees ~memo_hits chain P.exact)))
+         && ((scenario_total chain > 2_000 && not long)
+            || agrees chain P.exact)))
 
 (* --- delta re-analysis --- *)
 

@@ -1,16 +1,11 @@
-(* The domain pool: pool semantics, memoised interference, and the
-   bit-identical determinism guarantee for analyses run on pool
-   workers, as a sharded fleet runs them.  Report.t is pure data (exact
-   rationals, ints, bools), so structural equality [=] is exactly the
-   "bit-identical" property the engine promises. *)
+(* The domain pool: pool semantics and the bit-identical determinism
+   guarantee for analyses run on pool workers, as a sharded fleet runs
+   them.  Report.t is pure data (exact rationals, ints, bools), so
+   structural equality [=] is exactly the "bit-identical" property the
+   engine promises. *)
 
-module Q = Rational
 module P = Parallel.Pool
-module Model = Analysis.Model
 module Params = Analysis.Params
-
-let check_q msg expected actual =
-  Alcotest.(check string) msg (Q.to_string expected) (Q.to_string actual)
 
 (* --- pool --- *)
 
@@ -80,65 +75,10 @@ let test_shutdown () =
     Alcotest.fail "ran on a shut-down pool"
   with Invalid_argument _ -> ()
 
-(* --- memoised interference --- *)
+(* --- determinism across job counts --- *)
 
 (* One-shot analysis session. *)
 let analyze ?params m = Analysis.Engine.analyze (Analysis.Engine.create ?params m)
-
-let zeros (m : Model.t) =
-  Array.map
-    (fun (tx : Model.txn) -> Array.make (Array.length tx.Model.tasks) Q.zero)
-    m.Model.txns
-
-let probe_times = List.map Q.of_int [ 1; 5; 12; 30 ]
-
-(* probe every (task under analysis, interfering transaction, t) of the
-   paper example, checking the memoised value against the direct one *)
-let sweep_against_direct memo m ~phi ~jit =
-  Array.iteri
-    (fun a (tx : Model.txn) ->
-      Array.iteri
-        (fun b _ ->
-          let cache = Analysis.Memo.cache memo ~a ~b in
-          for i = 0 to Array.length m.Model.txns - 1 do
-            let hp_list = Analysis.Interference.hp m ~i ~a ~b in
-            if hp_list <> [] then
-              List.iter
-                (fun t ->
-                  check_q
-                    (Printf.sprintf "w_star a=%d b=%d i=%d t=%s" a b i
-                       (Q.to_string t))
-                    (Analysis.Interference.w_star ~hp_list m ~phi ~jit ~i ~a ~b
-                       ~t)
-                    (Analysis.Memo.w_star cache m ~phi ~jit ~i ~hp_list ~t))
-                probe_times
-          done)
-        tx.Model.tasks)
-    m.Model.txns
-
-let test_memo_values_and_stats () =
-  let m = Hsched.Paper_example.model () in
-  let phi = zeros m and jit = zeros m in
-  let memo = Analysis.Memo.create m in
-  sweep_against_direct memo m ~phi ~jit;
-  let s1 = Analysis.Memo.stats memo in
-  Alcotest.(check bool) "first sweep misses" true (s1.Analysis.Memo.misses > 0);
-  (* replay with unchanged rows: pure hits *)
-  sweep_against_direct memo m ~phi ~jit;
-  let s2 = Analysis.Memo.stats memo in
-  Alcotest.(check int) "replay adds no misses" s1.Analysis.Memo.misses
-    s2.Analysis.Memo.misses;
-  Alcotest.(check bool) "replay hits" true
-    (s2.Analysis.Memo.hits > s1.Analysis.Memo.hits);
-  (* a changed jitter row invalidates its entries, and the memoised
-     values still match the direct computation on the new rows *)
-  jit.(0).(0) <- Q.one;
-  sweep_against_direct memo m ~phi ~jit;
-  let s3 = Analysis.Memo.stats memo in
-  Alcotest.(check bool) "row change invalidates" true
-    (s3.Analysis.Memo.invalidations > s2.Analysis.Memo.invalidations)
-
-(* --- determinism across job counts --- *)
 
 (* One analysis per slot, all running at once on the pool's domains —
    the way a sharded fleet runs its shards' analyses: each must return
@@ -174,10 +114,6 @@ let () =
             test_exception_propagation;
           Alcotest.test_case "reentrancy" `Quick test_reentrant;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
-        ] );
-      ( "memo",
-        [
-          Alcotest.test_case "values and stats" `Quick test_memo_values_and_stats;
         ] );
       ( "determinism",
         [
